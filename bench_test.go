@@ -327,10 +327,11 @@ func BenchmarkFeatureTracker(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayNever measures the policy-replay engine throughput with a
-// no-op policy over the full CI-scale log, fanning nodes out across
-// GOMAXPROCS workers (the default). Output is bit-identical to the serial
-// bench below; only wall clock changes with cores.
+// BenchmarkReplayNever measures evalx.ReplayAll throughput with one no-op
+// policy (the engine's non-batch Decide fallback) over the full CI-scale
+// log, fanning nodes out across GOMAXPROCS workers (the default). Output is
+// bit-identical to the serial bench below; only wall clock changes with
+// cores.
 func BenchmarkReplayNever(b *testing.B) {
 	benchReplay(b, 0)
 }
@@ -347,9 +348,10 @@ func benchReplay(b *testing.B, parallelism int) {
 	byNode := env.GroupTicks(errlog.Merge(pre, errlog.MergeWindow))
 	sampler := jobs.NewSampler(w.Trace)
 	cfg := evalx.ReplayConfig{Env: env.DefaultConfig(), JobSeed: 1, Parallelism: parallelism}
+	ds := []policies.Decider{noopDecider{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		evalx.Replay(noopDecider{}, byNode, sampler, cfg)
+		evalx.ReplayAll(ds, byNode, sampler, cfg)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/nn"
+	"repro/internal/policies"
 )
 
 // testRLPolicy builds an untrained but fully wired RL serving policy
@@ -322,8 +323,9 @@ func TestSwapPolicyNilPanics(t *testing.T) {
 }
 
 // TestServingPathZeroAlloc: the two serving hot paths — single-event
-// ingestion and side-effect-free recommendation (Q-network forward
-// included) — must not allocate in steady state.
+// ingestion and side-effect-free recommendation — must not allocate in
+// steady state. Recommend is checked under the RL policy (Q-network
+// forward included) and under Never, Always and Oracle.
 func TestServingPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool allocate")
@@ -346,14 +348,18 @@ func TestServingPathZeroAlloc(t *testing.T) {
 	}
 
 	query := at.Add(time.Hour)
-	allocs = testing.AllocsPerRun(200, func() {
-		d := ctl.Recommend(1, query, 4200)
-		if d.Node != 1 {
-			t.Fatal("wrong node")
+	oracle := &oraclePolicy{d: policies.NewOracle(map[policies.OracleKey]bool{{Node: 1, Time: query}: true})}
+	for _, p := range []Policy{ctl.Policy(), NeverPolicy(), AlwaysPolicy(), oracle} {
+		ctl.SwapPolicy(p)
+		allocs = testing.AllocsPerRun(200, func() {
+			d := ctl.Recommend(1, query, 4200)
+			if d.Node != 1 {
+				t.Fatal("wrong node")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Recommend under %s allocates %v times per run, want 0", p.Kind(), allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Recommend allocates %v times per run, want 0", allocs)
 	}
 }
 

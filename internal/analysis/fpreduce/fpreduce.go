@@ -2,7 +2,7 @@
 // (//uerl:deterministic) packages. Float addition and multiplication are
 // not associative: accumulating into a shared variable from a goroutine
 // body or under map iteration produces bits that depend on scheduling or
-// map order. The contract — proven by evalx.Replay's worker-count
+// map order. The contract — proven by evalx.ReplayAll's worker-count
 // invariance tests — is that parallel code accumulates into per-index
 // state and reduces in explicit index order afterwards (the parx
 // discipline).

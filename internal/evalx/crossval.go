@@ -571,7 +571,7 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 		if !useValidation {
 			scoreCfg.From, scoreCfg.To = time.Time{}, spec.trainTo
 		}
-		cost := Replay(pol, trainTicks, sampler, scoreCfg).TotalCost()
+		cost := ReplayAll([]policies.Decider{pol}, trainTicks, sampler, scoreCfg)[0].TotalCost()
 
 		bestMu.Lock()
 		if bestIdx < 0 || cost < bestCost || (cost == bestCost && ci < bestIdx) {

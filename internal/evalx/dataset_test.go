@@ -72,7 +72,7 @@ func TestOptimalThresholdPrefersCatchingUE(t *testing.T) {
 	// With every sample positive, the forest scores everything 1, so any
 	// threshold < 1 fires. The search must not pick one with higher cost
 	// than Always achieves.
-	always := Replay(policies.Always{}, ticks, sampler, replayCfg())
+	always := ReplayAll([]policies.Decider{policies.Always{}}, ticks, sampler, replayCfg())[0]
 	if cost > always.TotalCost()+1e-9 {
 		t.Fatalf("optimal threshold %v cost %v worse than Always %v", thr, cost, always.TotalCost())
 	}

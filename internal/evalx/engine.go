@@ -13,10 +13,13 @@ import (
 	"repro/internal/policies"
 )
 
-// This file implements the single-pass multi-policy replay engine. The
-// legacy path (Replay, one policy per full walk) remains the reference
-// implementation; ReplayAll produces bit-identical Results while walking
-// each node's tick stream exactly once for all N policies.
+// This file is the replay engine. ReplayAll is the one implementation of
+// the §4.3 cost–benefit replay and the §4.4 classification accounting;
+// every caller goes through it, whether it scores one policy or many. It
+// walks each node's tick stream exactly once for all N policies and
+// produces Results bit-identical to replaying each policy on its own. That
+// plain one-policy-per-walk replay is kept only as the test oracle,
+// referenceReplay in reference_test.go.
 //
 // What makes a single shared walk possible:
 //
@@ -27,10 +30,12 @@ import (
 //     UE events; a mitigation moves nothing but the cost baseline
 //     (env.Timeline.Mitigate). The engine keeps one mitigation-free
 //     timeline and reconstructs each policy's effective cost as
-//     nodes × (t − max(jobStart, lastMitigation)) — exactly the value the
-//     legacy per-policy timeline would report.
-//   - All policies replayed under one ReplayConfig consume identical RNG
-//     streams in the legacy path (each Replay reseeds from JobSeed), so
+//     nodes × (t − max(jobStart, lastMitigation)) — exactly the value a
+//     per-policy timeline would report. A mitigation in the post-UE
+//     downtime, before the next job starts, leaves that job's baseline at
+//     its start.
+//   - A policy replayed on its own would reseed from JobSeed, so every
+//     policy under one ReplayConfig consumes identical RNG streams and
 //     forking once per node reproduces every policy's draws.
 //
 // Per decision point the engine materializes the feature snapshot once and
@@ -73,17 +78,23 @@ func (sc *engineScratch) reset(np int) {
 	}
 }
 
-// ReplayAll evaluates several policies under identical workloads in a
-// single pass: for each node the tick stream is walked once, the feature
-// snapshot, job context and (lazily) the RF score are materialized once
-// per decision point, and every decider is scored against that shared
-// state. Results are bit-identical to calling Replay once per decider —
-// the equivalence tests in engine_test.go enforce exactly that.
+// ReplayAll replays the deciders ds over the per-node tick sequences under
+// identical workloads, accounting costs and classification metrics inside
+// the configured window; the i-th Result belongs to ds[i]. For each node
+// the tick stream is walked once: the feature snapshot, job context and
+// (lazily) the RF score are materialized once per decision point, and
+// every decider is scored against that shared state. Results are
+// bit-identical to replaying each decider on its own — the equivalence
+// tests in engine_test.go check them against referenceReplay.
 //
-// Nodes fan out across the bounded worker pool like Replay; if any decider
-// is not concurrency-safe the whole set replays serially (decisions for
-// all policies are interleaved on one worker, which preserves each
-// decider's own call order).
+// Nodes are independent worlds, so they fan out across a bounded worker
+// pool (ReplayConfig.Parallelism). Determinism holds by construction:
+// per-node RNGs are forked serially in node order before any worker
+// starts, each worker accumulates into its own per-node Results, and the
+// partials reduce in node order, so serial and parallel runs produce
+// bit-identical Results. If any decider is not concurrency-safe the whole
+// set replays serially (decisions for all policies are interleaved on one
+// worker, which preserves each decider's own call order).
 func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) []Result {
 	out := make([]Result, len(ds))
 	for i, d := range ds {
@@ -133,8 +144,8 @@ func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs
 		engineScratchPool.Put(sc)
 	})
 
-	// Reduce in node order per policy: the same accumulation order as the
-	// legacy per-policy Replay, so sums match bit for bit.
+	// Reduce in node order per policy: the same accumulation order as a
+	// per-policy replay, so sums match bit for bit.
 	for _, part := range partials {
 		for pi := range part {
 			out[pi].Add(part[pi])
@@ -193,7 +204,10 @@ func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks [
 					res.UEs++
 					res.UECost += cost
 					// §4.4: TP if a mitigation completed within the
-					// preceding 24 h; otherwise FN (see replayNode).
+					// preceding 24 h (initiated at least the mitigation
+					// overhead before the UE); otherwise FN. A UE with no
+					// event in the preceding window also counts an
+					// implicit non-mitigation.
 					mitigated := false
 					for i := len(st.mitigations) - 1; i >= 0; i-- {
 						dt := ut.Sub(st.mitigations[i])
@@ -250,7 +264,7 @@ func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks [
 			if mitigate {
 				st.lastMit, st.hasMit = tick.Time, true
 				st.mitigations = append(st.mitigations, tick.Time)
-				// Trim the window to bound memory (as in replayNode).
+				// Trim the window to bound memory.
 				if len(st.mitigations) > 64 {
 					st.mitigations = st.mitigations[len(st.mitigations)-64:]
 				}

@@ -2,6 +2,8 @@ package evalx
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/jobs"
 	"repro/internal/mathx"
+	"repro/internal/nn"
 	"repro/internal/policies"
 	"repro/internal/rf"
 	"repro/internal/rl"
@@ -89,9 +92,10 @@ func requireIdentical(t *testing.T, label string, got, want Result) {
 }
 
 // TestReplayAllMatchesLegacyPerPolicy is the engine's hard correctness
-// bar: the single-pass multi-policy walk must reproduce the legacy
-// one-policy-per-walk path bit for bit, for all eight §4.2 approaches,
-// across restartable/non-restartable mitigation and accounting windows.
+// bar: the single-pass multi-policy walk must reproduce referenceReplay's
+// one-policy-per-walk accounting bit for bit, for all eight §4.2
+// approaches, across restartable/non-restartable mitigation and
+// accounting windows.
 func TestReplayAllMatchesLegacyPerPolicy(t *testing.T) {
 	byNode, sampler, ds := engineFixture(t)
 
@@ -118,43 +122,87 @@ func TestReplayAllMatchesLegacyPerPolicy(t *testing.T) {
 				t.Fatalf("results = %d, want %d", len(got), len(ds))
 			}
 			for i, d := range ds {
-				requireIdentical(t, tc.name, got[i], Replay(d, byNode, sampler, tc.cfg))
+				requireIdentical(t, tc.name, got[i], referenceReplay(d, byNode, sampler, tc.cfg))
 			}
 		})
 	}
 }
 
 // TestReplayAllCostOverrideMatchesLegacy covers the Table 2 cost-range
-// mode: the synthetic cost draws must line up with the legacy per-policy
-// RNG streams.
+// mode: the synthetic cost draws must line up with the reference
+// per-policy RNG streams.
 func TestReplayAllCostOverrideMatchesLegacy(t *testing.T) {
 	byNode, sampler, ds := engineFixture(t)
 	cfg := ReplayConfig{Env: env.DefaultConfig(), JobSeed: 3}
 	cfg.CostOverride = func(rng *mathx.RNG) float64 { return 10 + rng.Float64()*990 }
 	got := ReplayAll(ds, byNode, sampler, cfg)
 	for i, d := range ds {
-		requireIdentical(t, "override", got[i], Replay(d, byNode, sampler, cfg))
+		requireIdentical(t, "override", got[i], referenceReplay(d, byNode, sampler, cfg))
 	}
 }
 
-// TestReplayAllParallelMatchesSerial: the engine's node fan-out is a pure
-// wall-clock knob, exactly like Replay's.
+// TestReplayAllParallelMatchesSerial: the node fan-out is a pure
+// wall-clock knob. Every input replays to bit-identical Results at every
+// worker count and GOMAXPROCS: the eight §4.2 deciders on the engine
+// fixture, a synthetic many-node world with boots, warnings and UEs under
+// three seeds, and the Table 2 path (accounting window plus cost
+// override). Result is a comparable struct, so != is a full bitwise
+// comparison of every accumulated float.
 func TestReplayAllParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	type input struct {
+		name    string
+		byNode  [][]errlog.Tick
+		sampler *jobs.Sampler
+		ds      []policies.Decider
+		cfg     ReplayConfig
+	}
 	byNode, sampler, ds := engineFixture(t)
-	cfgSerial := ReplayConfig{Env: env.DefaultConfig(), JobSeed: 2, Parallelism: 1}
-	cfgPar := cfgSerial
-	cfgPar.Parallelism = 4
-	serial := ReplayAll(ds, byNode, sampler, cfgSerial)
-	parallel := ReplayAll(ds, byNode, sampler, cfgPar)
-	for i := range ds {
-		requireIdentical(t, "parallel", parallel[i], serial[i])
+	inputs := []input{{"fixture", byNode, sampler, ds, ReplayConfig{Env: env.DefaultConfig(), JobSeed: 2}}}
+	for _, seed := range []int64{1, 7, 1234} {
+		qnet := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{16, 8},
+			Outputs: 2, Dueling: true, Seed: seed})
+		cfg := replayCfg()
+		cfg.JobSeed = seed
+		inputs = append(inputs, input{fmt.Sprintf("synth-%d", seed), synthWorld(seed, 24), synthTrace(seed), []policies.Decider{
+			policies.Never{},
+			policies.Always{},
+			&policies.FixedProb{Feature: 1, Bound: 20},
+			&policies.RL{Policy: rl.NewSharedQPolicy(qnet)},
+		}, cfg})
+	}
+	windowed := replayCfg()
+	windowed.From = t0.Add(24 * time.Hour)
+	windowed.To = t0.Add(10 * 24 * time.Hour)
+	windowed.CostOverride = func(rng *mathx.RNG) float64 { return rng.Float64() * 5000 }
+	inputs = append(inputs, input{"windowed-override", synthWorld(5, 16), synthTrace(5),
+		[]policies.Decider{policies.Never{}, policies.Always{}}, windowed})
+
+	for _, in := range inputs {
+		cfg := in.cfg
+		cfg.Parallelism = 1
+		serial := ReplayAll(in.ds, in.byNode, in.sampler, cfg)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{0, 2, 3, 8} {
+				cfg.Parallelism = workers
+				got := ReplayAll(in.ds, in.byNode, in.sampler, cfg)
+				for i := range got {
+					if got[i] != serial[i] {
+						t.Fatalf("%s policy %s procs %d workers %d: parallel result diverged\n got %+v\nwant %+v",
+							in.name, got[i].Policy, procs, workers, got[i], serial[i])
+					}
+				}
+			}
+		}
 	}
 }
 
 // statefulDecider mitigates on every k-th Decide call — no BatchDecider
 // implementation, not concurrency-safe, call-order dependent. It exercises
 // the engine's per-decider fallback (Decide on a vector copy) and the
-// forced-serial path, which must still reproduce the legacy walk exactly
+// forced-serial path, which must still reproduce the reference walk exactly
 // because per-node decision order is preserved.
 type statefulDecider struct {
 	k     int
@@ -173,23 +221,31 @@ func TestReplayAllStatefulFallbackMatchesLegacy(t *testing.T) {
 	// Fresh decider instances per path: the stateful counter must see the
 	// same call sequence in both.
 	got := ReplayAll([]policies.Decider{policies.Always{}, &statefulDecider{k: 7}}, byNode, sampler, cfg)
-	want := Replay(&statefulDecider{k: 7}, byNode, sampler, cfg)
+	want := referenceReplay(&statefulDecider{k: 7}, byNode, sampler, cfg)
 	requireIdentical(t, "stateful", got[1], want)
 }
 
 // TestReplayAllFallbackSeesEffectiveCost: the non-batch fallback must hand
 // Decide the decider's own effective UE cost (diverged by its mitigation
-// history under restartable mitigation), not the shared baseline.
+// history under restartable mitigation), not the shared baseline. The
+// stream ends with a UE and ticks inside the post-UE downtime, when no job
+// runs: mitigating there must not charge the next job for time before it
+// starts.
 func TestReplayAllFallbackSeesEffectiveCost(t *testing.T) {
+	ue := 11 * time.Hour
 	ticks := [][]errlog.Tick{{
 		mkTick(1, 0, errlog.CE),
 		mkTick(1, 9*time.Hour, errlog.CE),
 		mkTick(1, 10*time.Hour, errlog.CE),
+		mkTick(1, ue, errlog.UE),
+		mkTick(1, ue+time.Minute, errlog.CE),
+		mkTick(1, ue+time.Hour, errlog.CE),
+		mkTick(1, ue+env.UEDowntime+time.Hour, errlog.CE),
 	}}
 	sampler := fixedSampler(5, 1000)
 	cfg := replayCfg() // restartable
 
-	var batchCosts, legacyCosts []float64
+	var batchCosts, refCosts []float64
 	record := func(out *[]float64) policies.Decider {
 		return policyProbe{func(ctx policies.Context) bool {
 			*out = append(*out, ctx.Features[features.UECost])
@@ -197,13 +253,13 @@ func TestReplayAllFallbackSeesEffectiveCost(t *testing.T) {
 		}}
 	}
 	ReplayAll([]policies.Decider{policies.Never{}, record(&batchCosts)}, ticks, sampler, cfg)
-	Replay(record(&legacyCosts), ticks, sampler, cfg)
-	if len(batchCosts) != len(legacyCosts) {
-		t.Fatalf("call counts differ: %d vs %d", len(batchCosts), len(legacyCosts))
+	referenceReplay(record(&refCosts), ticks, sampler, cfg)
+	if len(batchCosts) != len(refCosts) {
+		t.Fatalf("call counts differ: %d vs %d", len(batchCosts), len(refCosts))
 	}
 	for i := range batchCosts {
-		if batchCosts[i] != legacyCosts[i] {
-			t.Fatalf("cost %d: engine %v != legacy %v", i, batchCosts[i], legacyCosts[i])
+		if batchCosts[i] != refCosts[i] {
+			t.Fatalf("cost %d: engine %v != reference %v", i, batchCosts[i], refCosts[i])
 		}
 	}
 	// Sanity: the diverged costs must actually differ from the shared
@@ -211,6 +267,11 @@ func TestReplayAllFallbackSeesEffectiveCost(t *testing.T) {
 	// sees 5 nodes × 1h = 5, not the baseline 5 × 10h = 50.
 	if batchCosts[2] != 5 {
 		t.Fatalf("expected baseline reset after mitigation (restartable), got %v", batchCosts[2])
+	}
+	// In the downtime nothing is at risk; an hour after the next job
+	// starts, 5 nodes × 1h is.
+	if got, want := batchCosts[3:], []float64{0, 0, 5}; !slices.Equal(got, want) {
+		t.Fatalf("costs around the downtime = %v, want %v", got, want)
 	}
 }
 
@@ -223,16 +284,16 @@ func TestOptimalThresholdMatchesLegacyGrid(t *testing.T) {
 
 	gotThr, gotCost := OptimalThreshold(forest, nil, byNode, sampler, cfg)
 
-	// Legacy reference: one full replay per grid point.
+	// Reference: one full replay per grid point.
 	best, bestCost, first := 0.0, 0.0, true
 	for _, thr := range DefaultThresholdGrid {
-		res := Replay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
+		res := referenceReplay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
 		if first || res.TotalCost() < bestCost {
 			best, bestCost, first = thr, res.TotalCost(), false
 		}
 	}
 	if gotThr != best || gotCost != bestCost {
-		t.Fatalf("single-pass threshold (%v, %v) != legacy (%v, %v)", gotThr, gotCost, best, bestCost)
+		t.Fatalf("single-pass threshold (%v, %v) != reference (%v, %v)", gotThr, gotCost, best, bestCost)
 	}
 }
 
@@ -246,10 +307,10 @@ func TestReplayAllEmptyAndDegenerate(t *testing.T) {
 	if len(out) != 1 || out[0].Decisions != 0 || out[0].Policy != "Never-mitigate" {
 		t.Fatalf("empty ticks: %+v", out)
 	}
-	// Nodes with empty tick slices are skipped, like Replay.
+	// Nodes with empty tick slices are skipped.
 	out = ReplayAll([]policies.Decider{policies.Always{}},
 		[][]errlog.Tick{{}, ueScenario()[0], {}}, sampler, replayCfg())
-	want := Replay(policies.Always{}, ueScenario(), sampler, replayCfg())
+	want := referenceReplay(policies.Always{}, ueScenario(), sampler, replayCfg())
 	requireIdentical(t, "degenerate", out[0], want)
 }
 

@@ -6,12 +6,9 @@ import (
 	"time"
 
 	"repro/internal/errlog"
-	"repro/internal/features"
 	"repro/internal/jobs"
 	"repro/internal/mathx"
-	"repro/internal/nn"
 	"repro/internal/policies"
-	"repro/internal/rl"
 	"repro/internal/telemetry"
 )
 
@@ -55,64 +52,6 @@ func synthTrace(seed int64) *jobs.Sampler {
 	cfg.Seed = seed
 	cfg.Count = 200
 	return jobs.NewSampler(jobs.Generate(cfg))
-}
-
-// TestReplayParallelDeterministic: Replay with the worker pool must produce
-// byte-identical Results to the serial path, for every policy family,
-// across seeds, worker counts and GOMAXPROCS values. Result is a comparable
-// struct, so == is a full bitwise comparison of every accumulated float.
-func TestReplayParallelDeterministic(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-
-	for _, seed := range []int64{1, 7, 1234} {
-		byNode := synthWorld(seed, 24)
-		sampler := synthTrace(seed)
-		qnet := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{16, 8},
-			Outputs: 2, Dueling: true, Seed: seed})
-		deciders := []policies.Decider{
-			policies.Never{},
-			policies.Always{},
-			&policies.FixedProb{Feature: 1, Bound: 20},
-			&policies.RL{Policy: rl.NewSharedQPolicy(qnet)},
-		}
-		for _, d := range deciders {
-			cfg := replayCfg()
-			cfg.JobSeed = seed
-			cfg.Parallelism = 1
-			serial := Replay(d, byNode, sampler, cfg)
-
-			for _, procs := range []int{1, 2, 4} {
-				runtime.GOMAXPROCS(procs)
-				for _, workers := range []int{0, 2, 3, 8} {
-					cfg.Parallelism = workers
-					got := Replay(d, byNode, sampler, cfg)
-					if got != serial {
-						t.Fatalf("seed %d policy %s procs %d workers %d: parallel result diverged\n got %+v\nwant %+v",
-							seed, d.Name(), procs, workers, got, serial)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestReplayParallelWindowed: determinism must also hold with accounting
-// windows and cost overrides active (the Table 2 paths).
-func TestReplayParallelWindowed(t *testing.T) {
-	byNode := synthWorld(5, 16)
-	sampler := synthTrace(5)
-	cfg := replayCfg()
-	cfg.From = t0.Add(24 * time.Hour)
-	cfg.To = t0.Add(10 * 24 * time.Hour)
-	cfg.CostOverride = func(rng *mathx.RNG) float64 { return rng.Float64() * 5000 }
-
-	cfg.Parallelism = 1
-	serial := Replay(policies.Always{}, byNode, sampler, cfg)
-	cfg.Parallelism = 8
-	parallel := Replay(policies.Always{}, byNode, sampler, cfg)
-	if serial != parallel {
-		t.Fatalf("windowed parallel replay diverged:\n got %+v\nwant %+v", parallel, serial)
-	}
 }
 
 // TestTrainRLParallelCandidatesDeterministic: the parallel hyperparameter
@@ -160,9 +99,9 @@ func TestReplayUnsafeDeciderFallsBackToSerial(t *testing.T) {
 
 	cfg := replayCfg()
 	cfg.Parallelism = 8
-	got := Replay(policies.NewCEThreshold(10), byNode, sampler, cfg)
+	got := ReplayAll([]policies.Decider{policies.NewCEThreshold(10)}, byNode, sampler, cfg)[0]
 	cfg.Parallelism = 1
-	want := Replay(policies.NewCEThreshold(10), byNode, sampler, cfg)
+	want := ReplayAll([]policies.Decider{policies.NewCEThreshold(10)}, byNode, sampler, cfg)[0]
 	if got != want {
 		t.Fatalf("stateful decider replay diverged:\n got %+v\nwant %+v", got, want)
 	}

@@ -46,7 +46,7 @@ func ueScenario() [][]errlog.Tick {
 }
 
 func TestReplayNever(t *testing.T) {
-	res := Replay(policies.Never{}, ueScenario(), fixedSampler(5, 1000), replayCfg())
+	res := ReplayAll([]policies.Decider{policies.Never{}}, ueScenario(), fixedSampler(5, 1000), replayCfg())[0]
 	if math.Abs(res.UECost-50) > 1e-9 {
 		t.Fatalf("UE cost = %v, want 50", res.UECost)
 	}
@@ -65,7 +65,7 @@ func TestReplayNever(t *testing.T) {
 }
 
 func TestReplayAlways(t *testing.T) {
-	res := Replay(policies.Always{}, ueScenario(), fixedSampler(5, 1000), replayCfg())
+	res := ReplayAll([]policies.Decider{policies.Always{}}, ueScenario(), fixedSampler(5, 1000), replayCfg())[0]
 	// Mitigations at 0h and 9h; UE at 10h costs 5 nodes x 1h = 5.
 	if math.Abs(res.UECost-5) > 1e-9 {
 		t.Fatalf("UE cost = %v, want 5", res.UECost)
@@ -96,7 +96,7 @@ func TestReplayMitigationOverheadExcluded(t *testing.T) {
 		mkTick(1, 10*time.Hour, errlog.UE),
 	}}
 	d := &policies.FixedProb{Feature: features.CEsTotal, Bound: 1.5} // mitigates on 2nd CE only
-	res := Replay(d, ticks, fixedSampler(5, 1000), replayCfg())
+	res := ReplayAll([]policies.Decider{d}, ticks, fixedSampler(5, 1000), replayCfg())[0]
 	if res.Metrics.Mitigations != 1 {
 		t.Fatalf("mitigations = %d, want 1", res.Metrics.Mitigations)
 	}
@@ -113,7 +113,7 @@ func TestReplayUEOutsidePredictionWindow(t *testing.T) {
 		mkTick(1, 0, errlog.CE),
 		mkTick(1, 40*time.Hour, errlog.UE),
 	}}
-	res := Replay(policies.Always{}, ticks, fixedSampler(5, 1000), replayCfg())
+	res := ReplayAll([]policies.Decider{policies.Always{}}, ticks, fixedSampler(5, 1000), replayCfg())[0]
 	if res.Metrics.TPs != 0 || res.Metrics.FNs != 1 {
 		t.Fatalf("metrics = %+v", res.Metrics)
 	}
@@ -129,7 +129,7 @@ func TestReplayUEOutsidePredictionWindow(t *testing.T) {
 func TestReplayAccountingWindow(t *testing.T) {
 	cfg := replayCfg()
 	cfg.From = t0.Add(5 * time.Hour)
-	res := Replay(policies.Always{}, ueScenario(), fixedSampler(5, 1000), cfg)
+	res := ReplayAll([]policies.Decider{policies.Always{}}, ueScenario(), fixedSampler(5, 1000), cfg)[0]
 	// Only the 9h decision and the 10h UE are accounted.
 	if res.Decisions != 1 || res.UEs != 1 {
 		t.Fatalf("decisions=%d UEs=%d", res.Decisions, res.UEs)
@@ -155,8 +155,8 @@ func TestReplayIdenticalWorkloadAcrossPolicies(t *testing.T) {
 	}
 	sampler := jobs.NewSampler(trace)
 	ticks := ueScenario()
-	never := Replay(policies.Never{}, ticks, sampler, replayCfg())
-	always := Replay(policies.Always{}, ticks, sampler, replayCfg())
+	res := ReplayAll([]policies.Decider{policies.Never{}, policies.Always{}}, ticks, sampler, replayCfg())
+	never, always := res[0], res[1]
 	if always.UECost > never.UECost+1e-9 {
 		t.Fatalf("Always UE cost %v > Never %v under identical workload",
 			always.UECost, never.UECost)
@@ -191,9 +191,8 @@ func TestReplayOracleBeatsEveryone(t *testing.T) {
 	ticks := ueScenario()
 	sampler := fixedSampler(5, 1000)
 	oracle := policies.NewOracle(OraclePoints(ticks, time.Time{}, time.Time{}))
-	resO := Replay(oracle, ticks, sampler, replayCfg())
-	resN := Replay(policies.Never{}, ticks, sampler, replayCfg())
-	resA := Replay(policies.Always{}, ticks, sampler, replayCfg())
+	res := ReplayAll([]policies.Decider{oracle, policies.Never{}, policies.Always{}}, ticks, sampler, replayCfg())
+	resO, resN, resA := res[0], res[1], res[2]
 	if resO.TotalCost() > resN.TotalCost() || resO.TotalCost() > resA.TotalCost() {
 		t.Fatalf("oracle %v not optimal (never %v, always %v)",
 			resO.TotalCost(), resN.TotalCost(), resA.TotalCost())
@@ -211,7 +210,7 @@ func TestReplayCostOverride(t *testing.T) {
 		seen = ctx.Features[features.UECost]
 		return false
 	}})
-	res := Replay(d, ueScenario(), fixedSampler(5, 1000), cfg)
+	res := ReplayAll([]policies.Decider{d}, ueScenario(), fixedSampler(5, 1000), cfg)[0]
 	if seen != 42 {
 		t.Fatalf("override not visible in features: %v", seen)
 	}

@@ -40,7 +40,7 @@ func (c ShadowConfig) withDefaults() ShadowConfig {
 // traffic, only their decisions differ, so their Results are directly
 // comparable.
 //
-// The accounting mirrors replayNode: every mitigate decision charges the
+// The accounting mirrors replayNodeAll: every mitigate decision charges the
 // mitigation cost; a UE whose node saw a mitigation complete within the
 // prediction window is a true positive (UE cost forgiven when
 // restartable), otherwise a false negative charging the full realized
@@ -108,7 +108,7 @@ func (s *ShadowEval) UE(node int, at time.Time, costNodeHours float64) {
 	} else {
 		s.res.Metrics.FNs++
 		s.res.UECost += costNodeHours
-		// §4.4 parity with replayNode: a UE with no event on its node in
+		// §4.4 parity with replayNodeAll: a UE with no event on its node in
 		// the preceding prediction window is an implicit "no-mitigate"
 		// decision — count the non-mitigation so the confusion matrix
 		// balances exactly as offline replay reports it.

@@ -73,7 +73,7 @@ func TestOptimalThresholdPicksArgmin(t *testing.T) {
 	// over the same grid (first minimum wins on ties).
 	wantThr, wantCost, first := 0.0, 0.0, true
 	for _, thr := range grid {
-		res := Replay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
+		res := referenceReplay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
 		if first || res.TotalCost() < wantCost {
 			wantThr, wantCost, first = thr, res.TotalCost(), false
 		}
@@ -85,7 +85,7 @@ func TestOptimalThresholdPicksArgmin(t *testing.T) {
 	// With an escalating-CE node failing after a clear signal, some grid
 	// threshold must beat the most conservative one: the search must not
 	// degenerate to "never fire" when the signal is learnable.
-	never := Replay(policies.Never{}, byNode, sampler, cfg)
+	never := ReplayAll([]policies.Decider{policies.Never{}}, byNode, sampler, cfg)[0]
 	if bestCost > never.TotalCost() {
 		t.Fatalf("optimal threshold cost %v worse than never-mitigate %v", bestCost, never.TotalCost())
 	}

@@ -61,7 +61,11 @@ func RunAblation(w *World) AblationResult {
 			replay: rl.NewPrioritizedReplay(rl.PERConfig{Capacity: 1 << 15})},
 	}
 
+	// Train every variant, then score all of them in one replay walk. The
+	// masked variant's maskPolicy is not concurrency-safe, so that walk
+	// runs serially.
 	res := AblationResult{}
+	ds := make([]policies.Decider, len(variants))
 	for i, v := range variants {
 		envCfg := cfg.Env
 		envCfg.Seed = cfg.Seed + int64(i)*17
@@ -78,13 +82,12 @@ func RunAblation(w *World) AblationResult {
 		if v.maskCost {
 			pol = maskPolicy(pol, features.UECost)
 		}
-		d := &policies.RL{Policy: pol, Label: v.name}
-		r := evalx.Replay(d, byNode, sampler, evalx.ReplayConfig{
-			Env: cfg.Env, JobSeed: cfg.Seed + 5, From: trainTo,
-		})
+		ds[i] = &policies.RL{Policy: pol, Label: v.name}
 		res.Variants = append(res.Variants, v.name)
-		res.Results = append(res.Results, r)
 	}
+	res.Results = evalx.ReplayAll(ds, byNode, sampler, evalx.ReplayConfig{
+		Env: cfg.Env, JobSeed: cfg.Seed + 5, From: trainTo,
+	})
 	return res
 }
 

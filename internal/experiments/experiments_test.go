@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +17,53 @@ var (
 	worldOnce sync.Once
 	world     *World
 )
+
+var update = flag.Bool("update", false, "rewrite the experiment goldens under testdata/")
+
+// checkGolden compares got byte-for-byte with testdata/<name>. Rebuild the
+// goldens with
+//
+//	go test ./internal/experiments -run 'TestRunTable2Shape|TestRunAblationShape' -update
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output diverged from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// exactResult drops evalx.Result's String method, so %+v prints every
+// field at full float precision.
+type exactResult evalx.Result
+
+// renderExact renders a table followed by every result at full float
+// precision, so a golden pins the numbers the rounded table hides.
+// TrainingCost is wallclock-measured (§4.3), so it is left out.
+func renderExact(render func(io.Writer), results ...[]evalx.Result) string {
+	var sb strings.Builder
+	render(&sb)
+	for _, rs := range results {
+		for _, r := range rs {
+			e := exactResult(r)
+			e.TrainingCost = 0
+			fmt.Fprintf(&sb, "%+v\n", e)
+		}
+	}
+	return sb.String()
+}
 
 // testWorld builds one CI-scale world shared across the experiment tests.
 func testWorld(t *testing.T) *World {
@@ -175,6 +227,7 @@ func TestRunTable2Shape(t *testing.T) {
 	if !strings.Contains(out, "recall") || !strings.Contains(out, "RL, UE cost < 100 nh") {
 		t.Fatal("render missing rows")
 	}
+	checkGolden(t, "table2.golden", renderExact(r.Render, r.Base.Totals, r.RangeResults))
 }
 
 func TestRunFig7Shape(t *testing.T) {
@@ -222,4 +275,5 @@ func TestRunAblationShape(t *testing.T) {
 	if !strings.Contains(sb.String(), "variant") {
 		t.Fatal("render missing header")
 	}
+	checkGolden(t, "ablation.golden", renderExact(r.Render, r.Results))
 }

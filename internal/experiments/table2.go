@@ -48,7 +48,8 @@ func RunTable2(w *World) Table2Result {
 		}
 		d := &policies.RL{Policy: split.Policy, Label: rg.label}
 		res.CostRanges = append(res.CostRanges, rg.label)
-		res.RangeResults = append(res.RangeResults, evalx.Replay(d, split.ByNode, split.Sampler, cfgR))
+		// Each range has its own CostOverride, so each is its own replay.
+		res.RangeResults = append(res.RangeResults, evalx.ReplayAll([]policies.Decider{d}, split.ByNode, split.Sampler, cfgR)[0])
 	}
 	return res
 }

@@ -41,7 +41,7 @@ type Scorer interface {
 }
 
 // ConcurrentDecider is an optional Decider extension marking it safe for
-// concurrent Decide calls. The parallel replay engine (evalx.Replay) fans
+// concurrent Decide calls. The parallel replay engine (evalx.ReplayAll) fans
 // decisions out across per-node workers only for deciders that report
 // true; everything else replays serially, which is always correct.
 type ConcurrentDecider interface {

@@ -73,10 +73,14 @@ type modelEnvelope struct {
 	MitigationCostNodeHours float64 `json:"mitigation_cost_node_hours,omitempty"`
 }
 
-// staticVersion is the version string of untrained kinds.
+// staticVersion is the version string of untrained kinds. Every served
+// Decision carries its policy's version, so callers compute it once.
 func staticVersion(kind PolicyKind) string {
 	return fmt.Sprintf("%s.v%d", kind, ModelSchemaVersion)
 }
+
+// oracleVersion is the Oracle's version string.
+var oracleVersion = staticVersion(PolicyOracle)
 
 // contentVersion content-addresses a serialized payload.
 func contentVersion(kind PolicyKind, payload []byte) string {

@@ -74,25 +74,26 @@ type Policy interface {
 
 // staticPolicy is a trivial constant policy (Never / Always).
 type staticPolicy struct {
-	kind  PolicyKind
-	name  string
-	act   Action
-	score float64
+	kind    PolicyKind
+	name    string
+	version string
+	act     Action
+	score   float64
 }
 
 // NeverPolicy returns the Never-mitigate baseline as a servable Policy.
 func NeverPolicy() Policy {
-	return &staticPolicy{kind: PolicyNever, name: policies.Never{}.Name(), act: ActionNone, score: -1}
+	return &staticPolicy{kind: PolicyNever, name: policies.Never{}.Name(), version: staticVersion(PolicyNever), act: ActionNone, score: -1}
 }
 
 // AlwaysPolicy returns the Always-mitigate baseline as a servable Policy.
 func AlwaysPolicy() Policy {
-	return &staticPolicy{kind: PolicyAlways, name: policies.Always{}.Name(), act: ActionMitigate, score: 1}
+	return &staticPolicy{kind: PolicyAlways, name: policies.Always{}.Name(), version: staticVersion(PolicyAlways), act: ActionMitigate, score: 1}
 }
 
 func (p *staticPolicy) Kind() PolicyKind { return p.kind }
 func (p *staticPolicy) Name() string     { return p.name }
-func (p *staticPolicy) Version() string  { return staticVersion(p.kind) }
+func (p *staticPolicy) Version() string  { return p.version }
 
 func (p *staticPolicy) Decide(s Snapshot) Decision {
 	return decisionFor(p, s, p.act, p.score)
@@ -223,7 +224,7 @@ type oraclePolicy struct {
 
 func (p *oraclePolicy) Kind() PolicyKind { return PolicyOracle }
 func (p *oraclePolicy) Name() string     { return p.d.Name() }
-func (p *oraclePolicy) Version() string  { return staticVersion(PolicyOracle) }
+func (p *oraclePolicy) Version() string  { return oracleVersion }
 
 func (p *oraclePolicy) Decide(s Snapshot) Decision {
 	ctx := policies.Context{Node: s.Node, Time: s.Time, Features: s.vector()}
@@ -338,11 +339,11 @@ func (s *System) EvaluatePolicy(p Policy) (PolicyCost, error) {
 		return PolicyCost{}, fmt.Errorf("uerl: nil policy")
 	}
 	rc := s.replayContext()
-	res := evalx.Replay(policyDecider{p: p}, rc.byNode, rc.sampler, evalx.ReplayConfig{
+	res := evalx.ReplayAll([]policies.Decider{policyDecider{p: p}}, rc.byNode, rc.sampler, evalx.ReplayConfig{
 		Env:     s.cvConfig().Env,
 		JobSeed: s.cfg.Seed,
 		From:    rc.trainTo,
-	})
+	})[0]
 	return PolicyCost{
 		Policy:         res.Policy,
 		TotalNodeHours: res.TotalCost(),

@@ -1,9 +1,15 @@
 package uerl
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 func TestParsePolicyKind(t *testing.T) {
 	for _, k := range PolicyKinds() {
@@ -19,7 +25,10 @@ func TestParsePolicyKind(t *testing.T) {
 
 // TestTrainServeEvaluateAllKinds is the acceptance path of the serving
 // redesign: every §4.2 approach trains into a Policy, serves through one
-// controller, and scores under EvaluatePolicy's cost model.
+// controller, and scores under EvaluatePolicy's cost model. The scores are
+// pinned byte-for-byte by testdata/evaluate_policy.golden; rebuild it with
+//
+//	go test . -run TestTrainServeEvaluateAllKinds -update
 func TestTrainServeEvaluateAllKinds(t *testing.T) {
 	s := testSystem(t)
 	base := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -77,6 +86,28 @@ func TestTrainServeEvaluateAllKinds(t *testing.T) {
 	if oracle.TotalNodeHours > never.TotalNodeHours || oracle.TotalNodeHours > always.TotalNodeHours {
 		t.Fatalf("Oracle (%v nh) worse than a static baseline (Never %v, Always %v)",
 			oracle.TotalNodeHours, never.TotalNodeHours, always.TotalNodeHours)
+	}
+
+	var sb strings.Builder
+	for _, kind := range PolicyKinds() {
+		fmt.Fprintf(&sb, "%s %+v\n", kind, costs[kind])
+	}
+	const golden = "testdata/evaluate_policy.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("EvaluatePolicy costs diverged from %s:\n--- got ---\n%s--- want ---\n%s", golden, sb.String(), want)
 	}
 }
 
