@@ -240,20 +240,15 @@ func (c *Coordinator) ObserveEvent(e uerl.Event) {
 		ns = &nodeState{owner: c.hrwOwner(e.Node)}
 		c.nodes[e.Node] = ns
 	}
-	if ns.owner < 0 {
-		// Orphaned (every worker down when it appeared): adopt a live
-		// owner as soon as one exists; the journal backlog rebuilds it.
-		ns.owner = c.hrwOwner(e.Node)
-		if ns.owner < 0 {
-			return
-		}
-	}
 	c.deliver(e.Node, ns)
 }
 
-// deliver applies node's journal backlog (usually just the newest event)
+// deliver syncs node's journal backlog (usually just the newest event)
 // to its owner, charging health on failure. Caller holds c.mu.
 func (c *Coordinator) deliver(node int, ns *nodeState) {
+	if ns.owner < 0 {
+		return // orphaned: every worker is down; rejoinWorker re-homes it
+	}
 	h := c.workers[ns.owner]
 	if h.state == WorkerDown {
 		return // backlog waits for failover/rejoin to resolve the owner
@@ -261,66 +256,64 @@ func (c *Coordinator) deliver(node int, ns *nodeState) {
 	if h.state == WorkerSuspect && c.clock.Before(h.nextRetry) {
 		return // backing off; backlog journals and waits
 	}
-	pushed := c.journal.Pushed(node)
-	var err error
-	var replayed int
-	if pushed-ns.applied == 1 {
-		evs, okRange := c.journal.ReplayFrom(node, ns.applied)
-		if okRange && len(evs) == 1 {
-			err = c.tr.Call(ns.owner, &Request{Kind: ReqObserve, Event: evs[0]}, &Response{})
-		} else {
-			replayed, err = c.rebuild(node, ns)
-		}
-	} else {
-		replayed, err = c.catchUp(node, ns)
-	}
-	if err != nil {
+	replayed := c.replayedEvents
+	if err := c.sync(node, ns, false); err != nil {
 		c.noteFailure(h)
 		return
 	}
-	ns.applied = pushed
-	c.acked += uint64(1 + replayed)
+	c.acked += uint64(max(1, c.replayedEvents-replayed))
 	if h.state == WorkerSuspect {
 		c.noteRecovery(h)
 	}
 	h.failures = 0
 }
 
-// catchUp replays node's pending journal suffix onto its owner without
-// dropping state (the owner already holds everything before ns.applied).
-// Falls back to a full rebuild when the window no longer covers the
-// backlog. Returns how many events beyond the newest were replayed.
-// Caller holds c.mu.
-func (c *Coordinator) catchUp(node int, ns *nodeState) (int, error) {
-	evs, okRange := c.journal.ReplayFrom(node, ns.applied)
-	if !okRange {
-		return c.rebuild(node, ns)
+// sync is the one path that moves journaled events to node's owner. It
+// sends the suffix the owner has not applied yet; with rebuild set, or
+// when the bounded journal trimmed part of that suffix, it sends the
+// full retained window and has the owner drop its state first. Events
+// trimmed before a rebuild are gone from the rebuilt state and recorded
+// in ns.lost (surfaced as Decision.StaleEvents). A one-event catch-up
+// travels as a plain observe; everything else is replay traffic. Caller
+// holds c.mu.
+func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool) error {
+	evs, ok := c.journal.ReplayFrom(node, ns.applied)
+	if rebuild || !ok {
+		rebuild = true
+		evs, _ = c.journal.ReplayFrom(node, c.journal.Trimmed(node))
 	}
-	err := c.tr.Call(ns.owner, &Request{Kind: ReqReplay, Node: node, Events: evs}, &Response{})
-	if err != nil {
-		return 0, err
+	req := Request{Kind: ReqReplay, Node: node, Events: evs, Forget: rebuild}
+	if !rebuild && len(evs) == 1 {
+		req = Request{Kind: ReqObserve, Event: evs[0]}
 	}
-	c.replayedNodes++
-	c.replayedEvents += len(evs)
-	return len(evs) - 1, nil
+	if err := c.tr.Call(ns.owner, &req, &Response{}); err != nil {
+		return err
+	}
+	if req.Kind == ReqReplay {
+		c.replayedNodes++
+		c.replayedEvents += len(evs)
+	}
+	if rebuild {
+		ns.lost = c.journal.Trimmed(node)
+	}
+	ns.applied = c.journal.Pushed(node)
+	return nil
 }
 
-// rebuild replays node's full retained window onto its owner after
-// dropping whatever the owner held — the failover path onto a fresh
-// owner, and the catch-up of last resort when the bounded journal trimmed
-// part of a backlog. Events trimmed before this rebuild are gone from the
-// rebuilt state and recorded in ns.lost (surfaced as
-// Decision.StaleEvents). Caller holds c.mu.
-func (c *Coordinator) rebuild(node int, ns *nodeState) (int, error) {
-	evs := c.journal.Window(node)
-	err := c.tr.Call(ns.owner, &Request{Kind: ReqReplay, Node: node, Events: evs, Forget: true}, &Response{})
-	if err != nil {
-		return 0, err
+// rehome moves node to owner (-1 orphans it) and rebuilds it there from
+// the journal window. A failed rebuild charges the new owner — possibly
+// cascading the failover — and leaves the backlog journaled for deliver
+// to retry. Reports whether the rebuild landed. Caller holds c.mu.
+func (c *Coordinator) rehome(node int, ns *nodeState, owner int) bool {
+	ns.owner, ns.applied = owner, 0
+	if owner < 0 {
+		return false
 	}
-	ns.lost = c.journal.Trimmed(node)
-	c.replayedNodes++
-	c.replayedEvents += len(evs)
-	return len(evs) - 1, nil
+	if err := c.sync(node, ns, true); err != nil {
+		c.noteFailure(c.workers[owner])
+		return false
+	}
+	return true
 }
 
 // noteFailure charges one failed attempt against h: live → suspect with a
@@ -357,23 +350,9 @@ func (c *Coordinator) declareDead(h *workerHealth) {
 	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, c.cfg.RetryBackoffMax, h.failures))
 	c.failovers++
 	for _, node := range c.journal.Nodes() {
-		ns := c.nodes[node]
-		if ns.owner != h.id {
-			continue
+		if ns := c.nodes[node]; ns.owner == h.id {
+			c.rehome(node, ns, c.hrwOwner(node))
 		}
-		ns.owner = c.hrwOwner(node)
-		ns.applied = 0
-		if ns.owner < 0 {
-			continue
-		}
-		if _, err := c.rebuild(node, ns); err != nil {
-			// The replacement owner is failing too: charge it (possibly
-			// cascading the failover) and leave the backlog journaled —
-			// deliver retries on the node's next event.
-			c.noteFailure(c.workers[ns.owner])
-			continue
-		}
-		ns.applied = c.journal.Pushed(node)
 	}
 }
 
@@ -394,14 +373,8 @@ func (c *Coordinator) rejoinWorker(h *workerHealth) {
 			continue
 		}
 		old := ns.owner
-		ns.owner = want
-		ns.applied = 0
-		if want >= 0 {
-			if _, err := c.rebuild(node, ns); err != nil {
-				c.noteFailure(c.workers[want])
-				continue
-			}
-			ns.applied = c.journal.Pushed(node)
+		if !c.rehome(node, ns, want) {
+			continue
 		}
 		if old >= 0 && c.workers[old].state != WorkerDown {
 			// Best-effort: drop the node's stale state on the previous
@@ -438,11 +411,10 @@ func (c *Coordinator) reconcileWorker(id int) {
 		if ns.owner != id || ns.applied == c.journal.Pushed(node) {
 			continue
 		}
-		if _, err := c.catchUp(node, ns); err != nil {
+		if err := c.sync(node, ns, false); err != nil {
 			c.noteFailure(c.workers[id])
 			return
 		}
-		ns.applied = c.journal.Pushed(node)
 	}
 }
 
@@ -471,8 +443,8 @@ func (c *Coordinator) maintain(force bool) {
 
 // Reconcile settles the fleet now: it probes every non-live worker
 // (ignoring the backoff schedule — recovered workers rejoin
-// immediately), force-flushes every node's journal backlog to its owner,
-// and re-homes orphaned nodes if workers are live again. The
+// immediately) and force-flushes every node's journal backlog to its
+// owner. The
 // end-of-stream settling step scenario runners and tests call before
 // comparing state; ongoing traffic does not need it, deliver catches
 // owners up lazily.
@@ -481,14 +453,7 @@ func (c *Coordinator) Reconcile() {
 	defer c.mu.Unlock()
 	c.maintain(true)
 	for _, node := range c.journal.Nodes() {
-		ns := c.nodes[node]
-		if ns.owner < 0 {
-			if ns.owner = c.hrwOwner(node); ns.owner < 0 {
-				continue
-			}
-			ns.applied = 0
-		}
-		if ns.applied != c.journal.Pushed(node) {
+		if ns := c.nodes[node]; ns.applied != c.journal.Pushed(node) {
 			c.deliver(node, ns)
 		}
 	}

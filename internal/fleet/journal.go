@@ -99,7 +99,7 @@ func (j *EventJournal) Trimmed(node int) uint64 {
 // in order, and whether the window still covers that range (ok=false
 // means events in [seq, oldest-retained) were trimmed, so a catch-up
 // from seq is impossible and the caller must do a full rebuild from
-// Window instead).
+// ReplayFrom(node, Trimmed(node)) instead).
 func (j *EventJournal) ReplayFrom(node int, seq uint64) ([]uerl.Event, bool) {
 	r, ok := j.nodes[node]
 	if !ok {
@@ -114,17 +114,6 @@ func (j *EventJournal) ReplayFrom(node int, seq uint64) ([]uerl.Event, bool) {
 		out = append(out, r.At(i))
 	}
 	return out, true
-}
-
-// Window returns node's full retained event window, oldest first.
-func (j *EventJournal) Window(node int) []uerl.Event {
-	r, ok := j.nodes[node]
-	if !ok {
-		return nil
-	}
-	out := make([]uerl.Event, 0, r.Len())
-	r.Do(func(e uerl.Event) { out = append(out, e) })
-	return out
 }
 
 // Nodes returns the journaled node ids in ascending order — the

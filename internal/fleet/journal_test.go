@@ -65,15 +65,13 @@ func TestJournalReplayFromAndTrim(t *testing.T) {
 	if _, ok := j.ReplayFrom(9, 1); ok {
 		t.Fatal("ReplayFrom(1) claimed coverage past the trimmed range")
 	}
-	w := j.Window(9)
-	if len(w) != 4 || w[0].Count != 3 || w[3].Count != 6 {
-		t.Fatalf("Window = %d events [%d..%d], want 4 [3..6]", len(w), w[0].Count, w[len(w)-1].Count)
+	// The full retained window starts at the trimmed count.
+	w, ok := j.ReplayFrom(9, j.Trimmed(9))
+	if !ok || len(w) != 4 || w[0].Count != 3 || w[3].Count != 6 {
+		t.Fatalf("window = %d events ok=%v, want 4 [3..6] true", len(w), ok)
 	}
 	// Unknown nodes: empty window, catch-up from zero trivially covered.
-	if w := j.Window(404); w != nil {
-		t.Fatalf("Window(unknown) = %v, want nil", w)
-	}
-	if _, ok := j.ReplayFrom(404, 0); !ok {
-		t.Fatal("ReplayFrom(unknown, 0) not covered")
+	if w, ok := j.ReplayFrom(404, j.Trimmed(404)); !ok || len(w) != 0 {
+		t.Fatalf("window(unknown) = %v ok=%v, want empty true", w, ok)
 	}
 }
