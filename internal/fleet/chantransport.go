@@ -24,6 +24,8 @@ type chanEndpoint struct {
 	// with ErrWorkerTimeout until Rejoin clears the flag.
 	killed bool
 	hung   bool
+	// incarnation counts the slot's restarts (Response.Incarnation).
+	incarnation uint64
 }
 
 // ChanTransport runs N workers as goroutines behind channel request/reply
@@ -100,6 +102,7 @@ func (t *ChanTransport) Call(w int, req *Request, resp *Response) error {
 	c := rpc{req: req, resp: resp, done: make(chan struct{})}
 	ep.reqCh <- c
 	<-c.done
+	resp.Incarnation = ep.incarnation
 	return nil
 }
 
@@ -129,15 +132,16 @@ func (t *ChanTransport) Hang(w int) {
 
 // Rejoin heals worker w: a hung worker resumes with its state intact; a
 // killed worker is replaced by a factory-fresh one (empty controller
-// state, initial policy), as a restarted process would be. The
-// coordinator discovers the recovery on its next probe and rebuilds
-// state through journal replay.
+// state, initial policy, next incarnation), as a restarted process would
+// be. The coordinator discovers the recovery on its next probe or
+// delivery and rebuilds state through journal replay.
 func (t *ChanTransport) Rejoin(w int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ep := t.eps[w]
 	if ep.killed {
 		t.eps[w] = startEndpoint(t.factory(w))
+		t.eps[w].incarnation = ep.incarnation + 1
 		return
 	}
 	ep.hung = false

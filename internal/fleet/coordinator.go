@@ -3,10 +3,18 @@
 // + optional Guard behind a Transport boundary), built robustness-first —
 // per-worker health with deterministic-jitter retry/backoff, failover
 // that replays each affected node's bounded event journal into the new
-// owner, graceful degradation (Recommend for an unreachable node answers
-// a conservative ActionNone flagged Degraded, never blocks or errors),
-// and two-phase model-artifact distribution over the versioned SaveModel
-// wire format with quorum commit.
+// owner, restart detection (a worker answering from a new incarnation
+// has its nodes rebuilt from the journal), graceful degradation
+// (Recommend for an unreachable node answers a conservative ActionNone
+// flagged Degraded, never blocks or errors), and two-phase
+// model-artifact distribution over the versioned SaveModel wire format
+// with quorum commit.
+//
+// Every transfer of journaled events to a node's owner — live delivery,
+// the catch-up after a suspect recovers, and the rebuilds behind
+// failover and rejoin — goes through Coordinator.sync, which keeps a
+// per-node applied watermark; the acked count is the sum of those
+// watermarks.
 //
 // Everything the coordinator does is driven by telemetry time and
 // seed-forked RNGs: same seed + same event stream + same fault schedule
@@ -70,12 +78,14 @@ type Config struct {
 	// before a worker is declared dead (default 3).
 	FailureThreshold int
 	// RetryBackoff is the base telemetry-time delay between retries
-	// (default 30s), doubling per consecutive failure with ±50% jitter.
+	// (default 30s), doubling per consecutive failure with ±50% jitter
+	// up to retryBackoffMax.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the backoff (default 10m) — also the rejoin
-	// discovery latency bound for a long-dead worker.
-	RetryBackoffMax time.Duration
 }
+
+// retryBackoffMax caps the retry backoff — also the rejoin discovery
+// latency bound for a long-dead worker.
+const retryBackoffMax = 10 * time.Minute
 
 func (cfg *Config) applyDefaults() error {
 	if cfg.Workers <= 0 {
@@ -93,9 +103,6 @@ func (cfg *Config) applyDefaults() error {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 30 * time.Second
 	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 10 * time.Minute
-	}
 	return nil
 }
 
@@ -105,8 +112,8 @@ type nodeState struct {
 	// -1 while the node is orphaned (no live worker).
 	owner int
 	// applied is how many of the node's journaled events have been
-	// applied to the current owner's state; journal.Pushed(node) -
-	// applied is the pending backlog.
+	// applied to the current owner's state (the node's acked count);
+	// journal.Pushed(node) - applied is the pending backlog.
 	applied uint64
 	// lost counts events permanently unreplayable into the current
 	// state: trimmed from the bounded journal before the last full
@@ -138,7 +145,6 @@ type Coordinator struct {
 	rejoins        int
 	replayedNodes  int
 	replayedEvents int
-	acked          uint64
 }
 
 // NewCoordinator builds a coordinator over an existing transport (the
@@ -256,12 +262,10 @@ func (c *Coordinator) deliver(node int, ns *nodeState) {
 	if h.state == WorkerSuspect && c.clock.Before(h.nextRetry) {
 		return // backing off; backlog journals and waits
 	}
-	replayed := c.replayedEvents
 	if err := c.sync(node, ns, false); err != nil {
 		c.noteFailure(h)
 		return
 	}
-	c.acked += uint64(max(1, c.replayedEvents-replayed))
 	if h.state == WorkerSuspect {
 		c.noteRecovery(h)
 	}
@@ -274,8 +278,10 @@ func (c *Coordinator) deliver(node int, ns *nodeState) {
 // full retained window and has the owner drop its state first. Events
 // trimmed before a rebuild are gone from the rebuilt state and recorded
 // in ns.lost (surfaced as Decision.StaleEvents). A one-event catch-up
-// travels as a plain observe; everything else is replay traffic. Caller
-// holds c.mu.
+// travels as a plain observe; everything else is replay traffic. An
+// owner answering from a new incarnation restarted and lost the state
+// the suffix extends, so it is rejoined, which rebuilds every node it
+// owns. Caller holds c.mu.
 func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool) error {
 	evs, ok := c.journal.ReplayFrom(node, ns.applied)
 	if rebuild || !ok {
@@ -286,7 +292,8 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool) error {
 	if !rebuild && len(evs) == 1 {
 		req = Request{Kind: ReqObserve, Event: evs[0]}
 	}
-	if err := c.tr.Call(ns.owner, &req, &Response{}); err != nil {
+	var resp Response
+	if err := c.tr.Call(ns.owner, &req, &resp); err != nil {
 		return err
 	}
 	if req.Kind == ReqReplay {
@@ -297,6 +304,9 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool) error {
 		ns.lost = c.journal.Trimmed(node)
 	}
 	ns.applied = c.journal.Pushed(node)
+	if h := c.workers[ns.owner]; h.restarted(resp.Incarnation) {
+		c.rejoinWorker(h)
+	}
 	return nil
 }
 
@@ -328,7 +338,7 @@ func (c *Coordinator) noteFailure(h *workerHealth) {
 	if h.state == WorkerLive {
 		h.state = WorkerSuspect
 	}
-	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, c.cfg.RetryBackoffMax, h.failures))
+	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, h.failures))
 }
 
 // noteRecovery clears a suspect worker back to live, re-staging a missed
@@ -347,7 +357,7 @@ func (c *Coordinator) noteRecovery(h *workerHealth) {
 // until a rejoin. Caller holds c.mu.
 func (c *Coordinator) declareDead(h *workerHealth) {
 	h.state = WorkerDown
-	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, c.cfg.RetryBackoffMax, h.failures))
+	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, h.failures))
 	c.failovers++
 	for _, node := range c.journal.Nodes() {
 		if ns := c.nodes[node]; ns.owner == h.id {
@@ -356,10 +366,11 @@ func (c *Coordinator) declareDead(h *workerHealth) {
 	}
 }
 
-// rejoinWorker brings a probed-back worker in: it re-stages the committed
-// model if the worker missed a deploy, then moves every node whose
-// rendezvous owner it is (exactly the nodes it owned before dying) back,
-// rebuilding each from the journal window. Caller holds c.mu.
+// rejoinWorker brings a probed-back or restarted worker in: it re-stages
+// the committed model if the worker missed a deploy, then re-homes every
+// node whose rendezvous owner it is (exactly the nodes it owned before
+// dying or restarting), rebuilding each from the journal window. Caller
+// holds c.mu.
 func (c *Coordinator) rejoinWorker(h *workerHealth) {
 	h.state = WorkerLive
 	h.failures = 0
@@ -368,15 +379,14 @@ func (c *Coordinator) rejoinWorker(h *workerHealth) {
 	c.restage(h)
 	for _, node := range c.journal.Nodes() {
 		ns := c.nodes[node]
-		want := c.hrwOwner(node)
-		if want == ns.owner {
+		if c.hrwOwner(node) != h.id {
 			continue
 		}
 		old := ns.owner
-		if !c.rehome(node, ns, want) {
+		if !c.rehome(node, ns, h.id) {
 			continue
 		}
-		if old >= 0 && c.workers[old].state != WorkerDown {
+		if old >= 0 && old != h.id && c.workers[old].state != WorkerDown {
 			// Best-effort: drop the node's stale state on the previous
 			// owner so its footprint reflects only nodes it serves.
 			_ = c.tr.Call(old, &Request{Kind: ReqForget, Node: node}, &Response{})
@@ -419,32 +429,32 @@ func (c *Coordinator) reconcileWorker(id int) {
 }
 
 // maintain runs due health probes against suspect and down workers on
-// the telemetry clock: a successful probe recovers or rejoins the
-// worker, a failed one backs off further (suspects crossing the failure
-// threshold are declared dead). force ignores the backoff schedule and
-// probes every non-live worker now — Reconcile's settling semantics.
-// Caller holds c.mu.
+// the telemetry clock: a successful probe recovers a suspect, a failed
+// one backs off further (suspects crossing the failure threshold are
+// declared dead), and a down or restarted worker rejoins. force ignores
+// the backoff schedule and probes every worker now, live ones included —
+// Reconcile's settling semantics. Caller holds c.mu.
 func (c *Coordinator) maintain(force bool) {
 	for _, h := range c.workers {
-		if h.state == WorkerLive || (!force && c.clock.Before(h.nextRetry)) {
+		if !force && (h.state == WorkerLive || c.clock.Before(h.nextRetry)) {
 			continue
 		}
-		err := c.tr.Call(h.id, &Request{Kind: ReqPing}, &Response{})
+		var resp Response
+		err := c.tr.Call(h.id, &Request{Kind: ReqPing}, &resp)
 		switch {
-		case err == nil && h.state == WorkerSuspect:
-			c.noteRecovery(h)
-		case err == nil:
-			c.rejoinWorker(h)
-		default:
+		case err != nil:
 			c.noteFailure(h)
+		case h.restarted(resp.Incarnation) || h.state == WorkerDown:
+			c.rejoinWorker(h)
+		case h.state == WorkerSuspect:
+			c.noteRecovery(h)
 		}
 	}
 }
 
-// Reconcile settles the fleet now: it probes every non-live worker
-// (ignoring the backoff schedule — recovered workers rejoin
-// immediately) and force-flushes every node's journal backlog to its
-// owner. The
+// Reconcile settles the fleet now: it probes every worker (ignoring the
+// backoff schedule — recovered and restarted workers rejoin immediately)
+// and force-flushes every node's journal backlog to its owner. The
 // end-of-stream settling step scenario runners and tests call before
 // comparing state; ongoing traffic does not need it, deliver catches
 // owners up lazily.
@@ -687,7 +697,10 @@ type Stats struct {
 	// (failover rebuilds and backlog catch-ups).
 	ReplayedNodes  int `json:"replayed_nodes"`
 	ReplayedEvents int `json:"replayed_events"`
-	// AckedEvents counts events confirmed applied by an owner.
+	// AckedEvents counts journaled events the nodes' current owners have
+	// confirmed applied, events trimmed before a rebuild included (they
+	// surface as Decision.StaleEvents). After Reconcile with no orphans
+	// it equals Journal.Appended.
 	AckedEvents uint64 `json:"acked_events"`
 	// Journal summarizes the replay journal.
 	Journal JournalStats `json:"journal"`
@@ -705,7 +718,6 @@ func (c *Coordinator) Stats() Stats {
 		Rejoins:        c.rejoins,
 		ReplayedNodes:  c.replayedNodes,
 		ReplayedEvents: c.replayedEvents,
-		AckedEvents:    c.acked,
 		Journal:        c.journal.Stats(),
 	}
 	owned := make(map[int]int, len(c.workers))
@@ -716,6 +728,7 @@ func (c *Coordinator) Stats() Stats {
 			continue
 		}
 		owned[ns.owner]++
+		st.AckedEvents += ns.applied
 	}
 	for _, h := range c.workers {
 		wh := WorkerHealth{

@@ -37,22 +37,30 @@ type workerHealth struct {
 	// modelStale marks a worker that missed a committed deploy (down,
 	// or its commit failed); re-staged when it comes back.
 	modelStale bool
-	rng        *mathx.RNG
+	// incarnation is the Response.Incarnation the worker last answered
+	// an ingestion-path call with.
+	incarnation uint64
+	rng         *mathx.RNG
+}
+
+// restarted records the incarnation a worker answered with and reports
+// whether it differs from the last one seen: the worker restarted and
+// lost every node's state in between.
+func (h *workerHealth) restarted(incarnation uint64) bool {
+	changed := incarnation != h.incarnation
+	h.incarnation = incarnation
+	return changed
 }
 
 // backoff computes the delay before the next retry after the attempt-th
 // consecutive failure (1-based): exponential doubling from base, a
 // ±50% deterministic jitter to de-synchronize probe schedules, capped at
-// max.
-func (h *workerHealth) backoff(base, max time.Duration, attempt int) time.Duration {
+// retryBackoffMax.
+func (h *workerHealth) backoff(base time.Duration, attempt int) time.Duration {
 	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	for i := 1; i < attempt && d < retryBackoffMax; i++ {
 		d *= 2
 	}
 	jitter := 0.5 + h.rng.Float64()
-	j := time.Duration(float64(d) * jitter)
-	if j > max {
-		j = max
-	}
-	return j
+	return min(time.Duration(float64(d)*jitter), retryBackoffMax)
 }

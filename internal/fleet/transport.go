@@ -68,12 +68,15 @@ type Request struct {
 // rejections (e.g. a staged artifact failing validation) from a healthy
 // worker; transport-level failures are the error return of
 // Transport.Call and count against the worker's health instead.
+// Incarnation is stamped by the transport, not the worker (see
+// Transport).
 type Response struct {
-	Decision uerl.Decision
-	Features [uerl.FeatureDim]float64
-	Stats    WorkerStats
-	Version  string
-	Err      string
+	Decision    uerl.Decision
+	Features    [uerl.FeatureDim]float64
+	Stats       WorkerStats
+	Version     string
+	Err         string
+	Incarnation uint64
 }
 
 // Transport delivers requests to workers. Call is synchronous: it returns
@@ -90,6 +93,15 @@ type Response struct {
 // timeout error rather than waiting out wall-clock time. Network
 // implementations satisfy the serving contract but naturally cannot
 // replay byte-identically; the golden tests pin the in-process transport.
+//
+// Restart contract: every successful Call stamps Response.Incarnation
+// with the identity of the worker process that answered — 0 for the
+// slot's first start, and a new value each time the slot's worker
+// restarts with empty state. A network implementation can use a
+// process start counter or boot nonce. The coordinator compares it on
+// the ingestion path and rebuilds a restarted worker's nodes from the
+// journal; a transport that cannot tell restarts apart leaves it 0, and
+// then a restart the coordinator never saw fail goes undetected.
 type Transport interface {
 	Call(worker int, req *Request, resp *Response) error
 }

@@ -24,10 +24,9 @@ type WorkerStats struct {
 type WorkerOption func(*workerConfig)
 
 type workerConfig struct {
-	controllerOpts []uerl.ControllerOption
-	guardOpts      []uerl.GuardOption
-	guarded        bool
-	stageGate      func(version string) error
+	guardOpts []uerl.GuardOption
+	guarded   bool
+	stageGate func(version string) error
 }
 
 // WithWorkerGuard attaches a per-worker Guard (budget enforcement local
@@ -39,11 +38,6 @@ func WithWorkerGuard(opts ...uerl.GuardOption) WorkerOption {
 		c.guarded = true
 		c.guardOpts = opts
 	}
-}
-
-// WithWorkerController passes options through to the worker's Controller.
-func WithWorkerController(opts ...uerl.ControllerOption) WorkerOption {
-	return func(c *workerConfig) { c.controllerOpts = opts }
 }
 
 // WithStageGate installs a hook consulted before an artifact is staged;
@@ -74,7 +68,7 @@ func NewWorker(id int, initial uerl.Policy, opts ...WorkerOption) *Worker {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ctl := uerl.NewController(initial, cfg.controllerOpts...)
+	ctl := uerl.NewController(initial)
 	w := &Worker{id: id, ctl: ctl, stageGate: cfg.stageGate}
 	if cfg.guarded {
 		w.guard = uerl.NewGuard(ctl, cfg.guardOpts...)

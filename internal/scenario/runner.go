@@ -54,9 +54,10 @@ type FleetSummary struct {
 	OrphanNodes    int `json:"orphan_nodes"`
 	ReplayedNodes  int `json:"replayed_nodes"`
 	ReplayedEvents int `json:"replayed_events"`
-	// AckedEvents counts events an owner confirmed applied; the journal
-	// counters say what ingestion appended, deduplicated as redelivered,
-	// and trimmed past the replay window.
+	// AckedEvents counts journaled events the current owners confirmed
+	// applied (equal to JournalAppended once every node has an owner);
+	// the journal counters say what ingestion appended, deduplicated as
+	// redelivered, and trimmed past the replay window.
 	AckedEvents     uint64 `json:"acked_events"`
 	JournalAppended uint64 `json:"journal_appended"`
 	JournalDeduped  uint64 `json:"journal_deduped"`
