@@ -168,8 +168,10 @@ type probationRun struct {
 //     hot-swaps it in.
 //
 // Every budget trip, approval verdict, rollback and probation pass is
-// recorded as a LifecycleEvent; a learner created with WithGuard merges
-// them into its own audit log. Construct with NewGuard, then pass to
+// recorded as a LifecycleEvent the moment it happens. A learner created
+// with WithGuard adopts the guard's audit log, so the learner's drift,
+// retrain and verdict events and the guard's events form one trail in
+// the order they happened. Construct with NewGuard, then pass to
 // NewOnlineLearner via WithGuard:
 //
 //	ctl := uerl.NewController(policy)
@@ -190,10 +192,10 @@ type Guard struct {
 	ctl     *Controller
 	cfg     guardConfig
 	budgets *guard.Budgets
+	// log is the audit trail, shared with an attached learner.
+	log *auditLog
 
 	mu sync.Mutex
-	//uerl:guarded-by mu
-	events []LifecycleEvent
 	// trippedNode / trippedFleet dedupe budget-trip audit events: one per
 	// limit crossing, cleared when a mitigation is served again.
 	//uerl:guarded-by mu
@@ -245,16 +247,10 @@ func NewGuard(ctl *Controller, opts ...GuardOption) *Guard {
 		opt(&cfg)
 	}
 	g := &Guard{
-		ctl: ctl,
-		cfg: cfg,
-		budgets: guard.NewBudgets(guard.Config{
-			NodeCheckpointNodeHours: cfg.nodeBudgetNodeHours,
-			NodeWindow:              cfg.nodeWindow,
-			FleetMaxMitigations:     cfg.fleetMitigations,
-			FleetWindow:             cfg.fleetWindow,
-			MaxPromotions:           cfg.promotionsPerWindow,
-			PromotionWindow:         cfg.promotionWindow,
-		}),
+		ctl:            ctl,
+		cfg:            cfg,
+		budgets:        guard.NewBudgets(cfg.budgets),
+		log:            &auditLog{},
 		trippedNode:    map[int]bool{},
 		vetoesByReason: map[string]uint64{},
 		retained:       map[string]Policy{},
@@ -325,6 +321,7 @@ func (g *Guard) ObserveUE(node int, at time.Time, realizedCostNodeHours float64)
 //
 //uerl:locked mu
 func (g *Guard) recordTripLocked(d Decision) {
+	bc := g.budgets.Config()
 	switch d.VetoReason {
 	case guard.ReasonNodeBudget:
 		if g.trippedNode[d.Node] {
@@ -332,11 +329,11 @@ func (g *Guard) recordTripLocked(d Decision) {
 		}
 		g.trippedNode[d.Node] = true
 		g.trips++
-		g.recordLocked(LifecycleEvent{
+		g.log.record(LifecycleEvent{
 			Kind: LifecycleBudgetTrip, Time: d.Time, Generation: g.promotions,
 			ModelVersion: d.ModelVersion, Score: g.budgets.NodeSpend(d.Node, d.Time),
 			Detail: fmt.Sprintf("node %d checkpoint budget tripped: %.3f nh in sliding %s (limit %.3f nh); mitigation suppressed",
-				d.Node, g.budgets.NodeSpend(d.Node, d.Time), g.cfg.nodeWindow, g.cfg.nodeBudgetNodeHours),
+				d.Node, g.budgets.NodeSpend(d.Node, d.Time), bc.NodeWindow, bc.NodeCheckpointNodeHours),
 		})
 	case guard.ReasonFleetBudget:
 		if g.trippedFleet {
@@ -344,11 +341,11 @@ func (g *Guard) recordTripLocked(d Decision) {
 		}
 		g.trippedFleet = true
 		g.trips++
-		g.recordLocked(LifecycleEvent{
+		g.log.record(LifecycleEvent{
 			Kind: LifecycleBudgetTrip, Time: d.Time, Generation: g.promotions,
 			ModelVersion: d.ModelVersion, Score: float64(g.budgets.FleetMitigations(d.Time)),
 			Detail: fmt.Sprintf("fleet mitigation budget tripped: %d mitigations in sliding %s (limit %d); mitigation suppressed",
-				g.budgets.FleetMitigations(d.Time), g.cfg.fleetWindow, g.cfg.fleetMitigations),
+				g.budgets.FleetMitigations(d.Time), bc.FleetWindow, bc.FleetMaxMitigations),
 		})
 	}
 }
@@ -359,24 +356,25 @@ func (g *Guard) recordTripLocked(d Decision) {
 //
 //uerl:locked mu
 func (g *Guard) recordRecoveryLocked(d Decision) {
+	bc := g.budgets.Config()
 	if g.trippedNode[d.Node] {
 		delete(g.trippedNode, d.Node)
 		g.recoveries++
-		g.recordLocked(LifecycleEvent{
+		g.log.record(LifecycleEvent{
 			Kind: LifecycleBudgetRecover, Time: d.Time, Generation: g.promotions,
 			ModelVersion: d.ModelVersion, Score: g.budgets.NodeSpend(d.Node, d.Time),
 			Detail: fmt.Sprintf("node %d checkpoint budget recovered: %.3f nh in sliding %s (limit %.3f nh); mitigation resumed",
-				d.Node, g.budgets.NodeSpend(d.Node, d.Time), g.cfg.nodeWindow, g.cfg.nodeBudgetNodeHours),
+				d.Node, g.budgets.NodeSpend(d.Node, d.Time), bc.NodeWindow, bc.NodeCheckpointNodeHours),
 		})
 	}
 	if g.trippedFleet {
 		g.trippedFleet = false
 		g.recoveries++
-		g.recordLocked(LifecycleEvent{
+		g.log.record(LifecycleEvent{
 			Kind: LifecycleBudgetRecover, Time: d.Time, Generation: g.promotions,
 			ModelVersion: d.ModelVersion, Score: float64(g.budgets.FleetMitigations(d.Time)),
 			Detail: fmt.Sprintf("fleet mitigation budget recovered: %d mitigations in sliding %s (limit %d); mitigation resumed",
-				g.budgets.FleetMitigations(d.Time), g.cfg.fleetWindow, g.cfg.fleetMitigations),
+				g.budgets.FleetMitigations(d.Time), bc.FleetWindow, bc.FleetMaxMitigations),
 		})
 	}
 }
@@ -387,12 +385,13 @@ func (g *Guard) recordRecoveryLocked(d Decision) {
 // shadow gate and before SwapPolicy.
 func (g *Guard) reviewPromotion(req PromotionRequest) (bool, string) {
 	if ok, _ := g.budgets.AllowPromotion(req.Time); !ok {
+		bc := g.budgets.Config()
 		g.mu.Lock()
 		g.denied++
 		g.trips++
 		detail := fmt.Sprintf("promotion budget tripped: %d promotions in sliding %s (limit %d); promotion of %s frozen",
-			g.budgets.Promotions(req.Time), g.cfg.promotionWindow, g.cfg.promotionsPerWindow, req.Candidate)
-		g.recordLocked(LifecycleEvent{
+			g.budgets.Promotions(req.Time), bc.PromotionWindow, bc.MaxPromotions, req.Candidate)
+		g.log.record(LifecycleEvent{
 			Kind: LifecycleBudgetTrip, Time: req.Time, Generation: req.Generation,
 			ModelVersion: req.Candidate, Parent: req.Incumbent,
 			Score: float64(g.budgets.Promotions(req.Time)), Detail: detail,
@@ -413,12 +412,12 @@ func (g *Guard) reviewPromotion(req PromotionRequest) (bool, string) {
 		g.denied++
 		ev.Kind = LifecycleApprovalDeny
 		ev.Detail = fmt.Sprintf("promotion denied: %s", reason)
-		g.recordLocked(ev)
+		g.log.record(ev)
 		return false, ev.Detail
 	}
 	ev.Kind = LifecycleApprovalGrant
 	ev.Detail = fmt.Sprintf("promotion approved: %s", reason)
-	g.recordLocked(ev)
+	g.log.record(ev)
 	return true, ""
 }
 
@@ -436,10 +435,7 @@ func (g *Guard) notePromotion(incumbent, promoted Policy, at time.Time) {
 	if g.cfg.probationDecisions > 0 {
 		g.probation = &probationRun{
 			score: evalx.NewProbation(evalx.ProbationConfig{
-				Shadow: evalx.ShadowConfig{
-					MitigationCostNodeHours: g.mitigationCostNodeHours(),
-					Restartable:             g.cfg.restartable,
-				},
+				Shadow:             shadowConfig(g.cfg.mitigationCostNodeMinutes, g.cfg.restartable),
 				MinDecisions:       g.cfg.probationDecisions,
 				ToleranceNodeHours: g.cfg.probationToleranceNH,
 			}),
@@ -482,7 +478,7 @@ func (g *Guard) judgeProbationLocked(at time.Time) {
 	g.probation = nil
 	if !v.Regressed {
 		g.probationPasses++
-		g.recordLocked(LifecycleEvent{
+		g.log.record(LifecycleEvent{
 			Kind: LifecycleProbationPass, Time: at, Generation: g.promotions,
 			ModelVersion: run.promoted, Parent: run.reference.Version(), Score: v.MarginNodeHours,
 			Detail: fmt.Sprintf("probation passed after %d decisions / %d UEs: margin %+.2f nh within %.2f nh tolerance",
@@ -517,7 +513,7 @@ func (g *Guard) rollbackLocked(at time.Time, run *probationRun, v evalx.Probatio
 		ev.ModelVersion = cur.Version()
 		ev.Detail = fmt.Sprintf("rollback aborted: no retained ancestor for %s (regressed %+.2f nh over %d decisions)",
 			cur.Version(), v.MarginNodeHours, v.Decisions)
-		g.recordLocked(ev)
+		g.log.record(ev)
 		return
 	}
 	g.ctl.SwapPolicy(target)
@@ -526,39 +522,13 @@ func (g *Guard) rollbackLocked(at time.Time, run *probationRun, v evalx.Probatio
 	ev.Parent = ModelParent(target)
 	ev.Detail = fmt.Sprintf("promoted %s regressed %+.2f nh over %d decisions / %d UEs (tolerance %.2f nh); rolled back to %s via lineage",
 		run.promoted, v.MarginNodeHours, v.Decisions, v.UEs, g.cfg.probationToleranceNH, target.Version())
-	g.recordLocked(ev)
-}
-
-// recordLocked appends an audit event. Caller holds g.mu.
-//
-//uerl:locked mu
-func (g *Guard) recordLocked(ev LifecycleEvent) {
-	g.events = append(g.events, ev)
+	g.log.record(ev)
 }
 
 // Events returns a defensive copy of the guard's audit log (budget
-// trips, approval verdicts, rollbacks, probation passes). A learner with
-// this guard attached also merges these into its own Events log.
-func (g *Guard) Events() []LifecycleEvent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]LifecycleEvent, len(g.events))
-	copy(out, g.events)
-	return out
-}
-
-// eventsSince returns a defensive copy of the audit log from index n on,
-// plus the new log length — the learner's merge cursor.
-func (g *Guard) eventsSince(n int) ([]LifecycleEvent, int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if n < 0 || n > len(g.events) {
-		n = len(g.events)
-	}
-	out := make([]LifecycleEvent, len(g.events)-n)
-	copy(out, g.events[n:])
-	return out, len(g.events)
-}
+// trips, approval verdicts, rollbacks, probation passes). With a learner
+// attached it is the learner's log too: the one shared trail.
+func (g *Guard) Events() []LifecycleEvent { return g.log.since(0) }
 
 // Stats summarizes the guard's enforcement activity.
 func (g *Guard) Stats() GuardStats {

@@ -456,8 +456,9 @@ func TestApprovalCallbackDefaults(t *testing.T) {
 	}
 }
 
-// Satellite: every audit-log accessor returns a defensive copy — mutating
-// the returned slice must not corrupt the log.
+// Every audit-log accessor returns a defensive copy — mutating the
+// returned slice must not corrupt the log — and learner and guard read
+// one shared trail.
 func TestAuditLogAccessorsDefensiveCopies(t *testing.T) {
 	l, g := newGuardedLearner(t, []GuardOption{WithApprovalHook(DenyPromotions("freeze"))})
 	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
@@ -485,8 +486,8 @@ func TestAuditLogAccessorsDefensiveCopies(t *testing.T) {
 	}
 
 	gevs := g.Events()
-	if len(gevs) == 0 {
-		t.Fatal("guard recorded no events")
+	if !reflect.DeepEqual(gevs, l.Events()) {
+		t.Fatalf("guard and learner audit logs differ:\nguard:   %+v\nlearner: %+v", gevs, l.Events())
 	}
 	gevs[0].Detail = "tampered"
 	if got := g.Events()[0]; got.Detail == "tampered" {
@@ -548,6 +549,28 @@ func TestGuardWiringPanics(t *testing.T) {
 		}()
 		NewOnlineLearner(ctl, WithGuard(g2))
 	}()
+
+	// The paper's two user parameters must agree between learner and
+	// guard: both score the same node-hour comparison.
+	for _, tc := range []struct {
+		name  string
+		gopts []GuardOption
+		lopts []LearnerOption
+	}{
+		{"mitigation cost", []GuardOption{WithGuardMitigationCost(5)}, []LearnerOption{WithLearnerMitigationCost(2)}},
+		{"restartable", []GuardOption{WithGuardRestartable(false)}, []LearnerOption{WithLearnerRestartable(true)}},
+	} {
+		c := NewController(NeverPolicy())
+		g := NewGuard(c, tc.gopts...)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WithGuard with a mismatched %s did not panic", tc.name)
+				}
+			}()
+			NewOnlineLearner(c, append(tc.lopts, WithGuard(g))...)
+		}()
+	}
 }
 
 // A guard is inert on kinds it cannot roll back past: a probation

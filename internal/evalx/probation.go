@@ -1,7 +1,5 @@
 package evalx
 
-import "time"
-
 // ProbationConfig parameterizes a post-promotion probation window.
 type ProbationConfig struct {
 	// Shadow sets the node-hour accounting both sides are scored with
@@ -37,22 +35,20 @@ type ProbationVerdict struct {
 }
 
 // Probation scores a freshly promoted model against its replaced
-// incumbent on identical post-promotion traffic, using the same
-// ShadowEval rolling accounting that gated the promotion — but with the
-// roles flipped: the promoted model is now serving, and the incumbent
-// runs as the counterfactual. The caller feeds every served decision
-// (with the incumbent's counterfactual choice on the same feature
-// snapshot) and every realized UE, and polls Verdict; a regression past
-// tolerance within the window is the rollback trigger the promotion-time
-// shadow gate cannot provide, because the traffic that exposes the
-// regression (e.g. an adversarial error burst) may only arrive after the
-// swap.
+// incumbent on identical post-promotion traffic: a Duel — the same
+// accounting that gated the promotion — with the roles flipped, the
+// promoted model now serving and the incumbent running as the
+// counterfactual. The caller feeds every served decision (with the
+// incumbent's counterfactual choice on the same feature snapshot) and
+// every realized UE, and polls Verdict; a regression past tolerance
+// within the window is the rollback trigger the promotion-time shadow
+// gate cannot provide, because the traffic that exposes the regression
+// (e.g. an adversarial error burst) may only arrive after the swap.
 //
 // Probation is not safe for concurrent use; its owner provides locking.
 type Probation struct {
-	cfg       ProbationConfig
-	promoted  *ShadowEval
-	reference *ShadowEval
+	*Duel
+	cfg ProbationConfig
 }
 
 // NewProbation starts a probation window.
@@ -60,31 +56,12 @@ func NewProbation(cfg ProbationConfig) *Probation {
 	if cfg.MinDecisions <= 0 {
 		cfg.MinDecisions = 256
 	}
-	return &Probation{
-		cfg:       cfg,
-		promoted:  NewShadowEval("promoted", cfg.Shadow),
-		reference: NewShadowEval("reference", cfg.Shadow),
-	}
-}
-
-// Decision scores one served decision: promotedMitigate is what the
-// promoted (serving) model did, referenceMitigate what the replaced
-// incumbent would have done on the same snapshot.
-func (p *Probation) Decision(node int, at time.Time, promotedMitigate, referenceMitigate bool) {
-	p.promoted.Decision(node, at, promotedMitigate)
-	p.reference.Decision(node, at, referenceMitigate)
-}
-
-// UE scores one realized uncorrected error against both sides; each
-// side's own mitigation history decides whether it caught it.
-func (p *Probation) UE(node int, at time.Time, costNodeHours float64) {
-	p.promoted.UE(node, at, costNodeHours)
-	p.reference.UE(node, at, costNodeHours)
+	return &Probation{Duel: NewDuel("promoted", "reference", cfg.Shadow), cfg: cfg}
 }
 
 // Verdict reports the probation state after the traffic fed so far.
 func (p *Probation) Verdict() ProbationVerdict {
-	prom, ref := p.promoted.Result(), p.reference.Result()
+	prom, ref := p.Results()
 	v := ProbationVerdict{
 		MarginNodeHours: prom.TotalCost() - ref.TotalCost(),
 		Decisions:       prom.Decisions,
@@ -97,10 +74,4 @@ func (p *Probation) Verdict() ProbationVerdict {
 		v.Decided = true
 	}
 	return v
-}
-
-// Results exposes both rolling scoreboards (promoted, reference) for
-// audit detail.
-func (p *Probation) Results() (promoted, reference Result) {
-	return p.promoted.Result(), p.reference.Result()
 }

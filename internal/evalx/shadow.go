@@ -129,14 +129,40 @@ func (s *ShadowEval) Result() Result {
 	return res
 }
 
-// Reset clears the accumulated result and mitigation history, keeping the
-// configuration — a new shadow comparison window starts clean.
-func (s *ShadowEval) Reset() {
-	s.res = Result{Policy: s.res.Policy}
-	for k := range s.recent {
-		delete(s.recent, k)
-	}
-	for k := range s.lastEvent {
-		delete(s.lastEvent, k)
-	}
+// Duel scores a serving policy against a counterfactual on identical
+// traffic: every served decision is scored beside what the counterfactual
+// would have decided on the same feature snapshot, and every realized UE
+// is charged to both, each side's own mitigation history deciding whether
+// it caught it. It is the one node-hour comparison behind every lifecycle
+// verdict — the shadow gate before a promotion (the incumbent serves, the
+// candidate is the counterfactual) and probation after it (the promoted
+// model serves, the replaced incumbent is the counterfactual).
+//
+// Duel is not safe for concurrent use; its owner provides locking.
+type Duel struct {
+	served, counter *ShadowEval
+}
+
+// NewDuel starts a comparison between the named serving and
+// counterfactual policies under one accounting configuration.
+func NewDuel(served, counter string, cfg ShadowConfig) *Duel {
+	return &Duel{served: NewShadowEval(served, cfg), counter: NewShadowEval(counter, cfg)}
+}
+
+// Decision scores one served decision: served is what the serving policy
+// did, counter what the counterfactual would have done.
+func (d *Duel) Decision(node int, at time.Time, served, counter bool) {
+	d.served.Decision(node, at, served)
+	d.counter.Decision(node, at, counter)
+}
+
+// UE scores one realized uncorrected error against both sides.
+func (d *Duel) UE(node int, at time.Time, costNodeHours float64) {
+	d.served.UE(node, at, costNodeHours)
+	d.counter.UE(node, at, costNodeHours)
+}
+
+// Results returns both rolling scoreboards.
+func (d *Duel) Results() (served, counter Result) {
+	return d.served.Result(), d.counter.Result()
 }

@@ -140,24 +140,3 @@ func TestShadowEvalIdenticalTrafficComparable(t *testing.T) {
 		t.Fatalf("recall always=%v never=%v, want 1/0", a.Metrics.Recall(), n.Metrics.Recall())
 	}
 }
-
-func TestShadowEvalReset(t *testing.T) {
-	s := NewShadowEval("cand", shadowCfg())
-	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	s.Decision(1, t0, true)
-	s.UE(1, t0.Add(time.Hour), 10)
-	s.Reset()
-	res := s.Result()
-	if res.Decisions != 0 || res.UEs != 0 || res.TotalCost() != 0 {
-		t.Fatalf("Reset left state behind: %+v", res)
-	}
-	if res.Policy != "cand" {
-		t.Fatalf("Reset dropped the policy name: %q", res.Policy)
-	}
-	// History must be gone too: a UE right after reset is a miss even
-	// though a pre-reset mitigation was in window.
-	s.UE(1, t0.Add(2*time.Hour), 10)
-	if got := s.Result().Metrics.TPs; got != 0 {
-		t.Fatalf("pre-reset mitigation leaked into new window (TPs=%d)", got)
-	}
-}

@@ -87,6 +87,42 @@ type LifecycleEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// auditLog is the append-only lifecycle audit trail. A guarded learner
+// keeps one: NewGuard creates it and a learner created WithGuard records
+// into it, so every event lands once, in the order it happened. It has
+// its own lock, taken last under either the learner's or the guard's.
+type auditLog struct {
+	mu sync.Mutex
+	//uerl:guarded-by mu
+	events []LifecycleEvent
+}
+
+// record appends one event.
+func (a *auditLog) record(ev LifecycleEvent) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.events = append(a.events, ev)
+}
+
+// since returns a copy of the entries from index n on; out-of-range n
+// returns nil.
+func (a *auditLog) since(n int) []LifecycleEvent {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n < 0 || n > len(a.events) {
+		return nil
+	}
+	out := make([]LifecycleEvent, len(a.events)-n)
+	copy(out, a.events[n:])
+	return out
+}
+
+// shadowConfig is the node-hour accounting under the paper's two user
+// parameters, shared by the learner's shadow gate and guard probation.
+func shadowConfig(mitigationCostNodeMinutes float64, restartable bool) evalx.ShadowConfig {
+	return evalx.ShadowConfig{MitigationCostNodeHours: mitigationCostNodeMinutes / 60, Restartable: restartable}
+}
+
 // LearnerStats summarizes an OnlineLearner's activity.
 type LearnerStats struct {
 	// Decisions is the number of decision ticks processed.
@@ -127,8 +163,10 @@ type pendingStep struct {
 // experience stream, detects drift in the rolling feature distribution,
 // retrains the Q-network incrementally on live experience (reusing the
 // batched internal/rl kernels), scores each candidate against the
-// incumbent on identical shadow traffic, and — when the candidate wins —
-// hot-swaps it into the controller with full model lineage.
+// incumbent on identical shadow traffic (an evalx.Duel), and — when the
+// candidate wins — hot-swaps it into the controller with full model
+// lineage. Every drift, retrain and verdict is recorded in the audit log
+// (Events), which a learner created WithGuard shares with its guard.
 //
 //	learner := uerl.NewOnlineLearner(ctl, uerl.WithLearnerSeed(1))
 //	for ev := range telemetry {
@@ -159,18 +197,17 @@ type OnlineLearner struct {
 	trainer *lifecycle.OnlineTrainer
 	drift   *lifecycle.DriftDetector
 	pending map[int]*pendingStep
+	log     *auditLog
 
-	shadowInc  *evalx.ShadowEval
-	shadowCand *evalx.ShadowEval
-	candidate  Policy
+	// candidate is the staged shadow candidate and shadow its duel against
+	// the serving incumbent; both are nil outside a candidate window.
+	candidate Policy
+	shadow    *evalx.Duel
 
 	sinceRetrain int
 	decisions    int
 	ues          int
 	generation   int
-	events       []LifecycleEvent
-	// guardSeen is the merge cursor into the guard's own audit log.
-	guardSeen int
 }
 
 // NewOnlineLearner attaches a continual-learning lifecycle to ctl.
@@ -195,14 +232,20 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.guard != nil {
+	log := &auditLog{}
+	if g := cfg.guard; g != nil {
 		ctl, ok := s.(*Controller)
 		if !ok {
 			panic("uerl: WithGuard requires a *Controller serving layer; distributed layers attach guards per worker")
 		}
-		if cfg.guard.Controller() != ctl {
+		if g.Controller() != ctl {
 			panic("uerl: WithGuard guard wraps a different controller than the learner serves")
 		}
+		if g.cfg.mitigationCostNodeMinutes != cfg.mitigationCostNodeMinutes || g.cfg.restartable != cfg.restartable {
+			panic(fmt.Sprintf("uerl: WithGuard guard charges mitigation cost %v node-min (restartable %v), the learner %v (restartable %v)",
+				g.cfg.mitigationCostNodeMinutes, g.cfg.restartable, cfg.mitigationCostNodeMinutes, cfg.restartable))
+		}
+		log = g.log
 	}
 	l := &OnlineLearner{
 		serving: s,
@@ -211,7 +254,7 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 			Agent: rl.AgentConfig{
 				StateLen:     FeatureDim,
 				NumActions:   2,
-				Hidden:       cfg.hidden,
+				Hidden:       []int{32, 16},
 				Dueling:      true,
 				DoubleDQN:    true,
 				Gamma:        0.99,
@@ -234,10 +277,7 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 			Dims: lifecycle.StationaryDriftDims,
 		}),
 		pending: map[int]*pendingStep{},
-		shadowInc: evalx.NewShadowEval("incumbent", evalx.ShadowConfig{
-			MitigationCostNodeHours: cfg.mitigationCostNodeMinutes / 60,
-			Restartable:             cfg.restartable,
-		}),
+		log:     log,
 	}
 	if cfg.guard != nil {
 		l.acct = cfg.guard
@@ -280,7 +320,7 @@ func (l *OnlineLearner) ProcessBatch(events []Event) {
 }
 
 // processUE folds a realized UE into the pending reward, the feature
-// history, and both shadow scoreboards. Caller holds l.mu.
+// history, and the shadow duel. Caller holds l.mu.
 func (l *OnlineLearner) processUE(e Event) {
 	realized := l.cfg.cost(e.Node, e.Time)
 	l.serving.ObserveEvent(e)
@@ -293,18 +333,14 @@ func (l *OnlineLearner) processUE(e Event) {
 	if l.cfg.ueObserver != nil {
 		l.cfg.ueObserver(e.Node, e.Time, realized)
 	}
-	l.shadowInc.UE(e.Node, e.Time, realized)
-	if l.candidate != nil {
-		l.shadowCand.UE(e.Node, e.Time, realized)
+	if l.shadow != nil {
+		l.shadow.UE(e.Node, e.Time, realized)
 		l.judgeShadow(e.Time)
 	}
 	if l.acct != nil {
 		// Probation charges the realized cost; a regression past
 		// tolerance rolls the serving policy back right here.
 		l.acct.ObserveUE(e.Node, e.Time, realized)
-	}
-	if l.cfg.guard != nil {
-		l.syncGuard()
 	}
 }
 
@@ -323,6 +359,14 @@ func (l *OnlineLearner) processDecision(e Event) {
 	if l.cfg.decisionObserver != nil {
 		l.cfg.decisionObserver(d)
 	}
+	if l.shadow != nil {
+		// The candidate decides on the snapshot the incumbent was served
+		// from, degraded ones included: the duel scores the traffic the
+		// fleet actually saw.
+		cd := l.candidate.Decide(Snapshot{Node: e.Node, Time: e.Time, Features: d.Features})
+		l.shadow.Decision(e.Node, e.Time, d.Mitigate(), cd.Mitigate())
+		l.judgeShadow(e.Time)
+	}
 	if d.Degraded {
 		// The answer came from the empty feature state, not the node's
 		// real telemetry: it still serves (and is audited above), but it
@@ -330,15 +374,6 @@ func (l *OnlineLearner) processDecision(e Event) {
 		// the drift detector would teach the lifecycle about the outage,
 		// not the fleet. The node's pending transition stays open and
 		// completes at its next healthy decision.
-		l.shadowInc.Decision(e.Node, e.Time, d.Mitigate())
-		if l.candidate != nil {
-			cd := l.candidate.Decide(Snapshot{Node: e.Node, Time: e.Time, Features: d.Features})
-			l.shadowCand.Decision(e.Node, e.Time, cd.Mitigate())
-			l.judgeShadow(e.Time)
-		}
-		if l.cfg.guard != nil {
-			l.syncGuard()
-		}
 		return
 	}
 
@@ -355,13 +390,6 @@ func (l *OnlineLearner) processDecision(e Event) {
 	}
 	l.pending[e.Node] = &pendingStep{state: norm, action: action, reward: initReward}
 
-	l.shadowInc.Decision(e.Node, e.Time, d.Mitigate())
-	if l.candidate != nil {
-		cd := l.candidate.Decide(Snapshot{Node: e.Node, Time: e.Time, Features: d.Features})
-		l.shadowCand.Decision(e.Node, e.Time, cd.Mitigate())
-		l.judgeShadow(e.Time)
-	}
-
 	// Drift watches the distribution of observed telemetry, not the
 	// poll-time snapshot: Recommend reads features through Peek, which
 	// reports zero CEs-since-last-event (no current-tick events), so the
@@ -376,7 +404,7 @@ func (l *OnlineLearner) processDecision(e Event) {
 		dv[features.CEsSinceLastEvent] = float64(count)
 	}
 	if res, ok := l.drift.Observe(dv); ok && res.Drifted {
-		l.record(LifecycleEvent{
+		l.log.record(LifecycleEvent{
 			Kind: LifecycleDrift, Time: e.Time, Generation: l.generation,
 			ModelVersion: l.serving.Policy().Version(), Score: res.Score,
 			Detail: fmt.Sprintf("feature %d shifted (z=%.1f, window %d)", res.Dim, res.Score, res.Windows),
@@ -384,9 +412,6 @@ func (l *OnlineLearner) processDecision(e Event) {
 		if l.candidate == nil && l.sinceRetrain >= l.cfg.minExperience {
 			l.retrain(e.Time)
 		}
-	}
-	if l.cfg.guard != nil {
-		l.syncGuard()
 	}
 }
 
@@ -401,7 +426,7 @@ func (l *OnlineLearner) retrain(at time.Time) {
 	res := l.trainer.Epoch()
 	l.sinceRetrain = 0
 	fail := func(reason string) {
-		l.record(LifecycleEvent{
+		l.log.record(LifecycleEvent{
 			Kind: LifecycleRetrainFailed, Time: at, Generation: l.generation,
 			ModelVersion: incumbent.Version(),
 			Detail:       fmt.Sprintf("epoch %d staged no candidate: %s", res.Epoch, reason),
@@ -432,12 +457,8 @@ func (l *OnlineLearner) retrain(at time.Time) {
 	}
 	_ = SetModelParent(staged, incumbent.Version())
 	l.candidate = staged
-	l.shadowInc.Reset()
-	l.shadowCand = evalx.NewShadowEval("candidate", evalx.ShadowConfig{
-		MitigationCostNodeHours: l.cfg.mitigationCostNodeMinutes / 60,
-		Restartable:             l.cfg.restartable,
-	})
-	l.record(LifecycleEvent{
+	l.shadow = evalx.NewDuel("incumbent", "candidate", shadowConfig(l.cfg.mitigationCostNodeMinutes, l.cfg.restartable))
+	l.log.record(LifecycleEvent{
 		Kind: LifecycleRetrain, Time: at, Generation: l.generation,
 		ModelVersion: staged.Version(), Parent: incumbent.Version(), Score: res.MeanLoss,
 		Detail: fmt.Sprintf("epoch %d: %d transitions, %d steps", res.Epoch, res.Drained, res.Steps),
@@ -447,11 +468,10 @@ func (l *OnlineLearner) retrain(at time.Time) {
 // judgeShadow promotes or rejects the candidate once the shadow gate is
 // satisfied. Caller holds l.mu.
 func (l *OnlineLearner) judgeShadow(at time.Time) {
-	cand := l.shadowCand.Result()
+	inc, cand := l.shadow.Results()
 	if cand.Decisions < l.cfg.shadowMinDecisions || cand.UEs < l.cfg.shadowMinUEs {
 		return
 	}
-	inc := l.shadowInc.Result()
 	advantage := inc.TotalCost() - cand.TotalCost()
 	ev := LifecycleEvent{
 		Time: at, ModelVersion: l.candidate.Version(),
@@ -464,7 +484,7 @@ func (l *OnlineLearner) judgeShadow(at time.Time) {
 		ev.Kind, ev.Generation = LifecycleReject, l.generation
 	case !l.guardApproves(at, advantage, cand.Decisions, cand.UEs):
 		// The guard already recorded the budget-trip or approval-deny
-		// audit event; the learner records the discard.
+		// audit event in the shared log; the learner records the discard.
 		ev.Kind, ev.Generation = LifecycleReject, l.generation
 		ev.Detail = "guard blocked promotion: " + ev.Detail
 	default:
@@ -484,15 +504,8 @@ func (l *OnlineLearner) judgeShadow(at time.Time) {
 		}
 		ev.Kind, ev.Generation = LifecyclePromote, l.generation
 	}
-	if l.cfg.guard != nil {
-		// Merge the verdict's guard events (approval, budget trip) ahead
-		// of the learner's own record, keeping the audit log causal.
-		l.syncGuard()
-	}
-	l.record(ev)
-	l.candidate = nil
-	l.shadowCand = nil
-	l.shadowInc.Reset()
+	l.log.record(ev)
+	l.candidate, l.shadow = nil, nil
 }
 
 // guardApproves submits the shadow-winning candidate to the guard's
@@ -515,43 +528,14 @@ func (l *OnlineLearner) guardApproves(at time.Time, advantage float64, decisions
 	return ok
 }
 
-func (l *OnlineLearner) record(ev LifecycleEvent) {
-	l.events = append(l.events, ev)
-}
-
-// syncGuard merges audit events the guard recorded since the last sync
-// (budget trips, approval verdicts, rollbacks, probation passes) into
-// the learner's lifecycle log, keeping one chronological audit trail.
-// Caller holds l.mu.
-func (l *OnlineLearner) syncGuard() {
-	evs, seen := l.cfg.guard.eventsSince(l.guardSeen)
-	l.events = append(l.events, evs...)
-	l.guardSeen = seen
-}
-
-// Events returns a copy of the lifecycle audit log, including any
-// guard audit events merged so far.
-func (l *OnlineLearner) Events() []LifecycleEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]LifecycleEvent, len(l.events))
-	copy(out, l.events)
-	return out
-}
+// Events returns a copy of the lifecycle audit log — under WithGuard the
+// log shared with the guard, its events included.
+func (l *OnlineLearner) Events() []LifecycleEvent { return l.log.since(0) }
 
 // EventsSince returns a copy of the audit log entries from index n on —
 // the incremental form of Events for live tailing. Out-of-range n
-// returns an empty slice.
-func (l *OnlineLearner) EventsSince(n int) []LifecycleEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 0 || n > len(l.events) {
-		return nil
-	}
-	out := make([]LifecycleEvent, len(l.events)-n)
-	copy(out, l.events[n:])
-	return out
-}
+// returns nil.
+func (l *OnlineLearner) EventsSince(n int) []LifecycleEvent { return l.log.since(n) }
 
 // Generation reports the current model generation (promotions so far).
 func (l *OnlineLearner) Generation() int {

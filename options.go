@@ -3,17 +3,13 @@ package uerl
 import (
 	"runtime"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // SystemOption configures NewSystem. Options apply on top of the paper's
 // default configuration at BudgetCI (see DefaultConfig).
 type SystemOption func(*Config)
-
-// WithConfig replaces the whole configuration — the bridge from the old
-// Config-struct construction path. Options after it still apply.
-func WithConfig(cfg Config) SystemOption {
-	return func(c *Config) { *c = cfg }
-}
 
 // WithSeed sets the world/training seed.
 func WithSeed(seed int64) SystemOption {
@@ -109,7 +105,6 @@ type learnerConfig struct {
 	minExperience  int
 	epochSteps     int
 	streamCapacity int
-	hidden         []int
 	kernel         int
 
 	shadowMinDecisions int
@@ -199,17 +194,6 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 	}
 }
 
-// WithLearnerNetwork sets the continually trained Q-network's hidden
-// layers (default 32-16; the serving input/output layout is fixed by the
-// feature schema and the two-action decision).
-func WithLearnerNetwork(hidden ...int) LearnerOption {
-	return func(c *learnerConfig) {
-		if len(hidden) > 0 {
-			c.hidden = hidden
-		}
-	}
-}
-
 // WithLearnerKernel pins the nn kernel/stream version the continual
 // trainer runs under (nn.KernelReference or nn.KernelFast). The default
 // (zero) keeps the reference stream, reproducing the training
@@ -224,9 +208,10 @@ func WithLearnerKernel(kernel int) LearnerOption {
 // WithGuard attaches a Guard to the learner: the learner routes every
 // served decision and realized UE through it for budget accounting and
 // probation scoring, submits every shadow-winning candidate to its
-// promotion gates (budget + approval hook), and merges its audit events
-// into the lifecycle log. The guard must wrap the same controller the
-// learner serves (NewOnlineLearner panics otherwise). WithGuard is a
+// promotion gates (budget + approval hook), and adopts its audit log, so
+// learner and guard record into one trail. The guard must wrap the same
+// controller the learner serves and charge the same mitigation cost and
+// restartability (NewOnlineLearner panics otherwise). WithGuard is a
 // single-process option: under a distributed serving layer
 // (NewServingLearner over a fleet coordinator) guards attach per worker
 // and the coordinator routes decision accounting to them, so passing
@@ -272,7 +257,6 @@ func defaultLearnerConfig() learnerConfig {
 		minExperience:             512,
 		epochSteps:                64,
 		streamCapacity:            1 << 14,
-		hidden:                    []int{32, 16},
 		shadowMinDecisions:        256,
 		shadowMinUEs:              1,
 	}
@@ -282,13 +266,9 @@ func defaultLearnerConfig() learnerConfig {
 type guardConfig struct {
 	mitigationCostNodeMinutes float64
 	restartable               bool
-
-	nodeBudgetNodeHours float64
-	nodeWindow          time.Duration
-	fleetMitigations    int
-	fleetWindow         time.Duration
-	promotionsPerWindow int
-	promotionWindow     time.Duration
+	// budgets is lowered verbatim into the guard's budget windows;
+	// guard.NewBudgets fills the window defaults.
+	budgets guard.Config
 
 	hook                 ApprovalHook
 	probationDecisions   int
@@ -305,10 +285,8 @@ type GuardOption func(*guardConfig)
 // nodeHours <= 0 disables the budget (the default).
 func WithNodeCheckpointBudget(nodeHours float64, window time.Duration) GuardOption {
 	return func(c *guardConfig) {
-		c.nodeBudgetNodeHours = nodeHours
-		if window > 0 {
-			c.nodeWindow = window
-		}
+		c.budgets.NodeCheckpointNodeHours = nodeHours
+		c.budgets.NodeWindow = window
 	}
 }
 
@@ -317,10 +295,8 @@ func WithNodeCheckpointBudget(nodeHours float64, window time.Duration) GuardOpti
 // a policy gone mitigation-happy. max <= 0 disables (the default).
 func WithFleetMitigationBudget(max int, window time.Duration) GuardOption {
 	return func(c *guardConfig) {
-		c.fleetMitigations = max
-		if window > 0 {
-			c.fleetWindow = window
-		}
+		c.budgets.FleetMaxMitigations = max
+		c.budgets.FleetWindow = window
 	}
 }
 
@@ -329,10 +305,7 @@ func WithFleetMitigationBudget(max int, window time.Duration) GuardOption {
 // audit event) until the window slides. perDay <= 0 disables (the
 // default).
 func WithPromotionBudget(perDay int) GuardOption {
-	return func(c *guardConfig) {
-		c.promotionsPerWindow = perDay
-		c.promotionWindow = 24 * time.Hour
-	}
+	return func(c *guardConfig) { c.budgets.MaxPromotions = perDay }
 }
 
 // WithApprovalHook sets the promotion approval hook (default
@@ -359,14 +332,16 @@ func WithProbation(decisions int, toleranceNodeHours float64) GuardOption {
 
 // WithGuardMitigationCost sets the checkpoint cost per mitigation in
 // node-minutes (default 2) that budget accounting and probation scoring
-// charge — keep it equal to the learner's WithLearnerMitigationCost.
+// charge. It must equal the learner's WithLearnerMitigationCost:
+// NewOnlineLearner panics on a mismatch under WithGuard.
 func WithGuardMitigationCost(nodeMinutes float64) GuardOption {
 	return func(c *guardConfig) { c.mitigationCostNodeMinutes = nodeMinutes }
 }
 
 // WithGuardRestartable selects whether mitigation establishes a restart
-// point for probation accounting (default true) — keep it equal to the
-// learner's WithLearnerRestartable.
+// point for probation accounting (default true). It must equal the
+// learner's WithLearnerRestartable: NewOnlineLearner panics on a mismatch
+// under WithGuard.
 func WithGuardRestartable(restartable bool) GuardOption {
 	return func(c *guardConfig) { c.restartable = restartable }
 }
@@ -378,9 +353,6 @@ func defaultGuardConfig() guardConfig {
 	return guardConfig{
 		mitigationCostNodeMinutes: 2,
 		restartable:               true,
-		nodeWindow:                24 * time.Hour,
-		fleetWindow:               time.Hour,
-		promotionWindow:           24 * time.Hour,
 		hook:                      AutoApprove(),
 		probationDecisions:        256,
 		probationToleranceNH:      5,

@@ -18,8 +18,6 @@
 //	sys := uerl.NewSystem(uerl.WithSeed(42), uerl.WithBudgetCI())
 //	sys.Evaluate().Render(os.Stdout)
 //
-// (NewSystemFromConfig keeps the old Config-struct path working.)
-//
 // # The serving layer
 //
 // Every §4.2 approach implements the Policy interface. TrainPolicy fits
@@ -40,6 +38,15 @@
 // only the queried node's shard, and Recommend is a read-only path, so
 // polling never perturbs feature state. EvaluatePolicy scores any Policy —
 // including custom ones — under the paper's cost model.
+//
+// # Continual learning
+//
+// An OnlineLearner feeds the controller, retrains on drift and promotes a
+// candidate that beats the incumbent on shadow traffic; a Guard adds
+// budgets, promotion approval and post-promotion probation. Both verdicts
+// are one evalx.Duel under the paper's two user parameters (mitigation
+// cost, restartability), which the learner and its guard must share, and
+// both record into one audit log (OnlineLearner.Events, Guard.Events).
 //
 // Everything underneath (neural networks, RL, the telemetry and job
 // simulators, the random-forest baseline, the evaluation pipeline) is
@@ -143,7 +150,7 @@ func DefaultConfig(b Budget) Config {
 }
 
 // System is a generated world plus its evaluation configuration. Its
-// training entry points (TrainPolicy, TrainAgent) share one cached fit,
+// trained policy kinds (TrainPolicy) share one cached fit,
 // and the replay context backing EvaluatePolicy is computed once; both are
 // concurrency-safe.
 type System struct {
@@ -166,12 +173,6 @@ func NewSystem(opts ...SystemOption) *System {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewSystemFromConfig(cfg)
-}
-
-// NewSystemFromConfig generates the synthetic world for cfg — the
-// pre-options construction path, kept for existing callers.
-func NewSystemFromConfig(cfg Config) *System {
 	scale := experiments.ScaleFor(cfg.Budget.preset())
 	scale.Seed = cfg.Seed
 	if cfg.Scale > 0 {

@@ -1,7 +1,6 @@
 package uerl
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -18,13 +17,11 @@ func testSystem(t *testing.T) *System {
 	if testing.Short() {
 		t.Skip("system integration tests in short mode")
 	}
-	// Exercise the back-compat Config path; options are tested separately.
-	sysOnce.Do(func() { sys = NewSystemFromConfig(DefaultConfig(BudgetCI)) })
+	sysOnce.Do(func() { sys = NewSystem() })
 	return sys
 }
 
 func TestNewSystemOptions(t *testing.T) {
-	base := DefaultConfig(BudgetCI)
 	var got Config
 	NewSystem(
 		WithSeed(7),
@@ -35,12 +32,12 @@ func TestNewSystemOptions(t *testing.T) {
 		WithJobSizeScale(2),
 		WithMitigationCost(5),
 		WithRestartable(false),
-		WithConfig(base), // wholesale replacement drops everything above
 		WithSeed(9),
 		func(c *Config) { got = *c },
 	)
-	want := base
-	want.Seed = 9
+	want := DefaultConfig(BudgetCI)
+	want.Seed, want.Scale, want.Jobs, want.JobSizeScale = 9, 0.01, 11, 2
+	want.MitigationCostNodeMinutes, want.Restartable = 5, false
 	if got != want {
 		t.Fatalf("options applied wrong: got %+v want %+v", got, want)
 	}
@@ -147,8 +144,7 @@ func TestRunExperimentNames(t *testing.T) {
 
 func TestTrainAgentAndController(t *testing.T) {
 	s := testSystem(t)
-	agent := s.TrainAgent()
-	policy, err := agent.Policy()
+	policy, err := s.TrainPolicy(PolicyRL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,49 +182,6 @@ func TestTrainAgentAndController(t *testing.T) {
 		t.Fatalf("tracked %d nodes after Forget, want 1", n)
 	}
 	_ = ctl.Recommend(2, base.Add(3*time.Hour), 1)
-}
-
-func TestAgentSerializationRoundTrip(t *testing.T) {
-	s := testSystem(t)
-	agent := s.TrainAgent()
-	data, err := json.Marshal(agent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored Agent
-	if err := json.Unmarshal(data, &restored); err != nil {
-		t.Fatal(err)
-	}
-	// Both must produce identical recommendations.
-	pa, err := agent.Policy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := restored.Policy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa.Version() != pb.Version() {
-		t.Fatalf("restored agent has version %q, want %q", pb.Version(), pa.Version())
-	}
-	ctlA := NewController(pa)
-	ctlB := NewController(pb)
-	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 20; i++ {
-		cost := float64(i) * 500
-		at := base.Add(time.Duration(i) * time.Hour)
-		if ctlA.Recommend(1, at, cost).Action != ctlB.Recommend(1, at, cost).Action {
-			t.Fatalf("restored agent disagrees at cost %v", cost)
-		}
-	}
-}
-
-func TestUnmarshalRejectsWrongDims(t *testing.T) {
-	var a Agent
-	bad := `{"config":{"Inputs":3,"Outputs":2},"params":[[0,0,0,0,0,0],[0,0]]}`
-	if err := json.Unmarshal([]byte(bad), &a); err == nil {
-		t.Fatal("wrong-dimension model accepted")
-	}
 }
 
 func TestBudgetMapping(t *testing.T) {
