@@ -10,13 +10,15 @@ import (
 type rpc struct {
 	req  *Request
 	resp *Response
-	done chan struct{}
 }
 
 // chanEndpoint is the coordinator-side handle of one worker goroutine.
 type chanEndpoint struct {
 	reqCh chan rpc
-	stop  chan struct{}
+	// done signals each reply; calls are serialized under the transport
+	// mutex, so one channel made at start serves every call.
+	done chan struct{}
+	stop chan struct{}
 	// killed and hung are fault-injection flags (guarded by the
 	// transport mutex). A killed worker's goroutine has exited and its
 	// state is gone — Rejoin starts a fresh worker from the factory. A
@@ -56,14 +58,21 @@ func NewChanTransport(n int, factory func(id int) *Worker) *ChanTransport {
 	}
 	t := &ChanTransport{factory: factory, eps: make([]*chanEndpoint, n)}
 	for i := range t.eps {
-		t.eps[i] = startEndpoint(factory(i))
+		t.eps[i] = startEndpoint(factory(i), 0)
 	}
 	return t
 }
 
-// startEndpoint launches the serving goroutine for one worker.
-func startEndpoint(w *Worker) *chanEndpoint {
-	ep := &chanEndpoint{reqCh: make(chan rpc), stop: make(chan struct{})}
+// startEndpoint launches the serving goroutine for one worker, telling
+// it its incarnation.
+func startEndpoint(w *Worker, incarnation uint64) *chanEndpoint {
+	w.incarnation = incarnation
+	ep := &chanEndpoint{
+		reqCh:       make(chan rpc),
+		done:        make(chan struct{}),
+		stop:        make(chan struct{}),
+		incarnation: incarnation,
+	}
 	go func() {
 		for {
 			select {
@@ -71,7 +80,7 @@ func startEndpoint(w *Worker) *chanEndpoint {
 				return
 			case c := <-ep.reqCh:
 				w.handle(c.req, c.resp)
-				close(c.done)
+				ep.done <- struct{}{}
 			}
 		}
 	}()
@@ -99,9 +108,8 @@ func (t *ChanTransport) Call(w int, req *Request, resp *Response) error {
 	case ep.hung:
 		return ErrWorkerTimeout
 	}
-	c := rpc{req: req, resp: resp, done: make(chan struct{})}
-	ep.reqCh <- c
-	<-c.done
+	ep.reqCh <- rpc{req: req, resp: resp}
+	<-ep.done
 	resp.Incarnation = ep.incarnation
 	return nil
 }
@@ -140,8 +148,7 @@ func (t *ChanTransport) Rejoin(w int) {
 	defer t.mu.Unlock()
 	ep := t.eps[w]
 	if ep.killed {
-		t.eps[w] = startEndpoint(t.factory(w))
-		t.eps[w].incarnation = ep.incarnation + 1
+		t.eps[w] = startEndpoint(t.factory(w), ep.incarnation+1)
 		return
 	}
 	ep.hung = false

@@ -16,6 +16,15 @@
 // per-node applied watermark; the acked count is the sum of those
 // watermarks.
 //
+// A decision tick (Coordinator.Tick: ingest, decide, account) costs one
+// transport round trip in steady state: sync carries the owner's
+// unapplied suffix together with the query and the guard charge in one
+// ReqTick, and the coordinator reuses one Request/Response pair and one
+// suffix buffer for every call, so delivery allocates nothing. Every
+// case off that path — an unhealthy owner, a rebuild, a deduplicated
+// event, a restarted worker refusing the tick — runs the three-call
+// path ObserveEvent, Recommend and ObserveDecision run.
+//
 // Everything the coordinator does is driven by telemetry time and
 // seed-forked RNGs: same seed + same event stream + same fault schedule
 // reproduce the same decision stream, health transitions and replay
@@ -55,6 +64,9 @@ const (
 // A Coordinator is a drop-in serving layer for the online-learning
 // lifecycle (uerl.NewServingLearner).
 var _ uerl.Serving = (*Coordinator)(nil)
+
+// A Coordinator serves a decision tick in one round trip.
+var _ uerl.Ticker = (*Coordinator)(nil)
 
 // Config parameterizes a Coordinator.
 type Config struct {
@@ -135,6 +147,13 @@ type Coordinator struct {
 	// health decisions.
 	clock time.Time
 
+	// req and resp are the one Request/Response pair every transport
+	// call goes through (see call); suffix is sync's journal buffer,
+	// sized to a full window so it never grows.
+	req    Request
+	resp   Response
+	suffix []uerl.Event
+
 	committed uerl.Policy
 	// committedBytes is the committed policy's SaveModel artifact, kept
 	// for re-staging onto recovering/rejoining workers; nil until the
@@ -164,6 +183,7 @@ func NewCoordinator(cfg Config, tr Transport) (*Coordinator, error) {
 		workers:   make([]*workerHealth, cfg.Workers),
 		nodes:     map[int]*nodeState{},
 		committed: cfg.Initial,
+		suffix:    make([]uerl.Event, 0, cfg.JournalCapacity),
 	}
 	root := mathx.NewRNG(cfg.Seed ^ 0x0f1ee7c0)
 	for i := range c.workers {
@@ -234,42 +254,93 @@ func (c *Coordinator) hrwOwner(node int) int {
 func (c *Coordinator) ObserveEvent(e uerl.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if ns := c.ingest(e); ns != nil {
+		c.deliver(e.Node, ns, nil)
+	}
+}
+
+// Tick is one decision tick in one call: ObserveEvent(e), then
+// Recommend(e.Node, e.Time, potentialCostNodeHours), then
+// ObserveDecision of the answer, under one lock hold. When the owner is
+// live and the journal still holds its unapplied suffix, the three
+// travel as one ReqTick; every other case runs the three-call path, so
+// the decisions, health transitions, replay counts and guard ledgers
+// match the three separate calls exactly.
+//
+//uerl:hotpath
+func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) uerl.Decision {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ns := c.ingest(e); ns != nil {
+		q := query{at: e.Time, cost: potentialCostNodeHours}
+		if d, ok := c.deliver(e.Node, ns, &q); ok {
+			d.StaleEvents = c.staleness(e.Node)
+			return d
+		}
+	}
+	d := c.recommend(e.Node, e.Time, potentialCostNodeHours)
+	c.observeDecision(d)
+	return d
+}
+
+// query is the mitigation query a ReqTick carries.
+type query struct {
+	at   time.Time
+	cost float64
+}
+
+// ingest is ObserveEvent's bookkeeping before delivery: advance the
+// clock, run due health probes and journal e. It returns e's node ledger,
+// or nil when e was a deduplicated redelivery (the state already
+// reflects it). Caller holds c.mu.
+//
+//uerl:hotpath
+func (c *Coordinator) ingest(e uerl.Event) *nodeState {
 	if e.Time.After(c.clock) {
 		c.clock = e.Time
 	}
 	c.maintain(false)
 	if c.journal.Append(e) {
-		return // deduplicated redelivery; state already reflects it
+		return nil
 	}
 	ns, ok := c.nodes[e.Node]
 	if !ok {
 		ns = &nodeState{owner: c.hrwOwner(e.Node)}
 		c.nodes[e.Node] = ns
 	}
-	c.deliver(e.Node, ns)
+	return ns
 }
 
 // deliver syncs node's journal backlog (usually just the newest event)
-// to its owner, charging health on failure. Caller holds c.mu.
-func (c *Coordinator) deliver(node int, ns *nodeState) {
+// to its owner, charging health on failure. With q set and a live owner
+// the sync also answers q and charges the owner's guard; ok reports
+// whether it did. Caller holds c.mu.
+//
+//uerl:hotpath
+func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (d uerl.Decision, ok bool) {
 	if ns.owner < 0 {
-		return // orphaned: every worker is down; rejoinWorker re-homes it
+		return d, false // orphaned: every worker is down; rejoinWorker re-homes it
 	}
 	h := c.workers[ns.owner]
 	if h.state == WorkerDown {
-		return // backlog waits for failover/rejoin to resolve the owner
+		return d, false // backlog waits for failover/rejoin to resolve the owner
 	}
 	if h.state == WorkerSuspect && c.clock.Before(h.nextRetry) {
-		return // backing off; backlog journals and waits
+		return d, false // backing off; backlog journals and waits
 	}
-	if err := c.sync(node, ns, false); err != nil {
+	if h.state != WorkerLive {
+		q = nil // a recovering suspect catches up first (noteRecovery)
+	}
+	d, ok, err := c.sync(node, ns, false, q)
+	if err != nil {
 		c.noteFailure(h)
-		return
+		return d, false
 	}
 	if h.state == WorkerSuspect {
 		c.noteRecovery(h)
 	}
 	h.failures = 0
+	return d, ok
 }
 
 // sync is the one path that moves journaled events to node's owner. It
@@ -281,22 +352,47 @@ func (c *Coordinator) deliver(node int, ns *nodeState) {
 // travels as a plain observe; everything else is replay traffic. An
 // owner answering from a new incarnation restarted and lost the state
 // the suffix extends, so it is rejoined, which rebuilds every node it
-// owns. Caller holds c.mu.
-func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool) error {
-	evs, ok := c.journal.ReplayFrom(node, ns.applied)
+// owns.
+//
+// With q set and no rebuild needed, the suffix travels in a ReqTick that
+// also answers q and charges the owner's guard, and served reports the
+// decision. A restarted owner refuses the tick; sync rejoins it and
+// finishes the catch-up the plain way, leaving q unanswered. Caller
+// holds c.mu.
+//
+//uerl:hotpath
+func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (d uerl.Decision, served bool, err error) {
+	evs, ok := c.journal.AppendFrom(c.suffix[:0], node, ns.applied)
 	if rebuild || !ok {
 		rebuild = true
-		evs, _ = c.journal.ReplayFrom(node, c.journal.Trimmed(node))
+		evs, _ = c.journal.AppendFrom(c.suffix[:0], node, c.journal.Trimmed(node))
 	}
+	c.suffix = evs
+	h := c.workers[ns.owner]
 	req := Request{Kind: ReqReplay, Node: node, Events: evs, Forget: rebuild}
-	if !rebuild && len(evs) == 1 {
+	switch {
+	case rebuild:
+	case q != nil:
+		req = Request{Kind: ReqTick, Node: node, Events: evs, At: q.at, Cost: q.cost, Incarnation: h.incarnation}
+	case len(evs) == 1:
 		req = Request{Kind: ReqObserve, Event: evs[0]}
 	}
-	var resp Response
-	if err := c.tr.Call(ns.owner, &req, &resp); err != nil {
-		return err
+	resp, err := c.call(ns.owner, req)
+	if err != nil {
+		return d, false, err
 	}
-	if req.Kind == ReqReplay {
+	if req.Kind == ReqTick && resp.Err != "" {
+		// Refused: the owner restarted and applied nothing.
+		if h.restarted(resp.Incarnation) {
+			c.rejoinWorker(h)
+		}
+		if ns.owner != h.id || ns.applied == c.journal.Pushed(node) {
+			return d, false, nil // the rejoin rebuilt or moved the node
+		}
+		return c.sync(node, ns, false, nil)
+	}
+	d, served = resp.Decision, req.Kind == ReqTick
+	if rebuild || len(evs) != 1 {
 		c.replayedNodes++
 		c.replayedEvents += len(evs)
 	}
@@ -304,10 +400,23 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool) error {
 		ns.lost = c.journal.Trimmed(node)
 	}
 	ns.applied = c.journal.Pushed(node)
-	if h := c.workers[ns.owner]; h.restarted(resp.Incarnation) {
+	if h.restarted(resp.Incarnation) {
 		c.rejoinWorker(h)
 	}
-	return nil
+	return d, served, nil
+}
+
+// call sends req to worker w through the coordinator's one reused
+// Request/Response pair. The response stays valid until the next call:
+// copy out what is needed before anything that may call again. Caller
+// holds c.mu.
+//
+//uerl:hotpath
+func (c *Coordinator) call(w int, req Request) (*Response, error) {
+	c.req = req
+	c.resp = Response{}
+	err := c.tr.Call(w, &c.req, &c.resp)
+	return &c.resp, err
 }
 
 // rehome moves node to owner (-1 orphans it) and rebuilds it there from
@@ -319,7 +428,7 @@ func (c *Coordinator) rehome(node int, ns *nodeState, owner int) bool {
 	if owner < 0 {
 		return false
 	}
-	if err := c.sync(node, ns, true); err != nil {
+	if _, _, err := c.sync(node, ns, true, nil); err != nil {
 		c.noteFailure(c.workers[owner])
 		return false
 	}
@@ -389,7 +498,7 @@ func (c *Coordinator) rejoinWorker(h *workerHealth) {
 		if old >= 0 && old != h.id && c.workers[old].state != WorkerDown {
 			// Best-effort: drop the node's stale state on the previous
 			// owner so its footprint reflects only nodes it serves.
-			_ = c.tr.Call(old, &Request{Kind: ReqForget, Node: node}, &Response{})
+			_, _ = c.call(old, Request{Kind: ReqForget, Node: node})
 		}
 	}
 }
@@ -401,13 +510,10 @@ func (c *Coordinator) restage(h *workerHealth) {
 	if !h.modelStale || c.committedBytes == nil {
 		return
 	}
-	var resp Response
-	req := &Request{Kind: ReqStage, Artifact: c.committedBytes}
-	if err := c.tr.Call(h.id, req, &resp); err != nil || resp.Err != "" {
+	if resp, err := c.call(h.id, Request{Kind: ReqStage, Artifact: c.committedBytes}); err != nil || resp.Err != "" {
 		return
 	}
-	commit := &Request{Kind: ReqCommit, Version: c.committed.Version()}
-	if err := c.tr.Call(h.id, commit, &resp); err != nil || resp.Err != "" {
+	if resp, err := c.call(h.id, Request{Kind: ReqCommit, Version: c.committed.Version()}); err != nil || resp.Err != "" {
 		return
 	}
 	h.modelStale = false
@@ -421,7 +527,7 @@ func (c *Coordinator) reconcileWorker(id int) {
 		if ns.owner != id || ns.applied == c.journal.Pushed(node) {
 			continue
 		}
-		if err := c.sync(node, ns, false); err != nil {
+		if _, _, err := c.sync(node, ns, false, nil); err != nil {
 			c.noteFailure(c.workers[id])
 			return
 		}
@@ -439,8 +545,7 @@ func (c *Coordinator) maintain(force bool) {
 		if !force && (h.state == WorkerLive || c.clock.Before(h.nextRetry)) {
 			continue
 		}
-		var resp Response
-		err := c.tr.Call(h.id, &Request{Kind: ReqPing}, &resp)
+		resp, err := c.call(h.id, Request{Kind: ReqPing})
 		switch {
 		case err != nil:
 			c.noteFailure(h)
@@ -464,7 +569,7 @@ func (c *Coordinator) Reconcile() {
 	c.maintain(true)
 	for _, node := range c.journal.Nodes() {
 		if ns := c.nodes[node]; ns.applied != c.journal.Pushed(node) {
-			c.deliver(node, ns)
+			c.deliver(node, ns, nil)
 		}
 	}
 }
@@ -512,6 +617,11 @@ func (c *Coordinator) degraded(node int, at time.Time, cost float64, reason stri
 func (c *Coordinator) Recommend(node int, at time.Time, potentialCostNodeHours float64) uerl.Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.recommend(node, at, potentialCostNodeHours)
+}
+
+// recommend is Recommend's body. Caller holds c.mu.
+func (c *Coordinator) recommend(node int, at time.Time, potentialCostNodeHours float64) uerl.Decision {
 	owner := -1
 	if ns, ok := c.nodes[node]; ok {
 		owner = ns.owner
@@ -524,9 +634,8 @@ func (c *Coordinator) Recommend(node int, at time.Time, potentialCostNodeHours f
 	if c.workers[owner].state == WorkerDown {
 		return c.degraded(node, at, potentialCostNodeHours, DegradeOwnerDown)
 	}
-	var resp Response
-	req := &Request{Kind: ReqRecommend, Node: node, At: at, Cost: potentialCostNodeHours}
-	if err := c.tr.Call(owner, req, &resp); err != nil {
+	resp, err := c.call(owner, Request{Kind: ReqRecommend, Node: node, At: at, Cost: potentialCostNodeHours})
+	if err != nil {
 		return c.degraded(node, at, potentialCostNodeHours, DegradeUnreachable)
 	}
 	d := resp.Decision
@@ -549,9 +658,8 @@ func (c *Coordinator) Features(node int, at time.Time, potentialCostNodeHours fl
 	if owner < 0 || c.workers[owner].state == WorkerDown {
 		return [uerl.FeatureDim]float64{}, false
 	}
-	var resp Response
-	req := &Request{Kind: ReqFeatures, Node: node, At: at, Cost: potentialCostNodeHours}
-	if err := c.tr.Call(owner, req, &resp); err != nil {
+	resp, err := c.call(owner, Request{Kind: ReqFeatures, Node: node, At: at, Cost: potentialCostNodeHours})
+	if err != nil {
 		return [uerl.FeatureDim]float64{}, false
 	}
 	return resp.Features, true
@@ -588,8 +696,7 @@ func (c *Coordinator) DeployPolicy(p uerl.Policy) (uerl.Policy, error) {
 		if h.state == WorkerDown {
 			continue
 		}
-		var resp Response
-		err := c.tr.Call(h.id, &Request{Kind: ReqStage, Artifact: artifact}, &resp)
+		resp, err := c.call(h.id, Request{Kind: ReqStage, Artifact: artifact})
 		if err != nil {
 			c.noteFailure(h)
 			continue
@@ -604,7 +711,7 @@ func (c *Coordinator) DeployPolicy(p uerl.Policy) (uerl.Policy, error) {
 	quorum := len(reachable)/2 + 1
 	if len(reachable) == 0 || len(staged) < quorum {
 		for _, id := range staged {
-			_ = c.tr.Call(id, &Request{Kind: ReqAbort}, &Response{})
+			_, _ = c.call(id, Request{Kind: ReqAbort})
 		}
 		return c.committed, fmt.Errorf("fleet: deploy of %s rejected by quorum (%d/%d staged, need %d): %s",
 			p.Version(), len(staged), len(reachable), quorum, firstOr(rejections, "no reachable workers"))
@@ -616,8 +723,7 @@ func (c *Coordinator) DeployPolicy(p uerl.Policy) (uerl.Policy, error) {
 		h.modelStale = true
 	}
 	for _, id := range staged {
-		var resp Response
-		err := c.tr.Call(id, &Request{Kind: ReqCommit, Version: p.Version()}, &resp)
+		resp, err := c.call(id, Request{Kind: ReqCommit, Version: p.Version()})
 		if err != nil {
 			c.noteFailure(c.workers[id])
 			continue
@@ -641,16 +747,21 @@ func firstOr(list []string, fallback string) string {
 // (no worker acted) and are not charged; unreachable owners drop the
 // charge — the budget ledger tracks what workers actually enforced.
 func (c *Coordinator) ObserveDecision(d uerl.Decision) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.observeDecision(d)
+}
+
+// observeDecision is ObserveDecision's body. Caller holds c.mu.
+func (c *Coordinator) observeDecision(d uerl.Decision) {
 	if d.Degraded {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ns, ok := c.nodes[d.Node]
 	if !ok || ns.owner < 0 || c.workers[ns.owner].state == WorkerDown {
 		return
 	}
-	_ = c.tr.Call(ns.owner, &Request{Kind: ReqObserveDecision, Decision: d}, &Response{})
+	_, _ = c.call(ns.owner, Request{Kind: ReqObserveDecision, Decision: d})
 }
 
 // ObserveUE routes a realized UE outcome to the owner's guard.
@@ -661,8 +772,7 @@ func (c *Coordinator) ObserveUE(node int, at time.Time, realizedCostNodeHours fl
 	if !ok || ns.owner < 0 || c.workers[ns.owner].state == WorkerDown {
 		return
 	}
-	req := &Request{Kind: ReqObserveUE, Node: node, At: at, Cost: realizedCostNodeHours}
-	_ = c.tr.Call(ns.owner, req, &Response{})
+	_, _ = c.call(ns.owner, Request{Kind: ReqObserveUE, Node: node, At: at, Cost: realizedCostNodeHours})
 }
 
 // WorkerHealth is one worker's health and serving state in Stats.
@@ -736,8 +846,7 @@ func (c *Coordinator) Stats() Stats {
 			ModelStale: h.modelStale, OwnedNodes: owned[h.id],
 		}
 		if h.state != WorkerDown {
-			var resp Response
-			if err := c.tr.Call(h.id, &Request{Kind: ReqStats}, &resp); err == nil {
+			if resp, err := c.call(h.id, Request{Kind: ReqStats}); err == nil {
 				ws := resp.Stats
 				wh.Stats = &ws
 			}

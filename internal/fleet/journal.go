@@ -95,25 +95,27 @@ func (j *EventJournal) Trimmed(node int) uint64 {
 	return 0
 }
 
-// ReplayFrom returns node's retained events with sequence numbers >= seq
-// in order, and whether the window still covers that range (ok=false
-// means events in [seq, oldest-retained) were trimmed, so a catch-up
-// from seq is impossible and the caller must do a full rebuild from
-// ReplayFrom(node, Trimmed(node)) instead).
-func (j *EventJournal) ReplayFrom(node int, seq uint64) ([]uerl.Event, bool) {
+// AppendFrom appends node's retained events with sequence numbers >= seq
+// to dst in order, and reports whether the window still covers that
+// range (ok=false means events in [seq, oldest-retained) were trimmed,
+// so a catch-up from seq is impossible and the caller must do a full
+// rebuild from AppendFrom(dst, node, Trimmed(node)) instead). A dst with
+// the journal's capacity never grows.
+//
+//uerl:hotpath
+func (j *EventJournal) AppendFrom(dst []uerl.Event, node int, seq uint64) ([]uerl.Event, bool) {
 	r, ok := j.nodes[node]
 	if !ok {
-		return nil, seq == 0
+		return dst, seq == 0
 	}
 	oldest := r.Dropped()
 	if seq < oldest {
-		return nil, false
+		return dst, false
 	}
-	out := make([]uerl.Event, 0, r.Len()-int(seq-oldest))
 	for i := int(seq - oldest); i < r.Len(); i++ {
-		out = append(out, r.At(i))
+		dst = append(dst, r.At(i)) //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
 	}
-	return out, true
+	return dst, true
 }
 
 // Nodes returns the journaled node ids in ascending order — the

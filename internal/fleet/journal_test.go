@@ -57,21 +57,25 @@ func TestJournalReplayFromAndTrim(t *testing.T) {
 		t.Fatalf("Trimmed = %d, want 2", got)
 	}
 	// Catch-up from seq 3 is still covered (oldest retained is seq 2).
-	evs, ok := j.ReplayFrom(9, 3)
+	evs, ok := j.AppendFrom(nil, 9, 3)
 	if !ok || len(evs) != 3 || evs[0].Count != 4 {
-		t.Fatalf("ReplayFrom(3) = %d events ok=%v first count=%d, want 3 true 4", len(evs), ok, evs[0].Count)
+		t.Fatalf("AppendFrom(3) = %d events ok=%v first count=%d, want 3 true 4", len(evs), ok, evs[0].Count)
 	}
 	// Catch-up from seq 1 fell off the window.
-	if _, ok := j.ReplayFrom(9, 1); ok {
-		t.Fatal("ReplayFrom(1) claimed coverage past the trimmed range")
+	if _, ok := j.AppendFrom(nil, 9, 1); ok {
+		t.Fatal("AppendFrom(1) claimed coverage past the trimmed range")
 	}
 	// The full retained window starts at the trimmed count.
-	w, ok := j.ReplayFrom(9, j.Trimmed(9))
+	w, ok := j.AppendFrom(nil, 9, j.Trimmed(9))
 	if !ok || len(w) != 4 || w[0].Count != 3 || w[3].Count != 6 {
 		t.Fatalf("window = %d events ok=%v, want 4 [3..6] true", len(w), ok)
 	}
+	// The suffix lands after whatever dst already holds.
+	if out, ok := j.AppendFrom(w[:1], 9, 5); !ok || len(out) != 2 || out[0].Count != 3 || out[1].Count != 6 {
+		t.Fatalf("AppendFrom(prefix, 5) = %v ok=%v, want [3 6] true", out, ok)
+	}
 	// Unknown nodes: empty window, catch-up from zero trivially covered.
-	if w, ok := j.ReplayFrom(404, j.Trimmed(404)); !ok || len(w) != 0 {
+	if w, ok := j.AppendFrom(nil, 404, j.Trimmed(404)); !ok || len(w) != 0 {
 		t.Fatalf("window(unknown) = %v ok=%v, want empty true", w, ok)
 	}
 }

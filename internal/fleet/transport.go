@@ -47,6 +47,17 @@ const (
 	// ReqObserveUE feeds a realized UE (Request.Node, Request.At,
 	// realized cost Request.Cost) to the worker's guard.
 	ReqObserveUE
+	// ReqTick is one fused decision tick: the worker applies
+	// Request.Events (the node's unapplied journal suffix, oldest first,
+	// extending its existing state), answers a mitigation query for
+	// Request.Node at Request.At with potential cost Request.Cost in
+	// Response.Decision, and feeds that decision to its guard. It is
+	// ReqReplay (or ReqObserve), ReqRecommend and ReqObserveDecision in
+	// one round trip. Request.Incarnation is the incarnation the
+	// coordinator last saw the worker answer from; a worker that has
+	// since restarted applies nothing and refuses the tick in
+	// Response.Err, because the suffix extends state it no longer has.
+	ReqTick
 )
 
 // Request is one coordinator→worker message. Exactly the fields the Kind
@@ -62,6 +73,8 @@ type Request struct {
 	Artifact []byte
 	Version  string
 	Forget   bool
+	// Incarnation is the worker incarnation a ReqTick expects.
+	Incarnation uint64
 }
 
 // Response is the worker's answer. Err carries application-level
@@ -81,11 +94,12 @@ type Response struct {
 
 // Transport delivers requests to workers. Call is synchronous: it returns
 // after the worker processed the request (resp filled in), or with an
-// error when the worker cannot be reached. Implementations must be safe
-// for concurrent use and must fail fast — a dead or hung worker surfaces
-// as an immediate error, never an indefinite block, so the coordinator's
-// graceful-degradation contract (Recommend never blocks) holds end to
-// end.
+// error when the worker cannot be reached. Neither req nor resp may be
+// touched after Call returns: the coordinator reuses one pair for every
+// call. Implementations must be safe for concurrent use and must fail
+// fast — a dead or hung worker surfaces as an immediate error, never an
+// indefinite block, so the coordinator's graceful-degradation contract
+// (Recommend never blocks) holds end to end.
 //
 // Determinism contract: given the same sequence of calls and the same
 // fault schedule, Call must return the same results and errors — the
@@ -101,7 +115,11 @@ type Response struct {
 // process start counter or boot nonce. The coordinator compares it on
 // the ingestion path and rebuilds a restarted worker's nodes from the
 // journal; a transport that cannot tell restarts apart leaves it 0, and
-// then a restart the coordinator never saw fail goes undetected.
+// then a restart the coordinator never saw fail goes undetected. The
+// transport also tells each worker its own incarnation when it starts
+// it, so a ReqTick carrying a stale incarnation is refused, not applied:
+// the coordinator then rejoins the worker, rebuilding its nodes, instead
+// of serving a decision from the restarted worker's empty state.
 type Transport interface {
 	Call(worker int, req *Request, resp *Response) error
 }

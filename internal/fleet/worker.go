@@ -55,11 +55,14 @@ func WithStageGate(gate func(version string) error) WorkerOption {
 // failover, and staged model swaps. All methods are invoked by the
 // transport's serving goroutine, one request at a time.
 type Worker struct {
-	id        int
-	ctl       *uerl.Controller
-	guard     *uerl.Guard
-	staged    uerl.Policy
-	stageGate func(version string) error
+	id int
+	// incarnation is the worker process's identity, set by the
+	// transport that starts it (see Transport's restart contract).
+	incarnation uint64
+	ctl         *uerl.Controller
+	guard       *uerl.Guard
+	staged      uerl.Policy
+	stageGate   func(version string) error
 }
 
 // NewWorker builds a worker serving initial.
@@ -91,8 +94,16 @@ func (w *Worker) handle(req *Request, resp *Response) {
 		if req.Forget {
 			w.ctl.Forget(req.Node)
 		}
-		for _, e := range req.Events {
-			w.ctl.ObserveEvent(e)
+		w.apply(req.Events)
+	case ReqTick:
+		if req.Incarnation != w.incarnation {
+			resp.Err = errStaleTick
+			return
+		}
+		w.apply(req.Events)
+		resp.Decision = w.ctl.Recommend(req.Node, req.At, req.Cost)
+		if w.guard != nil {
+			w.guard.ObserveDecision(resp.Decision)
 		}
 	case ReqForget:
 		w.ctl.Forget(req.Node)
@@ -145,5 +156,15 @@ func (w *Worker) handle(req *Request, resp *Response) {
 		}
 	default:
 		resp.Err = "unknown request kind"
+	}
+}
+
+// errStaleTick refuses a ReqTick addressed to an earlier incarnation.
+const errStaleTick = "tick: worker restarted since the coordinator last saw it"
+
+// apply ingests events into the worker's controller, oldest first.
+func (w *Worker) apply(events []uerl.Event) {
+	for _, e := range events {
+		w.ctl.ObserveEvent(e)
 	}
 }

@@ -192,6 +192,9 @@ type OnlineLearner struct {
 	// serving layer itself when it does its own routing (the fleet
 	// Coordinator forwards to per-worker guards), nil otherwise.
 	acct decisionAccountant
+	// tick serves one decision tick: the serving layer's fused Tick when
+	// it has one, else threeCallTick.
+	tick func(e Event, potentialCostNodeHours float64) Decision
 	cfg  learnerConfig
 
 	trainer *lifecycle.OnlineTrainer
@@ -284,7 +287,25 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 	} else if acc, ok := s.(decisionAccountant); ok {
 		l.acct = acc
 	}
+	l.tick = l.threeCallTick
+	if t, ok := s.(Ticker); ok {
+		// The fused step accounts the decision itself.
+		l.tick = t.Tick
+	}
 	return l
+}
+
+// threeCallTick serves a decision tick on a layer without a fused step:
+// ingest, decide, then account the served decision. Caller holds l.mu.
+func (l *OnlineLearner) threeCallTick(e Event, potentialCostNodeHours float64) Decision {
+	l.serving.ObserveEvent(e)
+	d := l.serving.Recommend(e.Node, e.Time, potentialCostNodeHours)
+	if l.acct != nil {
+		// Budget accounting and probation scoring run off the served
+		// decision stream — the same decision the fleet just acted on.
+		l.acct.ObserveDecision(d)
+	}
+	return d
 }
 
 // Controller returns the served controller when the serving layer is a
@@ -347,15 +368,8 @@ func (l *OnlineLearner) processUE(e Event) {
 // processDecision handles a non-UE event: a decision tick. Caller holds
 // l.mu.
 func (l *OnlineLearner) processDecision(e Event) {
-	l.serving.ObserveEvent(e)
-	cost := l.cfg.cost(e.Node, e.Time)
-	d := l.serving.Recommend(e.Node, e.Time, cost)
+	d := l.tick(e, l.cfg.cost(e.Node, e.Time))
 	l.decisions++
-	if l.acct != nil {
-		// Budget accounting and probation scoring run off the served
-		// decision stream — the same decision the fleet just acted on.
-		l.acct.ObserveDecision(d)
-	}
 	if l.cfg.decisionObserver != nil {
 		l.cfg.decisionObserver(d)
 	}

@@ -186,3 +186,51 @@ func TestLifecycleQuietStreamNoChurn(t *testing.T) {
 		t.Fatalf("stationary stream left lifecycle state: %+v", st)
 	}
 }
+
+// countingServing is a Controller-backed serving layer and decision
+// accountant that counts the calls the learner makes into it.
+type countingServing struct {
+	*Controller
+	observe, recommend, accounted, ticks int
+}
+
+func (s *countingServing) ObserveEvent(e Event) { s.observe++; s.Controller.ObserveEvent(e) }
+
+func (s *countingServing) Recommend(node int, at time.Time, cost float64) Decision {
+	s.recommend++
+	return s.Controller.Recommend(node, at, cost)
+}
+
+func (s *countingServing) ObserveDecision(Decision)                    { s.accounted++ }
+func (s *countingServing) ObserveUE(node int, at time.Time, _ float64) {}
+
+// tickingServing adds the fused Ticker step.
+type tickingServing struct{ countingServing }
+
+func (s *tickingServing) Tick(e Event, cost float64) Decision {
+	s.ticks++
+	s.Controller.ObserveEvent(e)
+	return s.Controller.Recommend(e.Node, e.Time, cost)
+}
+
+// TestLearnerResolvesFusedTick checks the learner serves a decision tick
+// through a layer's fused Tick alone — no separate ingest, query or
+// accounting call, so the guard is charged once — and through the three
+// calls on a layer without one.
+func TestLearnerResolvesFusedTick(t *testing.T) {
+	evs := driftingTelemetry(4, 20, 0)
+	split := &countingServing{Controller: NewController(AlwaysPolicy())}
+	fused := &tickingServing{countingServing{Controller: NewController(AlwaysPolicy())}}
+	for _, s := range []Serving{split, fused} {
+		NewServingLearner(s, WithLearnerSeed(1)).ProcessBatch(evs)
+	}
+	n := len(evs)
+	if split.observe != n || split.recommend != n || split.accounted != n || split.ticks != 0 {
+		t.Fatalf("three-call layer saw observe=%d recommend=%d account=%d ticks=%d, want %d %d %d 0",
+			split.observe, split.recommend, split.accounted, split.ticks, n, n, n)
+	}
+	if fused.ticks != n || fused.observe != 0 || fused.recommend != 0 || fused.accounted != 0 {
+		t.Fatalf("fused layer saw ticks=%d observe=%d recommend=%d account=%d, want %d 0 0 0",
+			fused.ticks, fused.observe, fused.recommend, fused.accounted, n)
+	}
+}

@@ -5,13 +5,15 @@
 # Emits standard `go test -bench` output (benchstat-compatible: pipe two
 # runs' saved outputs into `benchstat old.txt new.txt`) and writes a
 # BENCH_<n>.json summary next to the repo root so successive PRs can
-# track ns/op and allocs/op over time.
+# track ns/op and allocs/op over time. The summary's "host" entry names
+# the machine the numbers came from (nproc, Go version, CPU model).
 #
 # Usage:
 #   scripts/bench.sh                       # default: 1s benchtime, 1 count
-#   scripts/bench.sh -cpuprofile out.prof  # also record a CPU profile
+#   PKGS=. scripts/bench.sh -cpuprofile out.prof  # also record a CPU profile
 #   BENCHTIME=3s COUNT=5 scripts/bench.sh
 #   BENCH_OUT=BENCH_3.json scripts/bench.sh
+#   PKGS=./internal/fleet FILTER='BenchmarkCoordinatorTick$' scripts/bench.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,20 +48,28 @@ if [ -z "${BENCH_OUT:-}" ]; then
   done
   BENCH_OUT="BENCH_$((max + 1)).json"
 fi
-FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpochParallel$|BenchmarkFig3CostBenefit$}"
+FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpochParallel$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$}"
+# The packages holding the benchmarks: the root module's serving and
+# research benches, and the fleet's coordinator bench.
+PKGS="${PKGS:-. ./internal/fleet}"
+case "$PKGS" in
+  *" "*) [ -z "$CPUPROFILE" ] || { echo "bench.sh: -cpuprofile profiles one package; set PKGS to it" >&2; exit 2; } ;;
+esac
 
 txt="$(mktemp)"
 trap 'rm -f "$txt"' EXIT
 
 go test -run '^$' -bench "$FILTER" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
-  ${CPUPROFILE:+-cpuprofile "$CPUPROFILE"} . | tee "$txt"
+  ${CPUPROFILE:+-cpuprofile "$CPUPROFILE"} $PKGS | tee "$txt"
 
 # Convert "BenchmarkX-8  N  T ns/op  B B/op  A allocs/op [extra metrics]"
 # lines into a JSON summary. With COUNT>1 the fastest run of each
 # benchmark wins: the snapshot records the code's speed, not whichever
 # host-contention phase a single run happened to land in (allocs and
 # B/op ride along from the winning run — they barely vary).
-awk -v out="$BENCH_OUT" '
+host="nproc=$(nproc 2>/dev/null || echo ?) $(go env GOVERSION)"
+awk -v out="$BENCH_OUT" -v host="$host" '
+/^cpu: / && cpu == "" { cpu = substr($0, 6) }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -78,6 +88,8 @@ awk -v out="$BENCH_OUT" '
 }
 END {
     printf "{\n" > out
+    gsub(/"/, "", cpu)
+    printf "  \"host\": \"%s cpu=%s\"%s\n", host, cpu, (n > 0 ? "," : "") >> out
     for (i = 1; i <= n; i++) {
         name = names[i]
         printf "  \"%s\": {\"ns_per_op\": %s", name, ns[name] >> out

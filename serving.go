@@ -15,6 +15,9 @@ import "time"
 // errors (distributed implementations degrade to a conservative
 // ActionNone Decision flagged Degraded instead — see Decision.Degraded),
 // and DeployPolicy never disturbs concurrent Recommend traffic.
+//
+// A layer may also implement Ticker, the optional fused decision step;
+// the learner then serves each decision tick through it in one call.
 type Serving interface {
 	// ObserveEvent ingests one telemetry event. Events must arrive in
 	// non-decreasing time order per node.
@@ -29,6 +32,19 @@ type Serving interface {
 	// a worker quorum refused the artifact) and the previous policy is
 	// still serving.
 	DeployPolicy(p Policy) (Policy, error)
+}
+
+// A Ticker is a Serving layer with a fused decision step. Tick ingests e,
+// answers a mitigation query for e.Node at e.Time, and accounts the
+// served decision with the guard that enforced it — ObserveEvent,
+// Recommend and the decision accountant's ObserveDecision in one call,
+// with the same results. The OnlineLearner resolves it once, when it is
+// built: a layer that implements it (the fleet Coordinator, which then
+// needs one transport round trip per tick) has each decision tick served
+// through Tick, any other layer through the three calls. Recommend stays
+// the separate, side-effect-free read for pollers.
+type Ticker interface {
+	Tick(e Event, potentialCostNodeHours float64) Decision
 }
 
 // decisionAccountant is the served-decision accounting surface: budget
