@@ -38,30 +38,55 @@ import (
 // wins with an identical value). A nil *Cache is valid and disables
 // memoization, so all entry points take an optional cache.
 //
-// Wallclock training costs are part of the §4.3 accounting: each forest
-// and threshold artifact records the cost measured when it was first
-// computed, and cache hits charge that recorded cost, keeping rendered
-// figures consistent between cold and warm runs.
+// Wallclock training costs are part of the §4.3 accounting: each forest,
+// threshold and RL artifact records the cost measured when it was first
+// computed (see timed), and cache hits charge that recorded cost, keeping
+// rendered figures consistent between cold and warm runs.
 type Cache struct {
-	mu         sync.Mutex
-	ticks      map[*errlog.Log]*TickArtifacts
-	samplers   map[*jobs.Job]*jobs.Sampler
-	datasets   map[datasetKey]RFDataset
-	forests    map[forestKey]*forestArtifact
-	thresholds map[thresholdKey]*thresholdArtifact
-	rls        map[rlKey]*rlArtifact
+	ticks      memoMap[*errlog.Log, *TickArtifacts]
+	samplers   memoMap[*jobs.Job, *jobs.Sampler]
+	datasets   memoMap[datasetKey, RFDataset]
+	forests    memoMap[forestKey, forestArtifact]
+	thresholds memoMap[thresholdKey, thresholdArtifact]
+	rls        memoMap[rlKey, rlArtifact]
 }
 
 // NewCache returns an empty artifact cache.
-func NewCache() *Cache {
-	return &Cache{
-		ticks:      map[*errlog.Log]*TickArtifacts{},
-		samplers:   map[*jobs.Job]*jobs.Sampler{},
-		datasets:   map[datasetKey]RFDataset{},
-		forests:    map[forestKey]*forestArtifact{},
-		thresholds: map[thresholdKey]*thresholdArtifact{},
-		rls:        map[rlKey]*rlArtifact{},
+func NewCache() *Cache { return &Cache{} }
+
+// memoMap is one of the Cache's memo tables. Its zero value is empty and
+// ready to use.
+type memoMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// get returns key's value, running compute on first use. compute runs
+// outside the lock, so a slow artifact never blocks other keys.
+func (t *memoMap[K, V]) get(key K, compute func() V) V {
+	t.mu.Lock()
+	v, ok := t.m[key]
+	t.mu.Unlock()
+	if ok {
+		return v
 	}
+	v = compute()
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = map[K]V{}
+	}
+	t.m[key] = v
+	t.mu.Unlock()
+	return v
+}
+
+// timed runs f and returns its wallclock in hours: the §4.3 training cost
+// charged for an artifact. Memoized artifacts record it on the miss and
+// hits replay that recording, so cached and cold runs render identically.
+func timed(f func()) float64 {
+	start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; it annotates results and never feeds replay decisions
+	f()
+	return time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
 }
 
 // TickArtifacts is the memoized tick pipeline of one log.
@@ -106,6 +131,13 @@ func (a *TickArtifacts) OraclePoints(from, to time.Time) map[policies.OracleKey]
 		points[p.key] = true
 	}
 	return points
+}
+
+// Boundary returns the instant frac of the way through the preprocessed
+// log's span: the single-split train/test boundary (§4.1).
+func (a *TickArtifacts) Boundary(frac float64) time.Time {
+	first, last := a.Pre.Span()
+	return first.Add(time.Duration(float64(last.Sub(first)) * frac))
 }
 
 // oracleIndex precomputes the window-independent part of OraclePoints: the
@@ -198,29 +230,17 @@ type rlArtifact struct {
 }
 
 // rlPolicy returns the memoized trained policy for key, training via train
-// on first use. The returned network is the winning candidate's online net
-// (callers clone before mutating; the warm-start path only clones). Hits
-// replay the §4.3 wallclock recorded on the miss, so cold and warm runs
-// render identical training-cost rows.
-func (c *Cache) rlPolicy(key rlKey, train func() (rl.Policy, *nn.Network)) (rl.Policy, *nn.Network, float64) {
+// on first use. The artifact's network is the winning candidate's online
+// net (callers clone before mutating; the warm-start path only clones).
+func (c *Cache) rlPolicy(key rlKey, train func() (rl.Policy, *nn.Network)) rlArtifact {
+	fit := func() (art rlArtifact) {
+		art.costHours = timed(func() { art.policy, art.net = train() })
+		return art
+	}
 	if c == nil {
-		start := time.Now() //uerl:nondet-ok §4.3 RL training cost is charged as measured wallclock; trained weights stay seed-deterministic
-		pol, net := train()
-		return pol, net, time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
+		return fit()
 	}
-	c.mu.Lock()
-	art := c.rls[key]
-	c.mu.Unlock()
-	if art != nil {
-		return art.policy, art.net, art.costHours
-	}
-	start := time.Now() //uerl:nondet-ok §4.3 RL training cost is charged as measured wallclock; cached artifacts replay the first measurement so cached and cold runs render identically
-	pol, net := train()
-	cost := time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
-	c.mu.Lock()
-	c.rls[key] = &rlArtifact{net: net, policy: pol, costHours: cost}
-	c.mu.Unlock()
-	return pol, net, cost
+	return c.rls.get(key, fit)
 }
 
 // buildTickArtifacts runs the uncached pipeline.
@@ -237,41 +257,22 @@ func buildTickArtifacts(log *errlog.Log) *TickArtifacts {
 // Ticks returns the memoized tick pipeline for log, computing it on first
 // use. A nil cache computes it fresh.
 func (c *Cache) Ticks(log *errlog.Log) *TickArtifacts {
+	build := func() *TickArtifacts { return buildTickArtifacts(log) }
 	if c == nil {
-		return buildTickArtifacts(log)
+		return build()
 	}
-	c.mu.Lock()
-	art := c.ticks[log]
-	c.mu.Unlock()
-	if art != nil {
-		return art
-	}
-	art = buildTickArtifacts(log)
-	c.mu.Lock()
-	c.ticks[log] = art
-	c.mu.Unlock()
-	return art
+	return c.ticks.get(log, build)
 }
 
 // Sampler returns the memoized node-weighted sampler for trace. Keying by
 // the trace's backing array identity keeps one sampler per generated
 // trace, which in turn lets threshold artifacts key on sampler identity.
 func (c *Cache) Sampler(trace []jobs.Job) *jobs.Sampler {
+	build := func() *jobs.Sampler { return jobs.NewSampler(trace) }
 	if c == nil || len(trace) == 0 {
-		return jobs.NewSampler(trace)
+		return build()
 	}
-	key := &trace[0]
-	c.mu.Lock()
-	s := c.samplers[key]
-	c.mu.Unlock()
-	if s != nil {
-		return s
-	}
-	s = jobs.NewSampler(trace)
-	c.mu.Lock()
-	c.samplers[key] = s
-	c.mu.Unlock()
-	return s
+	return c.samplers.get(&trace[0], build)
 }
 
 // dataset returns the memoized RF training set for ticks before trainTo.
@@ -282,73 +283,37 @@ func (c *Cache) dataset(log *errlog.Log, byNode [][]errlog.Tick, trainTo time.Ti
 	if c == nil {
 		return build()
 	}
-	key := datasetKey{log: log, trainTo: trainTo.UnixNano()}
-	c.mu.Lock()
-	ds, ok := c.datasets[key]
-	c.mu.Unlock()
-	if ok {
-		return ds
-	}
-	ds = build()
-	c.mu.Lock()
-	c.datasets[key] = ds
-	c.mu.Unlock()
-	return ds
+	return c.datasets.get(datasetKey{log: log, trainTo: trainTo.UnixNano()}, build)
 }
 
-// forest returns the memoized trained forest for (log, trainTo, cfg),
-// whether its training set had positives, and the §4.3 training cost to
-// charge. On first use it builds (or reuses) the dataset and trains via
-// train; the recorded cost is the wallclock of dataset construction plus
-// training, matching what the uncached path used to measure.
-func (c *Cache) forest(log *errlog.Log, byNode [][]errlog.Tick, trainTo time.Time, cfg rf.ForestConfig, train func(RFDataset) (*rf.Forest, bool)) (*rf.Forest, bool, float64) {
+// forest returns the memoized trained forest for (log, trainTo, cfg). On
+// first use it builds (or reuses) the dataset and trains via train; the
+// recorded cost is the wallclock of dataset construction plus training.
+func (c *Cache) forest(log *errlog.Log, byNode [][]errlog.Tick, trainTo time.Time, cfg rf.ForestConfig, train func(RFDataset) (*rf.Forest, bool)) forestArtifact {
+	fit := func() (art forestArtifact) {
+		art.costHours = timed(func() { art.forest, art.trained = train(c.dataset(log, byNode, trainTo)) })
+		return art
+	}
 	if c == nil {
-		start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; it annotates results and never feeds replay decisions
-		f, trained := train(BuildRFDataset(ticksUpTo(byNode, trainTo), time.Time{}, trainTo))
-		return f, trained, time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
+		return fit()
 	}
-	key := forestKey{log: log, trainTo: trainTo.UnixNano(), cfg: cfg}
-	c.mu.Lock()
-	art := c.forests[key]
-	c.mu.Unlock()
-	if art != nil {
-		return art.forest, art.trained, art.costHours
-	}
-	start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; cached artifacts replay the first measurement so cached and cold runs render identically
-	f, trained := train(c.dataset(log, byNode, trainTo))
-	cost := time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
-	c.mu.Lock()
-	c.forests[key] = &forestArtifact{forest: f, trained: trained, costHours: cost}
-	c.mu.Unlock()
-	return f, trained, cost
+	return c.forests.get(forestKey{log: log, trainTo: trainTo.UnixNano(), cfg: cfg}, fit)
 }
 
 // threshold returns the memoized optimal threshold for the forest under
 // the given replay configuration, searching on first use.
-func (c *Cache) threshold(forest *rf.Forest, byNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) (float64, float64) {
-	search := func() (float64, float64) {
-		start := time.Now() //uerl:nondet-ok §4.3 threshold-search cost is charged as measured wallclock; the threshold itself is deterministic
-		thr, _ := OptimalThreshold(forest, nil, byNode, sampler, cfg)
-		return thr, time.Since(start).Hours() //uerl:nondet-ok wallclock search-cost metadata, see above
+func (c *Cache) threshold(forest *rf.Forest, byNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) thresholdArtifact {
+	search := func() (art thresholdArtifact) {
+		art.costHours = timed(func() { art.threshold, _ = OptimalThreshold(forest, nil, byNode, sampler, cfg) })
+		return art
 	}
 	if c == nil {
 		return search()
 	}
-	key := thresholdKey{
+	return c.thresholds.get(thresholdKey{
 		forest: forest, sampler: sampler, env: cfg.Env,
 		jobSeed: cfg.JobSeed, from: cfg.From.UnixNano(), to: cfg.To.UnixNano(),
-	}
-	c.mu.Lock()
-	art := c.thresholds[key]
-	c.mu.Unlock()
-	if art != nil {
-		return art.threshold, art.costHours
-	}
-	thr, cost := search()
-	c.mu.Lock()
-	c.thresholds[key] = &thresholdArtifact{threshold: thr, costHours: cost}
-	c.mu.Unlock()
-	return thr, cost
+	}, search)
 }
 
 // ueTimeIndex collects every UE event time in the per-node sequences into

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestRLArtifactCacheHit asserts the cross-figure RL memoizer's contract:
-// a cache hit returns the very artifact trained on the miss, and a
-// cache-backed run produces weights byte-identical to a cold (nil-cache)
-// run — so figures rendered warm and cold cannot diverge.
+// TestRLArtifactCacheHit asserts the cross-figure memoizer's contract: a
+// cache hit returns the very artifact computed on the miss, with the §4.3
+// cost recorded then, and a cache-backed run produces weights
+// byte-identical to a cold (nil-cache) run — so figures rendered warm and
+// cold cannot diverge.
 func TestRLArtifactCacheHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RL training integration test in short mode")
@@ -77,6 +79,40 @@ func TestRLArtifactCacheHit(t *testing.T) {
 	if s3.Forest != s1.Forest {
 		t.Fatal("forest artifact missed on a kernel-only config change")
 	}
+
+	// Hits replay the recorded artifacts, wallclock training cost
+	// included: a memo that re-timed on a hit would change TrainingCost.
+	cv1 := RunCV(log, trace, warm)
+	cv2 := RunCV(log, trace, warm)
+	if !reflect.DeepEqual(cv1.Totals, cv2.Totals) {
+		t.Fatalf("warm RunCV totals differ between runs:\n%+v\n%+v", cv1.Totals, cv2.Totals)
+	}
+	if warm.Cache.Ticks(log) != warm.Cache.Ticks(log) {
+		t.Fatal("second Ticks call rebuilt the tick pipeline")
+	}
+	if warm.Cache.Sampler(trace) != warm.Cache.Sampler(trace) {
+		t.Fatal("second Sampler call rebuilt the sampler")
+	}
+}
+
+// TestMemoMapConcurrent: goroutines sharing one memo table, on the same
+// and on different keys, each see the key's value (run it under -race).
+func TestMemoMapConcurrent(t *testing.T) {
+	var m memoMap[int, int]
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				k := (g + i) % 4
+				if v := m.get(k, func() int { return 10 * k }); v != 10*k {
+					t.Errorf("get(%d) = %d, want %d", k, v, 10*k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestOraclePointsIndexEquivalence asserts the precomputed oracle index

@@ -271,7 +271,7 @@ func RunCV(log *errlog.Log, trace []jobs.Job, cfg CVConfig) CVResult {
 		}
 
 		split := evaluateSplit(cfg, world, splitSpec{
-			index: k, start: start,
+			index: k, key: k,
 			trainTo: trainTo, valFrom: valFrom,
 			testFrom: testFrom, testTo: testTo,
 		}, &warmStart)
@@ -320,61 +320,32 @@ type SingleSplit struct {
 // TrainSingleSplit trains the RF and RL models on the first trainFrac of
 // the log span and returns the fitted split.
 func TrainSingleSplit(log *errlog.Log, trace []jobs.Job, cfg CVConfig, trainFrac float64) SingleSplit {
-	art := cfg.Cache.Ticks(log)
-	byNode := art.ByNode
-	sampler := cfg.Cache.Sampler(trace)
-	first, last := art.Pre.Span()
-	trainTo := first.Add(time.Duration(float64(last.Sub(first)) * trainFrac))
-
+	world := cvWorld{log: log, art: cfg.Cache.Ticks(log), sampler: cfg.Cache.Sampler(trace)}
+	first, _ := world.art.Pre.Span()
+	trainTo := world.art.Boundary(trainFrac)
+	// Training seeds as split 0, but the RL artifact keys as split -1 so it
+	// never collides with the cross-validation warm-start chain (whose
+	// split-k artifacts assume split k-1's warm input).
 	spec := splitSpec{
-		index: 0, start: first,
+		index: 0, key: -1,
 		trainTo: trainTo,
 		valFrom: first.Add(time.Duration(float64(trainTo.Sub(first)) * 0.75)),
 	}
-
-	out := SingleSplit{ByNode: byNode, Sampler: sampler, TrainTo: trainTo, Env: cfg.Env}
-
-	forest, trained, _ := cfg.Cache.forest(log, byNode, trainTo, cfg.Forest, func(ds RFDataset) (*rf.Forest, bool) {
-		if len(ds.X) > 0 && ds.Positives() > 0 {
-			return rf.TrainForest(ds.X, ds.Y, cfg.Forest), true
-		}
-		return rf.TrainForest([][]float64{make([]float64, features.PredictorDim)}, []bool{false}, cfg.Forest), false
-	})
-	out.Forest = forest
-	if trained {
-		// As in evaluateSplit, the threshold gets the §4.2 "maximum
-		// advantage" treatment: optimal on the held-out window.
-		out.Threshold, _ = cfg.Cache.threshold(out.Forest, byNode, sampler, ReplayConfig{
-			Env: cfg.Env, JobSeed: cfg.Seed, From: trainTo,
-		})
-	} else {
-		out.Threshold = 0.99
+	// As in RunCV, the threshold gets the §4.2 "maximum advantage"
+	// treatment: optimal on the held-out window.
+	fit := fitSplit(cfg, world, spec, cfg.Forest, ReplayConfig{Env: cfg.Env, JobSeed: cfg.Seed, From: trainTo}, nil)
+	return SingleSplit{
+		Net: fit.net, Policy: fit.policy,
+		Forest: fit.forest, Threshold: fit.threshold,
+		ByNode: world.art.ByNode, Sampler: world.sampler,
+		TrainTo: trainTo, Env: cfg.Env,
 	}
-
-	if cfg.IncludeRL {
-		// split = -1 keeps single-split artifacts from colliding with the
-		// cross-validation warm-start chain (whose split-k artifacts assume
-		// split k-1's warm input).
-		key := rlKey{
-			log: log, sampler: sampler, env: cfg.Env,
-			seed: cfg.Seed, preset: cfg.Preset, episodes: cfg.episodeBudget(),
-			parts: cfg.Parts, split: -1,
-			trainTo: spec.trainTo.UnixNano(), valFrom: spec.valFrom.UnixNano(),
-			kernel: cfg.kernel(),
-		}
-		out.Policy, out.Net, _ = cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
-			trainTicks := ticksUpTo(byNode, trainTo)
-			useValidation := hasUEIn(art.UETimes, spec.valFrom, spec.trainTo)
-			return trainRL(cfg, trainTicks, sampler, spec, useValidation, nil)
-		})
-	}
-	return out
 }
 
-// splitSpec carries one split's window boundaries.
+// splitSpec carries one split's window boundaries. index seeds training;
+// key names the split in the RL artifact key.
 type splitSpec struct {
-	index            int
-	start            time.Time
+	index, key       int
 	trainTo, valFrom time.Time
 	testFrom, testTo time.Time
 }
@@ -388,94 +359,102 @@ type cvWorld struct {
 	sampler *jobs.Sampler
 }
 
-// evaluateSplit trains the models for one split and evaluates all policies
-// on its test window.
-func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Network) SplitResult {
-	byNode, sampler := world.art.ByNode, world.sampler
-	jobSeed := cfg.Seed + int64(spec.index)*101
-	replayCfg := ReplayConfig{Env: cfg.Env, JobSeed: jobSeed, From: spec.testFrom, To: spec.testTo}
+// splitFit is one split's trained models and their §4.3 training costs.
+type splitFit struct {
+	forest    *rf.Forest
+	threshold float64
+	policy    rl.Policy   // nil when IncludeRL is false
+	net       *nn.Network // the RL winner's online net
+	rfCost    float64     // forest plus threshold search
+	rlCost    float64
+}
 
-	// --- SC20-RF: train the forest on the training window. The decision
-	// threshold is chosen to minimize total cost on the *test* window:
-	// §4.2 grants SC20-RF "maximum advantage by using the optimal
-	// threshold parameter", and §4.3 excludes the (possibly significant)
-	// cost of determining it. The ±2%/±5% variants model realistic
-	// threshold selection.
-	//
-	// Both artifacts go through the cache: the forest (and its training
-	// set) is invariant across mitigation costs, so Figure 3's three cost
-	// points and the other figures sharing a World train it once; the
-	// optimal threshold additionally depends on the replay environment.
-	// The charged §4.3 cost is the wallclock recorded when the artifact
-	// was computed, so warm runs account the same training cost cold runs
-	// measured.
-	fc := cfg.Forest
-	fc.Seed = cfg.Seed + int64(spec.index)
-	forest, trained, rfCost := cfg.Cache.forest(world.log, byNode, spec.trainTo, fc, func(ds RFDataset) (*rf.Forest, bool) {
+// fitSplit trains one split's models on the training window, each through
+// cfg.Cache:
+//
+//   - the SC20-RF forest under forestCfg. The forest (and its training set)
+//     is invariant across mitigation costs, so Figure 3's three cost points
+//     and the other figures sharing a World train it once;
+//   - its decision threshold, chosen to minimize total cost on
+//     thresholdReplay's window. §4.2 grants SC20-RF "maximum advantage by
+//     using the optimal threshold parameter", and §4.3 excludes the
+//     (possibly significant) cost of determining it;
+//   - the RL agent: candidates train on the training window, warm-started
+//     from warm, and are selected on the validation window (falling back
+//     to the training window when it has no UEs, §4.1).
+//
+// The charged costs are the wallclock recorded when each artifact was
+// computed, so warm runs account the same training cost cold runs measured.
+func fitSplit(cfg CVConfig, world cvWorld, spec splitSpec, forestCfg rf.ForestConfig, thresholdReplay ReplayConfig, warm *nn.Network) splitFit {
+	byNode, sampler := world.art.ByNode, world.sampler
+	forest := cfg.Cache.forest(world.log, byNode, spec.trainTo, forestCfg, func(ds RFDataset) (*rf.Forest, bool) {
 		if len(ds.X) > 0 && ds.Positives() > 0 {
-			return rf.TrainForest(ds.X, ds.Y, fc), true
+			return rf.TrainForest(ds.X, ds.Y, forestCfg), true
 		}
 		// No positives yet (early split): a forest that never fires.
 		return rf.TrainForest([][]float64{make([]float64, features.PredictorDim)}, []bool{false}, cfg.Forest), false
 	})
-	thrOpt := 0.99
-	if trained {
-		var thrCost float64
-		thrOpt, thrCost = cfg.Cache.threshold(forest, byNode, sampler, replayCfg)
-		rfCost += thrCost
+	fit := splitFit{forest: forest.forest, threshold: 0.99, rfCost: forest.costHours}
+	if forest.trained {
+		thr := cfg.Cache.threshold(forest.forest, byNode, sampler, thresholdReplay)
+		fit.threshold = thr.threshold
+		fit.rfCost += thr.costHours
 	}
-
-	// --- RL: train candidates on the training window, select on the
-	// validation window (falling back to the training window when it has
-	// no UEs, §4.1).
-	var rlPolicy rl.Policy
-	rlCost := 0.0
 	if cfg.IncludeRL {
 		key := rlKey{
 			log: world.log, sampler: sampler, env: cfg.Env,
 			seed: cfg.Seed, preset: cfg.Preset, episodes: cfg.episodeBudget(),
-			parts: cfg.Parts, split: spec.index,
+			parts: cfg.Parts, split: spec.key,
 			trainTo: spec.trainTo.UnixNano(), valFrom: spec.valFrom.UnixNano(),
 			kernel: cfg.kernel(),
 		}
-		warmIn := *warm
-		var rlNet *nn.Network
-		rlPolicy, rlNet, rlCost = cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
+		art := cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
 			trainTicks := ticksUpTo(byNode, spec.trainTo)
 			useValidation := hasUEIn(world.art.UETimes, spec.valFrom, spec.trainTo)
-			return trainRL(cfg, trainTicks, sampler, spec, useValidation, warmIn)
+			return trainRL(cfg, trainTicks, sampler, spec, useValidation, warm)
 		})
-		// On hits the warm chain advances to the cached winner, so a later
-		// cold split trains from exactly the net a fully cold run would see.
-		*warm = rlNet
+		fit.policy, fit.net, fit.rlCost = art.policy, art.net, art.costHours
 	}
+	return fit
+}
 
-	// --- Assemble deciders.
-	ds2 := []policies.Decider{
+// evaluateSplit fits the models for one split and evaluates all policies
+// on its test window. The ±2%/±5% SC20-RF variants model realistic
+// threshold selection around the optimal one.
+func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Network) SplitResult {
+	replayCfg := ReplayConfig{Env: cfg.Env, JobSeed: cfg.Seed + int64(spec.index)*101, From: spec.testFrom, To: spec.testTo}
+	fc := cfg.Forest
+	fc.Seed = cfg.Seed + int64(spec.index)
+	fit := fitSplit(cfg, world, spec, fc, replayCfg, *warm)
+	// On hits the warm chain advances to the cached winner, so a later cold
+	// split trains from exactly the net a fully cold run would see.
+	*warm = fit.net
+
+	ds := []policies.Decider{
 		policies.Never{},
 		policies.Always{},
-		&policies.RFThreshold{Forest: forest, Threshold: thrOpt},
+		&policies.RFThreshold{Forest: fit.forest, Threshold: fit.threshold},
 	}
 	for _, off := range cfg.ThresholdOffsets {
-		ds2 = append(ds2, &policies.RFThreshold{
-			Forest:    forest,
-			Threshold: PerturbThreshold(thrOpt, off),
+		ds = append(ds, &policies.RFThreshold{
+			Forest:    fit.forest,
+			Threshold: PerturbThreshold(fit.threshold, off),
 			Label:     fmt.Sprintf("SC20-RF-%g%%", off*100),
 		})
 	}
-	ds2 = append(ds2, &policies.MyopicRF{Forest: forest, MitigationCostNodeHours: cfg.Env.MitigationCostNodeHours()})
-	if rlPolicy != nil {
-		ds2 = append(ds2, &policies.RL{Policy: rlPolicy})
+	ds = append(ds, &policies.MyopicRF{Forest: fit.forest, MitigationCostNodeHours: cfg.Env.MitigationCostNodeHours()})
+	if fit.policy != nil {
+		ds = append(ds, &policies.RL{Policy: fit.policy})
 	}
-	ds2 = append(ds2, policies.NewOracle(world.art.OraclePoints(spec.testFrom, spec.testTo)))
+	ds = append(ds, policies.NewOracle(world.art.OraclePoints(spec.testFrom, spec.testTo)))
 
-	results := ReplayAll(ds2, byNode, sampler, replayCfg)
+	results := ReplayAll(ds, world.art.ByNode, world.sampler, replayCfg)
 	for i := range results {
 		switch {
 		case results[i].Policy == "RL":
-			results[i].TrainingCost = rlCost
+			results[i].TrainingCost = fit.rlCost
 		case results[i].Policy == "SC20-RF" || results[i].Policy == "Myopic-RF":
-			results[i].TrainingCost = rfCost
+			results[i].TrainingCost = fit.rfCost
 		}
 	}
 	return SplitResult{Split: spec.index, From: spec.testFrom, To: spec.testTo, Results: results}

@@ -26,7 +26,7 @@ type AblationResult struct {
 
 // RunAblation trains and evaluates the ablation variants.
 func RunAblation(w *World) AblationResult {
-	cfg := w.cvConfig(2)
+	cfg := w.CVConfig(2)
 	art := w.cache.Ticks(w.Log)
 	byNode := art.ByNode
 	sampler := w.cache.Sampler(w.Trace)

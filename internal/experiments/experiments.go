@@ -53,13 +53,14 @@ func ScaleFor(p evalx.Preset) Scale {
 
 // World is the synthetic input shared by all experiments: the MN3-style
 // error log and the MN4-style job trace, plus the cross-figure artifact
-// cache. Every Run* entry point evaluates through the cache, so the
-// config-invariant artifacts — the preprocessed/merged/grouped tick
+// cache. Every Run* entry point evaluates through the cache (CVConfig), so
+// the config-invariant artifacts — the preprocessed/merged/grouped tick
 // pipeline, per-split RF datasets and trained forests (invariant across
-// mitigation costs), optimal thresholds and manufacturer partitions — are
-// computed once per World and reused by the whole figure suite. Figure
-// output is byte-identical with the cache disabled (see DisableCache and
-// the equivalence test in render_test.go).
+// mitigation costs), optimal thresholds, trained RL agents and
+// manufacturer partitions — are computed once per World and reused by the
+// whole figure suite and by the uerl.System built over it. Figure output
+// is byte-identical with the cache disabled (see DisableCache and the
+// equivalence test in render_test.go).
 type World struct {
 	Scale Scale
 	Log   *errlog.Log
@@ -154,8 +155,10 @@ func (w *World) PartitionCache(m errlog.Manufacturer) *evalx.Cache {
 	return c
 }
 
-// cvConfig builds the evaluation config for this world.
-func (w *World) cvConfig(mitigationNodeMinutes float64) evalx.CVConfig {
+// CVConfig lowers this world and a mitigation cost to the evaluation
+// config every experiment runs under, reading through the world's
+// artifact cache. uerl.System adds its restartability on top.
+func (w *World) CVConfig(mitigationNodeMinutes float64) evalx.CVConfig {
 	cfg := evalx.DefaultCVConfig(w.Scale.Preset)
 	cfg.Parts = w.Scale.Parts
 	cfg.Seed = w.Scale.Seed

@@ -21,7 +21,7 @@ type Fig3Result struct {
 func RunFig3(w *World) Fig3Result {
 	res := Fig3Result{MitigationCosts: []float64{2, 5, 10}}
 	for _, mc := range res.MitigationCosts {
-		cv := evalx.RunCV(w.Log, w.Trace, w.cvConfig(mc))
+		cv := evalx.RunCV(w.Log, w.Trace, w.CVConfig(mc))
 		res.Runs = append(res.Runs, cv)
 	}
 	return res

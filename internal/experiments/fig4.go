@@ -15,7 +15,7 @@ type Fig4Result struct {
 
 // RunFig4 regenerates Figure 4.
 func RunFig4(w *World) Fig4Result {
-	return Fig4Result{CV: evalx.RunCV(w.Log, w.Trace, w.cvConfig(2))}
+	return Fig4Result{CV: evalx.RunCV(w.Log, w.Trace, w.CVConfig(2))}
 }
 
 // Render writes one row per approach with a column per test period.

@@ -24,7 +24,7 @@ type Fig5Result struct {
 // deterministic for any worker count.
 func RunFig5(w *World) Fig5Result {
 	res := Fig5Result{}
-	cfg := w.cvConfig(2)
+	cfg := w.CVConfig(2)
 
 	all := evalx.RunCV(w.Log, w.Trace, cfg)
 	res.Labels = append(res.Labels, "MN/All")

@@ -39,7 +39,7 @@ const (
 // cost levels spanning the full x axis (the paper likewise probes the
 // agent's generalization to costs beyond the training maximum).
 func RunFig6(w *World) Fig6Result {
-	cfg := w.cvConfig(2)
+	cfg := w.CVConfig(2)
 	split := evalx.TrainSingleSplit(w.Log, w.Trace, cfg, 0.75)
 
 	res := Fig6Result{ProbBins: fig6ProbBins}

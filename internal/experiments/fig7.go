@@ -39,7 +39,7 @@ func RunFig7(w *World, factors []float64) Fig7Result {
 	}
 	res.Runs = make([]evalx.CVResult, len(factors))
 	parx.For(len(factors), 0, func(i int) {
-		res.Runs[i] = evalx.RunCV(w.Log, traces[i], w.cvConfig(2))
+		res.Runs[i] = evalx.RunCV(w.Log, traces[i], w.CVConfig(2))
 	})
 	return res
 }

@@ -24,7 +24,7 @@ type Table2Result struct {
 
 // RunTable2 regenerates Table 2.
 func RunTable2(w *World) Table2Result {
-	cfg := w.cvConfig(2)
+	cfg := w.CVConfig(2)
 	res := Table2Result{Base: evalx.RunCV(w.Log, w.Trace, cfg)}
 
 	// The cost-range rows evaluate one trained agent under uniform UE-cost

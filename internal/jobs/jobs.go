@@ -77,8 +77,8 @@ func (c Config) Validate() error {
 	if c.MaxNodes <= 0 {
 		return fmt.Errorf("jobs: MaxNodes must be positive, got %d", c.MaxNodes)
 	}
-	if c.SizeScale <= 0 {
-		return fmt.Errorf("jobs: SizeScale must be positive, got %v", c.SizeScale)
+	if !(c.SizeScale > 0) || math.IsInf(c.SizeScale, 1) {
+		return fmt.Errorf("jobs: SizeScale must be positive and finite, got %v", c.SizeScale)
 	}
 	if c.MaxDurationHours <= 0 {
 		return fmt.Errorf("jobs: MaxDurationHours must be positive, got %v", c.MaxDurationHours)
@@ -212,45 +212,6 @@ func (s *Sampler) MaxNodeHours() float64 { return s.maxJob }
 
 // Jobs exposes the underlying trace.
 func (s *Sampler) Jobs() []Job { return s.jobs }
-
-// YoungDalyInterval returns the near-optimal periodic checkpoint interval
-// for a job with the given mean time between failures and checkpoint
-// write cost, using Young's first-order formula sqrt(2·C·MTBF) with Daly's
-// higher-order correction for large C. It contextualizes the §5.6
-// discussion: periodic checkpointing pays this cost continuously, whereas
-// the paper's agent checkpoints only when failure risk or potential loss
-// is high.
-func YoungDalyInterval(mtbf, checkpointCost time.Duration) time.Duration {
-	if mtbf <= 0 || checkpointCost <= 0 {
-		return 0
-	}
-	c := checkpointCost.Seconds()
-	m := mtbf.Seconds()
-	if c >= 2*m {
-		// Degenerate: checkpointing costs more than the expected loss.
-		return mtbf
-	}
-	// Daly: t = sqrt(2*C*M) * (1 + sqrt(C/(2M))/3 + C/(9*2M)) - C.
-	x := math.Sqrt(2 * c * m)
-	t := x*(1+math.Sqrt(c/(2*m))/3+(c/(18*m))) - c
-	if t <= 0 {
-		t = x
-	}
-	return time.Duration(t * float64(time.Second))
-}
-
-// ExpectedPeriodicOverhead returns the expected fraction of compute lost by
-// periodic checkpointing with interval t under failures with the given
-// MTBF: the checkpoint write overhead plus the expected half-interval of
-// recomputation per failure.
-func ExpectedPeriodicOverhead(t, checkpointCost, mtbf time.Duration) float64 {
-	if t <= 0 || mtbf <= 0 {
-		return 0
-	}
-	writeFrac := checkpointCost.Seconds() / t.Seconds()
-	reworkFrac := (t.Seconds() / 2) / mtbf.Seconds()
-	return writeFrac + reworkFrac
-}
 
 // TraceStats summarizes a trace for calibration and tooling.
 type TraceStats struct {

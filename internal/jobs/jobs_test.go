@@ -120,6 +120,8 @@ func TestConfigValidate(t *testing.T) {
 		{Count: 0, MaxNodes: 10, SizeScale: 1, MaxDurationHours: 1},
 		{Count: 10, MaxNodes: 0, SizeScale: 1, MaxDurationHours: 1},
 		{Count: 10, MaxNodes: 10, SizeScale: 0, MaxDurationHours: 1},
+		{Count: 10, MaxNodes: 10, SizeScale: math.NaN(), MaxDurationHours: 1},
+		{Count: 10, MaxNodes: 10, SizeScale: math.Inf(1), MaxDurationHours: 1},
 		{Count: 10, MaxNodes: 10, SizeScale: 1, MaxDurationHours: 0},
 	}
 	for i, c := range bad {
@@ -129,51 +131,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)
-	}
-}
-
-func TestYoungDalyInterval(t *testing.T) {
-	// 24h MTBF, 2-minute checkpoints: Young's first-order term is
-	// sqrt(2*120*86400) s ~= 1.27 h; Daly's correction keeps it close.
-	got := YoungDalyInterval(24*time.Hour, 2*time.Minute)
-	if got < time.Hour || got > 2*time.Hour {
-		t.Fatalf("interval = %v, want ~1.3h", got)
-	}
-	// Longer MTBF means longer interval.
-	longer := YoungDalyInterval(240*time.Hour, 2*time.Minute)
-	if longer <= got {
-		t.Fatal("interval should grow with MTBF")
-	}
-	// Degenerate inputs.
-	if YoungDalyInterval(0, time.Minute) != 0 {
-		t.Fatal("zero MTBF should return 0")
-	}
-	if YoungDalyInterval(time.Hour, 0) != 0 {
-		t.Fatal("zero cost should return 0")
-	}
-	if YoungDalyInterval(time.Minute, 10*time.Hour) != time.Minute {
-		t.Fatal("absurd checkpoint cost should clamp to MTBF")
-	}
-}
-
-func TestExpectedPeriodicOverhead(t *testing.T) {
-	// 1h interval, 2min writes, 100h MTBF: 2/60 write fraction + 0.5/100.
-	got := ExpectedPeriodicOverhead(time.Hour, 2*time.Minute, 100*time.Hour)
-	want := 2.0/60 + 0.5/100
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("overhead = %v, want %v", got, want)
-	}
-	if ExpectedPeriodicOverhead(0, time.Minute, time.Hour) != 0 {
-		t.Fatal("degenerate interval")
-	}
-	// The Young/Daly interval should have lower overhead than intervals
-	// 4x away in either direction.
-	mtbf, c := 48*time.Hour, 5*time.Minute
-	opt := YoungDalyInterval(mtbf, c)
-	at := func(t0 time.Duration) float64 { return ExpectedPeriodicOverhead(t0, c, mtbf) }
-	if at(opt) > at(opt*4) || at(opt) > at(opt/4) {
-		t.Fatalf("Young/Daly interval not near-optimal: %v@%v vs %v@%v and %v@%v",
-			at(opt), opt, at(opt*4), opt*4, at(opt/4), opt/4)
 	}
 }
 

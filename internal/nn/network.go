@@ -2,11 +2,11 @@
 // Q-learning agent: fully connected layers with ReLU activations, an
 // optional dueling head (Wang et al., ICML 2016), manual backpropagation,
 // Huber and squared losses with per-sample importance weights, and the
-// SGD/RMSProp/Adam optimizers. Everything is float64 and stdlib-only.
+// Adam optimizer. Everything is float64 and stdlib-only.
 //
 // The package is deliberately scoped to what the paper's agent needs
 // (§3.3.2: an MLP with hidden layers 256-256-128-64 feeding a dueling
-// value/advantage head), but the layers and optimizers are generic.
+// value/advantage head), but the layers are generic.
 //
 //uerl:deterministic
 package nn

@@ -2,76 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer applies accumulated gradients to parameters. Implementations
-// keep per-parameter state keyed by position, so an optimizer must always be
-// used with the same parameter list.
-type Optimizer interface {
-	// Step applies one update using the gradients currently accumulated in
-	// params and leaves the gradients untouched (callers ZeroGrad between
-	// batches).
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      [][]float64
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	if o.Momentum == 0 {
-		for _, p := range params {
-			for i := range p.W {
-				p.W[i] -= o.LR * p.G[i]
-			}
-		}
-		return
-	}
-	if o.vel == nil {
-		o.vel = makeState(params)
-	}
-	for pi, p := range params {
-		v := o.vel[pi]
-		for i := range p.W {
-			v[i] = o.Momentum*v[i] + p.G[i]
-			p.W[i] -= o.LR * v[i]
-		}
-	}
-}
-
-// RMSProp implements the RMSProp update used by early DQN work.
-type RMSProp struct {
-	LR    float64
-	Decay float64 // typically 0.99
-	Eps   float64 // typically 1e-8
-	sq    [][]float64
-}
-
-// Step implements Optimizer.
-func (o *RMSProp) Step(params []*Param) {
-	if o.sq == nil {
-		o.sq = makeState(params)
-	}
-	decay := o.Decay
-	if decay == 0 {
-		decay = 0.99
-	}
-	eps := o.Eps
-	if eps == 0 {
-		eps = 1e-8
-	}
-	for pi, p := range params {
-		s := o.sq[pi]
-		for i := range p.W {
-			g := p.G[i]
-			s[i] = decay*s[i] + (1-decay)*g*g
-			p.W[i] -= o.LR * g / (math.Sqrt(s[i]) + eps)
-		}
-	}
-}
-
 // Adam implements Adam (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR    float64
@@ -88,7 +18,10 @@ type Adam struct {
 	m, v  [][]float64
 }
 
-// Step implements Optimizer.
+// Step applies one update using the gradients currently accumulated in
+// params and leaves the gradients untouched (callers ZeroGrad between
+// batches). Adam keeps per-parameter state keyed by position, so it must
+// always be used with the same parameter list.
 //
 //uerl:hotpath
 func (o *Adam) Step(params []*Param) {

@@ -10,7 +10,7 @@ func quadratic() *Param {
 	return &Param{W: []float64{0}, G: []float64{0}}
 }
 
-func optimize(t *testing.T, opt Optimizer, steps int) float64 {
+func optimize(t *testing.T, opt *Adam, steps int) float64 {
 	t.Helper()
 	p := quadratic()
 	ps := []*Param{p}
@@ -20,27 +20,6 @@ func optimize(t *testing.T, opt Optimizer, steps int) float64 {
 		p.G[0] = 0
 	}
 	return p.W[0]
-}
-
-func TestSGDConverges(t *testing.T) {
-	w := optimize(t, &SGD{LR: 0.1}, 200)
-	if math.Abs(w-3) > 1e-6 {
-		t.Fatalf("SGD converged to %v", w)
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	w := optimize(t, &SGD{LR: 0.05, Momentum: 0.9}, 400)
-	if math.Abs(w-3) > 1e-4 {
-		t.Fatalf("SGD+momentum converged to %v", w)
-	}
-}
-
-func TestRMSPropConverges(t *testing.T) {
-	w := optimize(t, &RMSProp{LR: 0.05}, 2000)
-	if math.Abs(w-3) > 1e-2 {
-		t.Fatalf("RMSProp converged to %v", w)
-	}
 }
 
 func TestAdamConverges(t *testing.T) {

@@ -372,10 +372,9 @@ func (a *Agent) SyncTarget() { a.target.CopyFrom(a.online) }
 // returning the mean loss. TD targets follow double DQN when configured:
 // y = r + gamma * Q_target(s', argmax_a Q_online(s', a)).
 //
-// The whole batch runs through the networks as three batched forward
-// passes (online/target on next states, online on current states), a
-// vectorized TD-target computation, and one batched backward + Adam step.
-// The batched kernels accumulate in the same order as the serial loop, so
+// The whole batch runs through tdGrad on the online network (batched
+// forwards, vectorized TD targets, one batched backward), then one Adam
+// step. The batched kernels accumulate in the same order as the serial loop, so
 // gradients — and therefore training trajectories — are bit-identical to
 // the one-transition-at-a-time implementation (see trainBatchSerial).
 //
@@ -391,71 +390,7 @@ func (a *Agent) trainBatch() float64 {
 	if n == 0 {
 		return 0
 	}
-	L := a.cfg.StateLen
-	A := a.cfg.NumActions
-	trs := a.sampTrs[:n]
-	anyLive := false
-	for i := range trs {
-		copy(a.xs[i*L:(i+1)*L], trs[i].S)
-		if !trs[i].Done {
-			copy(a.xs[(n+i)*L:(n+i+1)*L], trs[i].NextS)
-			anyLive = true
-		}
-	}
-	a.online.ZeroGrad()
-	// One online launch covers both halves of [S; NextS] — per-sample
-	// outputs are independent, so each half is bit-identical to a separate
-	// forward, and the S activations land in scratch rows [0, n) where the
-	// backward pass reads them. Bootstrap values come from the target net
-	// on the NextS half; terminal rows hold stale buffer contents and
-	// their outputs are computed but never read.
-	var q []float64
-	switch {
-	case anyLive && a.cfg.DoubleDQN:
-		qTgt := a.target.ForwardBatchInto(a.bsTgt, a.xs[n*L:2*n*L], n)
-		qBoth := a.online.ForwardBatchInto(a.bs, a.xs[:2*n*L], 2*n)
-		q = qBoth[:n*A]
-		qNext := qBoth[n*A : 2*n*A]
-		for i := range trs {
-			if trs[i].Done {
-				continue
-			}
-			best := mathx.ArgMax(qNext[i*A : (i+1)*A])
-			a.nextVal[i] = qTgt[i*A+best]
-		}
-	case anyLive:
-		// Vanilla DQN bootstraps from the target net alone, so only the S
-		// half goes through the online network.
-		qTgt := a.target.ForwardBatchInto(a.bsTgt, a.xs[n*L:2*n*L], n)
-		q = a.online.ForwardBatchInto(a.bs, a.xs[:n*L], n)
-		for i := range trs {
-			if trs[i].Done {
-				continue
-			}
-			row := qTgt[i*A : (i+1)*A]
-			a.nextVal[i] = row[mathx.ArgMax(row)]
-		}
-	default:
-		q = a.online.ForwardBatchInto(a.bs, a.xs[:n*L], n)
-	}
-	dOut := a.dOutB[:n*A]
-	for i := range dOut {
-		dOut[i] = 0
-	}
-	totalLoss := 0.0
-	for i := range trs {
-		target := trs[i].R
-		if !trs[i].Done {
-			target += a.cfg.Gamma * a.nextVal[i]
-		}
-		pred := q[i*A+trs[i].A]
-		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
-		a.tdErrs[i] = pred - target
-		w := a.sampWs[i] / float64(n)
-		totalLoss += loss * a.sampWs[i]
-		dOut[i*A+trs[i].A] = dPred * w
-	}
-	a.online.BackwardBatch(a.bs, dOut, n)
+	totalLoss := a.tdGrad(a.online, a.bs, a.bsTgt, a.xs, a.dOutB, a.nextVal, 0, n, n)
 	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
 	a.opt.Step(a.online.Params())
 	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
@@ -550,14 +485,28 @@ func (a *Agent) trainBatchChunked() float64 {
 // target packed weights are read-only here.
 func (a *Agent) trainChunk(c, n int) {
 	lo := c * trainChunkSize
-	hi := lo + trainChunkSize
-	if hi > n {
-		hi = n
-	}
+	hi := min(lo+trainChunkSize, n)
+	a.chunkLoss[c] = a.tdGrad(a.shadows[c], a.chunkScr[c], a.chunkTgtScr[c], a.chunkXS[c], a.chunkDOut[c], a.chunkNext[c], lo, hi, n)
+}
+
+// tdGrad zeroes net's gradients and accumulates into them the TD-loss
+// gradients of samples [lo, hi) of an n-sample minibatch, returning their
+// importance-weighted loss sum and writing their TD errors to tdErrs[lo:hi].
+// net is the online network or a weight-sharing shadow of it; scr and
+// tgtScr are batch scratches for net and the target network, and xs, dOut
+// and nextVal are buffers sized for the hi-lo samples.
+//
+// One online launch covers both halves of [S; NextS] — per-sample outputs
+// are independent, so each half is bit-identical to a separate forward,
+// and the S activations land in scratch rows [0, m) where the backward
+// pass reads them. Bootstrap values come from the target net on the NextS
+// half; terminal rows hold stale buffer contents and their outputs are
+// computed but never read.
+//
+//uerl:hotpath
+func (a *Agent) tdGrad(net *nn.Network, scr, tgtScr *nn.BatchScratch, xs, dOut, nextVal []float64, lo, hi, n int) float64 {
 	m := hi - lo
 	L, A := a.cfg.StateLen, a.cfg.NumActions
-	shadow := a.shadows[c]
-	xs := a.chunkXS[c]
 	trs := a.sampTrs[lo:hi]
 	anyLive := false
 	for i := range trs {
@@ -567,13 +516,12 @@ func (a *Agent) trainChunk(c, n int) {
 			anyLive = true
 		}
 	}
-	shadow.ZeroGrad()
-	nextVal := a.chunkNext[c]
+	net.ZeroGrad()
 	var q []float64
 	switch {
 	case anyLive && a.cfg.DoubleDQN:
-		qTgt := a.target.ForwardBatchInto(a.chunkTgtScr[c], xs[m*L:2*m*L], m)
-		qBoth := shadow.ForwardBatchInto(a.chunkScr[c], xs[:2*m*L], 2*m)
+		qTgt := a.target.ForwardBatchInto(tgtScr, xs[m*L:2*m*L], m)
+		qBoth := net.ForwardBatchInto(scr, xs[:2*m*L], 2*m)
 		q = qBoth[:m*A]
 		qNext := qBoth[m*A : 2*m*A]
 		for i := range trs {
@@ -584,8 +532,10 @@ func (a *Agent) trainChunk(c, n int) {
 			nextVal[i] = qTgt[i*A+best]
 		}
 	case anyLive:
-		qTgt := a.target.ForwardBatchInto(a.chunkTgtScr[c], xs[m*L:2*m*L], m)
-		q = shadow.ForwardBatchInto(a.chunkScr[c], xs[:m*L], m)
+		// Vanilla DQN bootstraps from the target net alone, so only the S
+		// half goes through the online network.
+		qTgt := a.target.ForwardBatchInto(tgtScr, xs[m*L:2*m*L], m)
+		q = net.ForwardBatchInto(scr, xs[:m*L], m)
 		for i := range trs {
 			if trs[i].Done {
 				continue
@@ -594,39 +544,26 @@ func (a *Agent) trainChunk(c, n int) {
 			nextVal[i] = row[mathx.ArgMax(row)]
 		}
 	default:
-		q = shadow.ForwardBatchInto(a.chunkScr[c], xs[:m*L], m)
+		q = net.ForwardBatchInto(scr, xs[:m*L], m)
 	}
-	dOut := a.chunkDOut[c][:m*A]
+	dOut = dOut[:m*A]
 	for i := range dOut {
 		dOut[i] = 0
 	}
-	chunkLoss := 0.0
+	loss := 0.0
 	for i := range trs {
 		target := trs[i].R
 		if !trs[i].Done {
 			target += a.cfg.Gamma * nextVal[i]
 		}
 		pred := q[i*A+trs[i].A]
-		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
+		l, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
 		a.tdErrs[lo+i] = pred - target
-		w := a.sampWs[lo+i] / float64(n)
-		chunkLoss += loss * a.sampWs[lo+i]
-		dOut[i*A+trs[i].A] = dPred * w
+		loss += l * a.sampWs[lo+i]
+		dOut[i*A+trs[i].A] = dPred * (a.sampWs[lo+i] / float64(n))
 	}
-	shadow.BackwardBatch(a.chunkScr[c], dOut, m)
-	a.chunkLoss[c] = chunkLoss
-}
-
-// GreedyPolicy returns the deterministic policy induced by the current
-// online network. The returned policy shares the network but uses its own
-// scratch, so it is safe to use after further training only if the caller
-// accepts updated weights; Snapshot the network first for a frozen policy.
-func (a *Agent) GreedyPolicy() Policy {
-	net := a.online
-	scr := net.NewScratch()
-	return PolicyFunc(func(state []float64) int {
-		return mathx.ArgMax(net.ForwardInto(scr, state))
-	})
+	net.BackwardBatch(scr, dOut, m)
+	return loss
 }
 
 // SnapshotPolicy returns a frozen greedy policy over a deep copy of the

@@ -87,7 +87,7 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 	if res.Episodes != 1500 {
 		t.Fatalf("episodes = %d", res.Episodes)
 	}
-	pol := agent.GreedyPolicy()
+	pol := agent.SnapshotPolicy()
 	if pol.Action([]float64{1}) != 1 {
 		t.Error("should pull arm 1 in +1 context")
 	}

@@ -7,11 +7,11 @@ import (
 	"repro/internal/nn"
 )
 
-// SharedQPolicy is a concurrency-safe greedy policy over a frozen network.
-// Unlike Agent.GreedyPolicy / SnapshotPolicy, whose closures own a single
-// scratch buffer and are therefore single-goroutine, SharedQPolicy pools
+// SharedQPolicy is a concurrency-safe greedy policy over a frozen network
+// (Agent.SnapshotPolicy returns one). Unlike a greedy closure owning a
+// single scratch buffer, which is single-goroutine, SharedQPolicy pools
 // scratch space per call, so one instance can serve many goroutines (the
-// sharded controller's Recommend path).
+// sharded controller's Recommend path and the parallel replay engine).
 //
 // Concurrency contract:
 //

@@ -40,11 +40,6 @@ func WithJobs(n int) SystemOption {
 	return func(c *Config) { c.Jobs = n }
 }
 
-// WithJobSizeScale sets the §5.6 job-size scaling factor.
-func WithJobSizeScale(f float64) SystemOption {
-	return func(c *Config) { c.JobSizeScale = f }
-}
-
 // WithMitigationCost sets the per-action mitigation cost in node-minutes
 // (the paper's main configuration uses 2).
 func WithMitigationCost(nodeMinutes float64) SystemOption {

@@ -294,8 +294,7 @@ func (s *System) TrainPolicy(kind PolicyKind) (Policy, error) {
 		}
 		return newRLPolicy(sp.Net.Clone(), s.trainingInfo())
 	case PolicyOracle:
-		rc := s.replayContext()
-		pts := evalx.OraclePoints(rc.byNode, time.Time{}, time.Time{})
+		pts := s.world.Cache().Ticks(s.world.Log).OraclePoints(time.Time{}, time.Time{})
 		return &oraclePolicy{d: policies.NewOracle(pts)}, nil
 	}
 	return nil, fmt.Errorf("uerl: unknown policy kind %q (want one of %v)", kind, PolicyKinds())
@@ -338,19 +337,12 @@ func (s *System) EvaluatePolicy(p Policy) (PolicyCost, error) {
 	if p == nil {
 		return PolicyCost{}, fmt.Errorf("uerl: nil policy")
 	}
-	rc := s.replayContext()
-	res := evalx.ReplayAll([]policies.Decider{policyDecider{p: p}}, rc.byNode, rc.sampler, evalx.ReplayConfig{
-		Env:     s.cvConfig().Env,
-		JobSeed: s.cfg.Seed,
-		From:    rc.trainTo,
-	})[0]
-	return PolicyCost{
-		Policy:         res.Policy,
-		TotalNodeHours: res.TotalCost(),
-		UENodeHours:    res.UECost,
-		MitigationNH:   res.MitigationCost + res.TrainingCost,
-		Mitigations:    res.Metrics.Mitigations,
-		Recall:         res.Metrics.Recall(),
-		Precision:      res.Metrics.Precision(),
-	}, nil
+	cfg := s.cvConfig()
+	art := cfg.Cache.Ticks(s.world.Log)
+	res := evalx.ReplayAll([]policies.Decider{policyDecider{p: p}}, art.ByNode, cfg.Cache.Sampler(s.world.Trace), evalx.ReplayConfig{
+		Env:     cfg.Env,
+		JobSeed: cfg.Seed,
+		From:    art.Boundary(trainFrac),
+	})
+	return costOf(res[0]), nil
 }

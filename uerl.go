@@ -57,10 +57,8 @@ package uerl
 import (
 	"fmt"
 	"io"
-	"sync"
-	"time"
+	"math"
 
-	"repro/internal/env"
 	"repro/internal/errlog"
 	"repro/internal/evalx"
 	"repro/internal/experiments"
@@ -126,8 +124,6 @@ type Config struct {
 	Scale float64
 	// Jobs is the synthetic MN4 trace length (0 = Budget default).
 	Jobs int
-	// JobSizeScale is the §5.6 job-size scaling factor (default 1).
-	JobSizeScale float64
 	// MitigationCostNodeMinutes is the per-action mitigation cost
 	// (default 2, the paper's main configuration).
 	MitigationCostNodeMinutes float64
@@ -142,26 +138,21 @@ type Config struct {
 func DefaultConfig(b Budget) Config {
 	return Config{
 		Seed:                      1,
-		JobSizeScale:              1,
 		MitigationCostNodeMinutes: 2,
 		Restartable:               true,
 		Budget:                    b,
 	}
 }
 
-// System is a generated world plus its evaluation configuration. Its
-// trained policy kinds (TrainPolicy) share one cached fit,
-// and the replay context backing EvaluatePolicy is computed once; both are
-// concurrency-safe.
+// System is a thin view over a generated experiments.World plus the
+// paper's two user parameters (mitigation cost, restartability). Every
+// artifact it evaluates or serves — tick pipeline, forests, thresholds,
+// RL agents — is read through the world's artifact cache, so Evaluate,
+// TrainPolicy, EvaluatePolicy and RunExperiment share one fit per
+// configuration. A System is safe for concurrent use.
 type System struct {
 	cfg   Config
 	world *experiments.World
-
-	splitOnce sync.Once
-	split     *evalx.SingleSplit
-
-	replayOnce sync.Once
-	replay     replayCtx
 }
 
 // NewSystem generates a synthetic world from functional options, applied
@@ -181,50 +172,21 @@ func NewSystem(opts ...SystemOption) *System {
 	if cfg.Jobs > 0 {
 		scale.JobCount = cfg.Jobs
 	}
-	w := experiments.BuildWorld(scale)
-	if cfg.JobSizeScale > 0 && cfg.JobSizeScale != 1 {
-		w.JCfg = w.JCfg.WithScale(cfg.JobSizeScale)
-		w.Trace = jobs.Generate(w.JCfg)
-	}
 	if cfg.MitigationCostNodeMinutes == 0 {
 		cfg.MitigationCostNodeMinutes = 2
 	}
-	return &System{cfg: cfg, world: w}
+	return &System{cfg: cfg, world: experiments.BuildWorld(scale)}
 }
 
-// trainedSplit lazily trains the shared single-split fit (first 75% of the
-// log, §4.1): the RF forest with its optimal threshold and the RL agent.
-func (s *System) trainedSplit() *evalx.SingleSplit {
-	s.splitOnce.Do(func() {
-		split := evalx.TrainSingleSplit(s.world.Log, s.world.Trace, s.cvConfig(), trainFrac)
-		s.split = &split
-	})
-	return s.split
+// trainedSplit returns the single-split fit (first 75% of the log, §4.1):
+// the RF forest with its optimal threshold and the RL agent, trained once
+// per configuration through the world's cache.
+func (s *System) trainedSplit() evalx.SingleSplit {
+	return evalx.TrainSingleSplit(s.world.Log, s.world.Trace, s.cvConfig(), trainFrac)
 }
 
 // trainFrac is the single-split train/test boundary (§4.1).
 const trainFrac = 0.75
-
-// replayCtx is the preprocessed world used to replay policies without
-// training anything: per-node merged ticks, the job sampler, and the
-// single-split train/test boundary.
-type replayCtx struct {
-	byNode  [][]errlog.Tick
-	sampler *jobs.Sampler
-	trainTo time.Time
-}
-
-// replayContext lazily preprocesses the log for policy replay.
-func (s *System) replayContext() replayCtx {
-	s.replayOnce.Do(func() {
-		pre := errlog.Preprocess(s.world.Log)
-		s.replay.byNode = env.GroupTicks(errlog.Merge(pre, errlog.MergeWindow))
-		s.replay.sampler = jobs.NewSampler(s.world.Trace)
-		first, last := pre.Span()
-		s.replay.trainTo = first.Add(time.Duration(float64(last.Sub(first)) * trainFrac))
-	})
-	return s.replay
-}
 
 // World exposes the underlying experiment world for advanced use.
 func (s *System) World() *experiments.World { return s.world }
@@ -276,24 +238,28 @@ func (r Report) Render(w io.Writer) {
 func reportFrom(cv evalx.CVResult) Report {
 	rep := Report{cv: cv}
 	for _, t := range cv.Totals {
-		rep.Costs = append(rep.Costs, PolicyCost{
-			Policy:         t.Policy,
-			TotalNodeHours: t.TotalCost(),
-			UENodeHours:    t.UECost,
-			MitigationNH:   t.MitigationCost + t.TrainingCost,
-			Mitigations:    t.Metrics.Mitigations,
-			Recall:         t.Metrics.Recall(),
-			Precision:      t.Metrics.Precision(),
-		})
+		rep.Costs = append(rep.Costs, costOf(t))
 	}
 	return rep
 }
 
+// costOf converts one replayed result to its report row.
+func costOf(r evalx.Result) PolicyCost {
+	return PolicyCost{
+		Policy:         r.Policy,
+		TotalNodeHours: r.TotalCost(),
+		UENodeHours:    r.UECost,
+		MitigationNH:   r.MitigationCost + r.TrainingCost,
+		Mitigations:    r.Metrics.Mitigations,
+		Recall:         r.Metrics.Recall(),
+		Precision:      r.Metrics.Precision(),
+	}
+}
+
+// cvConfig is the world's evaluation config under this system's two user
+// parameters.
 func (s *System) cvConfig() evalx.CVConfig {
-	cfg := evalx.DefaultCVConfig(s.cfg.Budget.preset())
-	cfg.Parts = s.world.Scale.Parts
-	cfg.Seed = s.cfg.Seed
-	cfg.Env.MitigationCostNodeMinutes = s.cfg.MitigationCostNodeMinutes
+	cfg := s.world.CVConfig(s.cfg.MitigationCostNodeMinutes)
 	cfg.Env.Restartable = s.cfg.Restartable
 	return cfg
 }
@@ -318,18 +284,20 @@ func (s *System) EvaluateManufacturer(name string) (Report, error) {
 	default:
 		return Report{}, fmt.Errorf("uerl: unknown manufacturer %q (want A, B or C)", name)
 	}
-	part := s.world.Log.PartitionManufacturer(m)
+	part := s.world.Partition(m)
 	if len(part.Events) == 0 {
 		return Report{}, fmt.Errorf("uerl: manufacturer %s has no events", name)
 	}
-	return reportFrom(evalx.RunCV(part, s.world.Trace, s.cvConfig())), nil
+	cfg := s.cvConfig()
+	cfg.Cache = s.world.PartitionCache(m)
+	return reportFrom(evalx.RunCV(part, s.world.Trace, cfg)), nil
 }
 
 // EvaluateJobScale re-evaluates with job sizes scaled by factor, training a
 // fresh model for the scaled system (§5.6).
 func (s *System) EvaluateJobScale(factor float64) (Report, error) {
-	if factor <= 0 {
-		return Report{}, fmt.Errorf("uerl: job scale factor must be positive, got %v", factor)
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		return Report{}, fmt.Errorf("uerl: job scale factor must be positive and finite, got %v", factor)
 	}
 	trace := jobs.Generate(s.world.JCfg.WithScale(factor))
 	return reportFrom(evalx.RunCV(s.world.Log, trace, s.cvConfig())), nil

@@ -1,10 +1,13 @@
 package uerl
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/evalx"
 )
 
 var (
@@ -29,14 +32,13 @@ func TestNewSystemOptions(t *testing.T) {
 		WithBudgetCI(), // later options win
 		WithScale(0.01),
 		WithJobs(11),
-		WithJobSizeScale(2),
 		WithMitigationCost(5),
 		WithRestartable(false),
 		WithSeed(9),
 		func(c *Config) { got = *c },
 	)
 	want := DefaultConfig(BudgetCI)
-	want.Seed, want.Scale, want.Jobs, want.JobSizeScale = 9, 0.01, 11, 2
+	want.Seed, want.Scale, want.Jobs = 9, 0.01, 11
 	want.MitigationCostNodeMinutes, want.Restartable = 5, false
 	if got != want {
 		t.Fatalf("options applied wrong: got %+v want %+v", got, want)
@@ -119,8 +121,31 @@ func TestEvaluateJobScale(t *testing.T) {
 	if nb.TotalNodeHours <= ns.TotalNodeHours {
 		t.Fatalf("job scaling had no effect: %v vs %v", ns.TotalNodeHours, nb.TotalNodeHours)
 	}
-	if _, err := s.EvaluateJobScale(0); err == nil {
-		t.Fatal("zero factor accepted")
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := s.EvaluateJobScale(bad); err == nil {
+			t.Fatalf("factor %v accepted", bad)
+		}
+	}
+}
+
+// TestSystemSharesWorldArtifacts: a System reads through its World's
+// artifact cache, so the forest behind a trained policy is the very
+// artifact the world's single-split fit returns, not a retrained copy.
+func TestSystemSharesWorldArtifacts(t *testing.T) {
+	s := testSystem(t)
+	p, err := s.TrainPolicy(PolicySC20RF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, ok := p.(*rfPolicy)
+	if !ok {
+		t.Fatalf("TrainPolicy(%s) returned %T", PolicySC20RF, p)
+	}
+	w := s.World()
+	split := evalx.TrainSingleSplit(w.Log, w.Trace, s.cvConfig(), trainFrac)
+	if split.Forest != rp.d.Forest {
+		t.Fatalf("world fit forest %p is not the policy's forest %p: the system retrained instead of reading the world's cache",
+			split.Forest, rp.d.Forest)
 	}
 }
 
