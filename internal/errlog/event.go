@@ -8,7 +8,9 @@
 package errlog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -115,19 +117,82 @@ type Log struct {
 	Events []Event
 }
 
-// Sort orders events by time, breaking ties by node then type, so the log
-// order is deterministic for identical inputs.
+// Sort orders events in place by time, breaking ties by node then type
+// and keeping log order among events equal on all three, so the log order
+// is deterministic for identical inputs. Slices aliasing l.Events see the
+// sorted order.
+//
+// Times compare as wall-clock instants (Unix seconds, then nanoseconds):
+// errlog times never carry a monotonic reading, since they are built from
+// time.Date plus Add or parsed from CSV.
 func (l *Log) Sort() {
-	sort.SliceStable(l.Events, func(i, j int) bool {
-		a, b := l.Events[i], l.Events[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
+	ev := l.Events
+	if slices.IsSortedFunc(ev, compareEvents) {
+		return
+	}
+	// Sort compact keys rather than the events themselves: the position
+	// tie-break makes the order total, so the unstable sort reproduces
+	// the stable order, and each event then moves once. A log too long
+	// for int32 positions, or with a node or type outside int32, takes
+	// the generic stable sort instead.
+	keys := make([]sortKey, len(ev))
+	for i := range ev {
+		e := &ev[i]
+		k := sortKey{sec: e.Time.Unix(), nsec: int32(e.Time.Nanosecond()),
+			node: int32(e.Node), typ: int32(e.Type), pos: int32(i)}
+		if int(k.node) != e.Node || EventType(k.typ) != e.Type || int(k.pos) != i {
+			slices.SortStableFunc(ev, compareEvents)
+			return
 		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
+		keys[i] = k
+	}
+	slices.SortFunc(keys, compareKeys)
+	// Apply the permutation in place, one cycle at a time: slot i takes
+	// the event at keys[i].pos; a visited slot points at itself.
+	for i := range keys {
+		if int(keys[i].pos) == i {
+			continue
 		}
-		return a.Type < b.Type
-	})
+		held := ev[i]
+		j := i
+		for {
+			src := int(keys[j].pos)
+			keys[j].pos = int32(j)
+			if src == i {
+				ev[j] = held
+				break
+			}
+			ev[j] = ev[src]
+			j = src
+		}
+	}
+}
+
+// sortKey is the part of an Event that Sort orders by, plus the event's
+// position in the unsorted log.
+type sortKey struct {
+	sec                  int64
+	nsec, node, typ, pos int32
+}
+
+// compareKeys is Sort's order with the position tie-break.
+func compareKeys(a, b sortKey) int {
+	switch {
+	case a.sec != b.sec:
+		return cmp.Compare(a.sec, b.sec)
+	case a.nsec != b.nsec:
+		return cmp.Compare(a.nsec, b.nsec)
+	case a.node != b.node:
+		return cmp.Compare(a.node, b.node)
+	case a.typ != b.typ:
+		return cmp.Compare(a.typ, b.typ)
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// compareEvents is Sort's order without the position tie-break.
+func compareEvents(a, b Event) int {
+	return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Type, b.Type))
 }
 
 // Span returns the first and last event time. Empty logs return zero times.

@@ -44,8 +44,9 @@ const MergeWindow = time.Minute
 
 // Merge collapses a sorted log into per-node ticks using the given window.
 // Events on the same node whose timestamps fall in the same window (aligned
-// to the epoch) form one tick. The returned ticks are globally sorted by
-// time then node.
+// to the epoch) form one tick. The returned ticks are sorted by window
+// start; ticks sharing a window keep the order of their first events in
+// the log, not node order.
 func Merge(l *Log, window time.Duration) []Tick {
 	if window <= 0 {
 		window = MergeWindow

@@ -1,6 +1,7 @@
 package errlog
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -26,6 +27,27 @@ func TestMergeSameMinute(t *testing.T) {
 	}
 	if ticks[2].Node != 1 || len(ticks[2].Events) != 2 {
 		t.Fatalf("tick 2 = %+v", ticks[2])
+	}
+}
+
+func TestMergeOrdersWindowByFirstEvent(t *testing.T) {
+	l := &Log{Events: []Event{
+		ce(5, 10*time.Second, 1),
+		ce(3, 20*time.Second, 1),
+		ce(5, 30*time.Second, 1),
+		ce(1, 70*time.Second, 1),
+	}}
+	l.Sort()
+	ticks := Merge(l, time.Minute)
+	var got []int
+	for _, tk := range ticks {
+		got = append(got, tk.Node)
+	}
+	if want := []int{5, 3, 1}; !slices.Equal(got, want) {
+		t.Fatalf("tick nodes = %v, want %v (first-event order within a window)", got, want)
+	}
+	if !ticks[0].Time.Equal(ticks[1].Time) || len(ticks[0].Events) != 2 {
+		t.Fatalf("ticks = %+v", ticks)
 	}
 }
 

@@ -44,15 +44,6 @@ func (g *RNG) Fork() *RNG {
 	return NewRNG(g.r.Int63())
 }
 
-// ForkN derives n independent RNGs.
-func (g *RNG) ForkN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = g.Fork()
-	}
-	return out
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

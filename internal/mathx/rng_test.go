@@ -38,22 +38,6 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func TestForkN(t *testing.T) {
-	g := NewRNG(1)
-	rs := g.ForkN(5)
-	if len(rs) != 5 {
-		t.Fatalf("ForkN(5) returned %d generators", len(rs))
-	}
-	seen := map[float64]bool{}
-	for _, r := range rs {
-		v := r.Float64()
-		if seen[v] {
-			t.Fatalf("duplicate first draw %v across forks", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	g := NewRNG(3)
 	for _, mean := range []float64{0.5, 4, 20, 200} {

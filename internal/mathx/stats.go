@@ -85,17 +85,6 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // ArgMax returns the index of the maximum element, breaking ties towards the
 // lowest index. It panics on an empty slice.
 func ArgMax(xs []float64) int {
@@ -106,36 +95,4 @@ func ArgMax(xs []float64) int {
 		}
 	}
 	return best
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	counts := make([]int, nbins)
-	if nbins == 0 || hi <= lo {
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// LogBinIndex returns the logarithmic bin index of x for bins spanning
-// [lo, hi) in decades split into binsPerDecade. Used by the Figure 6
-// behaviour heat-map, whose x axis is log-scale UE cost. Returns -1 when x
-// is below lo.
-func LogBinIndex(x, lo float64, binsPerDecade int) int {
-	if x < lo || lo <= 0 {
-		return -1
-	}
-	return int(math.Log10(x/lo) * float64(binsPerDecade))
 }

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestWelford(t *testing.T) {
@@ -70,53 +69,12 @@ func TestMeanSum(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	if ArgMax([]float64{1, 3, 3, 2}) != 1 {
 		t.Error("ArgMax should break ties low")
 	}
 	if ArgMax([]float64{-5}) != 0 {
 		t.Error("single element")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.5, 1.5, 2.5, 99, -5}, 0, 3, 3)
-	if h[0] != 3 || h[1] != 1 || h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-	if got := Histogram(nil, 0, 0, 0); len(got) != 0 {
-		t.Error("degenerate histogram")
-	}
-}
-
-func TestLogBinIndex(t *testing.T) {
-	if LogBinIndex(0.5, 1, 2) != -1 {
-		t.Error("below lo should be -1")
-	}
-	if LogBinIndex(1, 1, 2) != 0 {
-		t.Error("x=lo should be bin 0")
-	}
-	if got := LogBinIndex(10, 1, 2); got != 2 {
-		t.Errorf("one decade with 2 bins/decade = %d, want 2", got)
-	}
-	if got := LogBinIndex(1000, 1, 1); got != 3 {
-		t.Errorf("three decades = %d, want 3", got)
-	}
-}
-
-func TestClampProperty(t *testing.T) {
-	f := func(x float64) bool {
-		v := Clamp(x, -1, 1)
-		return v >= -1 && v <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

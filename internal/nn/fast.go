@@ -75,7 +75,7 @@ func (n *Network) EnsureFast() { n.ensureFast() }
 
 // InvalidateFast marks the weights as mutated so the next KernelFast use
 // rebuilds the padded image. Callers that mutate Param.W directly (the
-// optimizer step) must call it; CopyFrom/SoftUpdate/UnmarshalJSON handle it
+// optimizer step) must call it; CopyFrom and UnmarshalJSON handle it
 // themselves.
 func (n *Network) InvalidateFast() {
 	if n.shadowOf != nil {

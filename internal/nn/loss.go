@@ -16,12 +16,6 @@ func HuberLoss(pred, target, delta float64) (loss, dPred float64) {
 	return delta * (ad - 0.5*delta), delta * sign(diff)
 }
 
-// SquaredLoss returns 0.5*(pred-target)^2 and its derivative.
-func SquaredLoss(pred, target float64) (loss, dPred float64) {
-	diff := pred - target
-	return 0.5 * diff * diff, diff
-}
-
 func sign(x float64) float64 {
 	if x < 0 {
 		return -1

@@ -1,7 +1,7 @@
 // Package nn implements the small dense neural networks used by the deep
 // Q-learning agent: fully connected layers with ReLU activations, an
 // optional dueling head (Wang et al., ICML 2016), manual backpropagation,
-// Huber and squared losses with per-sample importance weights, and the
+// the Huber loss with per-sample importance weights, and the
 // Adam optimizer. Everything is float64 and stdlib-only.
 //
 // The package is deliberately scoped to what the paper's agent needs
@@ -476,22 +476,6 @@ func (n *Network) CopyFrom(src *Network) {
 			panic("nn: CopyFrom parameter shape mismatch")
 		}
 		copy(p.W, from[i].W)
-	}
-	n.InvalidateFast()
-}
-
-// SoftUpdate blends src into n: w <- (1-tau) w + tau src.w. tau=1 is a hard
-// sync.
-func (n *Network) SoftUpdate(src *Network, tau float64) {
-	dst := n.Params()
-	from := src.Params()
-	if len(dst) != len(from) {
-		panic("nn: SoftUpdate architecture mismatch")
-	}
-	for i, p := range dst {
-		for j := range p.W {
-			p.W[j] = (1-tau)*p.W[j] + tau*from[i].W[j]
-		}
 	}
 	n.InvalidateFast()
 }

@@ -225,23 +225,6 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-func TestSoftUpdate(t *testing.T) {
-	a := New(Config{Inputs: 2, Outputs: 1, Seed: 1})
-	b := New(Config{Inputs: 2, Outputs: 1, Seed: 2})
-	w0 := b.Params()[0].W[0]
-	target := a.Params()[0].W[0]
-	b.SoftUpdate(a, 0.5)
-	got := b.Params()[0].W[0]
-	want := 0.5*w0 + 0.5*target
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("soft update got %v want %v", got, want)
-	}
-	b.SoftUpdate(a, 1)
-	if b.Params()[0].W[0] != target {
-		t.Fatal("tau=1 should hard sync")
-	}
-}
-
 func TestSerializationRoundTrip(t *testing.T) {
 	a := New(Config{Inputs: 6, Hidden: []int{8, 4}, Outputs: 2, Dueling: true, Seed: 42})
 	data, err := json.Marshal(a)

@@ -96,10 +96,3 @@ func TestHuberDerivativeMatchesNumeric(t *testing.T) {
 		}
 	}
 }
-
-func TestSquaredLoss(t *testing.T) {
-	l, d := SquaredLoss(3, 1)
-	if l != 2 || d != 2 {
-		t.Fatalf("squared: l=%v d=%v", l, d)
-	}
-}

@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	uerl "repro"
@@ -122,6 +122,7 @@ func Compile(spec Spec) (*Compiled, error) {
 	// confined to its window, so plain concatenation stays time-ordered.
 	for _, cfg := range phaseConfigs(spec, base) {
 		log := telemetry.Generate(cfg)
+		c.Events = slices.Grow(c.Events, len(log.Events))
 		for _, e := range log.Events {
 			ev, ok := toServing(e)
 			if !ok {
@@ -154,12 +155,13 @@ func Compile(spec Spec) (*Compiled, error) {
 		}
 	}
 
-	// Delivery faults perturb timestamps and interleave injected events;
-	// one stable sort restores time order while keeping the deterministic
-	// construction order on ties.
-	sort.SliceStable(c.Events, func(i, j int) bool {
-		return c.Events[i].Time.Before(c.Events[j].Time)
-	})
+	// Only the burst, delay and duplicate faults leave the stream out of
+	// time order; one stable sort restores it while keeping the
+	// deterministic construction order on ties.
+	byTime := func(a, b uerl.Event) int { return a.Time.Compare(b.Time) }
+	if !slices.IsSortedFunc(c.Events, byTime) {
+		slices.SortStableFunc(c.Events, byTime)
+	}
 
 	// The serving-layer schedule is validated non-decreasing, so the
 	// lowered form is already time-sorted.
