@@ -357,9 +357,9 @@ func benchReplay(b *testing.B, parallelism int) {
 
 type noopDecider struct{}
 
-func (noopDecider) Name() string                 { return "noop" }
-func (noopDecider) Decide(policies.Context) bool { return false }
-func (noopDecider) ConcurrentSafe() bool         { return true }
+func (noopDecider) Name() string                  { return "noop" }
+func (noopDecider) Decide(*policies.Context) bool { return false }
+func (noopDecider) ConcurrentSafe() bool          { return true }
 
 // ---- Serving-path benchmarks (the controller hot paths) ----
 

@@ -28,7 +28,7 @@ func main() {
 
 	filter := errlog.Manufacturer(-1)
 	if *manufacturer != "" {
-		m, err := parseManufacturer(*manufacturer)
+		m, err := errlog.ParseManufacturer(*manufacturer)
 		if err != nil {
 			fatal(err)
 		}
@@ -88,18 +88,6 @@ func main() {
 		fmt.Printf("wrote %s: %d jobs, mean %.1f nodes, max %.0f node-hours\n",
 			*jobsOut, st.Count, st.MeanNodes, st.MaxNodeHours)
 	}
-}
-
-func parseManufacturer(s string) (errlog.Manufacturer, error) {
-	switch s {
-	case "A":
-		return errlog.ManufacturerA, nil
-	case "B":
-		return errlog.ManufacturerB, nil
-	case "C":
-		return errlog.ManufacturerC, nil
-	}
-	return 0, fmt.Errorf("unknown manufacturer %q (want A, B or C)", s)
 }
 
 func fatal(err error) {

@@ -349,7 +349,16 @@ func TestServingPathZeroAlloc(t *testing.T) {
 
 	query := at.Add(time.Hour)
 	oracle := &oraclePolicy{d: policies.NewOracle(map[policies.OracleKey]bool{{Node: 1, Time: query}: true})}
-	for _, p := range []Policy{ctl.Policy(), NeverPolicy(), AlwaysPolicy(), oracle} {
+	forest := testForest(t)
+	sc20, err := newRFPolicy(forest, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	myopic, err := newMyopicPolicy(forest, 1.0/30, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Policy{ctl.Policy(), NeverPolicy(), AlwaysPolicy(), sc20, myopic, oracle} {
 		ctl.SwapPolicy(p)
 		allocs = testing.AllocsPerRun(200, func() {
 			d := ctl.Recommend(1, query, 4200)

@@ -14,15 +14,15 @@ import (
 // serial-only acknowledgement.
 type Bare struct{ threshold float64 } // want `Bare implements policies.Decider but not ConcurrentDecider`
 
-func (b *Bare) Name() string                 { return "bare" }
-func (b *Bare) Decide(policies.Context) bool { return b.threshold > 0 }
+func (b *Bare) Name() string                  { return "bare" }
+func (b *Bare) Decide(*policies.Context) bool { return b.threshold > 0 }
 
 // Safe declares itself safe for concurrent Decide calls: clean.
 type Safe struct{}
 
-func (Safe) Name() string                 { return "safe" }
-func (Safe) Decide(policies.Context) bool { return false }
-func (Safe) ConcurrentSafe() bool         { return true }
+func (Safe) Name() string                  { return "safe" }
+func (Safe) Decide(*policies.Context) bool { return false }
+func (Safe) ConcurrentSafe() bool          { return true }
 
 // Acknowledged is deliberately serial and says so: clean.
 //
@@ -30,7 +30,7 @@ func (Safe) ConcurrentSafe() bool         { return true }
 type Acknowledged struct{ seen map[int]bool }
 
 func (a *Acknowledged) Name() string { return "ack" }
-func (a *Acknowledged) Decide(ctx policies.Context) bool {
+func (a *Acknowledged) Decide(ctx *policies.Context) bool {
 	if a.seen[ctx.Node] {
 		return false
 	}

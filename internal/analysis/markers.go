@@ -96,9 +96,6 @@ func (m *Markers) Waived(kind string, pos token.Pos) bool {
 	return false
 }
 
-// HotFunc reports whether fn is marked //uerl:hotpath.
-func (m *Markers) HotFunc(fn *ast.FuncDecl) bool { return m.Hot[fn] }
-
 type directive struct {
 	name string
 	args string

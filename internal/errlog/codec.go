@@ -92,16 +92,11 @@ func parseRecord(rec []string) (Event, error) {
 		}
 		*f.dst = v
 	}
-	switch rec[3] {
-	case "A":
-		e.Manufacturer = ManufacturerA
-	case "B":
-		e.Manufacturer = ManufacturerB
-	case "C":
-		e.Manufacturer = ManufacturerC
-	default:
+	m, err := ParseManufacturer(rec[3])
+	if err != nil {
 		return e, fmt.Errorf("bad manufacturer %q", rec[3])
 	}
+	e.Manufacturer = m
 	switch rec[4] {
 	case "CE":
 		e.Type = CE

@@ -79,6 +79,17 @@ func (m Manufacturer) String() string {
 	}
 }
 
+// ParseManufacturer is the inverse of Manufacturer.String: it accepts
+// exactly "A", "B" and "C".
+func ParseManufacturer(s string) (Manufacturer, error) {
+	for m := ManufacturerA; m < NumManufacturers; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown manufacturer %q (want A, B or C)", s)
+}
+
 // Event is one log record. The zero value is not meaningful; construct
 // explicitly. Location fields are -1 when unknown (e.g. boot events).
 type Event struct {
@@ -107,10 +118,6 @@ type Event struct {
 	// over-temperature shutdown.
 	OverTemp bool
 }
-
-// NodeEvent reports whether the record is tied to a node's availability
-// (rather than a bookkeeping record like retirement).
-func (e Event) NodeEvent() bool { return e.Type != Retirement }
 
 // Log is a chronologically sorted sequence of events.
 type Log struct {

@@ -35,6 +35,33 @@ func TestEventTypeString(t *testing.T) {
 	}
 }
 
+func TestParseManufacturer(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Manufacturer
+		ok   bool
+	}{
+		{"A", ManufacturerA, true},
+		{"B", ManufacturerB, true},
+		{"C", ManufacturerC, true},
+		{"", 0, false},
+		{"a", 0, false},
+		{"D", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseManufacturer(c.in)
+		if (err == nil) != c.ok {
+			t.Fatalf("ParseManufacturer(%q) error = %v, want ok=%v", c.in, err, c.ok)
+		}
+		if !c.ok {
+			continue
+		}
+		if got != c.want || got.String() != c.in {
+			t.Fatalf("ParseManufacturer(%q) = %v, want %v (round trip through String)", c.in, got, c.want)
+		}
+	}
+}
+
 func TestLogSortDeterministic(t *testing.T) {
 	l := &Log{Events: []Event{
 		ue(2, time.Hour), ce(1, time.Hour, 1), boot(1, 0), ce(3, 2*time.Hour, 5),

@@ -1,6 +1,7 @@
 package evalx
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -327,17 +328,7 @@ func ueTimeIndex(byNode [][]errlog.Tick) []time.Time {
 			}
 		}
 	}
-	sortTimes(out)
+	// Collected node by node, so times from different nodes interleave.
+	slices.SortFunc(out, time.Time.Compare)
 	return out
-}
-
-// sortTimes sorts in place (UE times arrive near-sorted, so insertion sort
-// on the rare out-of-order element is plenty — the slice has tens of
-// entries at paper scale).
-func sortTimes(ts []time.Time) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Before(ts[j-1]); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/errlog"
 	"repro/internal/jobs"
 	"repro/internal/nn"
 	"repro/internal/telemetry"
@@ -146,5 +148,62 @@ func TestOraclePointsIndexEquivalence(t *testing.T) {
 	// above is vacuous.
 	if len(art.OraclePoints(time.Time{}, time.Time{})) == 0 {
 		t.Fatal("fixture has no reachable UEs; oracle index untested")
+	}
+}
+
+// TestUETimeIndexSortedAcrossNodes: the UE index is collected node by
+// node, so UE times from different nodes interleave arbitrarily. The index
+// must still come out in time order, and hasUEIn over it must agree with a
+// linear scan for windows at, just before and just after every UE.
+func TestUETimeIndexSortedAcrossNodes(t *testing.T) {
+	// Same-node UEs sit more than errlog.UEBurstWindow apart, so the
+	// preprocessing keeps every one.
+	day := 24 * time.Hour
+	byNodeUEs := [][]time.Duration{{10 * day, 30 * day}, {1 * day, 20 * day}, {5 * day}}
+	var log errlog.Log
+	var ues []time.Time
+	for node, ats := range byNodeUEs {
+		for _, at := range ats {
+			log.Events = append(log.Events, errlog.Event{Time: t0.Add(at), Node: node, DIMM: 8 * node, Type: errlog.UE, Count: 1})
+			ues = append(ues, t0.Add(at))
+		}
+	}
+	art := buildTickArtifacts(&log)
+
+	var nodeMajor []time.Time
+	for _, ticks := range art.ByNode {
+		for _, tick := range ticks {
+			if tick.HasUE() {
+				nodeMajor = append(nodeMajor, ueEventTime(tick))
+			}
+		}
+	}
+	if slices.IsSortedFunc(nodeMajor, time.Time.Compare) {
+		t.Fatalf("fixture's node-major UE order %v is already time order", nodeMajor)
+	}
+	if len(art.UETimes) != len(ues) || !slices.IsSortedFunc(art.UETimes, time.Time.Compare) {
+		t.Fatalf("UETimes = %v, want the %d fixture UEs in time order", art.UETimes, len(ues))
+	}
+
+	linear := func(from, to time.Time) bool {
+		for _, u := range ues {
+			if !u.Before(from) && u.Before(to) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, u := range ues {
+		for _, w := range [][2]time.Time{
+			{u, u.Add(time.Nanosecond)},
+			{u.Add(-time.Hour), u},
+			{u.Add(-time.Hour), u.Add(time.Nanosecond)},
+			{u.Add(time.Nanosecond), u.Add(time.Hour)},
+			{u.Add(-time.Nanosecond), u.Add(time.Nanosecond)},
+		} {
+			if got, want := hasUEIn(art.UETimes, w[0], w[1]), linear(w[0], w[1]); got != want {
+				t.Fatalf("hasUEIn [%v, %v) = %v, linear scan %v", w[0], w[1], got, want)
+			}
+		}
 	}
 }

@@ -38,11 +38,11 @@ import (
 //     policy under one ReplayConfig consumes identical RNG streams and
 //     forking once per node reproduces every policy's draws.
 //
-// Per decision point the engine materializes the feature snapshot once and
-// hands it to every decider: BatchDeciders (the §4.2 set) read it in place
-// and share one memoized forest score (policies.Shared.RFProb); everything
-// else falls back to Decide on a per-decider vector copy, so stateful or
-// external deciders need no changes.
+// Per decision point the engine materializes one policies.Context and hands
+// it to every decider's Decide, writing only that decider's own potential
+// UE cost into it between calls. The forest policies share one memoized
+// forest score through it (policies.Context.RFProb), so a threshold grid
+// costs one ensemble evaluation per tick.
 
 // policyState is the per-(node, policy) divergent replay state: the §4.4
 // mitigation window and the cost baseline of the latest mitigation.
@@ -57,7 +57,7 @@ type policyState struct {
 type engineScratch struct {
 	tracker *features.Tracker
 	ps      []policyState
-	shared  policies.Shared
+	ctx     policies.Context
 }
 
 var engineScratchPool = sync.Pool{New: func() any {
@@ -81,9 +81,9 @@ func (sc *engineScratch) reset(np int) {
 // ReplayAll replays the deciders ds over the per-node tick sequences under
 // identical workloads, accounting costs and classification metrics inside
 // the configured window; the i-th Result belongs to ds[i]. For each node
-// the tick stream is walked once: the feature snapshot, job context and
+// the tick stream is walked once: the decision Context, job context and
 // (lazily) the RF score are materialized once per decision point, and
-// every decider is scored against that shared state. Results are
+// every decider's Decide reads that shared state. Results are
 // bit-identical to replaying each decider on its own — the equivalence
 // tests in engine_test.go check them against referenceReplay.
 //
@@ -102,13 +102,6 @@ func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs
 	}
 	if len(ds) == 0 {
 		return out
-	}
-
-	batch := make([]policies.BatchDecider, len(ds))
-	for i, d := range ds {
-		if bd, ok := d.(policies.BatchDecider); ok {
-			batch[i] = bd
-		}
 	}
 
 	rng := mathx.NewRNG(cfg.JobSeed)
@@ -140,7 +133,7 @@ func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs
 	parx.For(len(work), workers, func(i int) {
 		sc := engineScratchPool.Get().(*engineScratch)
 		sc.reset(len(ds))
-		replayNodeAll(ds, batch, work[i].ticks, sampler, cfg, work[i].rng, sc, partials[i])
+		replayNodeAll(ds, work[i].ticks, sampler, cfg, work[i].rng, sc, partials[i])
 		engineScratchPool.Put(sc)
 	})
 
@@ -160,7 +153,7 @@ func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs
 
 // replayNodeAll replays one node's tick sequence for every decider at
 // once, accumulating each decider's partial Result into out.
-func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks []errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig, rng *mathx.RNG, sc *engineScratch, out []Result) {
+func replayNodeAll(ds []policies.Decider, ticks []errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig, rng *mathx.RNG, sc *engineScratch, out []Result) {
 	tracker := sc.tracker
 	tl := env.NewTimeline(sampler, rng.Fork(), cfg.Env.Restartable, ticks[0].Time)
 	costRNG := rng.Fork()
@@ -238,8 +231,8 @@ func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks [
 			sharedCost = cfg.CostOverride(costRNG)
 			lastOverride = sharedCost
 		}
-		v := tracker.Observe(tick, sharedCost)
-		sc.shared.Reset(tick.Node, tick.Time, v)
+		// The literal also clears the previous tick's RFProb memo.
+		sc.ctx = policies.Context{Node: tick.Node, Time: tick.Time, Features: tracker.Observe(tick, sharedCost)}
 		jobNodes := float64(tl.Job().Nodes)
 		jobStart := tl.JobStart()
 		inWin := cfg.inWindow(tick.Time)
@@ -253,14 +246,8 @@ func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks [
 				}
 				cost = jobNodes * lost.Hours()
 			}
-			var mitigate bool
-			if bd := batch[pi]; bd != nil {
-				mitigate = bd.DecideShared(&sc.shared, cost)
-			} else {
-				ctx := policies.Context{Node: tick.Node, Time: tick.Time, Features: v}
-				ctx.Features[features.UECost] = cost
-				mitigate = ds[pi].Decide(ctx)
-			}
+			sc.ctx.Features[features.UECost] = cost
+			mitigate := ds[pi].Decide(&sc.ctx)
 			if mitigate {
 				st.lastMit, st.hasMit = tick.Time, true
 				st.mitigations = append(st.mitigations, tick.Time)

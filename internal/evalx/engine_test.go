@@ -199,18 +199,17 @@ func TestReplayAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// statefulDecider mitigates on every k-th Decide call — no BatchDecider
-// implementation, not concurrency-safe, call-order dependent. It exercises
-// the engine's per-decider fallback (Decide on a vector copy) and the
-// forced-serial path, which must still reproduce the reference walk exactly
-// because per-node decision order is preserved.
+// statefulDecider mitigates on every k-th Decide call — not
+// concurrency-safe, call-order dependent. It exercises the forced-serial
+// path, which must still reproduce the reference walk exactly because
+// per-node decision order is preserved.
 type statefulDecider struct {
 	k     int
 	calls int
 }
 
 func (d *statefulDecider) Name() string { return fmt.Sprintf("every-%d", d.k) }
-func (d *statefulDecider) Decide(policies.Context) bool {
+func (d *statefulDecider) Decide(*policies.Context) bool {
 	d.calls++
 	return d.calls%d.k == 0
 }
@@ -225,8 +224,8 @@ func TestReplayAllStatefulFallbackMatchesLegacy(t *testing.T) {
 	requireIdentical(t, "stateful", got[1], want)
 }
 
-// TestReplayAllFallbackSeesEffectiveCost: the non-batch fallback must hand
-// Decide the decider's own effective UE cost (diverged by its mitigation
+// TestReplayAllFallbackSeesEffectiveCost: the engine must hand each
+// decider's Decide its own effective UE cost (diverged by its mitigation
 // history under restartable mitigation), not the shared baseline. The
 // stream ends with a UE and ticks inside the post-UE downtime, when no job
 // runs: mitigating there must not charge the next job for time before it
@@ -247,7 +246,7 @@ func TestReplayAllFallbackSeesEffectiveCost(t *testing.T) {
 
 	var batchCosts, refCosts []float64
 	record := func(out *[]float64) policies.Decider {
-		return policyProbe{func(ctx policies.Context) bool {
+		return policyProbe{func(ctx *policies.Context) bool {
 			*out = append(*out, ctx.Features[features.UECost])
 			return true // mitigate every tick, diverging from the baseline
 		}}
@@ -314,10 +313,10 @@ func TestReplayAllEmptyAndDegenerate(t *testing.T) {
 	requireIdentical(t, "degenerate", out[0], want)
 }
 
-// TestSharedRFProbMemoization: one forest evaluation serves every
+// TestContextRFProbMemoization: one forest evaluation serves every
 // threshold variant at a decision point; a different forest invalidates
-// the memo.
-func TestSharedRFProbMemoization(t *testing.T) {
+// the memo, and so does a new Context literal.
+func TestContextRFProbMemoization(t *testing.T) {
 	x := [][]float64{make([]float64, features.PredictorDim), make([]float64, features.PredictorDim)}
 	for i := range x[1] {
 		x[1][i] = 1
@@ -328,12 +327,11 @@ func TestSharedRFProbMemoization(t *testing.T) {
 	fc.Seed = 99
 	f2 := rf.TrainForest(x, []bool{true, false}, fc)
 
-	var s policies.Shared
 	var v features.Vector
 	for i := range v {
 		v[i] = 1
 	}
-	s.Reset(1, t0, v)
+	s := policies.Context{Node: 1, Time: t0, Features: v}
 	p1 := s.RFProb(f1)
 	if p1 != f1.PredictProb(v[:features.PredictorDim]) {
 		t.Fatal("memoized prob differs from direct evaluation")
@@ -344,8 +342,8 @@ func TestSharedRFProbMemoization(t *testing.T) {
 	if s.RFProb(f2) != f2.PredictProb(v[:features.PredictorDim]) {
 		t.Fatal("forest switch not detected")
 	}
-	s.Reset(1, t0, features.Vector{})
+	s = policies.Context{Node: 1, Time: t0}
 	if s.RFProb(f2) != f2.PredictProb(make([]float64, features.PredictorDim)) {
-		t.Fatal("Reset did not invalidate the memo")
+		t.Fatal("a new Context did not invalidate the memo")
 	}
 }

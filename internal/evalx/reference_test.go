@@ -117,7 +117,7 @@ func referenceReplayNode(d policies.Decider, ticks []errlog.Tick, sampler *jobs.
 			lastOverride = ueCost
 		}
 		v := tracker.Observe(tick, ueCost)
-		mitigate := d.Decide(policies.Context{Node: tick.Node, Time: tick.Time, Features: v})
+		mitigate := d.Decide(&policies.Context{Node: tick.Node, Time: tick.Time, Features: v})
 		if mitigate {
 			// A mitigation in the post-UE downtime precedes the next job,
 			// so it must not move that job's cost baseline before its

@@ -206,7 +206,7 @@ func TestReplayCostOverride(t *testing.T) {
 	cfg := replayCfg()
 	cfg.CostOverride = func(*mathx.RNG) float64 { return 42 }
 	seen := 0.0
-	d := policies.Decider(policyProbe{func(ctx policies.Context) bool {
+	d := policies.Decider(policyProbe{func(ctx *policies.Context) bool {
 		seen = ctx.Features[features.UECost]
 		return false
 	}})
@@ -221,11 +221,11 @@ func TestReplayCostOverride(t *testing.T) {
 
 // policyProbe adapts a func to Decider for tests.
 type policyProbe struct {
-	f func(policies.Context) bool
+	f func(*policies.Context) bool
 }
 
-func (policyProbe) Name() string                     { return "probe" }
-func (p policyProbe) Decide(c policies.Context) bool { return p.f(c) }
+func (policyProbe) Name() string                      { return "probe" }
+func (p policyProbe) Decide(c *policies.Context) bool { return p.f(c) }
 
 func TestMLMetricsDerived(t *testing.T) {
 	m := MLMetrics{TPs: 3, FNs: 1, FPs: 7, TNs: 89}

@@ -23,7 +23,7 @@ var DefaultThresholdGrid = []float64{
 // The whole grid is scored from one pass over the tick stream: the
 // single-pass engine evaluates the forest once per decision point and the
 // N threshold policies merely compare that shared score (see
-// policies.Shared.RFProb), collapsing the legacy O(grid × ticks) search to
+// policies.Context.RFProb), collapsing the legacy O(grid × ticks) search to
 // O(ticks). Per-threshold results are bit-identical to replaying each
 // candidate separately, so the selected threshold is unchanged.
 func OptimalThreshold(forest *rf.Forest, grid []float64, ticksByNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) (best float64, bestCost float64) {

@@ -66,7 +66,7 @@ func RunFig6(w *World) Fig6Result {
 			return
 		}
 		res.Total[y][x]++
-		if rlDecider.Decide(policies.Context{Features: v}) {
+		if rlDecider.Decide(&policies.Context{Features: v}) {
 			res.Mitigate[y][x]++
 		}
 	}

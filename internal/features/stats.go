@@ -41,27 +41,5 @@ func (s *SummaryStats) Variance(i int) float64 {
 	return s.m2[i] / s.n
 }
 
-// Means returns the mean vector.
-func (s *SummaryStats) Means() Vector { return s.mean }
-
-// Merge folds another accumulator into s (Chan et al. parallel
-// combination), so per-shard statistics can reduce to a fleet summary.
-func (s *SummaryStats) Merge(o *SummaryStats) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	for i := 0; i < Dim; i++ {
-		delta := o.mean[i] - s.mean[i]
-		s.m2[i] += o.m2[i] + delta*delta*s.n*o.n/n
-		s.mean[i] += delta * o.n / n
-	}
-	s.n = n
-}
-
 // Reset empties the accumulator.
 func (s *SummaryStats) Reset() { *s = SummaryStats{} }

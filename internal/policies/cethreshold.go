@@ -39,7 +39,7 @@ func (p *CEThreshold) Name() string {
 }
 
 // Decide implements Decider.
-func (p *CEThreshold) Decide(ctx Context) bool {
+func (p *CEThreshold) Decide(ctx *Context) bool {
 	total := ctx.Features[features.CEsTotal]
 	since := total - p.lastTriggerTotal[ctx.Node]
 	if since > p.Threshold {

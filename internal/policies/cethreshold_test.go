@@ -7,10 +7,10 @@ import (
 	"repro/internal/features"
 )
 
-func ceCtx(node int, total float64) Context {
+func ceCtx(node int, total float64) *Context {
 	var v features.Vector
 	v[features.CEsTotal] = total
-	return Context{Node: node, Time: time.Unix(0, 0), Features: v}
+	return &Context{Node: node, Time: time.Unix(0, 0), Features: v}
 }
 
 func TestCEThresholdFiresOnGrowth(t *testing.T) {

@@ -15,6 +15,8 @@ import (
 )
 
 // Context is the information available to a policy at a decision point.
+// Replay and serving both build one per decision point and pass it to
+// Decider.Decide by pointer.
 type Context struct {
 	// Node is the node id of the tick.
 	Node int
@@ -22,22 +24,37 @@ type Context struct {
 	Time time.Time
 	// Features is the Table 1 feature vector (including potential UE cost).
 	Features features.Vector
+
+	// forest and prob memoize RFProb for this decision point.
+	forest *rf.Forest
+	prob   float64
+}
+
+// RFProb returns f's positive-class score at this decision point,
+// computing it on first use and memoizing it, so N threshold variants of
+// the same forest (and the Myopic policy) cost one ensemble evaluation per
+// tick instead of N. The memo is valid for one decision point only: it
+// reads the workload-independent predictor prefix of Features
+// (features.Vector.Predictor), which must not change while the Context is
+// reused, and a new decision point needs a new Context (a composite
+// literal clears the memo).
+func (c *Context) RFProb(f *rf.Forest) float64 {
+	if c.forest != f {
+		c.forest, c.prob = f, f.PredictProb(c.Features.Predictor())
+	}
+	return c.prob
 }
 
 // Decider decides, per event tick, whether to trigger a mitigation.
 type Decider interface {
 	// Name identifies the approach in reports.
 	Name() string
-	// Decide returns true to mitigate at this tick.
-	Decide(ctx Context) bool
-}
-
-// Scorer is an optional Decider extension reporting a real-valued decision
-// score on a policy-specific scale: positive means mitigate, negative means
-// don't, and magnitude is the margin from the decision boundary. Serving
-// layers use it to surface confidence alongside the boolean decision.
-type Scorer interface {
-	Score(ctx Context) float64
+	// Decide returns true to mitigate at this tick. It must not modify
+	// ctx (RFProb's memo aside): the replay engine hands one Context to
+	// every decider at a decision point and writes only each decider's
+	// own potential UE cost (Features[features.UECost]) into it between
+	// calls.
+	Decide(ctx *Context) bool
 }
 
 // ConcurrentDecider is an optional Decider extension marking it safe for
@@ -47,54 +64,6 @@ type Scorer interface {
 type ConcurrentDecider interface {
 	Decider
 	ConcurrentSafe() bool
-}
-
-// Shared is the per-decision-point state the single-pass multi-policy
-// replay engine (evalx.ReplayAll) materializes once and hands to every
-// BatchDecider at a tick: the node, the time, the Table 1 feature vector,
-// and a memoized random-forest score. Because the RF predictor reads only
-// the workload-independent feature prefix (features.Vector.Predictor), one
-// forest evaluation serves every threshold variant and the Myopic policy
-// at the same decision point.
-type Shared struct {
-	Node int
-	Time time.Time
-	// Base is the feature vector at this decision point carrying the
-	// engine's shared potential UE cost (the no-mitigation baseline).
-	// Deciders whose own mitigation history diverges the cost receive
-	// their effective cost separately and must not mutate Base.
-	Base features.Vector
-
-	forest *rf.Forest
-	prob   float64
-}
-
-// Reset points the shared state at a new decision point, invalidating the
-// memoized forest score.
-func (s *Shared) Reset(node int, t time.Time, base features.Vector) {
-	s.Node, s.Time, s.Base = node, t, base
-	s.forest = nil
-}
-
-// RFProb returns f's positive-class score for the decision point,
-// computing it on first use and memoizing it, so N threshold variants of
-// the same forest cost one ensemble evaluation per tick instead of N.
-func (s *Shared) RFProb(f *rf.Forest) float64 {
-	if s.forest != f {
-		s.forest, s.prob = f, f.PredictProb(s.Base[:features.PredictorDim])
-	}
-	return s.prob
-}
-
-// BatchDecider is the optional fast path of the single-pass replay engine:
-// DecideShared must return exactly what Decide would return for a Context
-// whose Features equal s.Base with the UECost entry replaced by cost. The
-// engine falls back to Decide (on a per-decider copy of the vector) for
-// deciders that do not implement it, so stateful or external deciders keep
-// working unchanged.
-type BatchDecider interface {
-	Decider
-	DecideShared(s *Shared, cost float64) bool
 }
 
 // IsConcurrentSafe reports whether d declares itself safe for concurrent
@@ -111,13 +80,10 @@ type Never struct{}
 func (Never) Name() string { return "Never-mitigate" }
 
 // Decide implements Decider.
-func (Never) Decide(Context) bool { return false }
+func (Never) Decide(*Context) bool { return false }
 
 // ConcurrentSafe implements ConcurrentDecider.
 func (Never) ConcurrentSafe() bool { return true }
-
-// DecideShared implements BatchDecider.
-func (Never) DecideShared(*Shared, float64) bool { return false }
 
 // Always mitigates on every event in the error log: minimum UE cost among
 // event-triggered policies, maximum mitigation cost.
@@ -127,13 +93,10 @@ type Always struct{}
 func (Always) Name() string { return "Always-mitigate" }
 
 // Decide implements Decider.
-func (Always) Decide(Context) bool { return true }
+func (Always) Decide(*Context) bool { return true }
 
 // ConcurrentSafe implements ConcurrentDecider.
 func (Always) ConcurrentSafe() bool { return true }
-
-// DecideShared implements BatchDecider.
-func (Always) DecideShared(*Shared, float64) bool { return true }
 
 // RFThreshold is the SC20-RF policy: mitigate when the random-forest score
 // exceeds an externally supplied threshold.
@@ -152,25 +115,22 @@ func (p *RFThreshold) Name() string {
 	return "SC20-RF"
 }
 
-// Decide implements Decider.
-func (p *RFThreshold) Decide(ctx Context) bool {
-	return p.Forest.PredictProb(ctx.Features.Predictor()) > p.Threshold
+// Decide implements Decider. The forest score is memoized on ctx, so a
+// whole threshold grid costs one ensemble evaluation per tick.
+func (p *RFThreshold) Decide(ctx *Context) bool {
+	return ctx.RFProb(p.Forest) > p.Threshold
 }
 
-// Score implements Scorer: the RF probability margin over the threshold.
-func (p *RFThreshold) Score(ctx Context) float64 {
-	return p.Forest.PredictProb(ctx.Features.Predictor()) - p.Threshold
+// Score reports the RF probability margin over the threshold: positive
+// exactly when Decide mitigates, with magnitude the margin from the
+// decision boundary. Serving layers surface it as decision confidence.
+func (p *RFThreshold) Score(ctx *Context) float64 {
+	return ctx.RFProb(p.Forest) - p.Threshold
 }
 
 // ConcurrentSafe implements ConcurrentDecider: forest prediction is a pure
 // read of the trained trees.
 func (p *RFThreshold) ConcurrentSafe() bool { return true }
-
-// DecideShared implements BatchDecider: the forest score is memoized on s,
-// so a whole threshold grid costs one ensemble evaluation per tick.
-func (p *RFThreshold) DecideShared(s *Shared, _ float64) bool {
-	return s.RFProb(p.Forest) > p.Threshold
-}
 
 // MyopicRF extends SC20-RF with cost-awareness (§4.2): mitigate when the
 // expected UE cost — RF score times current potential UE cost — exceeds
@@ -186,28 +146,21 @@ type MyopicRF struct {
 // Name implements Decider.
 func (*MyopicRF) Name() string { return "Myopic-RF" }
 
-// Decide implements Decider.
-func (p *MyopicRF) Decide(ctx Context) bool {
-	prob := p.Forest.PredictProb(ctx.Features.Predictor())
-	return prob*ctx.Features[features.UECost] > p.MitigationCostNodeHours
+// Decide implements Decider. The RF score ignores the cost feature, so
+// the memoized evaluation on ctx is shared with every other forest policy;
+// only the comparison uses ctx's potential UE cost.
+func (p *MyopicRF) Decide(ctx *Context) bool {
+	return ctx.RFProb(p.Forest)*ctx.Features[features.UECost] > p.MitigationCostNodeHours
 }
 
-// Score implements Scorer: expected UE cost minus mitigation cost, in
-// node–hours.
-func (p *MyopicRF) Score(ctx Context) float64 {
-	prob := p.Forest.PredictProb(ctx.Features.Predictor())
-	return prob*ctx.Features[features.UECost] - p.MitigationCostNodeHours
+// Score reports expected UE cost minus mitigation cost, in node–hours:
+// positive exactly when Decide mitigates.
+func (p *MyopicRF) Score(ctx *Context) float64 {
+	return ctx.RFProb(p.Forest)*ctx.Features[features.UECost] - p.MitigationCostNodeHours
 }
 
 // ConcurrentSafe implements ConcurrentDecider.
 func (p *MyopicRF) ConcurrentSafe() bool { return true }
-
-// DecideShared implements BatchDecider. The RF score ignores the cost
-// feature, so the memoized evaluation is shared; only the comparison uses
-// this decider's effective potential UE cost.
-func (p *MyopicRF) DecideShared(s *Shared, cost float64) bool {
-	return s.RFProb(p.Forest)*cost > p.MitigationCostNodeHours
-}
 
 // RL wraps a trained (frozen) agent policy. Decide normalizes into pooled
 // scratch (features.WithNormalized), so the replay hot path allocates
@@ -227,7 +180,7 @@ func (p *RL) Name() string {
 }
 
 // Decide implements Decider.
-func (p *RL) Decide(ctx Context) bool {
+func (p *RL) Decide(ctx *Context) bool {
 	act := 0
 	ctx.Features.WithNormalized(func(norm []float64) {
 		act = p.Policy.Action(norm)
@@ -242,19 +195,6 @@ func (p *RL) ConcurrentSafe() bool {
 		return cs.ConcurrentSafe()
 	}
 	return false
-}
-
-// DecideShared implements BatchDecider: the network consumes the full
-// vector including the cost feature, so the shared vector is completed
-// with this decider's effective cost before normalization.
-func (p *RL) DecideShared(s *Shared, cost float64) bool {
-	v := s.Base
-	v[features.UECost] = cost
-	act := 0
-	v.WithNormalized(func(norm []float64) {
-		act = p.Policy.Action(norm)
-	})
-	return act == 1
 }
 
 // OracleKey identifies a decision point.
@@ -281,7 +221,7 @@ func NewOracle(points map[OracleKey]bool) *Oracle {
 func (*Oracle) Name() string { return "Oracle" }
 
 // Decide implements Decider.
-func (o *Oracle) Decide(ctx Context) bool {
+func (o *Oracle) Decide(ctx *Context) bool {
 	return o.points[OracleKey{Node: ctx.Node, Time: ctx.Time}]
 }
 
@@ -290,11 +230,6 @@ func (o *Oracle) Len() int { return len(o.points) }
 
 // ConcurrentSafe implements ConcurrentDecider: the point set is read-only.
 func (o *Oracle) ConcurrentSafe() bool { return true }
-
-// DecideShared implements BatchDecider.
-func (o *Oracle) DecideShared(s *Shared, _ float64) bool {
-	return o.points[OracleKey{Node: s.Node, Time: s.Time}]
-}
 
 // FixedProb is a trivial decider mitigating when a fixed feature exceeds a
 // bound; used in tests and examples as a stand-in policy.
@@ -307,15 +242,7 @@ type FixedProb struct {
 func (p *FixedProb) Name() string { return fmt.Sprintf("Fixed[%d>%g]", p.Feature, p.Bound) }
 
 // Decide implements Decider.
-func (p *FixedProb) Decide(ctx Context) bool { return ctx.Features[p.Feature] > p.Bound }
+func (p *FixedProb) Decide(ctx *Context) bool { return ctx.Features[p.Feature] > p.Bound }
 
 // ConcurrentSafe implements ConcurrentDecider.
 func (p *FixedProb) ConcurrentSafe() bool { return true }
-
-// DecideShared implements BatchDecider.
-func (p *FixedProb) DecideShared(s *Shared, cost float64) bool {
-	if p.Feature == features.UECost {
-		return cost > p.Bound
-	}
-	return s.Base[p.Feature] > p.Bound
-}

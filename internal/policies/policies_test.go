@@ -9,11 +9,11 @@ import (
 	"repro/internal/rl"
 )
 
-func ctxWith(cost float64, ces float64) Context {
+func ctxWith(cost float64, ces float64) *Context {
 	var v features.Vector
 	v[features.UECost] = cost
 	v[features.CEsTotal] = ces
-	return Context{Node: 1, Time: time.Unix(1000, 0), Features: v}
+	return &Context{Node: 1, Time: time.Unix(1000, 0), Features: v}
 }
 
 func TestNeverAlways(t *testing.T) {
@@ -103,13 +103,13 @@ func TestRLDecider(t *testing.T) {
 func TestOracle(t *testing.T) {
 	at := time.Unix(5000, 0)
 	o := NewOracle(map[OracleKey]bool{{Node: 3, Time: at}: true})
-	if !o.Decide(Context{Node: 3, Time: at}) {
+	if !o.Decide(&Context{Node: 3, Time: at}) {
 		t.Error("oracle should fire at its point")
 	}
-	if o.Decide(Context{Node: 3, Time: at.Add(time.Minute)}) {
+	if o.Decide(&Context{Node: 3, Time: at.Add(time.Minute)}) {
 		t.Error("oracle fired off-point")
 	}
-	if o.Decide(Context{Node: 4, Time: at}) {
+	if o.Decide(&Context{Node: 4, Time: at}) {
 		t.Error("oracle fired on wrong node")
 	}
 	if o.Len() != 1 || o.Name() != "Oracle" {

@@ -114,13 +114,8 @@ func forestVersion(kind PolicyKind, forest *rf.Forest, scalar float64) (string, 
 // (see ModelHeader.Parent), or "" for first-generation models and kinds
 // without lineage.
 func ModelParent(p Policy) string {
-	switch q := p.(type) {
-	case *rlPolicy:
-		return q.parent
-	case *rfPolicy:
-		return q.parent
-	case *myopicPolicy:
-		return q.parent
+	if t, ok := p.(trainedPolicy); ok {
+		return t.modelLineage().parent
 	}
 	return ""
 }
@@ -135,28 +130,18 @@ func SetModelParent(p Policy, parentVersion string) error {
 		// chain walker (rollback, the scenario summary's lineage) loop.
 		return fmt.Errorf("uerl: model %s cannot be its own lineage parent", parentVersion)
 	}
-	switch q := p.(type) {
-	case *rlPolicy:
-		q.parent = parentVersion
-	case *rfPolicy:
-		q.parent = parentVersion
-	case *myopicPolicy:
-		q.parent = parentVersion
-	default:
+	t, ok := p.(trainedPolicy)
+	if !ok {
 		return fmt.Errorf("uerl: policy kind %q carries no model lineage", p.Kind())
 	}
+	t.modelLineage().parent = parentVersion
 	return nil
 }
 
 // trainingOf extracts the recorded TrainingInfo of built-in policies.
 func trainingOf(p Policy) *TrainingInfo {
-	switch q := p.(type) {
-	case *rlPolicy:
-		return q.training
-	case *rfPolicy:
-		return q.training
-	case *myopicPolicy:
-		return q.training
+	if t, ok := p.(trainedPolicy); ok {
+		return t.modelLineage().training
 	}
 	return nil
 }

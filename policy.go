@@ -99,14 +99,29 @@ func (p *staticPolicy) Decide(s Snapshot) Decision {
 	return decisionFor(p, s, p.act, p.score)
 }
 
+// ---- Trained kinds ----
+
+// lineage is the model-artifact identity every trained kind (sc20-rf,
+// myopic-rf, rl) carries: its content-addressed version, the lineage
+// parent (ModelHeader.Parent) and the producing configuration.
+type lineage struct {
+	version  string
+	parent   string
+	training *TrainingInfo
+}
+
+func (l *lineage) Version() string        { return l.version }
+func (l *lineage) modelLineage() *lineage { return l }
+
+// trainedPolicy is implemented by the policies that embed a lineage.
+type trainedPolicy interface{ modelLineage() *lineage }
+
 // ---- SC20-RF ----
 
 // rfPolicy serves the SC20-RF threshold policy.
 type rfPolicy struct {
-	d        *policies.RFThreshold
-	version  string
-	parent   string
-	training *TrainingInfo
+	d *policies.RFThreshold
+	lineage
 }
 
 func newRFPolicy(forest *rf.Forest, threshold float64, info *TrainingInfo) (*rfPolicy, error) {
@@ -115,21 +130,20 @@ func newRFPolicy(forest *rf.Forest, threshold float64, info *TrainingInfo) (*rfP
 		return nil, err
 	}
 	return &rfPolicy{
-		d:        &policies.RFThreshold{Forest: forest, Threshold: threshold},
-		version:  version,
-		training: info,
+		d:       &policies.RFThreshold{Forest: forest, Threshold: threshold},
+		lineage: lineage{version: version, training: info},
 	}, nil
 }
 
 func (p *rfPolicy) Kind() PolicyKind { return PolicySC20RF }
 func (p *rfPolicy) Name() string     { return p.d.Name() }
-func (p *rfPolicy) Version() string  { return p.version }
 
 func (p *rfPolicy) Decide(s Snapshot) Decision {
 	ctx := policies.Context{Node: s.Node, Time: s.Time, Features: s.vector()}
 	// One forest inference: the score's zero crossing IS the decision
-	// boundary (probability margin over the threshold).
-	score := p.d.Score(ctx)
+	// boundary (probability margin over the threshold). Score is called on
+	// the concrete type so ctx stays on the stack.
+	score := p.d.Score(&ctx)
 	return decisionFor(p, s, actionOf(score > 0), score)
 }
 
@@ -137,10 +151,8 @@ func (p *rfPolicy) Decide(s Snapshot) Decision {
 
 // myopicPolicy serves the cost-aware Myopic-RF policy.
 type myopicPolicy struct {
-	d        *policies.MyopicRF
-	version  string
-	parent   string
-	training *TrainingInfo
+	d *policies.MyopicRF
+	lineage
 }
 
 func newMyopicPolicy(forest *rf.Forest, mitigationCostNodeHours float64, info *TrainingInfo) (*myopicPolicy, error) {
@@ -149,20 +161,18 @@ func newMyopicPolicy(forest *rf.Forest, mitigationCostNodeHours float64, info *T
 		return nil, err
 	}
 	return &myopicPolicy{
-		d:        &policies.MyopicRF{Forest: forest, MitigationCostNodeHours: mitigationCostNodeHours},
-		version:  version,
-		training: info,
+		d:       &policies.MyopicRF{Forest: forest, MitigationCostNodeHours: mitigationCostNodeHours},
+		lineage: lineage{version: version, training: info},
 	}, nil
 }
 
 func (p *myopicPolicy) Kind() PolicyKind { return PolicyMyopicRF }
 func (p *myopicPolicy) Name() string     { return p.d.Name() }
-func (p *myopicPolicy) Version() string  { return p.version }
 
 func (p *myopicPolicy) Decide(s Snapshot) Decision {
 	ctx := policies.Context{Node: s.Node, Time: s.Time, Features: s.vector()}
 	// One forest inference, as in rfPolicy: score > 0 is the decision.
-	score := p.d.Score(ctx)
+	score := p.d.Score(&ctx)
 	return decisionFor(p, s, actionOf(score > 0), score)
 }
 
@@ -172,10 +182,8 @@ func (p *myopicPolicy) Decide(s Snapshot) Decision {
 // buffers are pooled, so one instance can serve all controller shards
 // concurrently and a Decide call allocates nothing in steady state.
 type rlPolicy struct {
-	q        *rl.SharedQPolicy
-	version  string
-	parent   string
-	training *TrainingInfo
+	q *rl.SharedQPolicy
+	lineage
 }
 
 // newRLPolicy wraps a frozen network (the policy takes ownership; Clone
@@ -193,12 +201,11 @@ func newRLPolicy(net *nn.Network, info *TrainingInfo) (*rlPolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rlPolicy{q: rl.NewSharedQPolicy(net), version: version, training: info}, nil
+	return &rlPolicy{q: rl.NewSharedQPolicy(net), lineage: lineage{version: version, training: info}}, nil
 }
 
 func (p *rlPolicy) Kind() PolicyKind { return PolicyRL }
 func (p *rlPolicy) Name() string     { return "RL" }
-func (p *rlPolicy) Version() string  { return p.version }
 
 func (p *rlPolicy) Decide(s Snapshot) Decision {
 	var qv [2]float64
@@ -228,7 +235,7 @@ func (p *oraclePolicy) Version() string  { return oracleVersion }
 
 func (p *oraclePolicy) Decide(s Snapshot) Decision {
 	ctx := policies.Context{Node: s.Node, Time: s.Time, Features: s.vector()}
-	mit := p.d.Decide(ctx)
+	mit := p.d.Decide(&ctx)
 	score := -1.0
 	if mit {
 		score = 1
@@ -307,7 +314,7 @@ type policyDecider struct{ p Policy }
 
 func (d policyDecider) Name() string { return d.p.Name() }
 
-func (d policyDecider) Decide(ctx policies.Context) bool {
+func (d policyDecider) Decide(ctx *policies.Context) bool {
 	return d.p.Decide(Snapshot{Node: ctx.Node, Time: ctx.Time, Features: ctx.Features}).Mitigate()
 }
 

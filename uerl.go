@@ -273,16 +273,9 @@ func (s *System) Evaluate() Report {
 // EvaluateManufacturer evaluates only the nodes of one anonymized DRAM
 // manufacturer ("A", "B" or "C"), the §4.5 per-manufacturer protocol.
 func (s *System) EvaluateManufacturer(name string) (Report, error) {
-	var m errlog.Manufacturer
-	switch name {
-	case "A":
-		m = errlog.ManufacturerA
-	case "B":
-		m = errlog.ManufacturerB
-	case "C":
-		m = errlog.ManufacturerC
-	default:
-		return Report{}, fmt.Errorf("uerl: unknown manufacturer %q (want A, B or C)", name)
+	m, err := errlog.ParseManufacturer(name)
+	if err != nil {
+		return Report{}, fmt.Errorf("uerl: %w", err)
 	}
 	part := s.world.Partition(m)
 	if len(part.Events) == 0 {
