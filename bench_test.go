@@ -10,7 +10,6 @@ package uerl
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -224,49 +223,42 @@ func BenchmarkNNTrainStepBatched(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
-// BenchmarkDQNTrainEpochParallel measures a 32-step DQN training epoch
-// (batched forward/backward/Adam over PER minibatches plus one target
-// sync) under the nn.KernelFast chunked data-parallel trainer at several
-// worker counts. Trained weights are bit-identical across the worker
-// sub-benchmarks (see rl's TestChunkedTrainingBitIdenticalAcrossWorkers);
-// only wall clock may differ, and only on multi-core hosts.
-func BenchmarkDQNTrainEpochParallel(b *testing.B) {
+// BenchmarkDQNTrainEpoch measures a 32-step DQN training epoch (batched
+// forward/backward/Adam over PER minibatches plus one target sync) at the
+// paper's 256-256-128-64 width under the nn.KernelFast chunked trainer.
+func BenchmarkDQNTrainEpoch(b *testing.B) {
 	const stepsPerEpoch = 32
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := rl.NewPrioritizedReplay(rl.PERConfig{Capacity: 1 << 13})
-			rng := mathx.NewRNG(7)
-			for i := 0; i < 1<<13; i++ {
-				tr := rl.Transition{
-					S:     make([]float64, features.Dim),
-					NextS: make([]float64, features.Dim),
-					A:     i % 2, R: rng.NormFloat64(), Done: i%97 == 0,
-				}
-				for j := range tr.S {
-					tr.S[j] = rng.NormFloat64()
-					tr.NextS[j] = rng.NormFloat64()
-				}
-				p.Add(tr)
-			}
-			a := rl.NewAgent(rl.AgentConfig{
-				StateLen: features.Dim, NumActions: 2,
-				Hidden: []int{256, 256, 128, 64}, Dueling: true, DoubleDQN: true,
-				Gamma: 0.99, LearningRate: 1e-3, BatchSize: 32, GradClip: 10,
-				Seed: 1, Kernel: nn.KernelFast, TrainWorkers: workers,
-			}, p)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for s := 0; s < stepsPerEpoch; s++ {
-					if _, trained := a.TrainStep(); !trained {
-						b.Fatal("train step skipped")
-					}
-				}
-				a.SyncTarget()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepsPerEpoch), "ns/step")
-		})
+	p := rl.NewPrioritizedReplay(rl.PERConfig{Capacity: 1 << 13})
+	rng := mathx.NewRNG(7)
+	for i := 0; i < 1<<13; i++ {
+		tr := rl.Transition{
+			S:     make([]float64, features.Dim),
+			NextS: make([]float64, features.Dim),
+			A:     i % 2, R: rng.NormFloat64(), Done: i%97 == 0,
+		}
+		for j := range tr.S {
+			tr.S[j] = rng.NormFloat64()
+			tr.NextS[j] = rng.NormFloat64()
+		}
+		p.Add(tr)
 	}
+	a := rl.NewAgent(rl.AgentConfig{
+		StateLen: features.Dim, NumActions: 2,
+		Hidden: []int{256, 256, 128, 64}, Dueling: true, DoubleDQN: true,
+		Gamma: 0.99, LearningRate: 1e-3, BatchSize: 32, GradClip: 10,
+		Seed: 1, Kernel: nn.KernelFast,
+	}, p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < stepsPerEpoch; s++ {
+			if _, trained := a.TrainStep(); !trained {
+				b.Fatal("train step skipped")
+			}
+		}
+		a.SyncTarget()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepsPerEpoch), "ns/step")
 }
 
 // BenchmarkPERSample measures prioritized replay sampling at DQN batch

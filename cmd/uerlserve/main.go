@@ -97,7 +97,7 @@ func newCommand(fs *flag.FlagSet) *command {
 	fs.StringVar(&c.scenarioFile, "scenario", "", "run this scenario spec (JSON file) instead of the one the spec flags describe")
 	fs.StringVar(&c.model, "model", "", "initial model artifact (overrides the spec's initial policy)")
 	fs.StringVar(&c.save, "save", "", "save the final serving model artifact to this path")
-	fs.StringVar(&c.kernel, "kernel", "reference", "training kernel/stream version: reference (bit-exact legacy stream) or fast (FMA kernels + data-parallel chunked gradients; serving inference always uses reference)")
+	fs.StringVar(&c.kernel, "kernel", "reference", "training kernel/stream version: reference (bit-exact legacy stream) or fast (FMA kernels + chunked in-order gradients; serving inference always uses reference)")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit the scenario summary as JSON instead of the text log")
 	fs.BoolVar(&c.printSpec, "print-spec", false, "print the scenario spec and exit")
 	c.spec = newSpecFlags(fs)

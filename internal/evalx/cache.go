@@ -34,9 +34,10 @@ import (
 //     Table 2 previously retrained byte-identical agents per figure.
 //
 // Logs and traces handed to a cached run must not be mutated afterwards;
-// keys are pointer identities. Every artifact is a deterministic function
-// of its key, so concurrent duplicate computation is harmless (last write
-// wins with an identical value). A nil *Cache is valid and disables
+// keys are pointer identities. Each key is computed once: concurrent
+// callers asking for a key that is being computed wait for that one
+// computation, so Figure 3's cost points, run side by side, share one tick
+// pipeline and one forest per split. A nil *Cache is valid and disables
 // memoization, so all entry points take an optional cache.
 //
 // Wallclock training costs are part of the §4.3 accounting: each forest,
@@ -59,31 +60,47 @@ func NewCache() *Cache { return &Cache{} }
 // ready to use.
 type memoMap[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]V
+	m  map[K]*memoCell[V]
 }
 
-// get returns key's value, running compute on first use. compute runs
-// outside the lock, so a slow artifact never blocks other keys.
+// memoCell holds one key's value; its lock is held while the value is
+// computed, so concurrent callers wait for that one computation.
+type memoCell[V any] struct {
+	mu sync.Mutex
+	v  V
+	ok bool
+}
+
+// get returns key's value, running compute on first use. Concurrent gets
+// of one key run compute once; compute runs outside the table lock, so a
+// slow artifact never blocks other keys. A panicking compute re-raises to
+// its caller and leaves the value uncached, so the next get computes it
+// afresh.
 func (t *memoMap[K, V]) get(key K, compute func() V) V {
 	t.mu.Lock()
-	v, ok := t.m[key]
-	t.mu.Unlock()
-	if ok {
-		return v
+	c := t.m[key]
+	if c == nil {
+		if t.m == nil {
+			t.m = map[K]*memoCell[V]{}
+		}
+		c = &memoCell[V]{}
+		t.m[key] = c
 	}
-	v = compute()
-	t.mu.Lock()
-	if t.m == nil {
-		t.m = map[K]V{}
-	}
-	t.m[key] = v
 	t.mu.Unlock()
-	return v
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.ok {
+		c.v = compute()
+		c.ok = true
+	}
+	return c.v
 }
 
 // timed runs f and returns its wallclock in hours: the §4.3 training cost
-// charged for an artifact. Memoized artifacts record it on the miss and
-// hits replay that recording, so cached and cold runs render identically.
+// charged for an artifact. It is measured while sibling fits (Figure 3's
+// other cost points) may train concurrently, and stays metadata that never
+// feeds a decision. Memoized artifacts record it on the miss and hits
+// replay that recording, so cached and cold runs render identically.
 func timed(f func()) float64 {
 	start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; it annotates results and never feeds replay decisions
 	f()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +116,64 @@ func TestMemoMapConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMemoMapComputesOnce: concurrent gets of one key run compute once.
+// compute blocks until every caller is about to call get, so the others
+// arrive while the key is in flight.
+func TestMemoMapComputesOnce(t *testing.T) {
+	const callers = 16
+	var (
+		m        memoMap[string, *int]
+		computes atomic.Int32
+		arrived  sync.WaitGroup
+		wg       sync.WaitGroup
+	)
+	arrived.Add(callers)
+	got := make([]*int, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arrived.Done()
+			got[g] = m.get("k", func() *int {
+				computes.Add(1)
+				arrived.Wait()
+				v := 42
+				return &v
+			})
+		}()
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times, want 1", n)
+	}
+	for g, v := range got {
+		if v != got[0] || *v != 42 {
+			t.Fatalf("caller %d got %p (%v), want %p", g, v, v, got[0])
+		}
+	}
+}
+
+// TestMemoMapPanicNotCached: a panicking compute re-raises to its caller
+// and leaves the key uncached, so the next get computes it again.
+func TestMemoMapPanicNotCached(t *testing.T) {
+	var m memoMap[int, int]
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		m.get(1, func() int { panic("boom") })
+		t.Fatal("get returned instead of panicking")
+	}()
+	if v := m.get(1, func() int { return 7 }); v != 7 {
+		t.Fatalf("get after a panicked compute = %d, want 7 (recomputed)", v)
+	}
+	if v := m.get(1, func() int { return 8 }); v != 7 {
+		t.Fatalf("get after a successful compute = %d, want the cached 7", v)
+	}
 }
 
 // TestOraclePointsIndexEquivalence asserts the precomputed oracle index

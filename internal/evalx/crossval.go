@@ -66,8 +66,8 @@ type CVConfig struct {
 	// or without it.
 	Cache *Cache
 	// Kernel pins the nn kernel/stream version RL training runs under. Zero
-	// selects nn.KernelFast (the FMA kernels, chunked data-parallel
-	// training, PCG env RNG); nn.KernelReference reproduces the training
+	// selects nn.KernelFast (the FMA kernels, chunked in-order gradient
+	// reduction, PCG env RNG); nn.KernelReference reproduces the training
 	// trajectories of pre-versioned seeds bit-exactly. Either stream is
 	// fully deterministic; they differ only in floating-point rounding.
 	Kernel int
@@ -470,10 +470,11 @@ func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Networ
 // so the search returns the same model for any worker count.
 //
 // Under nn.KernelFast (the default, see CVConfig.Kernel) each candidate
-// trains data-parallel: rl.TrainVec steps DefaultEnvFanout environments
-// per round (each with its own pre-seeded PCG stream) and the chunked
-// trainer reduces minibatch gradients in chunk-index order, so results stay
-// bit-identical for every worker count. nn.KernelReference reproduces the
+// trains on rl.TrainVec, which steps DefaultEnvFanout environments per
+// round (each with its own pre-seeded PCG stream), and the chunked trainer
+// reduces minibatch gradients in chunk-index order; a candidate's training
+// runs on one goroutine, so results stay bit-identical for every worker
+// count. nn.KernelReference reproduces the
 // pre-versioned serial trajectories exactly.
 func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, spec splitSpec, useValidation bool, warmStart *nn.Network) (rl.Policy, *nn.Network) {
 	if len(trainTicks) == 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,6 +91,10 @@ func TestPartitionMemoized(t *testing.T) {
 	}
 }
 
+// smallScale is a two-split CI world small enough to build several times
+// in one test.
+var smallScale = Scale{TelemetryScale: 0.02, MinUEs: 12, JobCount: 1200, Parts: 2, Preset: evalx.PresetCI, Seed: 1}
+
 // TestCachedWorldMatchesColdWorld is the cross-figure cache's hard
 // correctness bar: a World whose artifact cache is warmed by the whole
 // figure suite must render byte-identical tables to cold Worlds that
@@ -101,7 +106,6 @@ func TestCachedWorldMatchesColdWorld(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cached-vs-cold equivalence in short mode")
 	}
-	scale := Scale{TelemetryScale: 0.02, MinUEs: 12, JobCount: 1200, Parts: 2, Preset: evalx.PresetCI, Seed: 1}
 
 	render := func(w *World) (string, string) {
 		var f3, t2 strings.Builder
@@ -110,10 +114,10 @@ func TestCachedWorldMatchesColdWorld(t *testing.T) {
 		return f3.String(), t2.String()
 	}
 
-	warm := BuildWorld(scale)
+	warm := BuildWorld(smallScale)
 	warmF3, warmT2 := render(warm)
 
-	cold := BuildWorld(scale)
+	cold := BuildWorld(smallScale)
 	cold.DisableCache()
 	coldF3, coldT2 := render(cold)
 
@@ -129,5 +133,31 @@ func TestCachedWorldMatchesColdWorld(t *testing.T) {
 	againF3, againT2 := render(warm)
 	if againF3 != warmF3 || againT2 != warmT2 {
 		t.Error("warm re-render differs from first cached render")
+	}
+}
+
+// TestRunFig3DeterministicAcrossGOMAXPROCS: Fig. 3 runs its cost points
+// side by side over one shared cache, and its numbers must not depend on
+// how they are scheduled. TrainingCost is wallclock, so it is zeroed
+// before rendering, as the goldens do.
+func TestRunFig3DeterministicAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Fig. 3 scheduling determinism in short mode")
+	}
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := RunFig3(BuildWorld(smallScale))
+		var results [][]evalx.Result
+		for _, cv := range r.Runs {
+			for i := range cv.Totals {
+				cv.Totals[i].TrainingCost = 0
+			}
+			results = append(results, cv.Totals)
+		}
+		return renderExact(r.Render, results...)
+	}
+	one, four := run(1), run(4)
+	if one != four {
+		t.Fatalf("Figure 3 differs between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
 	}
 }

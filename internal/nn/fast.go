@@ -86,12 +86,11 @@ func (n *Network) InvalidateFast() {
 }
 
 // GradShadow returns a network that shares n's weights (and padded weight
-// image) but owns private gradient accumulators. The chunked data-parallel
-// trainer gives each minibatch chunk a shadow so workers accumulate
-// gradients without contention, then reduces the shadows' gradients into
-// the master in chunk-index order. Shadows must not outlive weight shape
-// changes on the owner, and BackwardBatch on a shadow accumulates into the
-// shadow's own Params().
+// image) but owns private gradient accumulators. The chunked trainer
+// computes each minibatch chunk's gradients into a shadow and adds them
+// into the master in chunk-index order. Shadows must not outlive weight
+// shape changes on the owner, and BackwardBatch on a shadow accumulates
+// into the shadow's own Params().
 func (n *Network) GradShadow() *Network {
 	base := n
 	if n.shadowOf != nil {

@@ -129,9 +129,8 @@ func fwdLayerFast(w, bias, x, y []float64, nb, inP, out, outP int, relu bool) {
 
 // AccumulateGrads adds src's accumulated gradients into dst's, element-wise
 // (dst.G[i] += 1*src.G[i], which is exact). It is the in-order reduction
-// step of chunked data-parallel training: the caller adds chunk gradients
-// in ascending chunk index, so the reduced gradient is independent of which
-// worker computed which chunk.
+// step of chunked training: the caller adds chunk gradients in ascending
+// chunk index, which fixes the reduced gradient's rounding.
 func AccumulateGrads(dst, src []*Param) {
 	if len(dst) != len(src) {
 		panic("nn: AccumulateGrads parameter count mismatch")

@@ -22,10 +22,12 @@ func Workers(n int) int {
 }
 
 // For invokes fn(i) for every i in [0, n) using at most workers concurrent
-// goroutines and returns when all calls are done. workers <= 0 selects
+// lanes and returns when all calls are done. workers <= 0 selects
 // GOMAXPROCS; a single worker (or n <= 1) runs inline with no goroutines.
-// fn must confine its writes to per-index state (e.g. out[i]) — For adds no
-// synchronization around shared state beyond the final join.
+// Otherwise For forks workers-1 goroutines and runs the last lane on the
+// calling goroutine. fn must confine its writes to per-index state (e.g.
+// out[i]) — For adds no synchronization around shared state beyond the
+// final join.
 //
 // A panic in fn aborts remaining work and is re-raised on the caller's
 // goroutine (the original stack trace is lost but the value is preserved),
@@ -64,19 +66,23 @@ func For(n, workers int, fn func(i int)) {
 		}()
 		fn(i)
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	lane := func() {
+		for !aborted.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			call(i)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !aborted.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				call(i)
-			}
+			lane()
 		}()
 	}
+	lane()
 	wg.Wait()
 	if panicVal != nil {
 		panic(panicVal)

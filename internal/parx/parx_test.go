@@ -2,8 +2,10 @@ package parx
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -46,6 +48,60 @@ func TestForPanicPropagates(t *testing.T) {
 			t.Fatalf("workers=%d: For returned instead of panicking", workers)
 		}()
 	}
+}
+
+// TestForPanicOnCallerLane: a panic raised on the caller's own lane is
+// re-raised only after the forked lanes have stopped, and aborts the
+// remaining work. Forked lanes hold their first index until the caller's
+// lane has taken one, so the caller always runs fn.
+func TestForPanicOnCallerLane(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	caller := goid()
+	const n = 1 << 20
+	var (
+		ran       atomic.Int32
+		inFlight  atomic.Int32
+		afterJoin bool
+	)
+	callerIn := make(chan struct{})
+	func() {
+		defer func() {
+			if r := recover(); r != "caller boom" {
+				t.Fatalf("recovered %v, want caller boom", r)
+			}
+			afterJoin = inFlight.Load() == 0
+		}()
+		For(n, 4, func(i int) {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			ran.Add(1)
+			if goid() == caller {
+				close(callerIn)
+				panic("caller boom")
+			}
+			select {
+			case <-callerIn:
+			case <-time.After(5 * time.Second):
+				panic("the caller's lane never ran fn")
+			}
+			runtime.Gosched()
+		})
+		t.Fatal("For returned instead of panicking")
+	}()
+	if !afterJoin {
+		t.Fatal("panic re-raised while forked lanes were still running")
+	}
+	if got := ran.Load(); got >= n {
+		t.Fatalf("all %d indices ran; the caller-lane panic did not abort the rest", got)
+	}
+}
+
+// goid returns the current goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
 }
 
 func TestWorkers(t *testing.T) {

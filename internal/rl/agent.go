@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mathx"
 	"repro/internal/nn"
-	"repro/internal/parx"
 )
 
 // Environment is the MDP the agent interacts with (§3.2). An environment is
@@ -91,14 +90,9 @@ type AgentConfig struct {
 	// nn.KernelFast). Zero means nn.KernelReference, preserving the exact
 	// training trajectories of existing seeds. nn.KernelFast enables the
 	// FMA kernels, reciprocal Adam, the PCG exploration RNG, and chunked
-	// data-parallel training with in-order gradient reduction — a different
-	// (but equally deterministic) rounding stream, bit-identical for every
-	// TrainWorkers setting and GOMAXPROCS.
+	// training with in-order gradient reduction — a different (but equally
+	// deterministic) rounding stream, bit-identical at any GOMAXPROCS.
 	Kernel int
-	// TrainWorkers bounds the workers that compute minibatch chunk
-	// gradients under nn.KernelFast; 0 means GOMAXPROCS. It never affects
-	// results, only wall time.
-	TrainWorkers int
 }
 
 // Validate reports configuration errors.
@@ -176,21 +170,16 @@ type Agent struct {
 	sampHandles []int
 	sampWs      []float64
 
-	// Chunked data-parallel training state (nn.KernelFast only): the
-	// minibatch splits into fixed trainChunkSize chunks; each chunk computes
-	// gradients into its own weight-sharing shadow network, and the shadows
-	// reduce into the online network in chunk-index order. Chunk geometry
-	// depends only on BatchSize — never on TrainWorkers or GOMAXPROCS — so
-	// trained weights are bit-identical for every worker count.
-	shadows     []*nn.Network
-	chunkScr    []*nn.BatchScratch
-	chunkTgtScr []*nn.BatchScratch
-	chunkXS     [][]float64
-	chunkDOut   [][]float64
-	chunkNext   [][]float64
-	chunkLoss   []float64
-	chunkN      int       // samples in the minibatch being chunked
-	chunkFn     func(int) // preallocated parx.For body (keeps train steps alloc-free)
+	// Chunked training state (nn.KernelFast only): the minibatch splits
+	// into fixed trainChunkSize chunks, computed in order; each chunk's
+	// gradients land in a weight-sharing shadow network and reduce into the
+	// online network in chunk-index order.
+	shadow      *nn.Network
+	chunkScr    *nn.BatchScratch
+	chunkTgtScr *nn.BatchScratch
+	chunkXS     []float64
+	chunkDOut   []float64
+	chunkNext   []float64
 
 	// serialTrain forces the legacy one-transition-at-a-time training loop;
 	// it exists only so tests can verify the batched path reproduces the
@@ -199,7 +188,7 @@ type Agent struct {
 }
 
 // trainChunkSize is the fixed minibatch chunk width of the nn.KernelFast
-// data-parallel trainer. It is a constant of the stream definition: changing
+// chunked trainer. It is a constant of the stream definition: changing
 // it changes the gradient-reduction association and therefore the trained
 // weights, so it must only move together with a kernel version bump.
 const trainChunkSize = 8
@@ -256,24 +245,12 @@ func (a *Agent) initBatchState() {
 	a.sampHandles = make([]int, b)
 	a.sampWs = make([]float64, b)
 	if a.cfg.Kernel == nn.KernelFast {
-		nchunks := (b + trainChunkSize - 1) / trainChunkSize
-		a.shadows = make([]*nn.Network, nchunks)
-		a.chunkScr = make([]*nn.BatchScratch, nchunks)
-		a.chunkTgtScr = make([]*nn.BatchScratch, nchunks)
-		a.chunkXS = make([][]float64, nchunks)
-		a.chunkDOut = make([][]float64, nchunks)
-		a.chunkNext = make([][]float64, nchunks)
-		a.chunkLoss = make([]float64, nchunks)
-		for c := range a.shadows {
-			sh := a.online.GradShadow()
-			a.shadows[c] = sh
-			a.chunkScr[c] = sh.NewBatchScratchKernel(2*trainChunkSize, nn.KernelFast)
-			a.chunkTgtScr[c] = a.target.NewBatchScratchKernel(trainChunkSize, nn.KernelFast)
-			a.chunkXS[c] = make([]float64, 2*trainChunkSize*a.cfg.StateLen)
-			a.chunkDOut[c] = make([]float64, trainChunkSize*a.cfg.NumActions)
-			a.chunkNext[c] = make([]float64, trainChunkSize)
-		}
-		a.chunkFn = func(c int) { a.trainChunk(c, a.chunkN) }
+		a.shadow = a.online.GradShadow()
+		a.chunkScr = a.shadow.NewBatchScratchKernel(2*trainChunkSize, nn.KernelFast)
+		a.chunkTgtScr = a.target.NewBatchScratchKernel(trainChunkSize, nn.KernelFast)
+		a.chunkXS = make([]float64, 2*trainChunkSize*a.cfg.StateLen)
+		a.chunkDOut = make([]float64, trainChunkSize*a.cfg.NumActions)
+		a.chunkNext = make([]float64, trainChunkSize)
 	}
 }
 
@@ -443,13 +420,12 @@ func (a *Agent) trainBatchSerial() float64 {
 }
 
 // trainBatchChunked is the nn.KernelFast training step: the sampled
-// minibatch splits into fixed trainChunkSize chunks, each chunk's gradients
-// are computed into its weight-sharing shadow network (by up to TrainWorkers
-// workers), and the shadows reduce into the online network in chunk-index
-// order. The in-order reduction fixes the floating-point association, so
-// trained weights are bit-identical for every worker count and GOMAXPROCS.
-// The chunked association differs from the sequential reference's, which is
-// one of the rounding changes the nn.KernelFast version pin covers.
+// minibatch splits into fixed trainChunkSize chunks, and in chunk-index
+// order each chunk's gradients are computed into the weight-sharing shadow
+// network and added into the online network. The chunk geometry and the
+// in-order reduction fix the floating-point association; it differs from
+// the sequential reference's, which is one of the rounding changes the
+// nn.KernelFast version pin covers.
 //
 //uerl:hotpath
 func (a *Agent) trainBatchChunked() float64 {
@@ -457,36 +433,21 @@ func (a *Agent) trainBatchChunked() float64 {
 	if n == 0 {
 		return 0
 	}
-	// Prewarm both packed-weight images serially; the parallel section below
-	// only reads them.
+	// Prewarm both packed-weight images; the chunks below only read them.
 	a.online.EnsureFast()
 	a.target.EnsureFast()
-	nchunks := (n + trainChunkSize - 1) / trainChunkSize
-	a.chunkN = n
-	parx.For(nchunks, a.cfg.TrainWorkers, a.chunkFn)
 	a.online.ZeroGrad()
-	for c := 0; c < nchunks; c++ {
-		nn.AccumulateGrads(a.online.Params(), a.shadows[c].Params())
+	totalLoss := 0.0
+	for lo := 0; lo < n; lo += trainChunkSize {
+		hi := min(lo+trainChunkSize, n)
+		totalLoss += a.tdGrad(a.shadow, a.chunkScr, a.chunkTgtScr, a.chunkXS, a.chunkDOut, a.chunkNext, lo, hi, n)
+		nn.AccumulateGrads(a.online.Params(), a.shadow.Params())
 	}
 	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
 	a.opt.Step(a.online.Params())
 	a.online.InvalidateFast()
 	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
-	totalLoss := 0.0
-	for c := 0; c < nchunks; c++ {
-		totalLoss += a.chunkLoss[c]
-	}
 	return totalLoss / float64(n)
-}
-
-// trainChunk computes the TD gradients of chunk c of an n-sample minibatch
-// into the chunk's shadow network. Every write is chunk-private (shadow
-// gradients, chunk scratches, tdErrs[lo:hi], chunkLoss[c]); the online and
-// target packed weights are read-only here.
-func (a *Agent) trainChunk(c, n int) {
-	lo := c * trainChunkSize
-	hi := min(lo+trainChunkSize, n)
-	a.chunkLoss[c] = a.tdGrad(a.shadows[c], a.chunkScr[c], a.chunkTgtScr[c], a.chunkXS[c], a.chunkDOut[c], a.chunkNext[c], lo, hi, n)
 }
 
 // tdGrad zeroes net's gradients and accumulates into them the TD-loss

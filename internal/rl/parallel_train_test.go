@@ -1,8 +1,9 @@
 package rl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
-	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
@@ -26,79 +27,68 @@ func marshalWeights(t *testing.T, a *Agent) []byte {
 	return b
 }
 
-// workerCounts is the TrainWorkers sweep the determinism contract covers.
-func workerCounts() []int {
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		counts = append(counts, p)
-	}
-	return counts
+// perConfig is the prioritized replay the pinned trajectories train with.
+func perConfig() PERConfig {
+	return PERConfig{Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000, FastPow: true}
 }
 
-// TestChunkedTrainingBitIdenticalAcrossWorkers is the tentpole contract:
-// under nn.KernelFast, the trained weights must be byte-identical for every
-// TrainWorkers setting, because the minibatch chunk geometry is fixed and
-// the chunk gradients reduce in chunk-index order. Run with -race this also
-// proves the parallel chunk section is data-race-free.
-func TestChunkedTrainingBitIdenticalAcrossWorkers(t *testing.T) {
-	var want []byte
-	for _, workers := range workerCounts() {
+// weightsHash is the SHA-256 of the agent's serialized online network.
+func weightsHash(t *testing.T, a *Agent) string {
+	t.Helper()
+	sum := sha256.Sum256(marshalWeights(t, a))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestChunkedTrainTrajectoryPinned pins the nn.KernelFast training stream:
+// the fixed trainChunkSize chunk geometry and the chunk-index-order
+// gradient reduction define the rounding, so the trained weights must hash
+// to the recorded values. Batch 8 is one chunk; batch 20 is two full
+// chunks and a partial one, so it also pins the reduction order. The
+// constants were recorded when chunks were still spread over a worker
+// pool, with one worker.
+func TestChunkedTrainTrajectoryPinned(t *testing.T) {
+	for _, tc := range []struct {
+		batch int
+		want  string
+	}{
+		{8, "f0425ca6f8fa919af5b13f56f55b5e434bbc8cb2ceb419f8fa3090ffd6d13a66"},
+		{20, "785fe8525ba687d20c977c98b213018ca247cc9ab08840899163469349899012"},
+	} {
 		cfg := fastConfig()
-		cfg.TrainWorkers = workers
-		agent := NewAgent(cfg, NewPrioritizedReplay(PERConfig{
-			Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000, FastPow: true,
-		}))
+		cfg.BatchSize = tc.batch
+		agent := NewAgent(cfg, NewPrioritizedReplay(perConfig()))
 		env := &walkEnv{rng: mathx.NewRNG(9)}
 		Train(agent, env, TrainOptions{Episodes: 40, MaxStepsPerEpisode: 64})
-		got := marshalWeights(t, agent)
-		if want == nil {
-			want = got
-			continue
-		}
-		if string(got) != string(want) {
-			t.Fatalf("TrainWorkers=%d produced different weights than TrainWorkers=1", workers)
+		if got := weightsHash(t, agent); got != tc.want {
+			t.Errorf("batch %d: KernelFast Train weights hash %s, want %s", tc.batch, got, tc.want)
 		}
 	}
 }
 
-// TestTrainVecBitIdenticalAcrossWorkers: the vectorized trainer's parallel
-// environment stepping must not leak scheduling into results — weights,
-// episode rewards and step counts are identical for every worker count.
-func TestTrainVecBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]byte, TrainResult, *Agent) {
-		cfg := fastConfig()
-		cfg.TrainWorkers = workers
-		agent := NewAgent(cfg, NewPrioritizedReplay(PERConfig{
-			Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000, FastPow: true,
-		}))
-		envs := make([]Environment, DefaultEnvFanout)
-		for i := range envs {
-			envs[i] = &walkEnv{rng: mathx.NewRNG(100 + int64(i))}
-		}
-		res := TrainVec(agent, envs, TrainOptions{Episodes: 40, MaxStepsPerEpisode: 64})
-		return marshalWeights(t, agent), res, agent
+// TestTrainVecTrajectoryPinned pins the vectorized trainer under
+// nn.KernelFast: weights, step count and total reward must match the values
+// recorded when environment steps were still spread over a worker pool,
+// with one worker.
+func TestTrainVecTrajectoryPinned(t *testing.T) {
+	const (
+		wantHash   = "46e6010b368622e29b8878c567d07348c26d0f846f233921cf1b0b304036286a"
+		wantSteps  = 137
+		wantReward = 33.52999999999998
+	)
+	agent := NewAgent(fastConfig(), NewPrioritizedReplay(perConfig()))
+	envs := make([]Environment, DefaultEnvFanout)
+	for i := range envs {
+		envs[i] = &walkEnv{rng: mathx.NewRNG(100 + int64(i))}
 	}
-	wantW, wantRes, _ := run(1)
-	if wantRes.Episodes != 40 {
-		t.Fatalf("TrainVec ran %d episodes, want 40", wantRes.Episodes)
+	res := TrainVec(agent, envs, TrainOptions{Episodes: 40, MaxStepsPerEpisode: 64})
+	if res.Episodes != 40 || len(res.EpisodeRewards) != 40 {
+		t.Fatalf("TrainVec ran %d episodes with %d rewards, want 40", res.Episodes, len(res.EpisodeRewards))
 	}
-	if len(wantRes.EpisodeRewards) != 40 {
-		t.Fatalf("EpisodeRewards has %d entries, want 40", len(wantRes.EpisodeRewards))
+	if res.Steps != wantSteps || res.TotalReward != wantReward {
+		t.Fatalf("TrainVec steps %d reward %v, want %d and %v", res.Steps, res.TotalReward, wantSteps, wantReward)
 	}
-	for _, workers := range workerCounts()[1:] {
-		gotW, gotRes, _ := run(workers)
-		if string(gotW) != string(wantW) {
-			t.Fatalf("TrainVec workers=%d produced different weights than workers=1", workers)
-		}
-		if gotRes.Steps != wantRes.Steps || gotRes.TotalReward != wantRes.TotalReward {
-			t.Fatalf("TrainVec workers=%d result diverged: steps %d vs %d, reward %v vs %v",
-				workers, gotRes.Steps, wantRes.Steps, gotRes.TotalReward, wantRes.TotalReward)
-		}
-		for i := range gotRes.EpisodeRewards {
-			if gotRes.EpisodeRewards[i] != wantRes.EpisodeRewards[i] {
-				t.Fatalf("TrainVec workers=%d episode %d reward diverged", workers, i)
-			}
-		}
+	if got := weightsHash(t, agent); got != wantHash {
+		t.Fatalf("KernelFast TrainVec weights hash %s, want %s", got, wantHash)
 	}
 }
 
@@ -117,12 +107,9 @@ func TestChunkedTrainLearns(t *testing.T) {
 }
 
 // TestChunkedTrainStepZeroAlloc: the chunked train step must stay
-// allocation-free in steady state when it runs inline (TrainWorkers=1);
-// with more workers only parx's goroutine machinery allocates.
+// allocation-free in steady state.
 func TestChunkedTrainStepZeroAlloc(t *testing.T) {
-	cfg := fastConfig()
-	cfg.TrainWorkers = 1
-	agent := NewAgent(cfg, NewPrioritizedReplay(PERConfig{Capacity: 1 << 10, FastPow: true}))
+	agent := NewAgent(fastConfig(), NewPrioritizedReplay(PERConfig{Capacity: 1 << 10, FastPow: true}))
 	env := &walkEnv{rng: mathx.NewRNG(3)}
 	Train(agent, env, TrainOptions{Episodes: 30, MaxStepsPerEpisode: 64})
 

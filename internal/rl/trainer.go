@@ -1,9 +1,6 @@
 package rl
 
-import (
-	"repro/internal/mathx"
-	"repro/internal/parx"
-)
+import "repro/internal/mathx"
 
 // TrainResult summarizes a training run.
 type TrainResult struct {
@@ -72,14 +69,12 @@ const DefaultEnvFanout = 4
 // TrainVec trains the agent against several environments at once, one slot
 // per environment. Each round every active slot picks an ε-greedy action
 // (exploration from per-slot RNG streams pre-forked in slot order, greedy
-// actions from one batched forward pass), the environments step — in
-// parallel, since each env is slot-private — and the transitions are
-// observed serially in slot order. Every agent-visible sequence (replay
-// contents, training schedule, epsilon decay, RNG draws) therefore depends
-// only on slot order, never on how the environment steps were scheduled:
-// results are bit-identical for any worker count. Slots whose episode ends
-// start the next unstarted episode, so exactly opts.Episodes episodes run,
-// and EpisodeRewards is indexed by episode as in Train.
+// actions from one batched forward pass), then each slot in turn steps its
+// environment and the agent observes the transition. Every agent-visible
+// sequence (replay contents, training schedule, epsilon decay, RNG draws)
+// therefore depends only on slot order. Slots whose episode ends start the
+// next unstarted episode, so exactly opts.Episodes episodes run, and
+// EpisodeRewards is indexed by episode as in Train.
 //
 // The schedule interleaves slots, so trajectories differ from running Train
 // on one environment — callers choose TrainVec as a mode, not a drop-in
@@ -111,9 +106,6 @@ func TrainVec(agent *Agent, envs []Environment, opts TrainOptions) TrainResult {
 	episodeIdx := make([]int, e)
 	active := make([]bool, e)
 	actions := make([]int, e)
-	nextS := make([][]float64, e)
-	rewards := make([]float64, e)
-	dones := make([]bool, e)
 	activeSlots := make([]int, 0, e)
 	greedySlots := make([]int, 0, e)
 
@@ -184,23 +176,16 @@ func TrainVec(agent *Agent, envs []Environment, opts TrainOptions) TrainResult {
 				actions[s] = mathx.ArgMax(q[i*numA : (i+1)*numA])
 			}
 		}
-		// Environment stepping is the only parallel section; each env is
-		// slot-private and the results land in slot-indexed arrays.
-		parx.For(len(activeSlots), agent.cfg.TrainWorkers, func(i int) {
-			s := activeSlots[i]
-			nextS[s], rewards[s], dones[s] = envs[s].Step(actions[s])
-		})
-		// Observe serially in slot order: replay contents, train steps and
-		// target syncs follow a schedule independent of worker count.
 		for _, s := range activeSlots {
-			agent.Observe(Transition{S: state[s], A: actions[s], R: rewards[s], NextS: nextS[s], Done: dones[s]})
-			epReward[s] += rewards[s]
+			next, reward, done := envs[s].Step(actions[s])
+			agent.Observe(Transition{S: state[s], A: actions[s], R: reward, NextS: next, Done: done})
+			epReward[s] += reward
 			res.Steps++
 			stepCount[s]++
-			if dones[s] {
+			if done {
 				finish(s)
 			} else {
-				state[s] = nextS[s]
+				state[s] = next
 			}
 		}
 	}

@@ -193,8 +193,8 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 // trainer runs under (nn.KernelReference or nn.KernelFast). The default
 // (zero) keeps the reference stream, reproducing the training
 // trajectories of earlier builds bit-exactly; nn.KernelFast enables the
-// FMA kernels and chunked data-parallel gradient reduction, which are
-// deterministic for every worker count but round differently. Serving
+// FMA kernels and chunked in-order gradient reduction, which are
+// deterministic but round differently. Serving
 // inference always uses the reference stream regardless of this setting.
 func WithLearnerKernel(kernel int) LearnerOption {
 	return func(c *learnerConfig) { c.kernel = kernel }

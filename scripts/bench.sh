@@ -48,7 +48,7 @@ if [ -z "${BENCH_OUT:-}" ]; then
   done
   BENCH_OUT="BENCH_$((max + 1)).json"
 fi
-FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpochParallel$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$|BenchmarkScenarioCompile$}"
+FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpoch$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$|BenchmarkScenarioCompile$}"
 # The packages holding the benchmarks: the root module's serving and
 # research benches, the fleet's coordinator bench, and the scenario
 # compile bench.
