@@ -87,9 +87,10 @@ func (v Vector) Normalized() []float64 {
 var normPool = sync.Pool{New: func() any { return new([Dim]float64) }}
 
 // WithNormalized invokes f with the normalized representation of v in
-// pooled scratch, then recycles the buffer. It is the shared zero-alloc
-// idiom for concurrent decision paths (the serving RL policy and the
-// replay RL decider); f must not retain the slice past the call.
+// pooled scratch, then recycles the buffer. It is the zero-alloc idiom for
+// concurrent decision paths whose consumer is an interface call (the
+// replay RL decider), through which a stack buffer would escape to the
+// heap; f must not retain the slice past the call.
 //
 //uerl:hotpath
 func (v Vector) WithNormalized(f func(norm []float64)) {
@@ -124,10 +125,33 @@ func (v Vector) NormalizedInto(out []float64) []float64 {
 			}
 			out[i] = c
 		default:
-			out[i] = math.Log1p(v[i])
+			out[i] = log1pCount(v[i])
 		}
 	}
 	return out
+}
+
+// log1pCounts holds math.Log1p(n) for the whole counts n < len, so the
+// table is bit-identical to the function by construction.
+var log1pCounts = func() (t [1024]float64) {
+	for n := range t {
+		t[n] = math.Log1p(float64(n))
+	}
+	return t
+}()
+
+// log1pCount is math.Log1p with a table lookup for positive whole x below
+// 1024 — the common case of the count features. Every other input (±0,
+// fractions, large counts, NaN, ±Inf) goes to math.Log1p.
+//
+//uerl:hotpath
+func log1pCount(x float64) float64 {
+	if x > 0 && x < float64(len(log1pCounts)) {
+		if n := int(x); float64(n) == x {
+			return log1pCounts[n]
+		}
+	}
+	return math.Log1p(x)
 }
 
 // snapshot is a historical (time, CEsTotal, Boots) record used to compute

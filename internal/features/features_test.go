@@ -257,3 +257,26 @@ func TestHoursSinceBootBeforeFirstBoot(t *testing.T) {
 		t.Fatalf("fallback hours since boot = %v, want 3", v[HoursSinceBoot])
 	}
 }
+
+// TestLog1pCountMatchesLog1p pins the count table: log1pCount must return
+// math.Log1p's exact bits for every input, table hits and misses alike.
+func TestLog1pCountMatchesLog1p(t *testing.T) {
+	xs := []float64{math.Copysign(0, -1), 1023.5, 1024, -1, -0.5, -2, -1023,
+		0.25, 1e-300, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for n := 0; n <= 2048; n++ {
+		xs = append(xs, float64(n))
+	}
+	for _, x := range xs {
+		got, want := log1pCount(x), math.Log1p(x)
+		if math.IsNaN(want) {
+			if !math.IsNaN(got) {
+				t.Errorf("log1pCount(%v) = %v, want NaN", x, got)
+			}
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("log1pCount(%v) = %v (%#x), want %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

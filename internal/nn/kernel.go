@@ -17,8 +17,8 @@ const (
 	// dot's 4-lane reduction, Adam with per-element divides, math/rand
 	// sources. It is the bit-exact reference all earlier artifacts were
 	// trained under, and stays byte-identical on every platform (the AVX2
-	// element-wise kernels used opportunistically under it are bit-equal to
-	// the scalar loops — see the parity tests).
+	// element-wise and single-input forward kernels used opportunistically
+	// under it are bit-equal to the scalar loops — see the parity tests).
 	KernelReference = 1
 	// KernelFast is the throughput stream: FMA row-blocked forward GEMM
 	// over zero-padded weights, FMA gradient accumulation, Adam with

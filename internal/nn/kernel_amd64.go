@@ -100,6 +100,14 @@ func dxFMAAVX(dx, w, dy *float64, nb, in, inP, out int)
 //go:noescape
 func reluMaskAVX(dy, act *float64, n int)
 
+// gemvAVX computes y[o] = bias[o] + dot(w[o*in:(o+1)*in], x) for the
+// first out rows (out a positive multiple of 4, in any positive width),
+// bit-identical to dot: unfused multiply then add into dot's four lanes,
+// the in%4 tail on lane 0, and the (s0+s1)+(s2+s3) reduction.
+//
+//go:noescape
+func gemvAVX(w, x, y, bias *float64, in, out int)
+
 // gemmFMAAVX computes, for each of nb samples and out output rows,
 // y[s*outP+o] = relu?(bias[o] + Σ_k w[o*inP+k]*x[s*inP+k]) with four
 // independent FMA accumulator lanes reduced as (l0+l1)+(l2+l3). inP must be

@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // AVX2/FMA kernels. Contracts shared by every routine here:
-//   - n (or inP) is a positive multiple of 4; Go callers peel scalar tails.
+//   - n (or inP) is a positive multiple of 4; Go callers peel scalar tails
+//     (gemvAVX alone takes any width and adds its tail itself, as dot does).
 //   - Element-wise routines are bit-identical to their scalar Go loops:
 //     VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD and VFMADD231PD are IEEE-754
 //     correctly rounded per lane, lanes are independent, and the per-element
@@ -724,5 +725,115 @@ relumask_loop:
 	ADDQ    $32, DI
 	SUBQ    $4, CX
 	JNE     relumask_loop
+	VZEROUPPER
+	RET
+
+// func gemvAVX(w, x, y, bias *float64, in, out int)
+// Single-input forward rows, out a positive multiple of 4, any positive in:
+//   y[o] = bias[o] + dot(w[o*in:(o+1)*in], x)
+// bit-identical to dot: row o's four YMM lanes are dot's accumulators
+// s0..s3, each step an unfused VMULPD then VADDPD from a +0 start; the
+// in%4 tail goes to lane 0 with VMULSD/VADDSD (after lanes 2-3 are saved,
+// as VEX scalar ops zero the upper half); each row reduces as
+// (s0+s1)+(s2+s3) and then adds its bias. Rows are processed four at a
+// time, sharing each x load.
+// Registers: R8=row0 R13=in*8 R12=in&^3 bytes R15=in%4 SI=x DI=y R11=bias
+//            R14=rows left CX=row0 walker R9=row3 walker R10=x walker
+//            AX/DX=loop counters; Y0-Y3 row accumulators, X8-X11 their
+//            saved lanes 2-3
+TEXT ·gemvAVX(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), R8
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ bias+24(FP), R11
+	MOVQ in+32(FP), R13
+	MOVQ R13, R15
+	ANDQ $3, R15
+	MOVQ R13, R12
+	ANDQ $-4, R12
+	SHLQ $3, R12
+	SHLQ $3, R13
+	MOVQ out+40(FP), R14
+
+gemv_quad:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R8, CX
+	LEAQ   (R8)(R13*2), R9
+	ADDQ   R13, R9           // row3 = row0 + 3*in
+	MOVQ   SI, R10
+	MOVQ   R12, AX
+	TESTQ  AX, AX
+	JZ     gemv_kdone
+
+gemv_k:
+	VMOVUPD (R10), Y4
+	VMULPD  (CX), Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  (CX)(R13*1), Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VMULPD  (CX)(R13*2), Y4, Y7
+	VADDPD  Y7, Y2, Y2
+	VMULPD  (R9), Y4, Y12
+	VADDPD  Y12, Y3, Y3
+	ADDQ    $32, R10
+	ADDQ    $32, CX
+	ADDQ    $32, R9
+	SUBQ    $32, AX
+	JNE     gemv_k
+
+gemv_kdone:
+	VEXTRACTF128 $1, Y0, X8
+	VEXTRACTF128 $1, Y1, X9
+	VEXTRACTF128 $1, Y2, X10
+	VEXTRACTF128 $1, Y3, X11
+	MOVQ         R15, DX
+	TESTQ        DX, DX
+	JZ           gemv_reduce
+
+gemv_tail:
+	VMOVSD (R10), X4
+	VMULSD (CX), X4, X5
+	VADDSD X5, X0, X0
+	VMULSD (CX)(R13*1), X4, X5
+	VADDSD X5, X1, X1
+	VMULSD (CX)(R13*2), X4, X5
+	VADDSD X5, X2, X2
+	VMULSD (R9), X4, X5
+	VADDSD X5, X3, X3
+	ADDQ   $8, R10
+	ADDQ   $8, CX
+	ADDQ   $8, R9
+	DECQ   DX
+	JNE    gemv_tail
+
+gemv_reduce:
+	// Per row pair, unpack lane j of both rows side by side so one VADDPD
+	// forms (s0+s1) and one (s2+s3) for two rows at once.
+	VUNPCKLPD   X1, X0, X4   // (r0.s0, r1.s0)
+	VUNPCKHPD   X1, X0, X5   // (r0.s1, r1.s1)
+	VADDPD      X5, X4, X4   // s0+s1
+	VUNPCKLPD   X9, X8, X5   // (r0.s2, r1.s2)
+	VUNPCKHPD   X9, X8, X6   // (r0.s3, r1.s3)
+	VADDPD      X6, X5, X5   // s2+s3
+	VADDPD      X5, X4, X4   // rows 0-1
+	VUNPCKLPD   X3, X2, X5
+	VUNPCKHPD   X3, X2, X6
+	VADDPD      X6, X5, X5
+	VUNPCKLPD   X11, X10, X6
+	VUNPCKHPD   X11, X10, X7
+	VADDPD      X7, X6, X6
+	VADDPD      X6, X5, X5   // rows 2-3
+	VINSERTF128 $1, X5, Y4, Y4
+	VADDPD      (R11), Y4, Y4 // + bias
+	VMOVUPD     Y4, (DI)
+
+	MOVQ R9, R8              // next quad's row0 follows row3
+	ADDQ $32, DI
+	ADDQ $32, R11
+	SUBQ $4, R14
+	JNE  gemv_quad
 	VZEROUPPER
 	RET

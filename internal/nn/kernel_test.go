@@ -419,3 +419,85 @@ func TestReluMaskAsmParity(t *testing.T) {
 		}
 	}
 }
+
+// gemvValue draws a weight or input spanning 1e-4..1e4 in magnitude with a
+// random sign, and now and then one of the IEEE edge values the kernel must
+// round exactly like dot: ±0, ±Inf and subnormals.
+func gemvValue(rng *mathx.RNG) float64 {
+	specials := [...]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64, 0x1p-1030}
+	if rng.Intn(50) == 0 {
+		return specials[rng.Intn(len(specials))]
+	}
+	v := math.Pow(10, 8*rng.Float64()-4)
+	if rng.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// sameBits compares a and b bit for bit, except that where a NaN is
+// involved both must merely be NaN (payload propagation is not pinned).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
+			if !math.IsNaN(a[i]) || !math.IsNaN(b[i]) {
+				return false
+			}
+		} else if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGemvMatchesDot pins the single-input serving kernel: dense.forward
+// through gemvAVX must reproduce the scalar dot rows bit for bit at every
+// input width (covering each in%4 tail) and output count (covering the
+// 4-row quads and the dot remainder rows), and so must whole ForwardInto
+// passes at the learner and paper network shapes.
+func TestGemvMatchesDot(t *testing.T) {
+	if !haveAVX2FMA {
+		t.Skip("no AVX2+FMA on this machine")
+	}
+	rng := mathx.NewRNG(21)
+	fill := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = gemvValue(rng)
+		}
+		return out
+	}
+	for in := 1; in <= 67; in++ {
+		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 256} {
+			d := &dense{in: in, out: out, w: &Param{W: fill(in * out)}, b: &Param{W: fill(out)}}
+			x := fill(in)
+			want := make([]float64, out)
+			got := make([]float64, out)
+			withAsm(t, false, func() { d.forward(x, want) })
+			withAsm(t, true, func() { d.forward(x, got) })
+			if !sameBits(want, got) {
+				t.Fatalf("in=%d out=%d: gemv %v, dot %v", in, out, got, want)
+			}
+		}
+	}
+	for _, cfg := range []Config{
+		{Inputs: 15, Hidden: []int{32, 16}, Outputs: 2, Dueling: true, Seed: 1},
+		{Inputs: 15, Hidden: []int{256, 256, 128, 64}, Outputs: 2, Dueling: true, Seed: 2},
+	} {
+		n := New(cfg)
+		s := n.NewScratch()
+		for trial := 0; trial < 50; trial++ {
+			x := randSlice(rng, cfg.Inputs)
+			var want, got []float64
+			withAsm(t, false, func() { want = append(want, n.ForwardInto(s, x)...) })
+			withAsm(t, true, func() { got = append(got, n.ForwardInto(s, x)...) })
+			if !sameBits(want, got) {
+				t.Fatalf("hidden %v trial %d: asm %v, scalar %v", cfg.Hidden, trial, got, want)
+			}
+		}
+	}
+}

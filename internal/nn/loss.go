@@ -13,7 +13,7 @@ func HuberLoss(pred, target, delta float64) (loss, dPred float64) {
 	if ad <= delta {
 		return 0.5 * diff * diff, diff
 	}
-	return delta * (ad - 0.5*delta), delta * sign(diff)
+	return delta * (ad - float64(0.5*delta)), delta * sign(diff)
 }
 
 func sign(x float64) float64 {

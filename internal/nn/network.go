@@ -8,6 +8,25 @@
 // (§3.3.2: an MLP with hidden layers 256-256-128-64 feeding a dueling
 // value/advantage head), but the layers are generic.
 //
+// Arithmetic runs on three paths:
+//
+//   - The scalar reference: dot, dot2, axpy, axpy2 and Adam in plain Go,
+//     every multiply and add rounded separately. It defines
+//     KernelReference and every single-input forward pass, so every
+//     serving decision.
+//   - The unfused AVX kernels (axpyAVX, axpy2AVX, adamAVX, and gemvAVX for
+//     single-input forward passes), switched on by useAsm on AVX2 CPUs.
+//     They keep the reference's per-element operation order and dot's
+//     lane structure with VMULPD/VADDPD, never VFMADD, so their output
+//     is bit-identical to the scalar path (the *AsmParity and
+//     TestGemvMatchesDot tests pin this).
+//   - KernelFast's FMA stream (fast.go): a padded-weight GEMM, gradient
+//     accumulation and Adam with fused multiply-adds. It is faster for
+//     batched training and deterministic, with identical bits between its
+//     AVX2 kernels and math.FMA fallbacks, but it is a different rounding
+//     stream, so it only trains under an explicit kernel-version pin and
+//     never serves.
+//
 //uerl:deterministic
 package nn
 
@@ -82,9 +101,11 @@ func newDense(in, out int, rng *mathx.RNG) *dense {
 
 // dot computes the inner product of a and b (len(b) >= len(a)) with a
 // 4-lane unrolled accumulation. Every forward pass — single-sample and
-// batched — funnels through this kernel (or through dot2, which computes
-// each row with the identical lane structure), so all paths produce
-// bit-identical outputs.
+// batched — funnels through this kernel (or through dot2 or gemvAVX, which
+// compute each row with the identical lane structure), so all paths
+// produce bit-identical outputs. The float64(a*b) conversions keep
+// multiply and add separately rounded on compilers that would otherwise
+// fuse them (see kernel_noasm.go).
 //
 //uerl:hotpath
 func dot(a, b []float64) float64 {
@@ -92,13 +113,13 @@ func dot(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n4 := len(a) &^ 3
 	for i := 0; i < n4; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for i := n4; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -118,18 +139,18 @@ func dot2(a, b, x []float64) (float64, float64) {
 	n4 := len(x) &^ 3
 	for i := 0; i < n4; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		a0 += a[i] * x0
-		a1 += a[i+1] * x1
-		a2 += a[i+2] * x2
-		a3 += a[i+3] * x3
-		b0 += b[i] * x0
-		b1 += b[i+1] * x1
-		b2 += b[i+2] * x2
-		b3 += b[i+3] * x3
+		a0 += float64(a[i] * x0)
+		a1 += float64(a[i+1] * x1)
+		a2 += float64(a[i+2] * x2)
+		a3 += float64(a[i+3] * x3)
+		b0 += float64(b[i] * x0)
+		b1 += float64(b[i+1] * x1)
+		b2 += float64(b[i+2] * x2)
+		b3 += float64(b[i+3] * x3)
 	}
 	for i := n4; i < len(x); i++ {
-		a0 += a[i] * x[i]
-		b0 += b[i] * x[i]
+		a0 += float64(a[i] * x[i])
+		b0 += float64(b[i] * x[i])
 	}
 	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
 }
@@ -149,24 +170,24 @@ func axpy2(a float64, xa []float64, b float64, xb, y []float64) {
 		// multiply and add, same per-element order).
 		axpy2AVX(a, &xa[0], b, &xb[0], &y[0], n4)
 		for i := n4; i < len(xa); i++ {
-			y[i] += a * xa[i]
-			y[i] += b * xb[i]
+			y[i] += float64(a * xa[i])
+			y[i] += float64(b * xb[i])
 		}
 		return
 	}
 	for i := 0; i < n4; i += 4 {
-		y[i] += a * xa[i]
-		y[i] += b * xb[i]
-		y[i+1] += a * xa[i+1]
-		y[i+1] += b * xb[i+1]
-		y[i+2] += a * xa[i+2]
-		y[i+2] += b * xb[i+2]
-		y[i+3] += a * xa[i+3]
-		y[i+3] += b * xb[i+3]
+		y[i] += float64(a * xa[i])
+		y[i] += float64(b * xb[i])
+		y[i+1] += float64(a * xa[i+1])
+		y[i+1] += float64(b * xb[i+1])
+		y[i+2] += float64(a * xa[i+2])
+		y[i+2] += float64(b * xb[i+2])
+		y[i+3] += float64(a * xa[i+3])
+		y[i+3] += float64(b * xb[i+3])
 	}
 	for i := n4; i < len(xa); i++ {
-		y[i] += a * xa[i]
-		y[i] += b * xb[i]
+		y[i] += float64(a * xa[i])
+		y[i] += float64(b * xb[i])
 	}
 }
 
@@ -182,24 +203,35 @@ func axpy(alpha float64, x, y []float64) {
 		// multiply and add).
 		axpyAVX(alpha, &x[0], &y[0], n4)
 		for i := n4; i < len(x); i++ {
-			y[i] += alpha * x[i]
+			y[i] += float64(alpha * x[i])
 		}
 		return
 	}
 	for i := 0; i < n4; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for i := n4; i < len(x); i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 
+// forward computes y = W x + b for one input. With the assembly kernels
+// on, gemvAVX computes the first out&^3 rows four at a time, bit-identical
+// to dot; the remaining rows (and non-AVX2 builds) run dot directly.
+//
 //uerl:hotpath
 func (d *dense) forward(x, y []float64) {
-	for o := 0; o < d.out; o++ {
+	x = x[:d.in]
+	y = y[:d.out]
+	o := 0
+	if useAsm && d.out >= 4 {
+		o = d.out &^ 3
+		gemvAVX(&d.w.W[0], &x[0], &y[0], &d.b.W[0], d.in, o)
+	}
+	for ; o < d.out; o++ {
 		row := d.w.W[o*d.in : (o+1)*d.in]
 		y[o] = d.b.W[o] + dot(row, x)
 	}

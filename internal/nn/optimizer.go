@@ -60,8 +60,8 @@ func (o *Adam) Step(params []*Param) {
 			}
 			for ; i < len(w); i++ {
 				g := gs[i]
-				m[i] = b1*m[i] + (1-b1)*g
-				v[i] = b2*v[i] + (1-b2)*g*g
+				m[i] = float64(b1*m[i]) + float64((1-b1)*g)
+				v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 				w[i] -= o.LR * (m[i] * rc1) / (math.Sqrt(v[i]*rc2) + eps)
 			}
 		}
@@ -83,8 +83,8 @@ func (o *Adam) Step(params []*Param) {
 		}
 		for ; i < len(w); i++ {
 			g := gs[i]
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
+			m[i] = float64(b1*m[i]) + float64((1-b1)*g)
+			v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 			w[i] -= o.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + eps)
 		}
 	}
@@ -105,7 +105,7 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
 		for _, g := range p.G {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)

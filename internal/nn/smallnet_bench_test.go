@@ -54,3 +54,19 @@ func BenchmarkNNForwardBatchSmall(b *testing.B) {
 		net.ForwardBatchInto(bs, xs, batch)
 	}
 }
+
+// BenchmarkNNForwardSmall measures one single-input ForwardInto at the
+// learner shape: the per-decision network cost of RL serving.
+func BenchmarkNNForwardSmall(b *testing.B) {
+	net := benchSmallNet()
+	s := net.NewScratch()
+	x := make([]float64, 15)
+	for i := range x {
+		x[i] = float64(i) * 0.1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ForwardInto(s, x)
+	}
+}

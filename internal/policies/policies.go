@@ -164,7 +164,8 @@ func (p *MyopicRF) ConcurrentSafe() bool { return true }
 
 // RL wraps a trained (frozen) agent policy. Decide normalizes into pooled
 // scratch (features.WithNormalized), so the replay hot path allocates
-// nothing.
+// nothing: a stack buffer would escape through the rl.Policy interface
+// call.
 type RL struct {
 	Policy rl.Policy
 	// Label optionally overrides the report name.

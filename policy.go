@@ -178,9 +178,10 @@ func (p *myopicPolicy) Decide(s Snapshot) Decision {
 
 // ---- RL ----
 
-// rlPolicy serves the trained Q-network. Network scratch and normalization
-// buffers are pooled, so one instance can serve all controller shards
-// concurrently and a Decide call allocates nothing in steady state.
+// rlPolicy serves the trained Q-network. Network scratch is pooled and the
+// normalized input lives on Decide's stack, so one instance can serve all
+// controller shards concurrently and a Decide call allocates nothing in
+// steady state.
 type rlPolicy struct {
 	q *rl.SharedQPolicy
 	lineage
@@ -208,10 +209,11 @@ func (p *rlPolicy) Kind() PolicyKind { return PolicyRL }
 func (p *rlPolicy) Name() string     { return "RL" }
 
 func (p *rlPolicy) Decide(s Snapshot) Decision {
+	// norm stays on the stack: QValuesInto is a concrete call that does
+	// not retain its input, so no pooled buffer or closure is needed.
+	var norm [features.Dim]float64
 	var qv [2]float64
-	s.vector().WithNormalized(func(norm []float64) {
-		p.q.QValuesInto(qv[:], norm)
-	})
+	p.q.QValuesInto(qv[:], s.vector().NormalizedInto(norm[:]))
 	act := ActionNone
 	if qv[1] > qv[0] {
 		act = ActionMitigate

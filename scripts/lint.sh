@@ -54,6 +54,24 @@ if ! grep -q '^//uerl:deterministic' internal/fleet/coordinator.go; then
   exit 1
 fi
 
+echo "== no fused multiply-adds in internal/nn's unfused kernels (arm64) =="
+# The Go spec lets a compiler fuse x*y+z into one FMA, and the arm64
+# backend does unless the product is written float64(x*y). internal/nn's
+# scalar kernels must keep multiply and add separately rounded (they are
+# bit-identical to the amd64 VMULPD/VADDPD stream), so any FMADDD/FMSUBD/
+# FNMADDD/FNMSUBD in the arm64 assembly fails the lint — except in the
+# KernelFast functions that call math.FMA on purpose.
+fused="$(GOARCH=arm64 go build -gcflags=-S ./internal/nn 2>&1 | awk '
+  / STEXT/ { fn = $1 }
+  /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/ &&
+    fn !~ /^repro\/internal\/nn\.(fmaAxpy|fmaAxpy2|fwdLayerFast)$/ { n[fn]++ }
+  END { for (f in n) print n[f], f }')"
+if [ -n "$fused" ]; then
+  echo "lint: fused multiply-adds in internal/nn's arm64 build (write products as float64(a*b)):" >&2
+  echo "$fused" >&2
+  exit 1
+fi
+
 echo "== uerlvet fixture self-check (each must produce findings) =="
 fixtures=(
   internal/analysis/determinism/testdata/src/det
