@@ -172,28 +172,9 @@ func BenchmarkNNForwardBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
-// BenchmarkNNTrainStep measures one single-sample forward+backward+Adam on
-// the paper's architecture — the pre-batching reference cost per sample.
-func BenchmarkNNTrainStep(b *testing.B) {
-	net := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{256, 256, 128, 64},
-		Outputs: 2, Dueling: true, Seed: 1})
-	s := net.NewScratch()
-	opt := &nn.Adam{LR: 1e-3}
-	x := make([]float64, features.Dim)
-	dOut := []float64{0.1, -0.1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardInto(s, x)
-		net.ZeroGrad()
-		net.Backward(s, dOut)
-		opt.Step(net.Params())
-	}
-}
-
 // BenchmarkNNTrainStepBatched measures one batched DQN train step (32
 // samples through forward, backward and Adam as single batched passes);
-// ns/sample is the figure comparable with BenchmarkNNTrainStep.
+// ns/sample is the per-sample training cost.
 func BenchmarkNNTrainStepBatched(b *testing.B) {
 	const batch = 32
 	net := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{256, 256, 128, 64},
@@ -219,13 +200,14 @@ func BenchmarkNNTrainStepBatched(b *testing.B) {
 		net.ZeroGrad()
 		net.BackwardBatch(bs, dOut, batch)
 		opt.Step(net.Params())
+		net.InvalidateFast()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
 // BenchmarkDQNTrainEpoch measures a 32-step DQN training epoch (batched
 // forward/backward/Adam over PER minibatches plus one target sync) at the
-// paper's 256-256-128-64 width under the nn.KernelFast chunked trainer.
+// paper's 256-256-128-64 width under the chunked trainer.
 func BenchmarkDQNTrainEpoch(b *testing.B) {
 	const stepsPerEpoch = 32
 	p := rl.NewPrioritizedReplay(rl.PERConfig{Capacity: 1 << 13})
@@ -246,7 +228,7 @@ func BenchmarkDQNTrainEpoch(b *testing.B) {
 		StateLen: features.Dim, NumActions: 2,
 		Hidden: []int{256, 256, 128, 64}, Dueling: true, DoubleDQN: true,
 		Gamma: 0.99, LearningRate: 1e-3, BatchSize: 32, GradClip: 10,
-		Seed: 1, Kernel: nn.KernelFast,
+		Seed: 1,
 	}, p)
 	b.ReportAllocs()
 	b.ResetTimer()

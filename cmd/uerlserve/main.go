@@ -16,7 +16,7 @@
 // Usage:
 //
 //	uerlserve [-scenario spec.json] [-model artifact.json] [-save final.json]
-//	          [-kernel reference|fast] [-json] [-print-spec] [spec flags]
+//	          [-json] [-print-spec] [spec flags]
 //
 // Spec flags (rejected beside -scenario; edit the spec file instead):
 //
@@ -58,18 +58,14 @@ import (
 	"time"
 
 	uerl "repro"
-	"repro/internal/nn"
 	"repro/internal/scenario"
 )
 
 // runFlags shape how a spec is served, not the spec itself; they are the
 // only flags that combine with -scenario.
 var runFlags = map[string]bool{
-	"scenario": true, "model": true, "save": true, "kernel": true, "json": true, "print-spec": true,
+	"scenario": true, "model": true, "save": true, "json": true, "print-spec": true,
 }
-
-// kernels maps -kernel values to nn kernel versions.
-var kernels = map[string]int{"reference": nn.KernelReference, "fast": nn.KernelFast}
 
 func main() {
 	cmd := newCommand(flag.CommandLine)
@@ -85,7 +81,6 @@ type command struct {
 	fs           *flag.FlagSet
 	scenarioFile string
 	model, save  string
-	kernel       string
 	jsonOut      bool
 	printSpec    bool
 	spec         *specFlags
@@ -97,7 +92,6 @@ func newCommand(fs *flag.FlagSet) *command {
 	fs.StringVar(&c.scenarioFile, "scenario", "", "run this scenario spec (JSON file) instead of the one the spec flags describe")
 	fs.StringVar(&c.model, "model", "", "initial model artifact (overrides the spec's initial policy)")
 	fs.StringVar(&c.save, "save", "", "save the final serving model artifact to this path")
-	fs.StringVar(&c.kernel, "kernel", "reference", "training kernel/stream version: reference (bit-exact legacy stream) or fast (FMA kernels + chunked in-order gradients; serving inference always uses reference)")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit the scenario summary as JSON instead of the text log")
 	fs.BoolVar(&c.printSpec, "print-spec", false, "print the scenario spec and exit")
 	c.spec = newSpecFlags(fs)
@@ -119,15 +113,10 @@ func (c *command) run(w io.Writer) error {
 		_, err = w.Write(out)
 		return err
 	}
-	kernel, ok := kernels[c.kernel]
-	if !ok {
-		return fmt.Errorf("unknown -kernel %q (want reference or fast)", c.kernel)
-	}
 	compiled, err := scenario.Compile(spec)
 	if err != nil {
 		return err
 	}
-	compiled.Kernel = kernel
 	if c.model != "" {
 		if compiled.Initial, err = uerl.LoadModelFile(c.model); err != nil {
 			return err

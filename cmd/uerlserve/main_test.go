@@ -163,9 +163,6 @@ func TestSpecFlagsRejects(t *testing.T) {
 			t.Errorf("%v: error %v, want one mentioning %q", tc.args, err, tc.want)
 		}
 	}
-	if err := parse(t, "-kernel", "turbo").run(new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "-kernel") {
-		t.Errorf("-kernel turbo: error %v", err)
-	}
 }
 
 // TestScenarioRejectsSpecFlags pins that a spec flag beside -scenario is
@@ -177,7 +174,7 @@ func TestScenarioRejectsSpecFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-nodes -workers") {
 		t.Errorf("spec flags beside -scenario: error %v", err)
 	}
-	spec, err := parse(t, "-scenario", path, "-json", "-save", "final.json", "-kernel", "fast").loadSpec()
+	spec, err := parse(t, "-scenario", path, "-json", "-save", "final.json").loadSpec()
 	if err != nil || spec.Name != "worker-loss" {
 		t.Errorf("run flags beside -scenario: spec %q, error %v", spec.Name, err)
 	}

@@ -53,14 +53,10 @@ type Config struct {
 	// pre-failure experience that the mitigation advantage is learned
 	// from; the paper's full 20,000-episode budget does not need it.
 	FocusUEWindow int
-	// Seed drives node selection and job sequences.
+	// Seed drives node selection and job sequences, drawn from the
+	// O(copy)-forkable PCG source (mathx.NewFastRNG), part of the
+	// nn.KernelFast training stream. Evaluation replay does not use it.
 	Seed int64
-	// FastRNG backs the environment's RNG with the O(copy)-forkable PCG
-	// source instead of math/rand's default source. The stream differs from
-	// the default for the same seed, so it is part of the nn.KernelFast
-	// training configuration rather than a silent swap; evaluation replay is
-	// unaffected. The zero value keeps the legacy source.
-	FastRNG bool
 }
 
 // DefaultConfig returns the paper's main configuration.
@@ -118,15 +114,11 @@ func NewMitigationEnv(cfg Config, ticksByNode [][]errlog.Tick, sampler *jobs.Sam
 	if cfg.RewardScale <= 0 {
 		cfg.RewardScale = 0.01
 	}
-	rng := mathx.NewRNG(cfg.Seed)
-	if cfg.FastRNG {
-		rng = mathx.NewFastRNG(cfg.Seed)
-	}
 	e := &MitigationEnv{
 		cfg:     cfg,
 		nodes:   nodes,
 		sampler: sampler,
-		rng:     rng,
+		rng:     mathx.NewFastRNG(cfg.Seed),
 		tracker: features.NewTracker(),
 	}
 	if cfg.UENodeBoost > 1 {

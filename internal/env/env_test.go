@@ -249,21 +249,36 @@ func TestEnvPanicsOnEmpty(t *testing.T) {
 	NewMitigationEnv(DefaultConfig(), nil, fixedSampler(1, 1))
 }
 
+// TestEnvDeterministicEpisodes: environments with the same seed replay
+// identical episodes — states, rewards and episode lengths.
 func TestEnvDeterministicEpisodes(t *testing.T) {
 	ticks := [][]errlog.Tick{
 		{mkTick(1, 0, errlog.CE), mkTick(1, time.Hour, errlog.CE)},
 		{mkTick(2, 0, errlog.CE), mkTick(2, 2*time.Hour, errlog.CE)},
 	}
-	mk := func() *MitigationEnv {
-		return NewMitigationEnv(DefaultConfig(), ticks, fixedSampler(3, 10))
-	}
-	a, b := mk(), mk()
-	for ep := 0; ep < 10; ep++ {
-		sa, sb := a.Reset(), b.Reset()
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("episode %d: states differ", ep)
+	run := func() []float64 {
+		e := NewMitigationEnv(DefaultConfig(), ticks, fixedSampler(3, 10))
+		var out []float64
+		for ep := 0; ep < 10; ep++ {
+			out = append(out, e.Reset()...)
+			for {
+				s, r, done := e.Step(ActionMitigate)
+				out = append(out, r)
+				if done {
+					break
+				}
+				out = append(out, s...)
 			}
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("episode streams have %d and %d values", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("env not reproducible at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -316,38 +331,5 @@ func TestEnvStepNoStateAllocs(t *testing.T) {
 	// per-step state vectors alone were ~2 allocations every step.
 	if allocs > 0.1 {
 		t.Fatalf("Step allocates %v times per call, want ~0", allocs)
-	}
-}
-
-// TestEnvFastRNGDeterministic: the FastRNG stream differs from the default
-// but is reproducible for the same seed.
-func TestEnvFastRNGDeterministic(t *testing.T) {
-	ticks := [][]errlog.Tick{
-		{mkTick(1, 0, errlog.CE), mkTick(1, time.Hour, errlog.CE)},
-		{mkTick(2, 0, errlog.CE), mkTick(2, time.Hour, errlog.CE)},
-	}
-	cfg := DefaultConfig()
-	cfg.FastRNG = true
-	run := func() []float64 {
-		e := NewMitigationEnv(cfg, ticks, fixedSampler(5, 1000))
-		var out []float64
-		for ep := 0; ep < 5; ep++ {
-			e.Reset()
-			for {
-				s, r, done := e.Step(ActionMitigate)
-				out = append(out, r)
-				if done {
-					break
-				}
-				out = append(out, s[0])
-			}
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("FastRNG env not reproducible at %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 //     environment and window (they do depend on the mitigation cost);
 //   - trained RL policy artifacts, keyed by everything the training
 //     trajectory depends on (log, trace, env config, seed, preset, split
-//     geometry, kernel version) — Figure 3's cost sweep, Figure 4 and
+//     geometry) — Figure 3's cost sweep, Figure 4 and
 //     Table 2 previously retrained byte-identical agents per figure.
 //
 // Logs and traces handed to a cached run must not be mutated afterwards;
@@ -238,7 +238,6 @@ type rlKey struct {
 	split    int
 	trainTo  int64 // UnixNano
 	valFrom  int64
-	kernel   int
 }
 
 type rlArtifact struct {

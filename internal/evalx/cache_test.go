@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/errlog"
 	"repro/internal/jobs"
-	"repro/internal/nn"
 	"repro/internal/telemetry"
 )
 
@@ -68,19 +67,19 @@ func TestRLArtifactCacheHit(t *testing.T) {
 		t.Fatal("cold-trained and cache-backed networks are not byte-identical")
 	}
 
-	// The kernel version is part of the artifact key: asking the same cache
-	// for the reference stream must train a distinct artifact, never serve
-	// the fast-stream weights.
-	ref := cfg
-	ref.Cache = warm.Cache
-	ref.Kernel = nn.KernelReference
-	s3 := TrainSingleSplit(log, trace, ref, 0.5)
+	// The training environment is part of the RL artifact key: asking the
+	// same cache at another mitigation cost must train a distinct artifact,
+	// never serve the first run's weights.
+	other := cfg
+	other.Cache = warm.Cache
+	other.Env.MitigationCostNodeMinutes *= 2
+	s3 := TrainSingleSplit(log, trace, other, 0.5)
 	if s3.Net == s1.Net {
-		t.Fatal("reference-kernel request served the fast-kernel artifact")
+		t.Fatal("request at another mitigation cost served the first run's RL artifact")
 	}
-	// The forest does not depend on the kernel, so it must still hit.
+	// The forest does not depend on the mitigation cost, so it must still hit.
 	if s3.Forest != s1.Forest {
-		t.Fatal("forest artifact missed on a kernel-only config change")
+		t.Fatal("forest artifact missed on a cost-only config change")
 	}
 
 	// Hits replay the recorded artifacts, wallclock training cost

@@ -65,27 +65,7 @@ type CVConfig struct {
 	// figure suite over one experiments.World. Results are identical with
 	// or without it.
 	Cache *Cache
-	// Kernel pins the nn kernel/stream version RL training runs under. Zero
-	// selects nn.KernelFast (the FMA kernels, chunked in-order gradient
-	// reduction, PCG env RNG); nn.KernelReference reproduces the training
-	// trajectories of pre-versioned seeds bit-exactly. Either stream is
-	// fully deterministic; they differ only in floating-point rounding.
-	Kernel int
 }
-
-// kernel resolves the configured kernel version.
-func (c CVConfig) kernel() int {
-	if c.Kernel == 0 {
-		return nn.KernelFast
-	}
-	return c.Kernel
-}
-
-// ResolvedKernel reports the kernel/stream version RL training actually
-// runs under: CVConfig.Kernel, with zero resolved to the nn.KernelFast
-// default. Callers use it to stamp trained artifacts (ModelHeader
-// training metadata) with the stream that produced them.
-func (c CVConfig) ResolvedKernel() int { return c.kernel() }
 
 // DefaultCVConfig returns the paper's protocol with the given preset.
 func DefaultCVConfig(p Preset) CVConfig {
@@ -406,7 +386,6 @@ func fitSplit(cfg CVConfig, world cvWorld, spec splitSpec, forestCfg rf.ForestCo
 			seed: cfg.Seed, preset: cfg.Preset, episodes: cfg.episodeBudget(),
 			parts: cfg.Parts, split: spec.key,
 			trainTo: spec.trainTo.UnixNano(), valFrom: spec.valFrom.UnixNano(),
-			kernel: cfg.kernel(),
 		}
 		art := cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
 			trainTicks := ticksUpTo(byNode, spec.trainTo)
@@ -469,18 +448,15 @@ func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Networ
 // by candidate index — which is exactly the serial loop's selection rule,
 // so the search returns the same model for any worker count.
 //
-// Under nn.KernelFast (the default, see CVConfig.Kernel) each candidate
-// trains on rl.TrainVec, which steps DefaultEnvFanout environments per
-// round (each with its own pre-seeded PCG stream), and the chunked trainer
-// reduces minibatch gradients in chunk-index order; a candidate's training
-// runs on one goroutine, so results stay bit-identical for every worker
-// count. nn.KernelReference reproduces the
-// pre-versioned serial trajectories exactly.
+// Each candidate trains on rl.TrainVec, which steps DefaultEnvFanout
+// environments per round (each with its own pre-seeded PCG stream), and
+// the chunked trainer reduces minibatch gradients in chunk-index order; a
+// candidate's training runs on one goroutine, so results stay
+// bit-identical for every worker count.
 func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, spec splitSpec, useValidation bool, warmStart *nn.Network) (rl.Policy, *nn.Network) {
 	if len(trainTicks) == 0 {
 		return rl.PolicyFunc(func([]float64) int { return env.ActionNone }), nil
 	}
-	kernel := cfg.kernel()
 	episodes := cfg.episodeBudget()
 	candidates := cfg.hyperCandidates(features.Dim, cfg.Seed+int64(spec.index)*7)
 
@@ -505,11 +481,9 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 	)
 	parx.For(len(candidates), cfg.TrainParallelism, func(ci int) {
 		ac := candidates[ci]
-		ac.Kernel = kernel
 		envCfg := cfg.Env
 		envCfg.Seed = cfg.Seed + int64(spec.index)*1000 + int64(ci)
 		envCfg.UENodeBoost = cfg.ueNodeBoost()
-		envCfg.FastRNG = kernel == nn.KernelFast
 		if cfg.Preset != PresetPaper {
 			envCfg.FocusUEWindow = 400
 			// A larger reward scale keeps the (tiny) mitigation penalty
@@ -519,7 +493,6 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 		}
 		agent := rl.NewAgent(ac, rl.NewPrioritizedReplay(rl.PERConfig{
 			Capacity: 1 << 15, Alpha: 0.6, Beta: 0.4, BetaSteps: episodes * 20,
-			FastPow: kernel == nn.KernelFast,
 		}))
 		// §4.1: subsequent splits train a mix of previously trained and
 		// untrained models. Warm-start alternate candidates (Clone only
@@ -527,22 +500,17 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 		if warmStart != nil && ci%2 == 1 {
 			agent.SetOnline(warmStart.Clone())
 		}
-		opts := rl.TrainOptions{Episodes: episodes, MaxStepsPerEpisode: 4096}
-		if kernel == nn.KernelFast {
-			// Vectorized training: a fanout of environments share the agent,
-			// each replaying a different node/job stream from its own
-			// pre-seeded RNG. The large stride keeps slot seeds disjoint
-			// from the per-candidate seeds above.
-			envs := make([]rl.Environment, rl.DefaultEnvFanout)
-			for slot := range envs {
-				slotCfg := envCfg
-				slotCfg.Seed = envCfg.Seed + int64(slot)*1_000_003
-				envs[slot] = env.NewMitigationEnv(slotCfg, trainTicks, sampler)
-			}
-			rl.TrainVec(agent, envs, opts)
-		} else {
-			rl.Train(agent, env.NewMitigationEnv(envCfg, trainTicks, sampler), opts)
+		// Vectorized training: a fanout of environments share the agent,
+		// each replaying a different node/job stream from its own
+		// pre-seeded RNG. The large stride keeps slot seeds disjoint from
+		// the per-candidate seeds above.
+		envs := make([]rl.Environment, rl.DefaultEnvFanout)
+		for slot := range envs {
+			slotCfg := envCfg
+			slotCfg.Seed = envCfg.Seed + int64(slot)*1_000_003
+			envs[slot] = env.NewMitigationEnv(slotCfg, trainTicks, sampler)
 		}
+		rl.TrainVec(agent, envs, rl.TrainOptions{Episodes: episodes, MaxStepsPerEpisode: 4096})
 
 		// Score the candidate. Scoring replays serially: the candidates
 		// themselves already occupy the worker pool.

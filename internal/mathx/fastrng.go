@@ -14,9 +14,10 @@ import (
 // environments fork a fresh job-timeline stream per episode. fastSource is
 // 32 bytes and forks by drawing two words, so Fork is O(copy).
 //
-// The stream is unrelated to NewRNG's for the same seed; callers opt in
-// explicitly (NewFastRNG, env.Config.FastRNG) and the choice is part of the
-// nn.KernelFast stream definition, never a silent swap.
+// The stream is unrelated to NewRNG's for the same seed. The DQN agent's
+// exploration and the training environment draw from it (NewFastRNG) as
+// part of the nn.KernelFast stream definition; everything else keeps
+// NewRNG.
 type fastSource struct {
 	hi, lo uint64
 }
@@ -89,5 +90,5 @@ func (g *RNG) forkFast() *RNG {
 // of math.Pow's careful decomposition. For x > 0 it agrees with math.Pow to
 // within a couple of ULPs (and handles x == 0 with the same ±Inf limits),
 // which is ample for replay-priority shaping; it is not a bit-compatible
-// replacement, so callers opt in per stream (nn.KernelFast).
+// replacement, so it is part of the nn.KernelFast stream definition.
 func FastPow(x, p float64) float64 { return math.Exp(p * math.Log(x)) }

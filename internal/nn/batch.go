@@ -9,12 +9,13 @@ import (
 // BatchScratch holds the flat, row-major intermediate activations for a
 // whole minibatch so batched forward and backward passes allocate nothing
 // in steady state. Layout: sample s of a width-w tensor lives at
-// [s*w : (s+1)*w]. A BatchScratch is sized for a maximum batch at
-// construction and can serve any smaller batch.
+// [s*w : (s+1)*w], except the activations, whose rows are zero-padded to
+// stride pad4(w) for the FMA GEMM. A BatchScratch is sized for a maximum
+// batch at construction and can serve any smaller batch.
 type BatchScratch struct {
 	batch int
-	// acts[0] is the input [B*Inputs]; acts[i+1] is the post-ReLU output
-	// of hidden layer i [B*hidden[i]].
+	// acts[0] is the input [B*pad4(Inputs)]; acts[i+1] is the post-ReLU
+	// output of hidden layer i [B*pad4(hidden[i])].
 	acts         [][]float64
 	vOut         []float64 // dueling value head [B]
 	aOut         []float64 // dueling advantage head [B*Outputs]
@@ -22,10 +23,6 @@ type BatchScratch struct {
 	dA           []float64 // advantage-head gradient [B*Outputs]
 	dV           []float64 // value-head gradient [B]
 	dBufA, dBufB []float64 // ping-pong gradient buffers [B*maxWidth]
-	// kernel selects the arithmetic stream (KernelReference or KernelFast);
-	// pacts holds KernelFast's zero-padded activations, stride pad4(width).
-	kernel int
-	pacts  [][]float64
 }
 
 // Batch reports the maximum batch size the scratch was sized for.
@@ -36,18 +33,14 @@ func (n *Network) NewBatchScratch(batch int) *BatchScratch {
 	if batch <= 0 {
 		panic(fmt.Sprintf("nn: batch size must be positive, got %d", batch))
 	}
-	s := &BatchScratch{batch: batch, kernel: KernelReference}
-	s.acts = append(s.acts, make([]float64, batch*n.cfg.Inputs))
+	s := &BatchScratch{batch: batch}
+	s.acts = append(s.acts, make([]float64, batch*pad4(n.cfg.Inputs)))
 	maxw := n.cfg.Inputs
 	for _, d := range n.hidden {
-		s.acts = append(s.acts, make([]float64, batch*d.out))
-		if d.out > maxw {
-			maxw = d.out
-		}
+		s.acts = append(s.acts, make([]float64, batch*pad4(d.out)))
+		maxw = max(maxw, d.out)
 	}
-	if n.cfg.Outputs > maxw {
-		maxw = n.cfg.Outputs
-	}
+	maxw = max(maxw, n.cfg.Outputs)
 	s.vOut = make([]float64, batch)
 	s.aOut = make([]float64, batch*n.cfg.Outputs)
 	s.q = make([]float64, batch*n.cfg.Outputs)
@@ -58,80 +51,186 @@ func (n *Network) NewBatchScratch(batch int) *BatchScratch {
 	return s
 }
 
-// forwardBatch computes y[s] = W x[s] + b for nb samples, optionally fusing
-// the ReLU activation. Weight rows are processed in register-blocked pairs
-// (dot2): each pair streams the batch's inputs once and computes two
-// outputs per pass, roughly halving kernel-call overhead and input loads —
-// the GEMM-style blocking that makes batched DQN training cheap.
-// Per-sample, per-output arithmetic matches dense.forward exactly (each
-// row keeps dot's lane structure), so batched outputs stay bit-identical
-// to the serial path.
+// ForwardBatchInto runs a batched forward pass over nb samples packed
+// row-major in xs (len nb*Inputs) and returns the flat output [nb*Outputs]
+// owned by s (valid until the next ForwardBatchInto on s): per layer one
+// padded FMA GEMM with fused ReLU. Samples are independent, so a sample's
+// outputs do not depend on the batch it runs in. They differ from
+// ForwardInto's only in rounding.
 //
 //uerl:hotpath
-func (d *dense) forwardBatch(x, y []float64, nb int, relu bool) {
-	in, out := d.in, d.out
-	var o int
-	for o = 0; o+2 <= out; o += 2 {
-		rowA := d.w.W[o*in : o*in+in]
-		rowB := d.w.W[o*in+in : o*in+2*in]
-		biasA, biasB := d.b.W[o], d.b.W[o+1]
-		xi, yi := 0, o
-		for s := 0; s < nb; s++ {
-			sa, sb := dot2(rowA, rowB, x[xi:xi+in])
-			sa = biasA + sa
-			sb = biasB + sb
-			if relu {
-				if sa < 0 {
-					sa = 0
-				}
-				if sb < 0 {
-					sb = 0
-				}
-			}
-			y[yi] = sa
-			y[yi+1] = sb
-			xi += in
-			yi += out
+func (n *Network) ForwardBatchInto(s *BatchScratch, xs []float64, nb int) []float64 {
+	if nb <= 0 || nb > s.batch {
+		panic(fmt.Sprintf("nn: batch %d out of range (scratch holds %d)", nb, s.batch))
+	}
+	if len(xs) != nb*n.cfg.Inputs {
+		panic(fmt.Sprintf("nn: batched input size %d, want %d", len(xs), nb*n.cfg.Inputs))
+	}
+	fw := n.ensureFast()
+	in, inP := n.cfg.Inputs, pad4(n.cfg.Inputs)
+	if inP == in {
+		copy(s.acts[0][:nb*in], xs)
+	} else {
+		for b := 0; b < nb; b++ {
+			copy(s.acts[0][b*inP:b*inP+in], xs[b*in:(b+1)*in])
 		}
 	}
-	if o < out {
-		row := d.w.W[o*in : o*in+in]
-		bias := d.b.W[o]
-		xi, yi := 0, o
-		for s := 0; s < nb; s++ {
-			sum := bias + dot(row, x[xi:xi+in])
-			if relu && sum < 0 {
-				sum = 0
+	cur := s.acts[0]
+	for i := range fw.hidden {
+		fl := &fw.hidden[i]
+		fwdLayerFast(fl.w, n.hidden[i].b.W, cur, s.acts[i+1], nb, fl.inP, fl.out, fl.outP, true)
+		cur = s.acts[i+1]
+	}
+	out := n.cfg.Outputs
+	if n.cfg.Dueling {
+		fwdLayerFast(fw.value.w, n.value.b.W, cur, s.vOut, nb, fw.value.inP, 1, 1, false)
+		fwdLayerFast(fw.adv.w, n.adv.b.W, cur, s.aOut, nb, fw.adv.inP, out, out, false)
+		for b := 0; b < nb; b++ {
+			aRow := s.aOut[b*out : (b+1)*out]
+			meanA := mathx.Mean(aRow)
+			v := s.vOut[b]
+			qRow := s.q[b*out : (b+1)*out]
+			for i := range qRow {
+				qRow[i] = v + aRow[i] - meanA
 			}
-			y[yi] = sum
-			xi += in
-			yi += out
+		}
+	} else {
+		fwdLayerFast(fw.out.w, n.out.b.W, cur, s.q, nb, fw.out.inP, out, out, false)
+	}
+	return s.q[:nb*out]
+}
+
+// BackwardBatch accumulates parameter gradients for the most recent
+// ForwardBatchInto on s, given dLoss/dOutput for every sample packed
+// row-major in dOut (len nb*Outputs). The activations (and therefore ReLU
+// masks) come from the padded buffers of that forward pass, while gradient
+// buffers stay at real strides. The ReLU mask condition act <= 0 matches
+// the forward pass's max(sum, +0) exactly (+0 masks, positives pass).
+// Every weight accumulates its samples in ascending order, so one call
+// over nb samples leaves the same gradients as nb one-sample calls.
+//
+//uerl:hotpath
+func (n *Network) BackwardBatch(s *BatchScratch, dOut []float64, nb int) {
+	if nb <= 0 || nb > s.batch {
+		panic(fmt.Sprintf("nn: batch %d out of range (scratch holds %d)", nb, s.batch))
+	}
+	out := n.cfg.Outputs
+	if len(dOut) != nb*out {
+		panic(fmt.Sprintf("nn: batched dOut size %d, want %d", len(dOut), nb*out))
+	}
+	nh := len(n.hidden)
+	width := n.cfg.Inputs
+	if nh > 0 {
+		width = n.hidden[nh-1].out
+	}
+	lastAct := s.acts[nh]
+	lastP := pad4(width)
+	dHidden := s.dBufA[:nb*width]
+	if n.cfg.Dueling {
+		for b := 0; b < nb; b++ {
+			row := dOut[b*out : (b+1)*out]
+			sum := 0.0
+			for _, g := range row {
+				sum += g
+			}
+			meanG := sum / float64(out)
+			for i, g := range row {
+				s.dA[b*out+i] = g - meanG
+			}
+			s.dV[b] = sum
+		}
+		backLayerFast(n.value, lastAct, lastP, s.dV[:nb], dHidden, nb)
+		tmp := s.dBufB[:nb*width]
+		backLayerFast(n.adv, lastAct, lastP, s.dA[:nb*out], tmp, nb)
+		if n := len(dHidden); useAsm && n > 0 && n%4 == 0 {
+			// y += 1*x multiplies by exactly 1.0 before the add, so the
+			// vector kernel is bit-identical to the scalar merge loop.
+			axpyAVX(1, &tmp[0], &dHidden[0], n)
+		} else {
+			for i := range dHidden {
+				dHidden[i] += tmp[i]
+			}
+		}
+	} else {
+		backLayerFast(n.out, lastAct, lastP, dOut, dHidden, nb)
+	}
+	dy := dHidden
+	spare := s.dBufB
+	for i := nh - 1; i >= 0; i-- {
+		h := n.hidden[i]
+		hP := pad4(h.out)
+		pact := s.acts[i+1]
+		if useAsm && hP == h.out && nb > 0 {
+			// Unpadded layer width: act and dy are stride-equal flat
+			// arrays, so one branch-free compare-and-mask call covers the
+			// whole batch (n = nb*h.out is a multiple of 4 since h.out is).
+			reluMaskAVX(&dy[0], &pact[0], nb*h.out)
+		} else {
+			for b := 0; b < nb; b++ {
+				actRow := pact[b*hP : b*hP+h.out]
+				dyRow := dy[b*h.out : (b+1)*h.out]
+				for j, a := range actRow {
+					if a <= 0 {
+						dyRow[j] = 0
+					}
+				}
+			}
+		}
+		var dx []float64
+		if i > 0 {
+			dx = spare[:nb*h.in]
+		}
+		backLayerFast(h, s.acts[i], pad4(h.in), dy, dx, nb)
+		if dx != nil {
+			spare = dy[:cap(dy)]
+			dy = dx
 		}
 	}
 }
 
-// backwardBatch accumulates parameter gradients over nb samples and, when
-// dx is non-nil, writes per-sample input gradients. Accumulation order per
-// weight is sample-ascending and the g == 0 skips are preserved exactly,
-// identical to nb sequential dense.backward calls, so batched training
-// reproduces serial gradients bit for bit. The input-gradient loop blocks
-// weight-row pairs (axpy2) to stream each sample's gradient row once per
-// two outputs.
+// backLayerFast is BackwardBatch for one layer: x rows live at padded
+// stride inP (only the real in lanes are read),
+// dy/dx at real strides, and accumulation uses single-rounded FMA kernels.
+// Per-weight accumulation order is sample-ascending with every sample
+// accumulated unconditionally — a zero upstream gradient contributes an
+// exact ±0 FMA term, which leaves the accumulators (they start at +0 and a
+// rounded sum is never -0) unchanged bit for bit while keeping both the
+// assembly and fallback loops branch-free. Gradients are therefore
+// chunk-layout-deterministic.
 //
 //uerl:hotpath
-func (d *dense) backwardBatch(x, dy, dx []float64, nb int) {
+func backLayerFast(d *dense, x []float64, inP int, dy, dx []float64, nb int) {
 	in, out := d.in, d.out
+	if useAsm && in > 0 && out > 0 && nb > 0 {
+		// Fused assembly path: bias gradients keep the scalar loop (same
+		// sample order), weight and input gradients go to the register-
+		// blocked kernels, which pin the identical per-element FMA sequence —
+		// see the parity tests.
+		for o := 0; o < out; o++ {
+			gb := d.b.G[o]
+			for s, di := 0, o; s < nb; s, di = s+1, di+out {
+				gb += dy[di]
+			}
+			d.b.G[o] = gb
+		}
+		bgradFMAAVX(&d.w.G[0], &x[0], &dy[0], nb, in, inP, out)
+		if dx != nil {
+			// d.w.W rows are unpadded (stride in); only x rows carry the
+			// inP padding, so the w-row stride here is in.
+			dxFMAAVX(&dx[0], &d.w.W[0], &dy[0], nb, in, in, out)
+		}
+		return
+	}
 	for o := 0; o < out; o++ {
 		grow := d.w.G[o*in : (o+1)*in]
 		gb := d.b.G[o]
 		di, xi := o, 0
 		for s := 0; s < nb; s++ {
-			if g := dy[di]; g != 0 {
-				gb += g
-				axpy(g, x[xi:xi+in], grow)
-			}
+			g := dy[di]
+			gb += g
+			fmaAxpy(g, x[xi:xi+in], grow)
 			di += out
-			xi += in
+			xi += inP
 		}
 		d.b.G[o] = gb
 	}
@@ -145,138 +244,12 @@ func (d *dense) backwardBatch(x, dy, dx []float64, nb int) {
 			base := s * out
 			var o int
 			for o = 0; o+2 <= out; o += 2 {
-				g0, g1 := dy[base+o], dy[base+o+1]
-				switch {
-				case g0 != 0 && g1 != 0:
-					axpy2(g0, d.w.W[o*in:o*in+in], g1, d.w.W[o*in+in:o*in+2*in], dxs)
-				case g0 != 0:
-					axpy(g0, d.w.W[o*in:o*in+in], dxs)
-				case g1 != 0:
-					axpy(g1, d.w.W[o*in+in:o*in+2*in], dxs)
-				}
+				fmaAxpy2(dy[base+o], d.w.W[o*in:o*in+in], dy[base+o+1], d.w.W[o*in+in:o*in+2*in], dxs)
 			}
 			if o < out {
-				if g := dy[base+o]; g != 0 {
-					axpy(g, d.w.W[o*in:o*in+in], dxs)
-				}
+				fmaAxpy(dy[base+o], d.w.W[o*in:o*in+in], dxs)
 			}
 			xi += in
-		}
-	}
-}
-
-// ForwardBatchInto runs a batched forward pass over nb samples packed
-// row-major in xs (len nb*Inputs) and returns the flat output [nb*Outputs]
-// owned by s (valid until the next ForwardBatchInto on s). ReLU is fused
-// into each hidden layer's forward pass. Outputs are bit-identical to nb
-// independent ForwardInto calls.
-//
-//uerl:hotpath
-func (n *Network) ForwardBatchInto(s *BatchScratch, xs []float64, nb int) []float64 {
-	if nb <= 0 || nb > s.batch {
-		panic(fmt.Sprintf("nn: batch %d out of range (scratch holds %d)", nb, s.batch))
-	}
-	if len(xs) != nb*n.cfg.Inputs {
-		panic(fmt.Sprintf("nn: batched input size %d, want %d", len(xs), nb*n.cfg.Inputs))
-	}
-	if s.kernel == KernelFast {
-		return n.forwardBatchFast(s, xs, nb)
-	}
-	copy(s.acts[0][:nb*n.cfg.Inputs], xs)
-	cur := s.acts[0]
-	for i, d := range n.hidden {
-		d.forwardBatch(cur, s.acts[i+1], nb, true)
-		cur = s.acts[i+1]
-	}
-	out := n.cfg.Outputs
-	if n.cfg.Dueling {
-		n.value.forwardBatch(cur, s.vOut, nb, false)
-		n.adv.forwardBatch(cur, s.aOut, nb, false)
-		for b := 0; b < nb; b++ {
-			aRow := s.aOut[b*out : (b+1)*out]
-			meanA := mathx.Mean(aRow)
-			v := s.vOut[b]
-			qRow := s.q[b*out : (b+1)*out]
-			for i := range qRow {
-				qRow[i] = v + aRow[i] - meanA
-			}
-		}
-	} else {
-		n.out.forwardBatch(cur, s.q, nb, false)
-	}
-	return s.q[:nb*out]
-}
-
-// BackwardBatch accumulates parameter gradients for the most recent
-// ForwardBatchInto on s, given dLoss/dOutput for every sample packed
-// row-major in dOut (len nb*Outputs). Gradient accumulation order matches
-// nb sequential Backward calls exactly, so a batched train step leaves the
-// same gradients as the serial loop.
-//
-//uerl:hotpath
-func (n *Network) BackwardBatch(s *BatchScratch, dOut []float64, nb int) {
-	if nb <= 0 || nb > s.batch {
-		panic(fmt.Sprintf("nn: batch %d out of range (scratch holds %d)", nb, s.batch))
-	}
-	out := n.cfg.Outputs
-	if len(dOut) != nb*out {
-		panic(fmt.Sprintf("nn: batched dOut size %d, want %d", len(dOut), nb*out))
-	}
-	if s.kernel == KernelFast {
-		n.backwardBatchFast(s, dOut, nb)
-		return
-	}
-	nh := len(n.hidden)
-	width := n.cfg.Inputs
-	if nh > 0 {
-		width = n.hidden[nh-1].out
-	}
-	lastAct := s.acts[nh]
-	dHidden := s.dBufA[:nb*width]
-	if n.cfg.Dueling {
-		// Q_i = V + A_i - mean(A): dV = sum_i dQ_i; dA_j = dQ_j - mean(dQ).
-		for b := 0; b < nb; b++ {
-			row := dOut[b*out : (b+1)*out]
-			sum := 0.0
-			for _, g := range row {
-				sum += g
-			}
-			meanG := sum / float64(out)
-			for i, g := range row {
-				s.dA[b*out+i] = g - meanG
-			}
-			s.dV[b] = sum
-		}
-		n.value.backwardBatch(lastAct, s.dV[:nb], dHidden, nb)
-		tmp := s.dBufB[:nb*width]
-		n.adv.backwardBatch(lastAct, s.dA[:nb*out], tmp, nb)
-		for i := range dHidden {
-			dHidden[i] += tmp[i]
-		}
-	} else {
-		n.out.backwardBatch(lastAct, dOut, dHidden, nb)
-	}
-	// Walk hidden layers in reverse, ping-ponging the gradient buffers.
-	dy := dHidden    // backed by s.dBufA
-	spare := s.dBufB // full-capacity spare (head tmp already consumed)
-	for i := nh - 1; i >= 0; i-- {
-		h := n.hidden[i]
-		// ReLU derivative: the post-activation is zero exactly where the
-		// pre-activation was <= 0, so the stored activation is the mask.
-		act := s.acts[i+1][:nb*h.out]
-		for j := range dy {
-			if act[j] <= 0 {
-				dy[j] = 0
-			}
-		}
-		var dx []float64
-		if i > 0 {
-			dx = spare[:nb*h.in]
-		}
-		h.backwardBatch(s.acts[i][:nb*h.in], dy, dx, nb)
-		if dx != nil {
-			spare = dy[:cap(dy)]
-			dy = dx
 		}
 	}
 }

@@ -16,9 +16,25 @@ func batchInputs(rng *mathx.RNG, nb, dim int) []float64 {
 	return xs
 }
 
-// TestForwardBatchMatchesSingle: ForwardBatchInto must agree with N
-// independent ForwardInto calls to within 1e-12 (the shared kernels make
-// them bit-identical, so the tolerance is exact-zero in practice).
+// oneByOne runs ForwardBatchInto (and, with dOut non-nil, BackwardBatch)
+// one sample at a time on net, returning the concatenated outputs.
+func oneByOne(net *Network, xs, dOut []float64, nb int) []float64 {
+	cfg := net.Config()
+	bs := net.NewBatchScratch(1)
+	var q []float64
+	for s := 0; s < nb; s++ {
+		q = append(q, net.ForwardBatchInto(bs, xs[s*cfg.Inputs:(s+1)*cfg.Inputs], 1)...)
+		if dOut != nil {
+			net.BackwardBatch(bs, dOut[s*cfg.Outputs:(s+1)*cfg.Outputs], 1)
+		}
+	}
+	return q
+}
+
+// TestForwardBatchMatchesSingle: samples are independent in
+// ForwardBatchInto, so a batch's outputs are bit-identical to the same
+// samples run one at a time, and within 1e-12 of the single-input
+// ForwardInto path that serves decisions.
 func TestForwardBatchMatchesSingle(t *testing.T) {
 	for _, cfg := range []Config{
 		{Inputs: 15, Hidden: []int{32, 16}, Outputs: 2, Dueling: true, Seed: 3},
@@ -31,9 +47,10 @@ func TestForwardBatchMatchesSingle(t *testing.T) {
 		rng := mathx.NewRNG(99)
 		xs := batchInputs(rng, nb, cfg.Inputs)
 
-		bs := net.NewBatchScratch(nb)
-		got := net.ForwardBatchInto(bs, xs, nb)
-
+		got := net.ForwardBatchInto(net.NewBatchScratch(nb), xs, nb)
+		if single := oneByOne(net, xs, nil, nb); !bitsEqual(got, single) {
+			t.Fatalf("cfg %+v: batched outputs differ from one-sample batches", cfg)
+		}
 		scr := net.NewScratch()
 		for s := 0; s < nb; s++ {
 			want := net.ForwardInto(scr, xs[s*cfg.Inputs:(s+1)*cfg.Inputs])
@@ -48,8 +65,9 @@ func TestForwardBatchMatchesSingle(t *testing.T) {
 }
 
 // TestBackwardBatchMatchesSerial: one BackwardBatch over a minibatch must
-// leave gradients identical (bit for bit) to the serial per-sample
-// forward+backward accumulation loop.
+// leave gradients identical (bit for bit) to the per-sample
+// forward+backward accumulation loop, because every weight accumulates its
+// samples in ascending order either way.
 func TestBackwardBatchMatchesSerial(t *testing.T) {
 	for _, cfg := range []Config{
 		{Inputs: 15, Hidden: []int{32, 16}, Outputs: 2, Dueling: true, Seed: 7},
@@ -64,13 +82,8 @@ func TestBackwardBatchMatchesSerial(t *testing.T) {
 		serial := New(cfg)
 		batched := New(cfg)
 
-		// Serial reference: per-sample forward + backward accumulation.
-		scr := serial.NewScratch()
 		serial.ZeroGrad()
-		for s := 0; s < nb; s++ {
-			serial.ForwardInto(scr, xs[s*cfg.Inputs:(s+1)*cfg.Inputs])
-			serial.Backward(scr, dOut[s*cfg.Outputs:(s+1)*cfg.Outputs])
-		}
+		oneByOne(serial, xs, dOut, nb)
 
 		bs := batched.NewBatchScratch(nb)
 		batched.ZeroGrad()
@@ -79,11 +92,8 @@ func TestBackwardBatchMatchesSerial(t *testing.T) {
 
 		sp, bp := serial.Params(), batched.Params()
 		for pi := range sp {
-			for gi := range sp[pi].G {
-				if sp[pi].G[gi] != bp[pi].G[gi] {
-					t.Fatalf("cfg %+v param %d grad %d: batched %v != serial %v",
-						cfg, pi, gi, bp[pi].G[gi], sp[pi].G[gi])
-				}
+			if !bitsEqual(sp[pi].G, bp[pi].G) {
+				t.Fatalf("cfg %+v param %d: batched gradients differ from serial", cfg, pi)
 			}
 		}
 	}
@@ -93,19 +103,14 @@ func TestBackwardBatchMatchesSerial(t *testing.T) {
 func TestForwardBatchPartial(t *testing.T) {
 	cfg := Config{Inputs: 5, Hidden: []int{8}, Outputs: 2, Dueling: true, Seed: 2}
 	net := New(cfg)
-	bs := net.NewBatchScratch(32)
 	rng := mathx.NewRNG(5)
 	xs := batchInputs(rng, 3, cfg.Inputs)
-	got := net.ForwardBatchInto(bs, xs, 3)
+	got := net.ForwardBatchInto(net.NewBatchScratch(32), xs, 3)
 	if len(got) != 3*cfg.Outputs {
 		t.Fatalf("partial batch output len %d, want %d", len(got), 3*cfg.Outputs)
 	}
-	scr := net.NewScratch()
-	want := net.ForwardInto(scr, xs[:cfg.Inputs])
-	for o := range want {
-		if got[o] != want[o] {
-			t.Fatalf("partial batch output %d: %v != %v", o, got[o], want[o])
-		}
+	if want := net.ForwardBatchInto(net.NewBatchScratch(3), xs, 3); !bitsEqual(got, want) {
+		t.Fatalf("partial batch outputs %v, exact-size batch %v", got, want)
 	}
 }
 

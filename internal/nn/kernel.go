@@ -7,27 +7,26 @@ import "math"
 // therefore roundings) a training run performs. Changing any rounding —
 // fusing a multiply-add, reassociating a reduction, precomputing a
 // reciprocal — changes trained weights bit-for-bit, so every such change
-// lands behind a new major version while the previous stream stays
-// available as the pinned reference.
+// needs a new version. Model artifacts record the version their weights
+// were trained under.
 //
 // Results are deterministic at every version; the versions differ only in
 // which (equally valid) rounding sequence they pin.
 const (
-	// KernelReference is the original serial stream: unfused multiply-adds,
-	// dot's 4-lane reduction, Adam with per-element divides, math/rand
-	// sources. It is the bit-exact reference all earlier artifacts were
-	// trained under, and stays byte-identical on every platform (the AVX2
-	// element-wise and single-input forward kernels used opportunistically
-	// under it are bit-equal to the scalar loops — see the parity tests).
+	// KernelReference identifies legacy artifacts, trained under the
+	// original serial stream: unfused multiply-adds, dot's 4-lane
+	// reduction, Adam with per-element divides and math/rand sources.
+	// Nothing trains under it any more; its per-sample step survives only
+	// as the test oracle the KernelFast stream is checked against.
 	KernelReference = 1
-	// KernelFast is the throughput stream: FMA row-blocked forward GEMM
+	// KernelFast is the training stream: FMA row-blocked forward GEMM
 	// over zero-padded weights, FMA gradient accumulation, Adam with
 	// precomputed reciprocal bias corrections, the O(copy)-forkable PCG RNG
-	// source, fixed-size minibatch chunking with in-order gradient
-	// reduction, and vectorized environment stepping. It is deterministic
-	// for every worker count and GOMAXPROCS, and bit-identical between the
-	// AVX2 kernels and their pure-Go math.FMA fallbacks, but it is a
-	// different rounding stream than KernelReference.
+	// source, exp(p*log(x)) prioritized-replay powers, fixed-size minibatch
+	// chunking with in-order gradient reduction, and vectorized environment
+	// stepping. It is deterministic for every worker count and GOMAXPROCS,
+	// and bit-identical between the AVX2 kernels and their pure-Go
+	// math.FMA fallbacks.
 	KernelFast = 2
 )
 
@@ -45,8 +44,8 @@ var useAsm = haveAVX2FMA
 // can never become -0 because every partial sum starts at +0).
 func pad4(n int) int { return (n + 3) &^ 3 }
 
-// fmaAxpy accumulates y[i] = fma(alpha, x[i], y[i]) — the KernelFast
-// gradient-accumulation kernel. Element-wise, so the vector form is
+// fmaAxpy accumulates y[i] = fma(alpha, x[i], y[i]) — the training
+// stream's gradient-accumulation kernel. Element-wise, so the vector form is
 // bit-identical to this scalar definition.
 //
 //uerl:hotpath
@@ -66,7 +65,7 @@ func fmaAxpy(alpha float64, x, y []float64) {
 }
 
 // fmaAxpy2 accumulates y = fma(b, xb, fma(a, xa, y)) element-wise: the
-// KernelFast blocked form of two sequential fmaAxpy calls.
+// blocked form of two sequential fmaAxpy calls.
 //
 //uerl:hotpath
 func fmaAxpy2(a float64, xa []float64, b float64, xb, y []float64) {
@@ -85,7 +84,7 @@ func fmaAxpy2(a float64, xa []float64, b float64, xb, y []float64) {
 	}
 }
 
-// fwdLayerFast computes the KernelFast forward GEMM for one layer over nb
+// fwdLayerFast computes the batched forward GEMM for one layer over nb
 // samples: y[s*outP+o] = relu?(bias[o] + Σ_k w[o*inP+k]*x[s*inP+k]) with
 // the sum accumulated in four independent FMA lanes combined as
 // (l0+l1)+(l2+l3). w rows and x rows are zero-padded to inP (a multiple of

@@ -46,35 +46,23 @@ func axpyAVX(alpha float64, x, y *float64, n int)
 //go:noescape
 func axpyFMAAVX(alpha float64, x, y *float64, n int)
 
-// axpy2AVX: y[i] += a*xa[i]; y[i] += b*xb[i] (unfused, two rounds each).
-//
-//go:noescape
-func axpy2AVX(a float64, xa *float64, b float64, xb, y *float64, n int)
-
 // axpy2FMAAVX: y[i] = fma(b, xb[i], fma(a, xa[i], y[i])).
 //
 //go:noescape
 func axpy2FMAAVX(a float64, xa *float64, b float64, xb, y *float64, n int)
 
-// adamAVX performs the classic Adam update with per-element divides:
+// adamAVX is the Adam update with precomputed reciprocal bias
+// corrections rc1 = 1/c1, rc2 = 1/c2:
 //
 //	m[i] = b1*m[i] + ob1*g[i]
 //	v[i] = b2*v[i] + (ob2*g[i])*g[i]
-//	w[i] -= lr * (m[i]/c1) / (sqrt(v[i]/c2) + eps)
+//	w[i] -= lr * (m[i]*rc1) / (sqrt(v[i]*rc2) + eps)
 //
 // where ob1 = 1-b1 and ob2 = 1-b2 are precomputed by the caller exactly as
 // the scalar loop's compiler-hoisted subexpressions.
 //
 //go:noescape
-func adamAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, c1, c2 float64)
-
-// adamRecipAVX is the KernelFast Adam update with precomputed reciprocal
-// bias corrections rc1 = 1/c1, rc2 = 1/c2:
-//
-//	w[i] -= lr * (m[i]*rc1) / (sqrt(v[i]*rc2) + eps)
-//
-//go:noescape
-func adamRecipAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64)
+func adamAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64)
 
 // bgradFMAAVX fuses backLayerFast's weight-gradient loop into one call:
 // grad[o*in+k] = fma(dy[s*out+o], x[s*inP+k], grad[o*in+k]) with samples

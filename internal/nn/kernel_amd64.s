@@ -35,7 +35,7 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 
 // func axpyAVX(alpha float64, x, y *float64, n int)
 // y[i] = y[i] + alpha*x[i], multiply and add rounded separately (the
-// KernelReference semantics of axpy's scalar loop).
+// semantics of axpy's scalar loop).
 TEXT ·axpyAVX(SB), NOSPLIT, $0-32
 	VBROADCASTSD alpha+0(FP), Y0
 	MOVQ x+8(FP), SI
@@ -55,7 +55,7 @@ axpy_loop:
 	RET
 
 // func axpyFMAAVX(alpha float64, x, y *float64, n int)
-// y[i] = fma(alpha, x[i], y[i]) — the KernelFast accumulate.
+// y[i] = fma(alpha, x[i], y[i]) — the training stream's accumulate.
 TEXT ·axpyFMAAVX(SB), NOSPLIT, $0-32
 	VBROADCASTSD alpha+0(FP), Y0
 	MOVQ x+8(FP), SI
@@ -70,33 +70,6 @@ axpyfma_loop:
 	ADDQ        $32, DI
 	SUBQ        $4, CX
 	JNE         axpyfma_loop
-	VZEROUPPER
-	RET
-
-// func axpy2AVX(a float64, xa *float64, b float64, xb, y *float64, n int)
-// y[i] += a*xa[i]; y[i] += b*xb[i] — two unfused accumulates per element in
-// that order (KernelReference axpy2 semantics).
-TEXT ·axpy2AVX(SB), NOSPLIT, $0-48
-	VBROADCASTSD a+0(FP), Y0
-	VBROADCASTSD b+16(FP), Y1
-	MOVQ xa+8(FP), R8
-	MOVQ xb+24(FP), R9
-	MOVQ y+32(FP), DI
-	MOVQ n+40(FP), CX
-
-axpy2_loop:
-	VMOVUPD (R8), Y2
-	VMULPD  Y0, Y2, Y2       // a*xa
-	VADDPD  (DI), Y2, Y2     // t = y + a*xa
-	VMOVUPD (R9), Y3
-	VMULPD  Y1, Y3, Y3       // b*xb
-	VADDPD  Y2, Y3, Y3       // t + b*xb
-	VMOVUPD Y3, (DI)
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JNE     axpy2_loop
 	VZEROUPPER
 	RET
 
@@ -123,64 +96,14 @@ axpy2fma_loop:
 	VZEROUPPER
 	RET
 
-// Shared Adam register assignment for adamAVX / adamRecipAVX:
+// adamAVX register assignment:
 //   R8=w R9=g R10=m R11=v CX=n
-//   Y6=b1 Y7=ob1 Y8=b2 Y9=ob2 Y10=lr Y11=eps Y12=c1|rc1 Y13=c2|rc2
+//   Y6=b1 Y7=ob1 Y8=b2 Y9=ob2 Y10=lr Y11=eps Y12=rc1 Y13=rc2
 
-// func adamAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, c1, c2 float64)
-// Classic Adam with per-element divides (KernelReference):
-//   m = b1*m + ob1*g ; v = b2*v + (ob2*g)*g
-//   w -= lr*(m/c1) / (sqrt(v/c2) + eps)
-TEXT ·adamAVX(SB), NOSPLIT, $0-104
-	MOVQ w+0(FP), R8
-	MOVQ grad+8(FP), R9
-	MOVQ m+16(FP), R10
-	MOVQ v+24(FP), R11
-	MOVQ n+32(FP), CX
-	VBROADCASTSD lr+40(FP), Y10
-	VBROADCASTSD b1+48(FP), Y6
-	VBROADCASTSD ob1+56(FP), Y7
-	VBROADCASTSD b2+64(FP), Y8
-	VBROADCASTSD ob2+72(FP), Y9
-	VBROADCASTSD eps+80(FP), Y11
-	VBROADCASTSD c1+88(FP), Y12
-	VBROADCASTSD c2+96(FP), Y13
-
-adam_loop:
-	VMOVUPD (R9), Y0         // g
-	VMOVUPD (R10), Y1        // m
-	VMULPD  Y6, Y1, Y1       // b1*m
-	VMULPD  Y7, Y0, Y2       // ob1*g
-	VADDPD  Y2, Y1, Y1       // m'
-	VMOVUPD Y1, (R10)
-	VMOVUPD (R11), Y2        // v
-	VMULPD  Y8, Y2, Y2       // b2*v
-	VMULPD  Y9, Y0, Y3       // ob2*g
-	VMULPD  Y0, Y3, Y3       // (ob2*g)*g
-	VADDPD  Y3, Y2, Y2       // v'
-	VMOVUPD Y2, (R11)
-	VDIVPD  Y12, Y1, Y1      // m'/c1
-	VDIVPD  Y13, Y2, Y2      // v'/c2
-	VSQRTPD Y2, Y2
-	VADDPD  Y11, Y2, Y2      // sqrt(v'/c2) + eps
-	VMULPD  Y10, Y1, Y1      // lr*(m'/c1)
-	VDIVPD  Y2, Y1, Y1       // update
-	VMOVUPD (R8), Y0
-	VSUBPD  Y1, Y0, Y0       // w - update
-	VMOVUPD Y0, (R8)
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	SUBQ    $4, CX
-	JNE     adam_loop
-	VZEROUPPER
-	RET
-
-// func adamRecipAVX(w, g, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64)
-// KernelFast Adam with precomputed reciprocal bias corrections:
+// func adamAVX(w, g, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64)
+// Adam with precomputed reciprocal bias corrections:
 //   w -= lr*(m*rc1) / (sqrt(v*rc2) + eps)
-TEXT ·adamRecipAVX(SB), NOSPLIT, $0-104
+TEXT ·adamAVX(SB), NOSPLIT, $0-104
 	MOVQ w+0(FP), R8
 	MOVQ grad+8(FP), R9
 	MOVQ m+16(FP), R10
@@ -195,7 +118,7 @@ TEXT ·adamRecipAVX(SB), NOSPLIT, $0-104
 	VBROADCASTSD rc1+88(FP), Y12
 	VBROADCASTSD rc2+96(FP), Y13
 
-adamr_loop:
+adam_loop:
 	VMOVUPD (R9), Y0         // g
 	VMOVUPD (R10), Y1        // m
 	VMULPD  Y6, Y1, Y1       // b1*m
@@ -222,7 +145,7 @@ adamr_loop:
 	ADDQ    $32, R10
 	ADDQ    $32, R11
 	SUBQ    $4, CX
-	JNE     adamr_loop
+	JNE     adam_loop
 	VZEROUPPER
 	RET
 

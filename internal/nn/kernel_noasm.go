@@ -14,16 +14,10 @@ const haveAVX2FMA = false
 
 func axpyAVX(alpha float64, x, y *float64, n int)    { panic("nn: no asm") }
 func axpyFMAAVX(alpha float64, x, y *float64, n int) { panic("nn: no asm") }
-func axpy2AVX(a float64, xa *float64, b float64, xb, y *float64, n int) {
-	panic("nn: no asm")
-}
 func axpy2FMAAVX(a float64, xa *float64, b float64, xb, y *float64, n int) {
 	panic("nn: no asm")
 }
-func adamAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, c1, c2 float64) {
-	panic("nn: no asm")
-}
-func adamRecipAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64) {
+func adamAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64) {
 	panic("nn: no asm")
 }
 func gemvAVX(w, x, y, bias *float64, in, out int)                     { panic("nn: no asm") }

@@ -43,8 +43,7 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestElementwiseAsmParity pins that the AVX element-wise kernels produce
-// bit-identical results to their scalar Go loops across awkward lengths —
-// the property that lets KernelReference keep using them.
+// bit-identical results to their scalar Go loops across awkward lengths.
 func TestElementwiseAsmParity(t *testing.T) {
 	if !haveAVX2FMA {
 		t.Skip("no AVX2+FMA on this machine")
@@ -59,13 +58,6 @@ func TestElementwiseAsmParity(t *testing.T) {
 		withAsm(t, true, func() { axpy(1.7, x, y1) })
 		if !bitsEqual(y0, y1) {
 			t.Fatalf("axpy parity failed at n=%d", n)
-		}
-		y0 = randSlice(rng, n)
-		y1 = append([]float64(nil), y0...)
-		withAsm(t, false, func() { axpy2(0.3, x, -1.2, xb, y0) })
-		withAsm(t, true, func() { axpy2(0.3, x, -1.2, xb, y1) })
-		if !bitsEqual(y0, y1) {
-			t.Fatalf("axpy2 parity failed at n=%d", n)
 		}
 		y0 = randSlice(rng, n)
 		y1 = append([]float64(nil), y0...)
@@ -84,32 +76,30 @@ func TestElementwiseAsmParity(t *testing.T) {
 	}
 }
 
-// TestAdamAsmParity pins bit-identical Adam steps between the scalar loops
-// and the AVX kernels, in both classic and reciprocal modes.
+// TestAdamAsmParity pins bit-identical Adam steps between the scalar loop
+// and the AVX kernel.
 func TestAdamAsmParity(t *testing.T) {
 	if !haveAVX2FMA {
 		t.Skip("no AVX2+FMA on this machine")
 	}
-	for _, recip := range []bool{false, true} {
-		for _, n := range []int{5, 8, 13, 64, 257} {
-			rng := mathx.NewRNG(int64(n))
-			w := randSlice(rng, n)
-			g1 := randSlice(rng, n)
-			g2 := randSlice(rng, n)
-			run := func(on bool) []float64 {
-				p := &Param{W: append([]float64(nil), w...), G: append([]float64(nil), g1...)}
-				opt := &Adam{LR: 3e-3, Recip: recip}
-				withAsm(t, on, func() {
-					opt.Step([]*Param{p})
-					copy(p.G, g2)
-					opt.Step([]*Param{p})
-				})
-				return p.W
-			}
-			got, want := run(true), run(false)
-			if !bitsEqual(got, want) {
-				t.Fatalf("Adam(recip=%v) parity failed at n=%d", recip, n)
-			}
+	for _, n := range []int{5, 8, 13, 64, 257} {
+		rng := mathx.NewRNG(int64(n))
+		w := randSlice(rng, n)
+		g1 := randSlice(rng, n)
+		g2 := randSlice(rng, n)
+		run := func(on bool) []float64 {
+			p := &Param{W: append([]float64(nil), w...), G: append([]float64(nil), g1...)}
+			opt := &Adam{LR: 3e-3}
+			withAsm(t, on, func() {
+				opt.Step([]*Param{p})
+				copy(p.G, g2)
+				opt.Step([]*Param{p})
+			})
+			return p.W
+		}
+		got, want := run(true), run(false)
+		if !bitsEqual(got, want) {
+			t.Fatalf("Adam parity failed at n=%d", n)
 		}
 	}
 }
@@ -150,14 +140,14 @@ func TestGemmAsmParity(t *testing.T) {
 }
 
 // trainSteps runs a fixed sequence of batched forward/backward/clip/step
-// iterations at the given kernel and returns the serialized weights.
-func trainSteps(t *testing.T, kernel int, recip bool) []byte {
+// iterations and returns the serialized weights.
+func trainSteps(t *testing.T) []byte {
 	t.Helper()
 	cfg := Config{Inputs: 7, Hidden: []int{32, 16}, Outputs: 3, Dueling: true, Seed: 11}
 	n := New(cfg)
-	opt := &Adam{LR: 3e-3, Recip: recip}
+	opt := &Adam{LR: 3e-3}
 	const nb = 8
-	s := n.NewBatchScratchKernel(nb, kernel)
+	s := n.NewBatchScratch(nb)
 	rng := mathx.NewRNG(5)
 	xs := make([]float64, nb*cfg.Inputs)
 	dOut := make([]float64, nb*cfg.Outputs)
@@ -186,22 +176,6 @@ func trainSteps(t *testing.T, kernel int, recip bool) []byte {
 	return blob
 }
 
-// TestKernelReferenceUnchangedByAsm proves the KernelReference pin: a full
-// training sequence produces byte-identical weights with the assembly
-// kernels enabled and disabled, so enabling AVX2 does not move the
-// reference stream.
-func TestKernelReferenceUnchangedByAsm(t *testing.T) {
-	if !haveAVX2FMA {
-		t.Skip("no AVX2+FMA on this machine")
-	}
-	var withA, withoutA []byte
-	withAsm(t, true, func() { withA = trainSteps(t, KernelReference, false) })
-	withAsm(t, false, func() { withoutA = trainSteps(t, KernelReference, false) })
-	if !bytes.Equal(withA, withoutA) {
-		t.Fatal("KernelReference weights changed when asm kernels were enabled")
-	}
-}
-
 // TestKernelFastAsmFallbackParity proves the KernelFast portability pin:
 // the same training sequence under KernelFast is byte-identical between the
 // assembly kernels and the pure-Go math.FMA fallbacks.
@@ -210,29 +184,31 @@ func TestKernelFastAsmFallbackParity(t *testing.T) {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	var withA, withoutA []byte
-	withAsm(t, true, func() { withA = trainSteps(t, KernelFast, true) })
-	withAsm(t, false, func() { withoutA = trainSteps(t, KernelFast, true) })
+	withAsm(t, true, func() { withA = trainSteps(t) })
+	withAsm(t, false, func() { withoutA = trainSteps(t) })
 	if !bytes.Equal(withA, withoutA) {
 		t.Fatal("KernelFast weights differ between asm and Go fallback")
 	}
 }
 
-// TestKernelFastForwardMatchesReference checks the KernelFast forward pass
-// numerically against the reference path (different roundings, so compare
-// with tolerance).
+// TestKernelFastForwardMatchesReference checks the KernelFast batched
+// forward pass numerically against the scalar single-input path that
+// serves decisions (different roundings, so compare with tolerance).
 func TestKernelFastForwardMatchesReference(t *testing.T) {
 	cfg := Config{Inputs: 7, Hidden: []int{32, 16}, Outputs: 3, Dueling: true, Seed: 2}
 	n := New(cfg)
 	const nb = 6
-	sRef := n.NewBatchScratch(nb)
-	sFast := n.NewBatchScratchKernel(nb, KernelFast)
 	rng := mathx.NewRNG(3)
 	xs := randSlice(rng, nb*cfg.Inputs)
-	qRef := append([]float64(nil), n.ForwardBatchInto(sRef, xs, nb)...)
-	qFast := n.ForwardBatchInto(sFast, xs, nb)
-	for i := range qRef {
-		if d := math.Abs(qRef[i] - qFast[i]); d > 1e-9*(1+math.Abs(qRef[i])) {
-			t.Fatalf("fast forward diverged at %d: %v vs %v", i, qRef[i], qFast[i])
+	qFast := n.ForwardBatchInto(n.NewBatchScratch(nb), xs, nb)
+	scr := n.NewScratch()
+	for b := 0; b < nb; b++ {
+		qRef := n.ForwardInto(scr, xs[b*cfg.Inputs:(b+1)*cfg.Inputs])
+		for o, want := range qRef {
+			got := qFast[b*cfg.Outputs+o]
+			if d := math.Abs(want - got); d > 1e-9*(1+math.Abs(want)) {
+				t.Fatalf("fast forward diverged at sample %d output %d: %v vs %v", b, o, got, want)
+			}
 		}
 	}
 }
@@ -258,8 +234,8 @@ func TestGradShadowAccumulates(t *testing.T) {
 
 	// Schedule 1: shadow a computes chunk 0 first, shadow b chunk 1.
 	a, b := n.GradShadow(), n.GradShadow()
-	sA := a.NewBatchScratchKernel(nb, KernelFast)
-	sB := b.NewBatchScratchKernel(nb, KernelFast)
+	sA := a.NewBatchScratch(nb)
+	sB := b.NewBatchScratch(nb)
 	chunk(a, sA, 0)
 	chunk(b, sB, 1)
 	n.ZeroGrad()
@@ -273,8 +249,8 @@ func TestGradShadowAccumulates(t *testing.T) {
 	// Schedule 2: opposite assignment and compute order; the reduction
 	// still walks chunk 0 then chunk 1.
 	c, d := n.GradShadow(), n.GradShadow()
-	sC := c.NewBatchScratchKernel(nb, KernelFast)
-	sD := d.NewBatchScratchKernel(nb, KernelFast)
+	sC := c.NewBatchScratch(nb)
+	sD := d.NewBatchScratch(nb)
 	chunk(d, sD, 1)
 	chunk(c, sC, 0)
 	n.ZeroGrad()
@@ -292,7 +268,7 @@ func TestGradShadowAccumulates(t *testing.T) {
 	n.InvalidateFast()
 	n.EnsureFast()
 	q1 := append([]float64(nil), a.ForwardBatchInto(sA, xs[:nb*cfg.Inputs], nb)...)
-	q2 := n.ForwardBatchInto(n.NewBatchScratchKernel(nb, KernelFast), xs[:nb*cfg.Inputs], nb)
+	q2 := n.ForwardBatchInto(n.NewBatchScratch(nb), xs[:nb*cfg.Inputs], nb)
 	if !bitsEqual(q1, q2) {
 		t.Fatal("shadow forward does not track owner weights")
 	}

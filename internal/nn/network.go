@@ -8,24 +8,20 @@
 // (§3.3.2: an MLP with hidden layers 256-256-128-64 feeding a dueling
 // value/advantage head), but the layers are generic.
 //
-// Arithmetic runs on three paths:
+// Arithmetic runs on two paths:
 //
-//   - The scalar reference: dot, dot2, axpy, axpy2 and Adam in plain Go,
-//     every multiply and add rounded separately. It defines
-//     KernelReference and every single-input forward pass, so every
-//     serving decision.
-//   - The unfused AVX kernels (axpyAVX, axpy2AVX, adamAVX, and gemvAVX for
-//     single-input forward passes), switched on by useAsm on AVX2 CPUs.
-//     They keep the reference's per-element operation order and dot's
-//     lane structure with VMULPD/VADDPD, never VFMADD, so their output
-//     is bit-identical to the scalar path (the *AsmParity and
-//     TestGemvMatchesDot tests pin this).
-//   - KernelFast's FMA stream (fast.go): a padded-weight GEMM, gradient
-//     accumulation and Adam with fused multiply-adds. It is faster for
-//     batched training and deterministic, with identical bits between its
-//     AVX2 kernels and math.FMA fallbacks, but it is a different rounding
-//     stream, so it only trains under an explicit kernel-version pin and
-//     never serves.
+//   - Serving: the single-input forward pass (ForwardInto) runs dot in
+//     plain Go, every multiply and add rounded separately, or gemvAVX on
+//     AVX2 CPUs, which keeps dot's lane structure with VMULPD/VADDPD and
+//     never VFMADD, so every serving decision has the same bits on every
+//     machine (TestGemvMatchesDot pins this).
+//   - Training: the KernelFast stream (batch.go, fast.go), the only one
+//     the package trains under. A padded-weight FMA GEMM forward pass,
+//     FMA gradient accumulation and the reciprocal Adam update. It is
+//     deterministic, with identical bits between its AVX2 kernels and
+//     their math.FMA fallbacks (the *AsmParity tests pin this). A scalar
+//     per-sample reference step lives only in the tests, as the oracle the
+//     stream is checked against.
 //
 //uerl:deterministic
 package nn
@@ -100,12 +96,12 @@ func newDense(in, out int, rng *mathx.RNG) *dense {
 }
 
 // dot computes the inner product of a and b (len(b) >= len(a)) with a
-// 4-lane unrolled accumulation. Every forward pass — single-sample and
-// batched — funnels through this kernel (or through dot2 or gemvAVX, which
-// compute each row with the identical lane structure), so all paths
-// produce bit-identical outputs. The float64(a*b) conversions keep
-// multiply and add separately rounded on compilers that would otherwise
-// fuse them (see kernel_noasm.go).
+// 4-lane unrolled accumulation. Every single-input forward pass funnels
+// through this kernel (or through gemvAVX, which computes each row with
+// the identical lane structure), so serving outputs are bit-identical on
+// every machine. The float64(a*b) conversions keep multiply and add
+// separately rounded on compilers that would otherwise fuse them (see
+// kernel_noasm.go).
 //
 //uerl:hotpath
 func dot(a, b []float64) float64 {
@@ -124,75 +120,8 @@ func dot(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// dot2 computes the inner products of two weight rows against one input,
-// streaming x once. Each row accumulates in exactly dot's lane structure
-// (its own four accumulators, combined (s0+s1)+(s2+s3)), so
-// dot2(a, b, x) ≡ (dot(a, x), dot(b, x)) bit for bit — this is the
-// register-blocked kernel behind the batched forward pass.
-//
-//uerl:hotpath
-func dot2(a, b, x []float64) (float64, float64) {
-	x = x[:len(a)]
-	b = b[:len(a)]
-	var a0, a1, a2, a3 float64
-	var b0, b1, b2, b3 float64
-	n4 := len(x) &^ 3
-	for i := 0; i < n4; i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		a0 += float64(a[i] * x0)
-		a1 += float64(a[i+1] * x1)
-		a2 += float64(a[i+2] * x2)
-		a3 += float64(a[i+3] * x3)
-		b0 += float64(b[i] * x0)
-		b1 += float64(b[i+1] * x1)
-		b2 += float64(b[i+2] * x2)
-		b3 += float64(b[i+3] * x3)
-	}
-	for i := n4; i < len(x); i++ {
-		a0 += float64(a[i] * x[i])
-		b0 += float64(b[i] * x[i])
-	}
-	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
-}
-
-// axpy2 accumulates y += a*xa followed by y += b*xb, as two separate
-// per-element statements so each element sees exactly the rounding
-// sequence of axpy(a, xa, y); axpy(b, xb, y) — the blocked form used by
-// the batched input-gradient pass to stream y once per two weight rows.
-//
-//uerl:hotpath
-func axpy2(a float64, xa []float64, b float64, xb, y []float64) {
-	y = y[:len(xa)]
-	xb = xb[:len(xa)]
-	n4 := len(xa) &^ 3
-	if useAsm && n4 >= 8 {
-		// Bit-identical to the scalar loop below (element-wise, unfused
-		// multiply and add, same per-element order).
-		axpy2AVX(a, &xa[0], b, &xb[0], &y[0], n4)
-		for i := n4; i < len(xa); i++ {
-			y[i] += float64(a * xa[i])
-			y[i] += float64(b * xb[i])
-		}
-		return
-	}
-	for i := 0; i < n4; i += 4 {
-		y[i] += float64(a * xa[i])
-		y[i] += float64(b * xb[i])
-		y[i+1] += float64(a * xa[i+1])
-		y[i+1] += float64(b * xb[i+1])
-		y[i+2] += float64(a * xa[i+2])
-		y[i+2] += float64(b * xb[i+2])
-		y[i+3] += float64(a * xa[i+3])
-		y[i+3] += float64(b * xb[i+3])
-	}
-	for i := n4; i < len(xa); i++ {
-		y[i] += float64(a * xa[i])
-		y[i] += float64(b * xb[i])
-	}
-}
-
-// axpy accumulates y += alpha*x. Shared by the serial and batched backward
-// passes so gradient accumulation is bit-identical between them.
+// axpy accumulates y += alpha*x, multiply and add rounded separately: the
+// in-order chunk-gradient reduction of AccumulateGrads.
 //
 //uerl:hotpath
 func axpy(alpha float64, x, y []float64) {
@@ -234,34 +163,6 @@ func (d *dense) forward(x, y []float64) {
 	for ; o < d.out; o++ {
 		row := d.w.W[o*d.in : (o+1)*d.in]
 		y[o] = d.b.W[o] + dot(row, x)
-	}
-}
-
-// backward accumulates gradients given the layer input x and upstream
-// gradient dy, and writes the input gradient into dx (which may be nil for
-// the first layer).
-//
-//uerl:hotpath
-func (d *dense) backward(x, dy, dx []float64) {
-	for o := 0; o < d.out; o++ {
-		g := dy[o]
-		if g == 0 {
-			continue
-		}
-		axpy(g, x, d.w.G[o*d.in:(o+1)*d.in])
-		d.b.G[o] += g
-	}
-	if dx != nil {
-		for i := range dx {
-			dx[i] = 0
-		}
-		for o := 0; o < d.out; o++ {
-			g := dy[o]
-			if g == 0 {
-				continue
-			}
-			axpy(g, d.w.W[o*d.in:(o+1)*d.in], dx)
-		}
 	}
 }
 
@@ -337,43 +238,27 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// Scratch holds per-forward intermediate activations so that forward and
-// backward passes allocate nothing in steady state.
+// Scratch holds per-forward intermediate activations so that a forward
+// pass allocates nothing in steady state.
 type Scratch struct {
 	// acts[0] is the input; acts[i+1] is the post-activation output of
-	// hidden layer i; the final entries hold head outputs.
+	// hidden layer i.
 	acts [][]float64
-	// pre[i] is the pre-activation output of hidden layer i.
-	pre   [][]float64
-	vOut  []float64
-	aOut  []float64
-	q     []float64
-	dA    []float64
-	dPrev []float64
-	dCur  []float64
+	vOut []float64
+	aOut []float64
+	q    []float64
 }
 
 // NewScratch allocates scratch space sized for n.
 func (n *Network) NewScratch() *Scratch {
 	s := &Scratch{}
 	s.acts = append(s.acts, make([]float64, n.cfg.Inputs))
-	maxw := n.cfg.Inputs
 	for _, d := range n.hidden {
-		s.pre = append(s.pre, make([]float64, d.out))
 		s.acts = append(s.acts, make([]float64, d.out))
-		if d.out > maxw {
-			maxw = d.out
-		}
-	}
-	if n.cfg.Outputs > maxw {
-		maxw = n.cfg.Outputs
 	}
 	s.vOut = make([]float64, 1)
 	s.aOut = make([]float64, n.cfg.Outputs)
 	s.q = make([]float64, n.cfg.Outputs)
-	s.dA = make([]float64, n.cfg.Outputs)
-	s.dPrev = make([]float64, maxw)
-	s.dCur = make([]float64, maxw)
 	return s
 }
 
@@ -398,8 +283,8 @@ func (n *Network) ForwardInto(s *Scratch, x []float64) []float64 {
 	copy(s.acts[0], x)
 	cur := s.acts[0]
 	for i, d := range n.hidden {
-		d.forward(cur, s.pre[i])
-		relu(s.pre[i], s.acts[i+1])
+		d.forward(cur, s.acts[i+1])
+		relu(s.acts[i+1])
 		cur = s.acts[i+1]
 	}
 	if n.cfg.Dueling {
@@ -415,75 +300,11 @@ func (n *Network) ForwardInto(s *Scratch, x []float64) []float64 {
 	return s.q
 }
 
-// Backward accumulates parameter gradients for the most recent ForwardInto
-// on s, given dLoss/dOutput in dOut. It must be called with the same Scratch
-// used for the forward pass, before any further forward passes on it.
-//
 //uerl:hotpath
-func (n *Network) Backward(s *Scratch, dOut []float64) {
-	last := len(n.hidden) // index of last activation in s.acts
-	lastAct := s.acts[last]
-	nh := len(n.hidden)
-	width := n.cfg.Inputs
-	if nh > 0 {
-		width = n.hidden[nh-1].out
-	}
-	dHidden := s.dCur[:width]
-	if n.cfg.Dueling {
-		// Q_i = V + A_i - mean(A). dV = sum_i dQ_i; dA_j = dQ_j - mean(dQ).
-		sum := 0.0
-		for _, g := range dOut {
-			sum += g
-		}
-		meanG := sum / float64(len(dOut))
-		for i := range s.dA {
-			s.dA[i] = dOut[i] - meanG
-		}
-		// dv is a stack array: a []float64{sum} literal here was the one
-		// allocation left on the serial dueling backward path (uerlvet).
-		var dv [1]float64
-		dv[0] = sum
-		// Both heads contribute to the last hidden gradient.
-		n.value.backward(lastAct, dv[:], dHidden)
-		tmp := s.dPrev[:width]
-		n.adv.backward(lastAct, s.dA, tmp)
-		for i := range dHidden {
-			dHidden[i] += tmp[i]
-		}
-	} else {
-		n.out.backward(lastAct, dOut, dHidden)
-	}
-	// Walk hidden layers in reverse.
-	dy := dHidden
-	for i := nh - 1; i >= 0; i-- {
-		// Apply ReLU derivative at layer i's pre-activation.
-		for j := range dy {
-			if s.pre[i][j] <= 0 {
-				dy[j] = 0
-			}
-		}
-		var dx []float64
-		if i > 0 {
-			dx = s.dPrev[:n.hidden[i-1].out]
-		} else {
-			dx = nil
-		}
-		n.hidden[i].backward(s.acts[i], dy, dx)
-		if dx != nil {
-			// Swap buffers for next iteration.
-			copy(s.dCur[:len(dx)], dx)
-			dy = s.dCur[:len(dx)]
-		}
-	}
-}
-
-//uerl:hotpath
-func relu(pre, post []float64) {
-	for i, v := range pre {
-		if v > 0 {
-			post[i] = v
-		} else {
-			post[i] = 0
+func relu(x []float64) {
+	for i, v := range x {
+		if !(v > 0) {
+			x[i] = 0
 		}
 	}
 }

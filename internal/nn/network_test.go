@@ -122,14 +122,14 @@ func checkGradients(t *testing.T, cfg Config) {
 	for i := range target {
 		target[i] = rng.NormFloat64()
 	}
-	s := n.NewScratch()
-	q := n.ForwardInto(s, x)
+	s := n.NewBatchScratch(1)
+	q := n.ForwardBatchInto(s, x, 1)
 	dOut := make([]float64, len(q))
 	for i := range q {
 		dOut[i] = q[i] - target[i]
 	}
 	n.ZeroGrad()
-	n.Backward(s, dOut)
+	n.BackwardBatch(s, dOut, 1)
 	want := numericalGrad(n, x, target)
 	for pi, p := range n.Params() {
 		for i := range p.G {
@@ -180,16 +180,18 @@ func TestTrainingReducesLoss(t *testing.T) {
 		return total / 50
 	}
 	before := lossAt()
+	bs := n.NewBatchScratch(1)
 	dOut := make([]float64, 2)
 	for step := 0; step < 2000; step++ {
 		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		sum := x[0] + x[1] + x[2]
-		q := n.ForwardInto(s, x)
+		q := n.ForwardBatchInto(bs, x, 1)
 		dOut[0] = q[0] - sum
 		dOut[1] = q[1] + sum
 		n.ZeroGrad()
-		n.Backward(s, dOut)
+		n.BackwardBatch(bs, dOut, 1)
 		opt.Step(n.Params())
+		n.InvalidateFast()
 	}
 	after := lossAt()
 	if after > before/10 {

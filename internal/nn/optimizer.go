@@ -2,18 +2,15 @@ package nn
 
 import "math"
 
-// Adam implements Adam (Kingma & Ba) with bias correction.
+// Adam implements Adam (Kingma & Ba) with bias correction. The two
+// per-element bias-correction divides are replaced by precomputed
+// reciprocals, w -= LR*(m*rc1)/(sqrt(v*rc2)+eps) with rc1 = 1/c1 and
+// rc2 = 1/c2, which is part of the KernelFast rounding stream.
 type Adam struct {
 	LR    float64
 	Beta1 float64 // default 0.9
 	Beta2 float64 // default 0.999
 	Eps   float64 // default 1e-8
-	// Recip selects the KernelFast update, which replaces the two
-	// per-element bias-correction divides with precomputed reciprocals:
-	// w -= LR*(m*rc1)/(sqrt(v*rc2)+eps), rc1 = 1/c1, rc2 = 1/c2. A
-	// different rounding stream than the classic update, so it only runs
-	// under a kernel-version pin.
-	Recip bool
 	t     int
 	m, v  [][]float64
 }
@@ -44,29 +41,7 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	c1 := 1 - math.Pow(b1, float64(o.t))
 	c2 := 1 - math.Pow(b2, float64(o.t))
-	if o.Recip {
-		rc1, rc2 := 1/c1, 1/c2
-		for pi, p := range params {
-			w := p.W
-			gs := p.G[:len(w)]
-			m := o.m[pi][:len(w)]
-			v := o.v[pi][:len(w)]
-			i := 0
-			if useAsm && len(w) >= 8 {
-				n4 := len(w) &^ 3
-				adamRecipAVX(&w[0], &gs[0], &m[0], &v[0], n4,
-					o.LR, b1, 1-b1, b2, 1-b2, eps, rc1, rc2)
-				i = n4
-			}
-			for ; i < len(w); i++ {
-				g := gs[i]
-				m[i] = float64(b1*m[i]) + float64((1-b1)*g)
-				v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
-				w[i] -= o.LR * (m[i] * rc1) / (math.Sqrt(v[i]*rc2) + eps)
-			}
-		}
-		return
-	}
+	rc1, rc2 := 1/c1, 1/c2
 	for pi, p := range params {
 		w := p.W
 		gs := p.G[:len(w)]
@@ -78,14 +53,14 @@ func (o *Adam) Step(params []*Param) {
 			// element-wise and applied in the same order per element.
 			n4 := len(w) &^ 3
 			adamAVX(&w[0], &gs[0], &m[0], &v[0], n4,
-				o.LR, b1, 1-b1, b2, 1-b2, eps, c1, c2)
+				o.LR, b1, 1-b1, b2, 1-b2, eps, rc1, rc2)
 			i = n4
 		}
 		for ; i < len(w); i++ {
 			g := gs[i]
 			m[i] = float64(b1*m[i]) + float64((1-b1)*g)
 			v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
-			w[i] -= o.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + eps)
+			w[i] -= o.LR * (m[i] * rc1) / (math.Sqrt(v[i]*rc2) + eps)
 		}
 	}
 }

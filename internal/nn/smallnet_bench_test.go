@@ -36,6 +36,7 @@ func BenchmarkNNTrainStepBatchedSmall(b *testing.B) {
 		net.ZeroGrad()
 		net.BackwardBatch(bs, dOut, batch)
 		opt.Step(net.Params())
+		net.InvalidateFast()
 	}
 }
 

@@ -52,7 +52,10 @@ func (e EpsilonSchedule) At(step int) float64 {
 
 // AgentConfig collects the hyperparameters tuned during the paper's random
 // search (§4.1): learning rate, discount factor gamma, the two networks'
-// update and synchronization frequencies, and the PER batch size.
+// update and synchronization frequencies, and the PER batch size. Every
+// agent trains under the nn.KernelFast stream: the FMA kernels, reciprocal
+// Adam, the PCG exploration RNG, and chunked training with in-order
+// gradient reduction, deterministic and bit-identical at any GOMAXPROCS.
 type AgentConfig struct {
 	// StateLen and NumActions describe the MDP interface.
 	StateLen   int
@@ -86,13 +89,6 @@ type AgentConfig struct {
 	GradClip float64
 	// Seed drives weight init and exploration.
 	Seed int64
-	// Kernel selects the arithmetic stream version (nn.KernelReference or
-	// nn.KernelFast). Zero means nn.KernelReference, preserving the exact
-	// training trajectories of existing seeds. nn.KernelFast enables the
-	// FMA kernels, reciprocal Adam, the PCG exploration RNG, and chunked
-	// training with in-order gradient reduction — a different (but equally
-	// deterministic) rounding stream, bit-identical at any GOMAXPROCS.
-	Kernel int
 }
 
 // Validate reports configuration errors.
@@ -112,9 +108,6 @@ func (c AgentConfig) Validate() error {
 	if c.LearningRate <= 0 {
 		return fmt.Errorf("rl: LearningRate must be positive, got %v", c.LearningRate)
 	}
-	if c.Kernel != 0 && !nn.ValidKernel(c.Kernel) {
-		return fmt.Errorf("rl: unknown kernel version %d", c.Kernel)
-	}
 	return nil
 }
 
@@ -132,63 +125,40 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	if c.WarmupSteps < c.BatchSize {
 		c.WarmupSteps = c.BatchSize
 	}
-	if c.Kernel == 0 {
-		c.Kernel = nn.KernelReference
-	}
 	return c
 }
 
 // Agent is a dueling double deep Q-network agent with (optionally
 // prioritized) experience replay — the paper's learner (§3.3).
 type Agent struct {
-	cfg     AgentConfig
-	online  *nn.Network
-	target  *nn.Network
-	opt     *nn.Adam
-	replay  Replay
-	rng     *mathx.RNG
-	steps   int
-	scr     *nn.Scratch // online-net scratch
-	scrTgt  *nn.Scratch // target-net scratch
-	scrNext *nn.Scratch // second online scratch for double-DQN selection
-	dOut    []float64
+	cfg    AgentConfig
+	online *nn.Network
+	target *nn.Network
+	opt    *nn.Adam
+	replay Replay
+	rng    *mathx.RNG
+	steps  int
+	scr    *nn.Scratch // online-net scratch for greedy actions
 
-	// Batched-training state: a whole PER minibatch runs through the
-	// networks as one GEMM-style pass, with all intermediate buffers
-	// preallocated so a train step allocates nothing. The online scratch
-	// holds two batches: current states and next states are concatenated
-	// as [S; NextS] and run through the online network in one launch
-	// (same weights), leaving the S activations in rows [0, B) for the
-	// backward pass.
-	bs          *nn.BatchScratch // online scratch, sized 2*B
-	bsTgt       *nn.BatchScratch // target scratch, sized B
-	xs          []float64        // gathered [S; NextS] states [2*B*StateLen]
-	dOutB       []float64        // batched output gradient [B*NumActions]
-	nextVal     []float64        // bootstrap values [B]
-	tdErrs      []float64
+	// Training state, preallocated so a train step allocates nothing. The
+	// sampled minibatch splits into fixed trainChunkSize chunks, computed
+	// in order; each chunk's gradients land in a weight-sharing shadow
+	// network and reduce into the online network in chunk-index order.
+	// The chunk scratches and buffers are sized for one chunk.
 	sampTrs     []Transition
 	sampHandles []int
 	sampWs      []float64
-
-	// Chunked training state (nn.KernelFast only): the minibatch splits
-	// into fixed trainChunkSize chunks, computed in order; each chunk's
-	// gradients land in a weight-sharing shadow network and reduce into the
-	// online network in chunk-index order.
+	tdErrs      []float64
 	shadow      *nn.Network
-	chunkScr    *nn.BatchScratch
-	chunkTgtScr *nn.BatchScratch
-	chunkXS     []float64
-	chunkDOut   []float64
-	chunkNext   []float64
-
-	// serialTrain forces the legacy one-transition-at-a-time training loop;
-	// it exists only so tests can verify the batched path reproduces the
-	// serial gradients exactly.
-	serialTrain bool
+	chunkScr    *nn.BatchScratch // shadow scratch, sized 2*trainChunkSize
+	chunkTgtScr *nn.BatchScratch // target scratch, sized trainChunkSize
+	chunkXS     []float64        // gathered [S; NextS] chunk states
+	chunkDOut   []float64        // chunk output gradient
+	chunkNext   []float64        // chunk bootstrap values
 }
 
-// trainChunkSize is the fixed minibatch chunk width of the nn.KernelFast
-// chunked trainer. It is a constant of the stream definition: changing
+// trainChunkSize is the fixed minibatch chunk width of the chunked
+// trainer. It is a constant of the nn.KernelFast stream definition: changing
 // it changes the gradient-reduction association and therefore the trained
 // weights, so it must only move together with a kernel version bump.
 const trainChunkSize = 8
@@ -208,50 +178,34 @@ func NewAgent(cfg AgentConfig, replay Replay) *Agent {
 		Dueling: cfg.Dueling,
 		Seed:    cfg.Seed,
 	})
-	rng := mathx.NewRNG(cfg.Seed + 1)
-	if cfg.Kernel == nn.KernelFast {
-		// The PCG source forks in O(copy); its stream (like the rest of the
-		// v2 arithmetic) differs from the reference but is just as
-		// deterministic.
-		rng = mathx.NewFastRNG(cfg.Seed + 1)
-	}
 	a := &Agent{
 		cfg:    cfg,
 		online: net,
 		target: net.Clone(),
-		opt:    &nn.Adam{LR: cfg.LearningRate, Recip: cfg.Kernel == nn.KernelFast},
+		opt:    &nn.Adam{LR: cfg.LearningRate},
 		replay: replay,
-		rng:    rng,
+		// The PCG source forks in O(copy) (TrainVec's slot streams).
+		rng: mathx.NewFastRNG(cfg.Seed + 1),
 	}
-	a.scr = a.online.NewScratch()
-	a.scrNext = a.online.NewScratch()
-	a.scrTgt = a.target.NewScratch()
-	a.dOut = make([]float64, cfg.NumActions)
 	a.initBatchState()
 	return a
 }
 
-// initBatchState (re)allocates the batched-training buffers for the current
-// networks.
+// initBatchState (re)allocates the scratch and training buffers for the
+// current networks.
 func (a *Agent) initBatchState() {
 	b := a.cfg.BatchSize
-	a.bs = a.online.NewBatchScratch(2 * b)
-	a.bsTgt = a.target.NewBatchScratch(b)
-	a.xs = make([]float64, 2*b*a.cfg.StateLen)
-	a.dOutB = make([]float64, b*a.cfg.NumActions)
-	a.nextVal = make([]float64, b)
+	a.scr = a.online.NewScratch()
 	a.tdErrs = make([]float64, b)
 	a.sampTrs = make([]Transition, b)
 	a.sampHandles = make([]int, b)
 	a.sampWs = make([]float64, b)
-	if a.cfg.Kernel == nn.KernelFast {
-		a.shadow = a.online.GradShadow()
-		a.chunkScr = a.shadow.NewBatchScratchKernel(2*trainChunkSize, nn.KernelFast)
-		a.chunkTgtScr = a.target.NewBatchScratchKernel(trainChunkSize, nn.KernelFast)
-		a.chunkXS = make([]float64, 2*trainChunkSize*a.cfg.StateLen)
-		a.chunkDOut = make([]float64, trainChunkSize*a.cfg.NumActions)
-		a.chunkNext = make([]float64, trainChunkSize)
-	}
+	a.shadow = a.online.GradShadow()
+	a.chunkScr = a.shadow.NewBatchScratch(2 * trainChunkSize)
+	a.chunkTgtScr = a.target.NewBatchScratch(trainChunkSize)
+	a.chunkXS = make([]float64, 2*trainChunkSize*a.cfg.StateLen)
+	a.chunkDOut = make([]float64, trainChunkSize*a.cfg.NumActions)
+	a.chunkNext = make([]float64, trainChunkSize)
 }
 
 // Config returns the agent's configuration (with defaults applied).
@@ -271,10 +225,7 @@ func (a *Agent) SetOnline(net *nn.Network) {
 	}
 	a.online = net
 	a.target = net.Clone()
-	a.opt = &nn.Adam{LR: a.cfg.LearningRate, Recip: a.cfg.Kernel == nn.KernelFast}
-	a.scr = a.online.NewScratch()
-	a.scrNext = a.online.NewScratch()
-	a.scrTgt = a.target.NewScratch()
+	a.opt = &nn.Adam{LR: a.cfg.LearningRate}
 	a.initBatchState()
 }
 
@@ -349,86 +300,15 @@ func (a *Agent) SyncTarget() { a.target.CopyFrom(a.online) }
 // returning the mean loss. TD targets follow double DQN when configured:
 // y = r + gamma * Q_target(s', argmax_a Q_online(s', a)).
 //
-// The whole batch runs through tdGrad on the online network (batched
-// forwards, vectorized TD targets, one batched backward), then one Adam
-// step. The batched kernels accumulate in the same order as the serial loop, so
-// gradients — and therefore training trajectories — are bit-identical to
-// the one-transition-at-a-time implementation (see trainBatchSerial).
+// The sampled minibatch splits into fixed trainChunkSize chunks, and in
+// chunk-index order each chunk's gradients are computed into the
+// weight-sharing shadow network (batched forwards, vectorized TD targets,
+// one batched backward) and added into the online network; then one Adam
+// step. The chunk geometry and the in-order reduction fix the
+// floating-point association, which the nn.KernelFast version pin covers.
 //
 //uerl:hotpath
 func (a *Agent) trainBatch() float64 {
-	if a.serialTrain {
-		return a.trainBatchSerial()
-	}
-	if a.cfg.Kernel == nn.KernelFast {
-		return a.trainBatchChunked()
-	}
-	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
-	if n == 0 {
-		return 0
-	}
-	totalLoss := a.tdGrad(a.online, a.bs, a.bsTgt, a.xs, a.dOutB, a.nextVal, 0, n, n)
-	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
-	a.opt.Step(a.online.Params())
-	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
-	return totalLoss / float64(n)
-}
-
-// trainBatchSerial is the reference one-transition-at-a-time training loop
-// the batched path is verified against. It consumes the same RNG stream and
-// produces the same gradients as trainBatch.
-func (a *Agent) trainBatchSerial() float64 {
-	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
-	if n == 0 {
-		return 0
-	}
-	trs, ws := a.sampTrs[:n], a.sampWs[:n]
-	a.online.ZeroGrad()
-	totalLoss := 0.0
-	for i := range trs {
-		tr := trs[i]
-		target := tr.R
-		if !tr.Done {
-			var next float64
-			if a.cfg.DoubleDQN {
-				qNext := a.online.ForwardInto(a.scrNext, tr.NextS)
-				best := mathx.ArgMax(qNext)
-				qTgt := a.target.ForwardInto(a.scrTgt, tr.NextS)
-				next = qTgt[best]
-			} else {
-				qTgt := a.target.ForwardInto(a.scrTgt, tr.NextS)
-				next = qTgt[mathx.ArgMax(qTgt)]
-			}
-			target += a.cfg.Gamma * next
-		}
-		q := a.online.ForwardInto(a.scr, tr.S)
-		pred := q[tr.A]
-		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
-		a.tdErrs[i] = pred - target
-		w := ws[i] / float64(n)
-		totalLoss += loss * ws[i]
-		for j := range a.dOut {
-			a.dOut[j] = 0
-		}
-		a.dOut[tr.A] = dPred * w
-		a.online.Backward(a.scr, a.dOut)
-	}
-	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
-	a.opt.Step(a.online.Params())
-	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
-	return totalLoss / float64(n)
-}
-
-// trainBatchChunked is the nn.KernelFast training step: the sampled
-// minibatch splits into fixed trainChunkSize chunks, and in chunk-index
-// order each chunk's gradients are computed into the weight-sharing shadow
-// network and added into the online network. The chunk geometry and the
-// in-order reduction fix the floating-point association; it differs from
-// the sequential reference's, which is one of the rounding changes the
-// nn.KernelFast version pin covers.
-//
-//uerl:hotpath
-func (a *Agent) trainBatchChunked() float64 {
 	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
 	if n == 0 {
 		return 0
@@ -440,7 +320,7 @@ func (a *Agent) trainBatchChunked() float64 {
 	totalLoss := 0.0
 	for lo := 0; lo < n; lo += trainChunkSize {
 		hi := min(lo+trainChunkSize, n)
-		totalLoss += a.tdGrad(a.shadow, a.chunkScr, a.chunkTgtScr, a.chunkXS, a.chunkDOut, a.chunkNext, lo, hi, n)
+		totalLoss += a.tdGrad(lo, hi, n)
 		nn.AccumulateGrads(a.online.Params(), a.shadow.Params())
 	}
 	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
@@ -450,12 +330,10 @@ func (a *Agent) trainBatchChunked() float64 {
 	return totalLoss / float64(n)
 }
 
-// tdGrad zeroes net's gradients and accumulates into them the TD-loss
-// gradients of samples [lo, hi) of an n-sample minibatch, returning their
-// importance-weighted loss sum and writing their TD errors to tdErrs[lo:hi].
-// net is the online network or a weight-sharing shadow of it; scr and
-// tgtScr are batch scratches for net and the target network, and xs, dOut
-// and nextVal are buffers sized for the hi-lo samples.
+// tdGrad zeroes the shadow network's gradients and accumulates into them
+// the TD-loss gradients of samples [lo, hi) of an n-sample minibatch (at
+// most trainChunkSize of them), returning their importance-weighted loss
+// sum and writing their TD errors to tdErrs[lo:hi].
 //
 // One online launch covers both halves of [S; NextS] — per-sample outputs
 // are independent, so each half is bit-identical to a separate forward,
@@ -465,7 +343,9 @@ func (a *Agent) trainBatchChunked() float64 {
 // computed but never read.
 //
 //uerl:hotpath
-func (a *Agent) tdGrad(net *nn.Network, scr, tgtScr *nn.BatchScratch, xs, dOut, nextVal []float64, lo, hi, n int) float64 {
+func (a *Agent) tdGrad(lo, hi, n int) float64 {
+	net, scr, tgtScr := a.shadow, a.chunkScr, a.chunkTgtScr
+	xs, dOut, nextVal := a.chunkXS, a.chunkDOut, a.chunkNext
 	m := hi - lo
 	L, A := a.cfg.StateLen, a.cfg.NumActions
 	trs := a.sampTrs[lo:hi]

@@ -7,7 +7,7 @@ import (
 )
 
 // walkEnv is a deterministic 5-state random-walk MDP used to exercise the
-// batched training path: action 1 moves right (+reward at the end), action
+// training path: action 1 moves right (+reward at the end), action
 // 0 moves left. Multi-step episodes produce plenty of non-terminal
 // transitions, so the double-DQN bootstrap path is exercised too.
 type walkEnv struct {
@@ -49,7 +49,8 @@ func (w *walkEnv) Step(action int) ([]float64, float64, bool) {
 func (w *walkEnv) NumActions() int { return 2 }
 func (w *walkEnv) StateLen() int   { return 5 }
 
-// trainConfig builds a config that exercises dueling + double DQN + PER.
+// batchParityConfig builds a config that exercises dueling + double DQN +
+// PER.
 func batchParityConfig() AgentConfig {
 	return AgentConfig{
 		StateLen:     5,
@@ -69,52 +70,18 @@ func batchParityConfig() AgentConfig {
 	}
 }
 
-// TestBatchedTrainingMatchesSerial: with identical seeds and environments,
-// the batched train step must leave the agent's weights bit-identical to
-// the legacy one-transition-at-a-time loop after every training step.
-func TestBatchedTrainingMatchesSerial(t *testing.T) {
-	for _, double := range []bool{true, false} {
-		cfg := batchParityConfig()
-		cfg.DoubleDQN = double
-
-		mkReplay := func() Replay {
-			return NewPrioritizedReplay(PERConfig{Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000})
-		}
-		batched := NewAgent(cfg, mkReplay())
-		serial := NewAgent(cfg, mkReplay())
-		serial.serialTrain = true
-
-		envB := &walkEnv{rng: mathx.NewRNG(9)}
-		envS := &walkEnv{rng: mathx.NewRNG(9)}
-		Train(batched, envB, TrainOptions{Episodes: 60, MaxStepsPerEpisode: 64})
-		Train(serial, envS, TrainOptions{Episodes: 60, MaxStepsPerEpisode: 64})
-
-		if batched.Steps() != serial.Steps() {
-			t.Fatalf("double=%v: diverged step counts %d vs %d (action streams differ)",
-				double, batched.Steps(), serial.Steps())
-		}
-		bp, sp := batched.Online().Params(), serial.Online().Params()
-		for pi := range bp {
-			for wi := range bp[pi].W {
-				if bp[pi].W[wi] != sp[pi].W[wi] {
-					t.Fatalf("double=%v: param %d weight %d diverged: batched %v vs serial %v",
-						double, pi, wi, bp[pi].W[wi], sp[pi].W[wi])
-				}
-			}
-		}
-	}
-}
-
-// TestTrainStepZeroAlloc: a steady-state batched train step must not
-// allocate (PER sampling, batched forwards, backward and Adam included).
+// TestTrainStepZeroAlloc: a steady-state explicit TrainStep must not
+// allocate (PER sampling, batched forwards, backward and Adam included),
+// here on the vanilla-DQN bootstrap path.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	cfg := batchParityConfig()
+	cfg.DoubleDQN = false
 	agent := NewAgent(cfg, NewPrioritizedReplay(PERConfig{Capacity: 1 << 10}))
 	env := &walkEnv{rng: mathx.NewRNG(3)}
 	Train(agent, env, TrainOptions{Episodes: 30, MaxStepsPerEpisode: 64})
 
 	allocs := testing.AllocsPerRun(50, func() {
-		agent.trainBatch()
+		agent.TrainStep()
 	})
 	if allocs != 0 {
 		t.Fatalf("batched train step allocates %v times per run, want 0", allocs)

@@ -7,15 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mathx"
-	"repro/internal/nn"
 )
-
-// fastConfig is batchParityConfig under the nn.KernelFast stream.
-func fastConfig() AgentConfig {
-	cfg := batchParityConfig()
-	cfg.Kernel = nn.KernelFast
-	return cfg
-}
 
 // marshalWeights serializes the agent's online network for byte comparison.
 func marshalWeights(t *testing.T, a *Agent) []byte {
@@ -29,7 +21,7 @@ func marshalWeights(t *testing.T, a *Agent) []byte {
 
 // perConfig is the prioritized replay the pinned trajectories train with.
 func perConfig() PERConfig {
-	return PERConfig{Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000, FastPow: true}
+	return PERConfig{Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000}
 }
 
 // weightsHash is the SHA-256 of the agent's serialized online network.
@@ -54,7 +46,7 @@ func TestChunkedTrainTrajectoryPinned(t *testing.T) {
 		{8, "f0425ca6f8fa919af5b13f56f55b5e434bbc8cb2ceb419f8fa3090ffd6d13a66"},
 		{20, "785fe8525ba687d20c977c98b213018ca247cc9ab08840899163469349899012"},
 	} {
-		cfg := fastConfig()
+		cfg := batchParityConfig()
 		cfg.BatchSize = tc.batch
 		agent := NewAgent(cfg, NewPrioritizedReplay(perConfig()))
 		env := &walkEnv{rng: mathx.NewRNG(9)}
@@ -75,7 +67,7 @@ func TestTrainVecTrajectoryPinned(t *testing.T) {
 		wantSteps  = 137
 		wantReward = 33.52999999999998
 	)
-	agent := NewAgent(fastConfig(), NewPrioritizedReplay(perConfig()))
+	agent := NewAgent(batchParityConfig(), NewPrioritizedReplay(perConfig()))
 	envs := make([]Environment, DefaultEnvFanout)
 	for i := range envs {
 		envs[i] = &walkEnv{rng: mathx.NewRNG(100 + int64(i))}
@@ -95,8 +87,8 @@ func TestTrainVecTrajectoryPinned(t *testing.T) {
 // TestChunkedTrainLearns: sanity that the v2 stream still solves the walk
 // MDP (the determinism tests alone would pass for a broken learner).
 func TestChunkedTrainLearns(t *testing.T) {
-	cfg := fastConfig()
-	agent := NewAgent(cfg, NewPrioritizedReplay(PERConfig{Capacity: 1 << 10, FastPow: true}))
+	cfg := batchParityConfig()
+	agent := NewAgent(cfg, NewPrioritizedReplay(PERConfig{Capacity: 1 << 10}))
 	env := &walkEnv{rng: mathx.NewRNG(5)}
 	Train(agent, env, TrainOptions{Episodes: 150, MaxStepsPerEpisode: 64})
 	// A trained agent should walk right from the start state.
@@ -109,7 +101,7 @@ func TestChunkedTrainLearns(t *testing.T) {
 // TestChunkedTrainStepZeroAlloc: the chunked train step must stay
 // allocation-free in steady state.
 func TestChunkedTrainStepZeroAlloc(t *testing.T) {
-	agent := NewAgent(fastConfig(), NewPrioritizedReplay(PERConfig{Capacity: 1 << 10, FastPow: true}))
+	agent := NewAgent(batchParityConfig(), NewPrioritizedReplay(PERConfig{Capacity: 1 << 10}))
 	env := &walkEnv{rng: mathx.NewRNG(3)}
 	Train(agent, env, TrainOptions{Episodes: 30, MaxStepsPerEpisode: 64})
 

@@ -7,7 +7,9 @@ import (
 	"repro/internal/mathx"
 )
 
-// PERConfig configures prioritized experience replay.
+// PERConfig configures prioritized experience replay. Sampling weights and
+// priorities are powers computed as exp(p*log(x)) (mathx.FastPow), within
+// a couple of ULPs of math.Pow: part of the nn.KernelFast stream.
 type PERConfig struct {
 	// Capacity is the maximum number of stored transitions.
 	Capacity int
@@ -22,11 +24,6 @@ type PERConfig struct {
 	BetaSteps int
 	// Eps is added to priorities so no transition starves. Default 1e-3.
 	Eps float64
-	// FastPow replaces the two math.Pow calls on the sampling hot path
-	// (importance weights, priority shaping) with exp(p*log(x)). The
-	// results differ from math.Pow by a couple of ULPs, so this is part of
-	// the nn.KernelFast stream definition and off by default.
-	FastPow bool
 }
 
 // PrioritizedReplay implements proportional prioritized experience replay
@@ -149,12 +146,7 @@ func (p *PrioritizedReplay) SampleInto(rng *mathx.RNG, trs []Transition, handles
 		if prob <= 0 {
 			prob = 1e-12
 		}
-		var w float64
-		if p.cfg.FastPow {
-			w = mathx.FastPow(float64(p.size)*prob, -beta)
-		} else {
-			w = math.Pow(float64(p.size)*prob, -beta)
-		}
+		w := mathx.FastPow(float64(p.size)*prob, -beta)
 		trs[i], handles[i], ws[i] = p.buf[h], h, w
 		if w > maxW {
 			maxW = w
@@ -175,12 +167,7 @@ func (p *PrioritizedReplay) UpdatePriorities(handles []int, priorities []float64
 		if h < 0 || h >= p.cfg.Capacity {
 			continue
 		}
-		var prio float64
-		if p.cfg.FastPow {
-			prio = mathx.FastPow(math.Abs(priorities[i])+p.cfg.Eps, p.cfg.Alpha)
-		} else {
-			prio = math.Pow(math.Abs(priorities[i])+p.cfg.Eps, p.cfg.Alpha)
-		}
+		prio := mathx.FastPow(math.Abs(priorities[i])+p.cfg.Eps, p.cfg.Alpha)
 		p.tree.set(h, prio)
 		if prio > p.maxPrio {
 			p.maxPrio = prio

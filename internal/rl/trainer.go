@@ -97,7 +97,7 @@ func TrainVec(agent *Agent, envs []Environment, opts TrainOptions) TrainResult {
 	}
 	numA := agent.cfg.NumActions
 	stateL := agent.cfg.StateLen
-	bs := agent.online.NewBatchScratchKernel(e, agent.cfg.Kernel)
+	bs := agent.online.NewBatchScratch(e)
 	xs := make([]float64, e*stateL)
 
 	state := make([][]float64, e)

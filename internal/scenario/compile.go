@@ -79,9 +79,6 @@ type Compiled struct {
 	// lifecycle.initial_policy — how a trained model artifact enters a
 	// run. The summary's InitialVersion and lineage name it.
 	Initial uerl.Policy
-	// Kernel is the nn kernel/stream version the continual trainer runs
-	// under (zero keeps nn.KernelReference; see uerl.WithLearnerKernel).
-	Kernel int
 	// Probe, when set, is invoked with the built serving layer and
 	// learner — a Controller or a fleet Coordinator — before the stream
 	// is fed; the returned stop function (if any) runs once the run

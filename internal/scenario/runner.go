@@ -446,7 +446,6 @@ func learnerOptions(c *Compiled) []uerl.LearnerOption {
 		uerl.WithDriftDetection(driftThreshold, orDefault(l.DriftWindow, 256)),
 		uerl.WithRetraining(orDefault(l.RetrainMin, 256), orDefault(l.EpochSteps, 64)),
 		uerl.WithShadowGate(orDefault(l.ShadowDecisions, 128), shadowUEs),
-		uerl.WithLearnerKernel(c.Kernel),
 	}
 	if l.ExperienceCapacity > 0 {
 		opts = append(opts, uerl.WithExperienceCapacity(l.ExperienceCapacity))

@@ -266,7 +266,6 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 				GradClip:     10,
 				HuberDelta:   1,
 				Seed:         cfg.seed,
-				Kernel:       cfg.kernel,
 			},
 			StreamCapacity: cfg.streamCapacity,
 			StepsPerEpoch:  cfg.epochSteps,
@@ -450,11 +449,7 @@ func (l *OnlineLearner) retrain(at time.Time) {
 		fail("replay below one batch; waiting for more experience")
 		return
 	}
-	kernel := l.cfg.kernel
-	if kernel == 0 {
-		kernel = nn.KernelReference
-	}
-	cand, err := newRLPolicy(l.trainer.Network().Clone(), &TrainingInfo{Seed: l.cfg.seed, KernelVersion: kernel})
+	cand, err := newRLPolicy(l.trainer.Network().Clone(), &TrainingInfo{Seed: l.cfg.seed, KernelVersion: nn.KernelFast})
 	if err != nil {
 		fail(err.Error())
 		return

@@ -28,11 +28,12 @@ type TrainingInfo struct {
 	// Restartable records the §5 restartability assumption.
 	Restartable bool `json:"restartable,omitempty"`
 	// KernelVersion records the nn kernel/stream version the weights were
-	// trained under (nn.KernelReference or nn.KernelFast). The two streams
-	// differ only in floating-point rounding, but reproducing an artifact
-	// bit-for-bit requires retraining under the same version, so it is
-	// pinned in the artifact. Zero means the artifact predates kernel
-	// versioning (trained under the reference stream).
+	// trained under. This build trains under nn.KernelFast only; artifacts
+	// stamped nn.KernelReference, or zero (they predate kernel versioning),
+	// were trained under the legacy reference stream. The streams differ
+	// only in floating-point rounding and serve identically, so every
+	// known version loads, but reproducing an artifact bit-for-bit
+	// requires retraining under its version.
 	KernelVersion int `json:"kernel_version,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package uerl
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -282,6 +283,38 @@ func TestLoadModelRejectsWrongFeatureDim(t *testing.T) {
 	})
 	if _, err := LoadModel(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "features") {
 		t.Fatalf("wrong-dimension artifact accepted (err=%v)", err)
+	}
+}
+
+// TestLoadModelKernelVersion pins LoadModel's kernel-version check: the
+// same weights stamped 0 (pre-versioning), nn.KernelReference or
+// nn.KernelFast all load and serve identical decisions, and an unknown
+// stamp is rejected with an error naming it.
+func TestLoadModelKernelVersion(t *testing.T) {
+	base := testRLPolicy(t)
+	net := base.(*rlPolicy).q.Net()
+	stamped := func(k int) Policy {
+		t.Helper()
+		p, err := newRLPolicy(net.Clone(), &TrainingInfo{Seed: 1, KernelVersion: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, k := range []int{0, nn.KernelReference, nn.KernelFast} {
+		got := roundTrip(t, stamped(k))
+		assertSamePolicy(t, base, got)
+		if info := trainingOf(got); info == nil || info.KernelVersion != k {
+			t.Fatalf("stamp %d: restored training info %+v", k, info)
+		}
+	}
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, stamped(nn.KernelFast+1)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadModel(&buf)
+	if want := fmt.Sprintf("kernel version %d", nn.KernelFast+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("stamp %d: LoadModel error %v, want one naming %q", nn.KernelFast+1, err, want)
 	}
 }
 

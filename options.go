@@ -100,7 +100,6 @@ type learnerConfig struct {
 	minExperience  int
 	epochSteps     int
 	streamCapacity int
-	kernel         int
 
 	shadowMinDecisions int
 	shadowMinUEs       int
@@ -187,17 +186,6 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 		c.shadowMinDecisions = minDecisions
 		c.shadowMinUEs = minUEs
 	}
-}
-
-// WithLearnerKernel pins the nn kernel/stream version the continual
-// trainer runs under (nn.KernelReference or nn.KernelFast). The default
-// (zero) keeps the reference stream, reproducing the training
-// trajectories of earlier builds bit-exactly; nn.KernelFast enables the
-// FMA kernels and chunked in-order gradient reduction, which are
-// deterministic but round differently. Serving
-// inference always uses the reference stream regardless of this setting.
-func WithLearnerKernel(kernel int) LearnerOption {
-	return func(c *learnerConfig) { c.kernel = kernel }
 }
 
 // WithGuard attaches a Guard to the learner: the learner routes every

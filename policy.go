@@ -275,7 +275,7 @@ func (s *System) trainingInfo() *TrainingInfo {
 		Seed:                      s.cfg.Seed,
 		MitigationCostNodeMinutes: s.cfg.MitigationCostNodeMinutes,
 		Restartable:               s.cfg.Restartable,
-		KernelVersion:             s.cvConfig().ResolvedKernel(),
+		KernelVersion:             nn.KernelFast,
 	}
 }
 

@@ -48,11 +48,12 @@ if [ -z "${BENCH_OUT:-}" ]; then
   done
   BENCH_OUT="BENCH_$((max + 1)).json"
 fi
-FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardSmall$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpoch$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$|BenchmarkScenarioCompile$}"
+FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardSmall$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpoch$|BenchmarkLearnerEpoch$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$|BenchmarkScenarioCompile$}"
 # The packages holding the benchmarks: the root module's serving and
-# research benches, the learner-shape network bench, the fleet's
-# coordinator bench, and the scenario compile bench.
-PKGS="${PKGS:-. ./internal/nn ./internal/fleet ./internal/scenario}"
+# research benches, the learner-shape network bench, the online learner's
+# retrain epoch, the fleet's coordinator bench, and the scenario compile
+# bench.
+PKGS="${PKGS:-. ./internal/nn ./internal/lifecycle ./internal/fleet ./internal/scenario}"
 case "$PKGS" in
   *" "*) [ -z "$CPUPROFILE" ] || { echo "bench.sh: -cpuprofile profiles one package; set PKGS to it" >&2; exit 2; } ;;
 esac

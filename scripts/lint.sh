@@ -72,6 +72,18 @@ if [ -n "$fused" ]; then
   exit 1
 fi
 
+echo "== KernelReference only identifies legacy artifacts =="
+# Everything trains under nn.KernelFast. nn.KernelReference stays defined
+# (internal/nn/kernel.go) so LoadModel (model.go) accepts artifacts stamped
+# with it; tests may name it, nothing else may.
+refs="$(grep -rl --include='*.go' --exclude='*_test.go' 'KernelReference' . |
+  grep -vxE '\./(internal/nn/kernel\.go|model\.go)' || true)"
+if [ -n "$refs" ]; then
+  echo "lint: KernelReference outside internal/nn/kernel.go and model.go:" >&2
+  echo "$refs" >&2
+  exit 1
+fi
+
 echo "== uerlvet fixture self-check (each must produce findings) =="
 fixtures=(
   internal/analysis/determinism/testdata/src/det
