@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/evalx"
 	"repro/internal/guard"
 )
 
@@ -108,7 +107,10 @@ func ApprovalCallback(timeout time.Duration, f func(req PromotionRequest) (bool,
 	})
 }
 
-// GuardStats summarizes a Guard's enforcement activity.
+// GuardStats summarizes a guarded lifecycle's enforcement activity.
+// Guard.Stats reports the budget counters; OnlineLearner.Stats fills in
+// the rollout counters too (DeniedPromotions, Rollbacks, ProbationActive
+// and ProbationPasses), which a Guard alone reports as zero.
 type GuardStats struct {
 	// SuppressedMitigations counts mitigation recommendations degraded to
 	// ActionNone by a tripped budget.
@@ -116,7 +118,7 @@ type GuardStats struct {
 	// BudgetTrips counts budget limit crossings (each recorded once in
 	// the audit log per trip, not per suppressed decision).
 	BudgetTrips int `json:"budget_trips"`
-	// Promotions counts promotions executed through the guard.
+	// Promotions counts promotions charged to the promotion budget.
 	Promotions int `json:"promotions"`
 	// DeniedPromotions counts promotions blocked by the promotion budget
 	// or the approval hook.
@@ -138,41 +140,31 @@ type GuardStats struct {
 	VetoesByReason map[string]uint64 `json:"vetoes_by_reason,omitempty"`
 }
 
-// probationRun is one active post-promotion probation window.
-type probationRun struct {
-	score *evalx.Probation
-	// reference is the replaced incumbent, run as the counterfactual.
-	reference Policy
-	promoted  string
-}
-
-// Guard is the production guardrail layer between an OnlineLearner and
-// its Controller: enforceable budgets, promotion approvals, and
-// rollback-on-regression, all independent of the learner's own judgment.
-// It enforces three disciplines the drift→retrain→promote loop cannot be
-// trusted to keep for itself:
+// Guard is the production guardrail layer on a Controller: enforceable
+// budgets, independent of the learner's own judgment. It keeps three
+// sliding-window budgets over the served Decision stream — per-node
+// checkpoint node-hours, fleet-wide mitigation rate, and promotions per
+// window:
 //
-//   - Budgets. Per-node checkpoint node-hours, fleet-wide mitigation
-//     rate, and promotions per window, tracked in sliding windows over
-//     the served Decision stream. A tripped mitigation budget degrades
-//     Recommend gracefully (the decision becomes ActionNone with
-//     Decision.Vetoed set — serving never blocks or errors); a tripped
-//     promotion budget freezes promotions.
-//   - Approval. Every shadow-winning candidate passes the ApprovalHook
-//     before SwapPolicy; deny (or an unresponsive approver) discards it.
-//   - Probation. After each promotion the replaced incumbent keeps
-//     scoring as a counterfactual (evalx.Probation, the same ShadowEval
-//     accounting as the promotion gate); if the promoted model regresses
-//     past tolerance within the window, the guard walks the
-//     ModelHeader.Parent lineage chain back to a retained ancestor and
-//     hot-swaps it in.
+//   - A tripped mitigation budget degrades Recommend gracefully (the
+//     decision becomes ActionNone with Decision.Vetoed set — serving never
+//     blocks or errors).
+//   - A tripped promotion budget freezes promotions.
 //
-// Every budget trip, approval verdict, rollback and probation pass is
-// recorded as a LifecycleEvent the moment it happens. A learner created
-// with WithGuard adopts the guard's audit log, so the learner's drift,
-// retrain and verdict events and the guard's events form one trail in
-// the order they happened. Construct with NewGuard, then pass to
-// NewOnlineLearner via WithGuard:
+// The guard also carries the rollout settings (WithApprovalHook,
+// WithProbation) for the OnlineLearner that adopts it, which owns the
+// rollout: it submits every shadow-winning candidate to the promotion
+// budget and then the ApprovalHook, deploys it, keeps the replaced
+// incumbent scoring as a counterfactual on probation, and rolls a
+// regressing model back along its ModelHeader.Parent lineage chain
+// through Serving.DeployPolicy.
+//
+// Every budget trip and recovery is recorded as a LifecycleEvent the
+// moment it happens. A learner created with WithGuard adopts the guard's
+// audit log, so the learner's drift, retrain, verdict and rollout events
+// and the guard's budget events form one trail in the order they
+// happened. Construct with NewGuard, then pass to NewOnlineLearner via
+// WithGuard:
 //
 //	ctl := uerl.NewController(policy)
 //	g := uerl.NewGuard(ctl,
@@ -183,8 +175,8 @@ type probationRun struct {
 //
 // Without a learner, drive the guard from your own event loop: it vetoes
 // through Recommend automatically once attached, but budget accounting
-// and probation scoring need the served stream — call ObserveDecision
-// for every served decision and ObserveUE for every realized UE.
+// needs the served stream — call ObserveDecision for every served
+// decision.
 //
 // Guard is safe for concurrent use. All times are telemetry time from
 // the event stream, so guarded runs replay deterministically.
@@ -202,16 +194,6 @@ type Guard struct {
 	trippedNode map[int]bool
 	//uerl:guarded-by mu
 	trippedFleet bool
-	// retained maps version → policy for the rollback registry (bounded,
-	// newest retainedCap ancestors); lineageOrder tracks eviction order.
-	//uerl:guarded-by mu
-	retained map[string]Policy
-	//uerl:guarded-by mu
-	parentOf map[string]string
-	//uerl:guarded-by mu
-	lineageOrder []string
-	//uerl:guarded-by mu
-	probation *probationRun
 	//uerl:guarded-by mu
 	suppressed uint64
 	//uerl:guarded-by mu
@@ -221,19 +203,8 @@ type Guard struct {
 	//uerl:guarded-by mu
 	recoveries int
 	//uerl:guarded-by mu
-	probationPasses int
-	//uerl:guarded-by mu
 	promotions int
-	//uerl:guarded-by mu
-	denied int
-	//uerl:guarded-by mu
-	rollbacks int
 }
-
-// retainedCap bounds the rollback registry: the newest ancestors kept
-// live for lineage-chain rollback. Older models must be reloaded from
-// their SaveModel artifacts.
-const retainedCap = 16
 
 // NewGuard builds the guardrail layer around ctl and attaches it, so
 // Recommend consults the mitigation budgets from then on. One guard per
@@ -253,8 +224,6 @@ func NewGuard(ctl *Controller, opts ...GuardOption) *Guard {
 		log:            &auditLog{},
 		trippedNode:    map[int]bool{},
 		vetoesByReason: map[string]uint64{},
-		retained:       map[string]Policy{},
-		parentOf:       map[string]string{},
 	}
 	ctl.attachGuard(g)
 	return g
@@ -276,11 +245,10 @@ func (g *Guard) allowMitigation(node int, at time.Time) (bool, string) {
 }
 
 // ObserveDecision accounts one served decision from the authoritative
-// event stream: served mitigations charge the budget windows, vetoed
-// decisions record the budget trip (once per limit crossing), and active
-// probation scores the decision against the replaced incumbent's
-// counterfactual. An OnlineLearner with this guard attached calls it for
-// every decision it processes; standalone users call it themselves.
+// event stream: served mitigations charge the budget windows and vetoed
+// decisions record the budget trip (once per limit crossing). An
+// OnlineLearner with this guard attached calls it for every decision it
+// processes; standalone users call it themselves.
 func (g *Guard) ObserveDecision(d Decision) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -296,25 +264,12 @@ func (g *Guard) ObserveDecision(d Decision) {
 		// closing bracket of the trip event, once per tripped state.
 		g.recordRecoveryLocked(d)
 	}
-	if g.probation != nil {
-		ref := g.probation.reference.Decide(Snapshot{Node: d.Node, Time: d.Time, Features: d.Features})
-		g.probation.score.Decision(d.Node, d.Time, d.Mitigate(), ref.Mitigate())
-		g.judgeProbationLocked(d.Time)
-	}
 }
 
-// ObserveUE accounts one realized uncorrected error: active probation
-// charges it to both scoreboards (the rollback trigger when the promoted
-// model missed it). realizedCostNodeHours is the realized Eq. 3 cost.
-func (g *Guard) ObserveUE(node int, at time.Time, realizedCostNodeHours float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.probation == nil {
-		return
-	}
-	g.probation.score.UE(node, at, realizedCostNodeHours)
-	g.judgeProbationLocked(at)
-}
+// ObserveUE does nothing: realized UEs charge no budget, and probation
+// scoring belongs to the OnlineLearner. It remains for callers written
+// against the earlier accounting surface.
+func (g *Guard) ObserveUE(node int, at time.Time, realizedCostNodeHours float64) {}
 
 // recordTripLocked records a budget-trip audit event on the veto's limit
 // crossing, deduped until the budget recovers. Caller holds g.mu.
@@ -379,158 +334,44 @@ func (g *Guard) recordRecoveryLocked(d Decision) {
 	}
 }
 
-// reviewPromotion runs the promotion gates — budget first, then the
-// approval hook — recording an audit event for every verdict. It returns
-// whether the promotion may proceed; the learner calls it after the
-// shadow gate and before SwapPolicy.
-func (g *Guard) reviewPromotion(req PromotionRequest) (bool, string) {
-	if ok, _ := g.budgets.AllowPromotion(req.Time); !ok {
-		bc := g.budgets.Config()
-		g.mu.Lock()
-		g.denied++
-		g.trips++
-		detail := fmt.Sprintf("promotion budget tripped: %d promotions in sliding %s (limit %d); promotion of %s frozen",
-			g.budgets.Promotions(req.Time), bc.PromotionWindow, bc.MaxPromotions, req.Candidate)
-		g.log.record(LifecycleEvent{
-			Kind: LifecycleBudgetTrip, Time: req.Time, Generation: req.Generation,
-			ModelVersion: req.Candidate, Parent: req.Incumbent,
-			Score: float64(g.budgets.Promotions(req.Time)), Detail: detail,
-		})
-		g.mu.Unlock()
-		return false, detail
+// allowPromotion is the promotion-budget gate: it reports whether req
+// fits the sliding promotion window, recording a budget-trip audit event
+// when it does not. The learner calls it after the shadow gate and before
+// the approval hook.
+func (g *Guard) allowPromotion(req PromotionRequest) bool {
+	if ok, _ := g.budgets.AllowPromotion(req.Time); ok {
+		return true
 	}
-	// The hook may block (human approval); keep g.mu released so budget
-	// vetoes and audits proceed while it decides.
-	verdict, reason := g.cfg.hook.Review(req)
+	bc := g.budgets.Config()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ev := LifecycleEvent{
-		Time: req.Time, Generation: req.Generation,
-		ModelVersion: req.Candidate, Parent: req.Incumbent, Score: req.ShadowAdvantage,
-	}
-	if verdict != ApprovalApproved {
-		g.denied++
-		ev.Kind = LifecycleApprovalDeny
-		ev.Detail = fmt.Sprintf("promotion denied: %s", reason)
-		g.log.record(ev)
-		return false, ev.Detail
-	}
-	ev.Kind = LifecycleApprovalGrant
-	ev.Detail = fmt.Sprintf("promotion approved: %s", reason)
-	g.log.record(ev)
-	return true, ""
+	g.trips++
+	g.log.record(LifecycleEvent{
+		Kind: LifecycleBudgetTrip, Time: req.Time, Generation: req.Generation,
+		ModelVersion: req.Candidate, Parent: req.Incumbent,
+		Score: float64(g.budgets.Promotions(req.Time)),
+		Detail: fmt.Sprintf("promotion budget tripped: %d promotions in sliding %s (limit %d); promotion of %s frozen",
+			g.budgets.Promotions(req.Time), bc.PromotionWindow, bc.MaxPromotions, req.Candidate),
+	})
+	return false
 }
 
-// notePromotion records an executed promotion: charges the promotion
-// budget, retains the replaced incumbent for lineage-chain rollback, and
-// opens the probation window. The learner calls it right after
-// SwapPolicy; the incumbent is the policy the swap replaced.
-func (g *Guard) notePromotion(incumbent, promoted Policy, at time.Time) {
+// chargePromotion counts an executed promotion against the promotion
+// budget. Budget-trip audit events take their Generation from the count.
+func (g *Guard) chargePromotion(at time.Time) {
 	g.budgets.ChargePromotion(at)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.promotions++
-	g.retainLocked(incumbent)
-	g.parentOf[promoted.Version()] = incumbent.Version()
-	if g.cfg.probationDecisions > 0 {
-		g.probation = &probationRun{
-			score: evalx.NewProbation(evalx.ProbationConfig{
-				Shadow:             shadowConfig(g.cfg.mitigationCostNodeMinutes, g.cfg.restartable),
-				MinDecisions:       g.cfg.probationDecisions,
-				ToleranceNodeHours: g.cfg.probationToleranceNH,
-			}),
-			reference: incumbent,
-			promoted:  promoted.Version(),
-		}
-	}
-}
-
-// retainLocked adds a policy to the bounded rollback registry. Caller
-// holds g.mu.
-//
-//uerl:locked mu
-func (g *Guard) retainLocked(p Policy) {
-	v := p.Version()
-	if _, ok := g.retained[v]; !ok {
-		g.lineageOrder = append(g.lineageOrder, v)
-		if len(g.lineageOrder) > retainedCap {
-			evict := g.lineageOrder[0]
-			g.lineageOrder = g.lineageOrder[1:]
-			delete(g.retained, evict)
-		}
-	}
-	g.retained[v] = p
-}
-
-// judgeProbationLocked polls the probation verdict and executes the
-// rollback (or closes the window) when it is decided. Caller holds g.mu.
-//
-//uerl:locked mu
-func (g *Guard) judgeProbationLocked(at time.Time) {
-	run := g.probation
-	if run == nil {
-		return
-	}
-	v := run.score.Verdict()
-	if !v.Decided {
-		return
-	}
-	g.probation = nil
-	if !v.Regressed {
-		g.probationPasses++
-		g.log.record(LifecycleEvent{
-			Kind: LifecycleProbationPass, Time: at, Generation: g.promotions,
-			ModelVersion: run.promoted, Parent: run.reference.Version(), Score: v.MarginNodeHours,
-			Detail: fmt.Sprintf("probation passed after %d decisions / %d UEs: margin %+.2f nh within %.2f nh tolerance",
-				v.Decisions, v.UEs, v.MarginNodeHours, g.cfg.probationToleranceNH),
-		})
-		return
-	}
-	g.rollbackLocked(at, run, v)
-}
-
-// rollbackLocked walks the serving model's ModelHeader.Parent lineage
-// chain to the nearest retained ancestor and hot-swaps it back in.
-// Caller holds g.mu.
-//
-//uerl:locked mu
-func (g *Guard) rollbackLocked(at time.Time, run *probationRun, v evalx.ProbationVerdict) {
-	cur := g.ctl.Policy()
-	var target Policy
-	for ver := ModelParent(cur); ver != ""; ver = g.parentOf[ver] {
-		if p, ok := g.retained[ver]; ok {
-			target = p
-			break
-		}
-	}
-	ev := LifecycleEvent{
-		Kind: LifecycleRollback, Time: at, Generation: g.promotions,
-		Score: v.MarginNodeHours,
-	}
-	if target == nil {
-		// The serving model carries no retained lineage (e.g. an operator
-		// swapped mid-probation): record the regression, keep serving.
-		ev.ModelVersion = cur.Version()
-		ev.Detail = fmt.Sprintf("rollback aborted: no retained ancestor for %s (regressed %+.2f nh over %d decisions)",
-			cur.Version(), v.MarginNodeHours, v.Decisions)
-		g.log.record(ev)
-		return
-	}
-	g.ctl.SwapPolicy(target)
-	g.rollbacks++
-	ev.ModelVersion = target.Version()
-	ev.Parent = ModelParent(target)
-	ev.Detail = fmt.Sprintf("promoted %s regressed %+.2f nh over %d decisions / %d UEs (tolerance %.2f nh); rolled back to %s via lineage",
-		run.promoted, v.MarginNodeHours, v.Decisions, v.UEs, g.cfg.probationToleranceNH, target.Version())
-	g.log.record(ev)
 }
 
 // Events returns a defensive copy of the guard's audit log (budget
-// trips, approval verdicts, rollbacks, probation passes). With a learner
-// attached it is the learner's log too: the one shared trail.
+// trips and recoveries). With a learner attached it is the learner's log
+// too: the one shared trail.
 func (g *Guard) Events() []LifecycleEvent { return g.log.since(0) }
 
-// Stats summarizes the guard's enforcement activity.
+// Stats summarizes the guard's budget enforcement; the rollout counters
+// stay zero (OnlineLearner.Stats reports them).
 func (g *Guard) Stats() GuardStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -538,11 +379,7 @@ func (g *Guard) Stats() GuardStats {
 		SuppressedMitigations: g.suppressed,
 		BudgetTrips:           g.trips,
 		Promotions:            g.promotions,
-		DeniedPromotions:      g.denied,
-		Rollbacks:             g.rollbacks,
-		ProbationActive:       g.probation != nil,
 		BudgetRecoveries:      g.recoveries,
-		ProbationPasses:       g.probationPasses,
 	}
 	if len(g.vetoesByReason) > 0 {
 		st.VetoesByReason = make(map[string]uint64, len(g.vetoesByReason))

@@ -302,8 +302,11 @@ func TestGuardApprovalDenyBlocks(t *testing.T) {
 	if !ok || !strings.Contains(deny.Detail, "change freeze CHG-42") {
 		t.Fatalf("no approval-deny audit event with the hook's reason: %+v", l.Events())
 	}
-	if st := g.Stats(); st.DeniedPromotions < 1 || st.Promotions != 0 || st.Rollbacks != 0 {
+	if st := l.Stats().Guard; st.DeniedPromotions < 1 || st.Promotions != 0 || st.Rollbacks != 0 {
 		t.Fatalf("guard stats after denial: %+v", st)
+	}
+	if st := g.Stats(); st.Promotions != 0 {
+		t.Fatalf("guard charged a denied promotion: %+v", st)
 	}
 }
 
@@ -357,7 +360,7 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 	if ModelParent(promoted) != incumbentVersion {
 		t.Fatalf("promoted lineage parent = %q, want %q", ModelParent(promoted), incumbentVersion)
 	}
-	if st := g.Stats(); !st.ProbationActive {
+	if st := l.Stats().Guard; !st.ProbationActive {
 		t.Fatalf("probation not active after promotion: %+v", st)
 	}
 
@@ -370,9 +373,17 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 	if got := ctl.Policy().Version(); got != incumbentVersion {
 		t.Fatalf("serving %q after burst, want rollback to %q\nevents: %+v", got, incumbentVersion, l.Events())
 	}
-	st := g.Stats()
+	st := l.Stats().Guard
 	if st.Rollbacks != 1 || st.ProbationActive {
 		t.Fatalf("guard stats after rollback: %+v", st)
+	}
+	// The guard and the learner report the same budget counters; only the
+	// rollout counters are the learner's own.
+	budgets := *st
+	budgets.DeniedPromotions, budgets.Rollbacks = 0, 0
+	budgets.ProbationActive, budgets.ProbationPasses = false, 0
+	if gs := g.Stats(); !reflect.DeepEqual(gs, budgets) {
+		t.Fatalf("guard budget stats %+v disagree with the learner's %+v", gs, *st)
 	}
 	rb, ok := findEvent(l.Events(), LifecycleRollback)
 	if !ok {
@@ -573,19 +584,19 @@ func TestGuardWiringPanics(t *testing.T) {
 	}
 }
 
-// A guard is inert on kinds it cannot roll back past: a probation
-// regression with no retained ancestor keeps serving and audits the
-// abort instead of panicking.
+// A guarded learner is inert on kinds it cannot roll back past: a
+// probation regression with no retained ancestor keeps serving and
+// audits the abort instead of panicking.
 func TestGuardRollbackWithoutLineageAudits(t *testing.T) {
 	ctl := NewController(AlwaysPolicy(), WithShards(2))
 	g := NewGuard(ctl, WithProbation(1<<20, 5))
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 	base := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
 
-	// Fake a promotion the guard saw, then hot-swap a policy with no
-	// lineage behind the guard's back (an operator override), then
+	// Fake a promotion the learner saw, then hot-swap a policy with no
+	// lineage behind the learner's back (an operator override), then
 	// regress: the Parent chain dead-ends.
-	g.notePromotion(ctl.Policy(), neverMitigateRL(t, 1), base)
+	l.notePromotion(ctl.Policy(), neverMitigateRL(t, 1), base)
 	ctl.SwapPolicy(NeverPolicy())
 	l.Process(Event{Time: base.Add(time.Minute), Node: 0, DIMM: 0, Type: CorrectedError, Count: 1, Rank: 0, Bank: 1, Row: 0, Col: 3})
 	l.Process(Event{Time: base.Add(10 * time.Minute), Node: 0, DIMM: 0, Type: UncorrectedError, Count: 1, Rank: -1, Bank: -1, Row: -1, Col: -1})
@@ -597,7 +608,49 @@ func TestGuardRollbackWithoutLineageAudits(t *testing.T) {
 	if !ok || !strings.Contains(rb.Detail, "rollback aborted") {
 		t.Fatalf("no aborted-rollback audit event: %+v", g.Events())
 	}
-	if g.Stats().Rollbacks != 0 {
-		t.Fatalf("aborted rollback counted: %+v", g.Stats())
+	if st := l.Stats().Guard; st.Rollbacks != 0 {
+		t.Fatalf("aborted rollback counted: %+v", st)
+	}
+}
+
+// refusingDeploy is a Controller-backed serving layer whose rollouts are
+// all refused, as a fleet quorum refuses an artifact.
+type refusingDeploy struct{ *Controller }
+
+func (refusingDeploy) DeployPolicy(Policy) (Policy, error) {
+	return nil, errors.New("quorum refused")
+}
+
+// A rollback whose deploy the serving layer refuses keeps the promoted
+// model serving and audits the abort with the refusal, like a rollback
+// with no retained ancestor.
+func TestGuardRollbackDeployRefusedAudits(t *testing.T) {
+	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	g := NewGuard(ctl, WithProbation(1<<20, 5))
+	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
+	l.serving = refusingDeploy{ctl}
+	base := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
+
+	incumbent, promoted := ctl.Policy(), neverMitigateRL(t, 1)
+	if err := SetModelParent(promoted, incumbent.Version()); err != nil {
+		t.Fatal(err)
+	}
+	ctl.SwapPolicy(promoted)
+	l.notePromotion(incumbent, promoted, base)
+	l.Process(Event{Time: base.Add(time.Minute), Node: 0, DIMM: 0, Type: CorrectedError, Count: 1, Rank: 0, Bank: 1, Row: 0, Col: 3})
+	l.Process(Event{Time: base.Add(10 * time.Minute), Node: 0, DIMM: 0, Type: UncorrectedError, Count: 1, Rank: -1, Bank: -1, Row: -1, Col: -1})
+
+	if got := ctl.Policy().Version(); got != promoted.Version() {
+		t.Fatalf("refused rollback still swapped to %q", got)
+	}
+	rb, ok := findEvent(l.Events(), LifecycleRollback)
+	if !ok || !strings.Contains(rb.Detail, "rollback aborted") || !strings.Contains(rb.Detail, "quorum refused") {
+		t.Fatalf("no aborted-rollback audit event naming the refusal: %+v", l.Events())
+	}
+	if rb.ModelVersion != promoted.Version() {
+		t.Fatalf("aborted rollback names %q, want the still-serving %q", rb.ModelVersion, promoted.Version())
+	}
+	if st := l.Stats().Guard; st.Rollbacks != 0 || st.ProbationActive {
+		t.Fatalf("refused rollback counted or left probation open: %+v", st)
 	}
 }

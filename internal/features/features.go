@@ -258,18 +258,17 @@ type Tracker struct {
 	started bool
 	start   time.Time
 
-	cesTotal   float64
-	warnings   float64
-	boots      float64
-	lastBoot   time.Time
-	hasBoot    bool
-	ranks      spreadSet
-	banks      spreadSet
-	rows       spreadSet
-	cols       spreadSet
-	dimms      spreadSet
-	history    ringHist
-	lastVector Vector
+	cesTotal float64
+	warnings float64
+	boots    float64
+	lastBoot time.Time
+	hasBoot  bool
+	ranks    spreadSet
+	banks    spreadSet
+	rows     spreadSet
+	cols     spreadSet
+	dimms    spreadSet
+	history  ringHist
 }
 
 // NewTracker returns an empty tracker.
@@ -294,7 +293,6 @@ func (tr *Tracker) Reset() {
 	tr.cols.reset()
 	tr.dimms.reset()
 	tr.history.reset()
-	tr.lastVector = Vector{}
 }
 
 // Observe ingests a tick's events and returns the feature vector at the
@@ -343,9 +341,7 @@ func (tr *Tracker) Observe(tick errlog.Tick, ueCost float64) Vector {
 	tr.history.push(snapshot{t: tick.Time, ces: tr.cesTotal, boots: tr.boots})
 	tr.CompactHistory(tick.Time)
 
-	v := tr.vectorAt(tick.Time, ceNow, ueCost)
-	tr.lastVector = v
-	return v
+	return tr.vectorAt(tick.Time, ceNow, ueCost)
 }
 
 // Peek returns the feature vector the node would report at time now with
@@ -416,9 +412,6 @@ func (tr *Tracker) variation(now time.Time, dt time.Duration, get func(snapshot)
 	}
 	return nowVal / denom
 }
-
-// Last returns the most recently computed vector.
-func (tr *Tracker) Last() Vector { return tr.lastVector }
 
 // CompactHistory drops snapshots older than the longest variation window,
 // bounding memory for long logs. It always keeps the latest snapshot at or

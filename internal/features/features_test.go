@@ -141,9 +141,8 @@ func TestPredictorExcludesCost(t *testing.T) {
 
 func TestResetAndLast(t *testing.T) {
 	tr := NewTracker()
-	tr.Observe(tick(0, ceEvent(5, 0, 0, 0, 0, 0)), 7)
-	if tr.Last()[CEsTotal] != 5 {
-		t.Fatal("Last() wrong")
+	if v := tr.Observe(tick(0, ceEvent(5, 0, 0, 0, 0, 0)), 7); v[CEsTotal] != 5 {
+		t.Fatal("Observe returned the wrong vector")
 	}
 	tr.Reset()
 	v := tr.Observe(tick(time.Hour), 0)

@@ -764,16 +764,10 @@ func (c *Coordinator) observeDecision(d uerl.Decision) {
 	_, _ = c.call(ns.owner, Request{Kind: ReqObserveDecision, Decision: d})
 }
 
-// ObserveUE routes a realized UE outcome to the owner's guard.
-func (c *Coordinator) ObserveUE(node int, at time.Time, realizedCostNodeHours float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ns, ok := c.nodes[node]
-	if !ok || ns.owner < 0 || c.workers[ns.owner].state == WorkerDown {
-		return
-	}
-	_, _ = c.call(ns.owner, Request{Kind: ReqObserveUE, Node: node, At: at, Cost: realizedCostNodeHours})
-}
+// ObserveUE does nothing: a worker guard charges no budget for realized
+// UEs, and probation belongs to the learner. It remains for callers
+// written against the earlier accounting surface.
+func (c *Coordinator) ObserveUE(node int, at time.Time, realizedCostNodeHours float64) {}
 
 // WorkerHealth is one worker's health and serving state in Stats.
 type WorkerHealth struct {

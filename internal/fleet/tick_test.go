@@ -91,10 +91,7 @@ func TestFleetTickParity(t *testing.T) {
 				}
 				cost := float64(10 + rng.Intn(200))
 				if e.Type == uerl.UncorrectedError {
-					both(func(c *Coordinator, _ *ChanTransport) {
-						c.ObserveEvent(e)
-						c.ObserveUE(e.Node, e.Time, cost)
-					})
+					both(func(c *Coordinator, _ *ChanTransport) { c.ObserveEvent(e) })
 					continue
 				}
 				got := fused.Tick(e, cost)

@@ -44,9 +44,6 @@ const (
 	// ReqObserveDecision feeds Request.Decision to the worker's guard
 	// for budget accounting (no-op on unguarded workers).
 	ReqObserveDecision
-	// ReqObserveUE feeds a realized UE (Request.Node, Request.At,
-	// realized cost Request.Cost) to the worker's guard.
-	ReqObserveUE
 	// ReqTick is one fused decision tick: the worker applies
 	// Request.Events (the node's unapplied journal suffix, oldest first,
 	// extending its existing state), answers a mitigation query for

@@ -31,8 +31,9 @@ type workerConfig struct {
 
 // WithWorkerGuard attaches a per-worker Guard (budget enforcement local
 // to the worker's slice of the fleet) built with the given options.
-// Promotion gates are fleet-level concerns and stay with the coordinator
-// and learner; worker guards only meter mitigations.
+// Worker guards only meter mitigations: the rollout — promotion gates,
+// probation and rollback — belongs to the learner driving the
+// coordinator.
 func WithWorkerGuard(opts ...uerl.GuardOption) WorkerOption {
 	return func(c *workerConfig) {
 		c.guarded = true
@@ -149,10 +150,6 @@ func (w *Worker) handle(req *Request, resp *Response) {
 	case ReqObserveDecision:
 		if w.guard != nil {
 			w.guard.ObserveDecision(req.Decision)
-		}
-	case ReqObserveUE:
-		if w.guard != nil {
-			w.guard.ObserveUE(req.Node, req.At, req.Cost)
 		}
 	default:
 		resp.Err = "unknown request kind"

@@ -454,11 +454,11 @@ func learnerOptions(c *Compiled) []uerl.LearnerOption {
 }
 
 // guardOptions lowers a GuardSpec to guard options, for the
-// single-process guard and for every fleet worker's guard alike. A worker
-// guard never sees a promotion (the learner reviews promotions only
-// through a single-process guard), so the promotion gates and probation
-// lowered here are inert on a worker — which is why Validate rejects
-// setting them beside a Serving section.
+// single-process guard and for every fleet worker's guard alike. The
+// promotion budget, approval hook and probation lowered here configure
+// the rollout of the learner that adopts a single-process guard; a worker
+// guard only meters mitigations, so they are inert there — which is why
+// Validate rejects setting them beside a Serving section.
 func guardOptions(gs *GuardSpec, c *Compiled) []uerl.GuardOption {
 	hook := uerl.AutoApprove()
 	if gs.Approve == "deny" {

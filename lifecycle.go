@@ -58,7 +58,8 @@ const (
 	// the candidate is discarded.
 	LifecycleApprovalDeny LifecycleEventKind = "approval-deny"
 	// LifecycleRollback marks a probation regression rolled back: the
-	// serving policy was hot-swapped to a retained lineage ancestor.
+	// learner redeployed a retained lineage ancestor (or, with none
+	// retained or the deploy refused, audited the aborted rollback).
 	LifecycleRollback LifecycleEventKind = "rollback"
 	// LifecycleProbationPass marks a promoted model surviving its
 	// post-promotion probation window.
@@ -187,10 +188,10 @@ type pendingStep struct {
 type OnlineLearner struct {
 	mu      sync.Mutex
 	serving Serving
-	// acct receives the served-decision stream for budget accounting and
-	// probation scoring: the attached Guard in single-process mode, the
-	// serving layer itself when it does its own routing (the fleet
-	// Coordinator forwards to per-worker guards), nil otherwise.
+	// acct receives the served-decision stream for budget accounting: the
+	// attached Guard in single-process mode, the serving layer itself when
+	// it does its own routing (the fleet Coordinator forwards to
+	// per-worker guards), nil otherwise.
 	acct decisionAccountant
 	// tick serves one decision tick: the serving layer's fused Tick when
 	// it has one, else threeCallTick.
@@ -207,10 +208,22 @@ type OnlineLearner struct {
 	candidate Policy
 	shadow    *evalx.Duel
 
-	sinceRetrain int
-	decisions    int
-	ues          int
-	generation   int
+	// The rollout stage under WithGuard: retained maps version → policy
+	// for the rollback registry (bounded, newest retainedCap ancestors;
+	// lineageOrder tracks eviction order), and probation is the open
+	// post-promotion window, nil outside one.
+	retained     map[string]Policy
+	parentOf     map[string]string
+	lineageOrder []string
+	probation    *probationRun
+
+	sinceRetrain    int
+	decisions       int
+	ues             int
+	generation      int
+	denied          int
+	rollbacks       int
+	probationPasses int
 }
 
 // NewOnlineLearner attaches a continual-learning lifecycle to ctl.
@@ -278,8 +291,10 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 			// would trip a mean-shift test without any real drift.
 			Dims: lifecycle.StationaryDriftDims,
 		}),
-		pending: map[int]*pendingStep{},
-		log:     log,
+		pending:  map[int]*pendingStep{},
+		log:      log,
+		retained: map[string]Policy{},
+		parentOf: map[string]string{},
 	}
 	if cfg.guard != nil {
 		l.acct = cfg.guard
@@ -300,8 +315,8 @@ func (l *OnlineLearner) threeCallTick(e Event, potentialCostNodeHours float64) D
 	l.serving.ObserveEvent(e)
 	d := l.serving.Recommend(e.Node, e.Time, potentialCostNodeHours)
 	if l.acct != nil {
-		// Budget accounting and probation scoring run off the served
-		// decision stream — the same decision the fleet just acted on.
+		// Budget accounting runs off the served decision stream — the
+		// same decision the fleet just acted on.
 		l.acct.ObserveDecision(d)
 	}
 	return d
@@ -357,10 +372,11 @@ func (l *OnlineLearner) processUE(e Event) {
 		l.shadow.UE(e.Node, e.Time, realized)
 		l.judgeShadow(e.Time)
 	}
-	if l.acct != nil {
+	if l.probation != nil {
 		// Probation charges the realized cost; a regression past
 		// tolerance rolls the serving policy back right here.
-		l.acct.ObserveUE(e.Node, e.Time, realized)
+		l.probation.score.UE(e.Node, e.Time, realized)
+		l.judgeProbation(e.Time)
 	}
 }
 
@@ -368,6 +384,13 @@ func (l *OnlineLearner) processUE(e Event) {
 // l.mu.
 func (l *OnlineLearner) processDecision(e Event) {
 	d := l.tick(e, l.cfg.cost(e.Node, e.Time))
+	if run := l.probation; run != nil {
+		// Probation scores the served decision against the replaced
+		// incumbent's counterfactual; a decided regression rolls back.
+		ref := run.reference.Decide(Snapshot{Node: d.Node, Time: d.Time, Features: d.Features})
+		run.score.Decision(d.Node, d.Time, d.Mitigate(), ref.Mitigate())
+		l.judgeProbation(d.Time)
+	}
 	l.decisions++
 	if l.cfg.decisionObserver != nil {
 		l.cfg.decisionObserver(d)
@@ -492,8 +515,8 @@ func (l *OnlineLearner) judgeShadow(at time.Time) {
 	case advantage < 0:
 		ev.Kind, ev.Generation = LifecycleReject, l.generation
 	case !l.guardApproves(at, advantage, cand.Decisions, cand.UEs):
-		// The guard already recorded the budget-trip or approval-deny
-		// audit event in the shared log; the learner records the discard.
+		// guardApproves already recorded the budget-trip or approval-deny
+		// audit event; the discard is recorded here.
 		ev.Kind, ev.Generation = LifecycleReject, l.generation
 		ev.Detail = "guard blocked promotion: " + ev.Detail
 	default:
@@ -509,7 +532,7 @@ func (l *OnlineLearner) judgeShadow(at time.Time) {
 		l.generation++
 		l.drift.Rebase()
 		if l.cfg.guard != nil {
-			l.cfg.guard.notePromotion(incumbent, l.candidate, at)
+			l.notePromotion(incumbent, l.candidate, at)
 		}
 		ev.Kind, ev.Generation = LifecyclePromote, l.generation
 	}
@@ -517,15 +540,35 @@ func (l *OnlineLearner) judgeShadow(at time.Time) {
 	l.candidate, l.shadow = nil, nil
 }
 
-// guardApproves submits the shadow-winning candidate to the guard's
-// promotion gates (budget, then approval hook). Caller holds l.mu; the
-// approval hook may block, during which serving traffic — which never
-// takes l.mu — proceeds untouched.
+// The rollout stage, live under WithGuard: after the shadow gate a
+// candidate passes the guard's promotion budget and approval hook, is
+// deployed, and serves on probation against the incumbent it replaced; a
+// regression redeploys a retained lineage ancestor. It acts only through
+// l.serving, under l.mu.
+
+// retainedCap bounds the rollback registry: the newest ancestors kept
+// live for lineage-chain rollback. Older models must be reloaded from
+// their SaveModel artifacts.
+const retainedCap = 16
+
+// probationRun is one active post-promotion probation window.
+type probationRun struct {
+	score *evalx.Probation
+	// reference is the replaced incumbent, run as the counterfactual.
+	reference Policy
+	promoted  string
+}
+
+// guardApproves runs the promotion gates — the guard's promotion budget,
+// then its approval hook — auditing every verdict. Caller holds l.mu; the
+// hook may block, during which serving traffic — which never takes l.mu —
+// proceeds untouched.
 func (l *OnlineLearner) guardApproves(at time.Time, advantage float64, decisions, ues int) bool {
-	if l.cfg.guard == nil {
+	g := l.cfg.guard
+	if g == nil {
 		return true
 	}
-	ok, _ := l.cfg.guard.reviewPromotion(PromotionRequest{
+	req := PromotionRequest{
 		Candidate:       l.candidate.Version(),
 		Incumbent:       l.serving.Policy().Version(),
 		Generation:      l.generation,
@@ -533,8 +576,102 @@ func (l *OnlineLearner) guardApproves(at time.Time, advantage float64, decisions
 		ShadowAdvantage: advantage,
 		ShadowDecisions: decisions,
 		ShadowUEs:       ues,
-	})
-	return ok
+	}
+	if !g.allowPromotion(req) {
+		l.denied++
+		return false
+	}
+	verdict, reason := g.cfg.hook.Review(req)
+	ev := LifecycleEvent{
+		Kind: LifecycleApprovalGrant, Time: at, Generation: l.generation,
+		ModelVersion: req.Candidate, Parent: req.Incumbent, Score: advantage,
+		Detail: "promotion approved: " + reason,
+	}
+	if verdict != ApprovalApproved {
+		l.denied++
+		ev.Kind, ev.Detail = LifecycleApprovalDeny, "promotion denied: "+reason
+	}
+	l.log.record(ev)
+	return verdict == ApprovalApproved
+}
+
+// notePromotion records an executed promotion: charges the guard's
+// promotion budget, retains the replaced incumbent for lineage-chain
+// rollback, and opens the probation window. Caller holds l.mu.
+func (l *OnlineLearner) notePromotion(incumbent, promoted Policy, at time.Time) {
+	g := l.cfg.guard
+	g.chargePromotion(at)
+	v := incumbent.Version()
+	if _, ok := l.retained[v]; !ok {
+		l.lineageOrder = append(l.lineageOrder, v)
+		if len(l.lineageOrder) > retainedCap {
+			delete(l.retained, l.lineageOrder[0])
+			l.lineageOrder = l.lineageOrder[1:]
+		}
+	}
+	l.retained[v] = incumbent
+	l.parentOf[promoted.Version()] = v
+	if g.cfg.probationDecisions > 0 {
+		l.probation = &probationRun{
+			score: evalx.NewProbation(evalx.ProbationConfig{
+				Shadow:             shadowConfig(l.cfg.mitigationCostNodeMinutes, l.cfg.restartable),
+				MinDecisions:       g.cfg.probationDecisions,
+				ToleranceNodeHours: g.cfg.probationToleranceNH,
+			}),
+			reference: incumbent,
+			promoted:  promoted.Version(),
+		}
+	}
+}
+
+// judgeProbation polls the probation verdict and rolls back (or closes
+// the window) once it is decided. Caller holds l.mu.
+func (l *OnlineLearner) judgeProbation(at time.Time) {
+	run := l.probation
+	v := run.score.Verdict()
+	if !v.Decided {
+		return
+	}
+	l.probation = nil
+	tolerance := l.cfg.guard.cfg.probationToleranceNH
+	if !v.Regressed {
+		l.probationPasses++
+		l.log.record(LifecycleEvent{
+			Kind: LifecycleProbationPass, Time: at, Generation: l.generation,
+			ModelVersion: run.promoted, Parent: run.reference.Version(), Score: v.MarginNodeHours,
+			Detail: fmt.Sprintf("probation passed after %d decisions / %d UEs: margin %+.2f nh within %.2f nh tolerance",
+				v.Decisions, v.UEs, v.MarginNodeHours, tolerance),
+		})
+		return
+	}
+	// Roll back: walk the serving model's ModelHeader.Parent chain to the
+	// nearest retained ancestor and redeploy it.
+	cur := l.serving.Policy()
+	var target Policy
+	for ver := ModelParent(cur); ver != "" && target == nil; ver = l.parentOf[ver] {
+		target = l.retained[ver]
+	}
+	ev := LifecycleEvent{Kind: LifecycleRollback, Time: at, Generation: l.generation, Score: v.MarginNodeHours}
+	var err error
+	if target == nil {
+		// The serving model carries no retained lineage (e.g. an operator
+		// swapped mid-probation).
+		err = fmt.Errorf("no retained ancestor for %s", cur.Version())
+	} else if _, err = l.serving.DeployPolicy(target); err != nil {
+		err = fmt.Errorf("deploy of %s rejected: %w", target.Version(), err)
+	}
+	if err != nil {
+		// Keep serving the current model; audit the regression.
+		ev.ModelVersion = cur.Version()
+		ev.Detail = fmt.Sprintf("rollback aborted: %v (regressed %+.2f nh over %d decisions)",
+			err, v.MarginNodeHours, v.Decisions)
+	} else {
+		l.rollbacks++
+		ev.ModelVersion, ev.Parent = target.Version(), ModelParent(target)
+		ev.Detail = fmt.Sprintf("promoted %s regressed %+.2f nh over %d decisions / %d UEs (tolerance %.2f nh); rolled back to %s via lineage",
+			run.promoted, v.MarginNodeHours, v.Decisions, v.UEs, tolerance, target.Version())
+	}
+	l.log.record(ev)
 }
 
 // Events returns a copy of the lifecycle audit log — under WithGuard the
@@ -567,8 +704,10 @@ func (l *OnlineLearner) Stats() LearnerStats {
 		ShadowActive:       l.candidate != nil,
 		ServingVersion:     l.serving.Policy().Version(),
 	}
-	if l.cfg.guard != nil {
-		gs := l.cfg.guard.Stats()
+	if g := l.cfg.guard; g != nil {
+		gs := g.Stats()
+		gs.DeniedPromotions, gs.Rollbacks = l.denied, l.rollbacks
+		gs.ProbationActive, gs.ProbationPasses = l.probation != nil, l.probationPasses
 		st.Guard = &gs
 	}
 	return st

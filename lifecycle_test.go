@@ -201,8 +201,7 @@ func (s *countingServing) Recommend(node int, at time.Time, cost float64) Decisi
 	return s.Controller.Recommend(node, at, cost)
 }
 
-func (s *countingServing) ObserveDecision(Decision)                    { s.accounted++ }
-func (s *countingServing) ObserveUE(node int, at time.Time, _ float64) {}
+func (s *countingServing) ObserveDecision(Decision) { s.accounted++ }
 
 // tickingServing adds the fused Ticker step.
 type tickingServing struct{ countingServing }

@@ -189,10 +189,12 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 }
 
 // WithGuard attaches a Guard to the learner: the learner routes every
-// served decision and realized UE through it for budget accounting and
-// probation scoring, submits every shadow-winning candidate to its
-// promotion gates (budget + approval hook), and adopts its audit log, so
-// learner and guard record into one trail. The guard must wrap the same
+// served decision through it for budget accounting, submits every
+// shadow-winning candidate to its promotion budget and then its approval
+// hook, runs the rollout stage under its probation settings (probation
+// scoring and lineage rollback through Serving.DeployPolicy, owned by
+// the learner), and adopts its audit log, so learner and guard record
+// into one trail. The guard must wrap the same
 // controller the learner serves and charge the same mitigation cost and
 // restartability (NewOnlineLearner panics otherwise). WithGuard is a
 // single-process option: under a distributed serving layer
@@ -285,14 +287,17 @@ func WithFleetMitigationBudget(max int, window time.Duration) GuardOption {
 
 // WithPromotionBudget caps promotions per sliding 24h window; further
 // shadow-winning candidates are frozen (discarded with a budget-trip
-// audit event) until the window slides. perDay <= 0 disables (the
-// default).
+// audit event) until the window slides. The guard keeps the window; the
+// learner that adopts it consults and charges it at each promotion.
+// perDay <= 0 disables (the default).
 func WithPromotionBudget(perDay int) GuardOption {
 	return func(c *guardConfig) { c.budgets.MaxPromotions = perDay }
 }
 
 // WithApprovalHook sets the promotion approval hook (default
-// AutoApprove). See ApprovalHook, DenyPromotions, ApprovalCallback.
+// AutoApprove) that a learner adopting the guard calls, after the
+// promotion budget, for every shadow-winning candidate. See ApprovalHook,
+// DenyPromotions, ApprovalCallback.
 func WithApprovalHook(h ApprovalHook) GuardOption {
 	return func(c *guardConfig) {
 		if h != nil {
@@ -302,10 +307,11 @@ func WithApprovalHook(h ApprovalHook) GuardOption {
 }
 
 // WithProbation sets the post-promotion probation window (default 256
-// decisions, 5 node-hours tolerance): the replaced incumbent keeps
-// scoring as a counterfactual, and a promoted model that regresses past
-// the tolerance before surviving the window is rolled back via its
-// lineage chain. decisions <= 0 disables probation.
+// decisions, 5 node-hours tolerance) that a learner adopting the guard
+// runs: the replaced incumbent keeps scoring as a counterfactual, and a
+// promoted model that regresses past the tolerance before surviving the
+// window is rolled back via its lineage chain. decisions <= 0 disables
+// probation.
 func WithProbation(decisions int, toleranceNodeHours float64) GuardOption {
 	return func(c *guardConfig) {
 		c.probationDecisions = decisions

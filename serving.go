@@ -48,12 +48,10 @@ type Ticker interface {
 }
 
 // decisionAccountant is the served-decision accounting surface: budget
-// charging and probation scoring run off the stream of decisions the
-// fleet actually acted on, plus realized UE outcomes. *Guard implements
-// it for single-process serving; the fleet Coordinator implements it by
-// routing each call to the guard of the worker owning the node. The
-// OnlineLearner feeds whichever one the deployment provides.
+// charging runs off the stream of decisions the fleet actually acted on.
+// *Guard implements it for single-process serving; the fleet Coordinator
+// implements it by routing each call to the guard of the worker owning
+// the node. The OnlineLearner feeds whichever one the deployment provides.
 type decisionAccountant interface {
 	ObserveDecision(d Decision)
-	ObserveUE(node int, at time.Time, realizedCostNodeHours float64)
 }
