@@ -446,6 +446,26 @@ func BenchmarkControllerRecommendSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkControllerTick measures the fused decision tick a learner
+// serves every non-UE event through: ingest, Eq. 2 features, the policy's
+// decision (Q-network forward included) and the attached guard's charge,
+// in one shard-lock hold.
+func BenchmarkControllerTick(b *testing.B) {
+	ctl := NewController(servingPolicy(b), WithShards(8))
+	NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour))
+	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	evs := benchEvents(4096, 256, base)
+	span := evs[len(evs)-1].Time.Sub(evs[0].Time) + time.Second
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := &evs[i&4095]
+		ctl.Tick(*e, float64(i&8191))
+		// Keep per-node timestamps advancing across laps of the stream.
+		e.Time = e.Time.Add(span)
+	}
+}
+
 // BenchmarkTelemetryFullScale generates the full 3056-node two-year log,
 // the paper's actual population.
 func BenchmarkTelemetryFullScale(b *testing.B) {

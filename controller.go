@@ -184,22 +184,51 @@ func (c *Controller) shardIndex(node int) uint64 {
 func (c *Controller) ObserveEvent(e Event) {
 	sh := c.shards[c.shardIndex(e.Node)]
 	sh.mu.Lock()
-	sh.observe(e)
+	sh.observe(e, 0)
 	sh.mu.Unlock()
 }
 
-// observe applies one event to the shard; the caller holds the write lock.
+// observe applies one event to the shard and returns the node's feature
+// vector at e.Time with potential UE cost cost; the caller holds the
+// write lock.
 //
 //uerl:hotpath
 //uerl:locked mu
-func (sh *ctlShard) observe(e Event) {
+func (sh *ctlShard) observe(e Event, cost float64) features.Vector {
 	tr, ok := sh.trackers[e.Node]
 	if !ok {
 		tr = features.NewTracker()
 		sh.trackers[e.Node] = tr
 	}
 	sh.evBuf[0] = e.toErrlog()
-	tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, 0)
+	return tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, cost)
+}
+
+// Tick is one decision tick in one call: ObserveEvent(e), then
+// Recommend(e.Node, e.Time, potentialCostNodeHours), then the attached
+// guard's ObserveDecision of the answer — with the same results, but in
+// one hold of the node's shard lock. The served features are the vector
+// the ingest computed, read as Recommend's side-effect-free Peek would
+// read it at e.Time: no current-tick CEs, hours-since-boot clamped at 0.
+// Tick implements Ticker, so an OnlineLearner serves each decision tick
+// through it.
+//
+//uerl:hotpath
+func (c *Controller) Tick(e Event, potentialCostNodeHours float64) Decision {
+	sh := c.shards[c.shardIndex(e.Node)]
+	sh.mu.Lock()
+	v := sh.observe(e, potentialCostNodeHours)
+	sh.mu.Unlock()
+	v[features.CEsSinceLastEvent] = 0
+	if v[features.HoursSinceBoot] < 0 {
+		v[features.HoursSinceBoot] = 0
+	}
+	d := c.decide(e.Node, e.Time, v)
+	if g := c.guard.Load(); g != nil {
+		// Budget accounting runs off the served decision stream.
+		g.ObserveDecision(d)
+	}
+	return d
 }
 
 // ObserveBatch ingests a batch of telemetry events, taking each shard's
@@ -243,7 +272,7 @@ func (c *Controller) ObserveBatch(ctx context.Context, events []Event) (int, err
 		sh := c.shards[i]
 		sh.mu.Lock()
 		for _, e := range bucket {
-			sh.observe(e)
+			sh.observe(e, 0)
 		}
 		sh.mu.Unlock()
 		ingested += len(bucket)
@@ -279,10 +308,17 @@ func (c *Controller) peek(node int, at time.Time, cost float64) features.Vector 
 //
 //uerl:hotpath
 func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours float64) Decision {
+	return c.decide(node, at, c.peek(node, at, potentialCostNodeHours))
+}
+
+// decide serves the policy's decision on feature vector v for node at
+// time at: the shared tail of Recommend and Tick.
+//
+//uerl:hotpath
+func (c *Controller) decide(node int, at time.Time, v features.Vector) Decision {
 	// Load the policy once (through the accessor): a concurrent
 	// SwapPolicy must not mix two models' outputs within one decision.
 	policy := c.Policy()
-	v := c.peek(node, at, potentialCostNodeHours)
 	d := policy.Decide(Snapshot{Node: node, Time: at, Features: v})
 	// Normalize bookkeeping so custom policies can leave it to us. The
 	// snapshot and decision are plain values (inline feature arrays), so

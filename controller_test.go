@@ -2,6 +2,7 @@ package uerl
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -358,7 +359,8 @@ func TestServingPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Policy{ctl.Policy(), NeverPolicy(), AlwaysPolicy(), sc20, myopic, oracle} {
+	served := []Policy{ctl.Policy(), NeverPolicy(), AlwaysPolicy(), sc20, myopic, oracle}
+	for _, p := range served {
 		ctl.SwapPolicy(p)
 		allocs = testing.AllocsPerRun(200, func() {
 			d := ctl.Recommend(1, query, 4200)
@@ -368,6 +370,122 @@ func TestServingPathZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("Recommend under %s allocates %v times per run, want 0", p.Kind(), allocs)
+		}
+	}
+
+	// The fused tick: ingest, decide and guard charge in one call.
+	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
+	for _, p := range served {
+		ctl.SwapPolicy(p)
+		allocs = testing.AllocsPerRun(200, func() {
+			at = at.Add(time.Second)
+			ev.Time = at
+			if d := ctl.Tick(ev, 4200); d.Node != 1 {
+				t.Fatal("wrong node")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Tick under %s allocates %v times per run, want 0", p.Kind(), allocs)
+		}
+	}
+	if g.Stats().SuppressedMitigations == 0 {
+		t.Fatal("the guarded ticks never vetoed; the veto path went unmeasured")
+	}
+
+	// A guarded learner's decision tick, over a steady-state window that
+	// holds no lifecycle event: serving, experience, drift and shadow-free
+	// bookkeeping allocate nothing.
+	lctl := NewController(testRLPolicy(t), WithShards(8))
+	lg := NewGuard(lctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
+	l := NewOnlineLearner(lctl, WithGuard(lg), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)))
+	for node := 0; node < 4; node++ {
+		l.ProcessBatch(degradingEvents(node, base, 256))
+	}
+	events := len(l.Events())
+	at = base.Add(300 * time.Minute)
+	allocs = testing.AllocsPerRun(400, func() {
+		at = at.Add(time.Second)
+		ev.Time = at
+		l.Process(ev)
+	})
+	if got := len(l.Events()); got != events {
+		t.Fatalf("the measured window recorded %d lifecycle events, want none", got-events)
+	}
+	if allocs != 0 {
+		t.Fatalf("OnlineLearner.Process allocates %v times per decision tick, want 0", allocs)
+	}
+}
+
+// tickParityStream is a three-node guarded decision stream: CE storms
+// with boots, Count 0 CEs, UE warnings and interleaved realized UEs,
+// dense enough for a node checkpoint budget to veto.
+func tickParityStream() []Event {
+	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	var evs []Event
+	for i := 0; i < 600; i++ {
+		at := base.Add(time.Duration(i) * 20 * time.Second)
+		e := Event{Time: at, Node: i % 3, DIMM: 8 + i%2, Type: CorrectedError, Count: i % 4,
+			Rank: i % 2, Bank: i % 8, Row: 100 + i%13, Col: i % 5}
+		switch {
+		case i%97 == 5:
+			e = Event{Time: at, Node: i % 3, Type: NodeBoot, DIMM: -1, Rank: -1, Bank: -1, Row: -1, Col: -1}
+		case i%61 == 7:
+			e.Type, e.Count = UEWarning, 0
+		case i%89 == 11:
+			e.Type, e.Count = UncorrectedError, 1
+		}
+		evs = append(evs, e)
+	}
+	return evs
+}
+
+// TestControllerTickParity: Controller.Tick serves the same decisions —
+// vetoes, features, scores and versions bit for bit — and charges the
+// guard exactly as ObserveEvent, Recommend and Guard.ObserveDecision do,
+// so the two controllers end with equal guard stats and audit trails.
+func TestControllerTickParity(t *testing.T) {
+	stream := tickParityStream()
+	for _, p := range []Policy{AlwaysPolicy(), testRLPolicy(t)} {
+		fused, split := NewController(p, WithShards(2)), NewController(p, WithShards(2))
+		budget := WithNodeCheckpointBudget(0.1, time.Hour)
+		gf, gs := NewGuard(fused, budget, WithProbation(0, 0)), NewGuard(split, budget, WithProbation(0, 0))
+		kinds := map[EventType]int{}
+		for i, e := range stream {
+			if e.Type == UncorrectedError {
+				fused.ObserveEvent(e)
+				split.ObserveEvent(e)
+				continue
+			}
+			cost := float64(1 + (i*37)%500)
+			got := fused.Tick(e, cost)
+			split.ObserveEvent(e)
+			want := split.Recommend(e.Node, e.Time, cost)
+			gs.ObserveDecision(want)
+			if got != want {
+				t.Fatalf("%s, event %d (%+v): Tick = %+v, three calls = %+v", p.Kind(), i, e, got, want)
+			}
+			kinds[e.Type]++
+			if got.Vetoed {
+				kinds[-1]++
+			}
+		}
+		if kinds[NodeBoot] == 0 || kinds[UEWarning] == 0 || kinds[CorrectedError] == 0 {
+			t.Fatalf("stream exercised %v, want boots, warnings and CEs", kinds)
+		}
+		if p.Kind() == PolicyAlways && kinds[-1] == 0 {
+			t.Fatal("the always-mitigate stream never vetoed")
+		}
+		if st, want := gf.Stats(), gs.Stats(); !reflect.DeepEqual(st, want) {
+			t.Fatalf("%s: guard stats after Tick %+v, after three calls %+v", p.Kind(), st, want)
+		}
+		if evs, want := gf.Events(), gs.Events(); !reflect.DeepEqual(evs, want) {
+			t.Fatalf("%s: audit trail after Tick %+v, after three calls %+v", p.Kind(), evs, want)
+		}
+		end := stream[len(stream)-1].Time.Add(time.Minute)
+		for node := 0; node < 3; node++ {
+			if fused.Features(node, end, 1) != split.Features(node, end, 1) {
+				t.Fatalf("%s: node %d ends in different feature state", p.Kind(), node)
+			}
 		}
 	}
 }

@@ -175,8 +175,8 @@ type GuardStats struct {
 //
 // Without a learner, drive the guard from your own event loop: it vetoes
 // through Recommend automatically once attached, but budget accounting
-// needs the served stream — call ObserveDecision for every served
-// decision.
+// needs the served stream — serve decisions through Controller.Tick, or
+// call ObserveDecision for every decision served through Recommend.
 //
 // Guard is safe for concurrent use. All times are telemetry time from
 // the event stream, so guarded runs replay deterministically.
@@ -246,9 +246,10 @@ func (g *Guard) allowMitigation(node int, at time.Time) (bool, string) {
 
 // ObserveDecision accounts one served decision from the authoritative
 // event stream: served mitigations charge the budget windows and vetoed
-// decisions record the budget trip (once per limit crossing). An
-// OnlineLearner with this guard attached calls it for every decision it
-// processes; standalone users call it themselves.
+// decisions record the budget trip (once per limit crossing).
+// Controller.Tick calls it for every decision tick it serves, so an
+// OnlineLearner on the guarded controller charges it for every decision
+// it processes; standalone users call it themselves.
 func (g *Guard) ObserveDecision(d Decision) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -654,3 +654,24 @@ func TestGuardRollbackDeployRefusedAudits(t *testing.T) {
 		t.Fatalf("refused rollback counted or left probation open: %+v", st)
 	}
 }
+
+// A guard attached to a controller charges every decision tick the
+// controller's fused Tick serves, so a learner on that controller charges
+// it even without WithGuard. The guard keeps its own audit log: without
+// WithGuard the learner neither shares it nor reports guard stats.
+func TestGuardChargedByTickWithoutWithGuard(t *testing.T) {
+	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
+	l := NewOnlineLearner(ctl, WithDriftDetection(1e9, 128))
+	l.ProcessBatch(ceStream(1, [2]int{10, 1}))
+	st := g.Stats()
+	if st.SuppressedMitigations != 7 || st.BudgetTrips != 1 {
+		t.Fatalf("guard stats = %+v, want 7 suppressed mitigations (3 within budget) and 1 trip", st)
+	}
+	if _, ok := findEvent(g.Events(), LifecycleBudgetTrip); !ok {
+		t.Fatalf("guard audit log lacks the budget trip: %+v", g.Events())
+	}
+	if evs := l.Events(); len(evs) != 0 || l.Stats().Guard != nil {
+		t.Fatalf("learner without WithGuard reports guard state: events %+v, stats %+v", evs, l.Stats())
+	}
+}

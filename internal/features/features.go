@@ -74,15 +74,6 @@ func (v Vector) Predictor() []float64 { return v[:PredictorDim] }
 // relies on this saturation at laptop-scale training budgets).
 var maxCostFeature = math.Log1p(64000)
 
-// Normalized returns the network input representation: counts and cost are
-// log1p-compressed (they span orders of magnitude), hours-since-boot is
-// log1p-compressed, the variation ratios are clamped to [0, 8], and the
-// cost feature saturates at maxCostFeature. The result has the same
-// dimension and index layout as Vector.
-func (v Vector) Normalized() []float64 {
-	return v.NormalizedInto(make([]float64, Dim))
-}
-
 // normPool recycles normalization scratch for WithNormalized.
 var normPool = sync.Pool{New: func() any { return new([Dim]float64) }}
 
@@ -99,10 +90,13 @@ func (v Vector) WithNormalized(f func(norm []float64)) {
 	normPool.Put(buf)
 }
 
-// NormalizedInto is the allocation-free form of Normalized: it writes the
-// network input representation into out (len >= Dim) and returns out[:Dim].
-// It is the hot serving path: Observe → NormalizedInto → ForwardInto
-// allocates nothing.
+// NormalizedInto writes the network input representation into out (len
+// >= Dim) and returns out[:Dim]: counts and cost are log1p-compressed
+// (they span orders of magnitude), hours-since-boot is log1p-compressed,
+// the variation ratios are clamped to [0, 8], and the cost feature
+// saturates at maxCostFeature. The result has the same index layout as
+// Vector. It is the hot serving path: Observe → NormalizedInto →
+// ForwardInto allocates nothing.
 //
 //uerl:hotpath
 func (v Vector) NormalizedInto(out []float64) []float64 {
@@ -382,20 +376,20 @@ func (tr *Tracker) vectorAt(t time.Time, ceNow, ueCost float64) Vector {
 		v[HoursSinceBoot] = t.Sub(tr.start).Hours()
 	}
 	v[Boots] = tr.boots
-	v[CEVar1Min] = tr.variation(t, time.Minute, func(s snapshot) float64 { return s.ces }, tr.cesTotal)
-	v[CEVar1Hour] = tr.variation(t, time.Hour, func(s snapshot) float64 { return s.ces }, tr.cesTotal)
-	v[BootVar1Min] = tr.variation(t, time.Minute, func(s snapshot) float64 { return s.boots }, tr.boots)
-	v[BootVar1Hour] = tr.variation(t, time.Hour, func(s snapshot) float64 { return s.boots }, tr.boots)
+	v[CEVar1Min], v[BootVar1Min] = tr.variations(t, time.Minute)
+	v[CEVar1Hour], v[BootVar1Hour] = tr.variations(t, time.Hour)
 	v[UECost] = ueCost
 	return v
 }
 
-// variation implements Eq. 2: value(now) / value(now-Δt), zero when the
-// denominator is zero. value(now-Δt) is the feature's value at the latest
-// snapshot at or before now-Δt (features only change at events).
+// variations implements Eq. 2 for both tracked counters over one window
+// Δt: value(now) / value(now-Δt) for CEsTotal and for Boots, each zero
+// when its denominator is zero. value(now-Δt) is the counter's value at
+// the latest snapshot at or before now-Δt (features only change at
+// events), so one search serves both ratios.
 //
 //uerl:hotpath
-func (tr *Tracker) variation(now time.Time, dt time.Duration, get func(snapshot) float64, nowVal float64) float64 {
+func (tr *Tracker) variations(now time.Time, dt time.Duration) (ces, boots float64) {
 	cutoff := now.Add(-dt)
 	// sort.Search for the first snapshot with t > cutoff; its predecessor
 	// is the last snapshot at or before the cutoff.
@@ -404,13 +398,16 @@ func (tr *Tracker) variation(now time.Time, dt time.Duration, get func(snapshot)
 		return tr.history.at(i).t.After(cutoff)
 	}) - 1
 	if idx < 0 {
-		return 0 // no history that far back: denominator is zero
+		return 0, 0 // no history that far back: denominators are zero
 	}
-	denom := get(tr.history.at(idx))
-	if denom == 0 {
-		return 0
+	then := tr.history.at(idx)
+	if then.ces != 0 {
+		ces = tr.cesTotal / then.ces
 	}
-	return nowVal / denom
+	if then.boots != 0 {
+		boots = tr.boots / then.boots
+	}
+	return ces, boots
 }
 
 // CompactHistory drops snapshots older than the longest variation window,

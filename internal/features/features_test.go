@@ -110,7 +110,8 @@ func TestNormalized(t *testing.T) {
 	v[CEsTotal] = math.E - 1 // log1p -> 1
 	v[CEVar1Hour] = 100      // clamps to 8
 	v[UECost] = 0
-	n := v.Normalized()
+	var buf [Dim]float64
+	n := v.NormalizedInto(buf[:])
 	if math.Abs(n[CEsTotal]-1) > 1e-9 {
 		t.Fatalf("log1p normalization wrong: %v", n[CEsTotal])
 	}
@@ -232,17 +233,35 @@ func TestSpreadSetOverflow(t *testing.T) {
 	}
 }
 
+// TestNormalizedIntoMatchesNormalized checks NormalizedInto against the
+// documented normalization, computed here with math.Log1p, and that it
+// fills exactly out[:Dim] of a longer, dirty buffer.
 func TestNormalizedIntoMatchesNormalized(t *testing.T) {
 	var v Vector
 	for i := range v {
 		v[i] = float64(i*i) * 1.7
 	}
-	var buf [Dim]float64
-	got := v.NormalizedInto(buf[:])
-	want := v.Normalized()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NormalizedInto[%d] = %v, want %v", i, got[i], want[i])
+	v[UECost] = 1e6 // saturates
+	buf := make([]float64, Dim+3)
+	for i := range buf {
+		buf[i] = -1
+	}
+	got := v.NormalizedInto(buf)
+	if len(got) != Dim || &got[0] != &buf[0] || buf[Dim] != -1 {
+		t.Fatalf("NormalizedInto returned len %d, want out[:%d] with the tail untouched", len(got), Dim)
+	}
+	for i, x := range v {
+		var want float64
+		switch i {
+		case CEVar1Min, CEVar1Hour, BootVar1Min, BootVar1Hour:
+			want = math.Min(math.Max(x, 0), 8)
+		case UECost:
+			want = math.Min(math.Log1p(x), maxCostFeature)
+		default:
+			want = math.Log1p(x)
+		}
+		if got[i] != want {
+			t.Fatalf("NormalizedInto[%d] = %v, want %v", i, got[i], want)
 		}
 	}
 }

@@ -20,7 +20,8 @@ func TestNormalizedAlwaysFinite(t *testing.T) {
 			}
 			v[i] = math.Abs(x)
 		}
-		n := v.Normalized()
+		var buf [Dim]float64
+		n := v.NormalizedInto(buf[:])
 		for _, x := range n {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return false

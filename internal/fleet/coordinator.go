@@ -382,7 +382,8 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (d u
 		return d, false, err
 	}
 	if req.Kind == ReqTick && resp.Err != "" {
-		// Refused: the owner restarted and applied nothing.
+		// Refused: the owner applied nothing (it restarted, or the
+		// suffix did not end at the query).
 		if h.restarted(resp.Incarnation) {
 			c.rejoinWorker(h)
 		}

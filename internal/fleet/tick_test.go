@@ -204,3 +204,43 @@ func BenchmarkCoordinatorTick(b *testing.B) {
 		c.Tick(next(), 100)
 	}
 }
+
+// TestWorkerRefusesMisalignedTick: a worker serves a ReqTick's last event
+// through its controller's fused Tick, so a suffix that does not end at
+// the queried (node, time) is refused in Response.Err with nothing
+// applied, never answered by guessing. An aligned
+// tick answers exactly what ObserveEvent and Recommend on a twin
+// controller answer.
+func TestWorkerRefusesMisalignedTick(t *testing.T) {
+	w := NewWorker(0, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(1, time.Hour)))
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	e1 := uerl.Event{Time: base, Node: 3, DIMM: 1, Type: uerl.CorrectedError, Count: 2, Rank: 0, Bank: 1, Row: 5, Col: 2}
+	e2 := e1
+	e2.Time = base.Add(time.Minute)
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"empty suffix", Request{Kind: ReqTick, Node: 3, At: base}},
+		{"other node", Request{Kind: ReqTick, Node: 4, At: e2.Time, Events: []uerl.Event{e1, e2}}},
+		{"earlier time", Request{Kind: ReqTick, Node: 3, At: e1.Time, Events: []uerl.Event{e1, e2}}},
+	} {
+		var resp Response
+		w.handle(&tc.req, &resp)
+		if resp.Err != errTickSuffix {
+			t.Fatalf("%s: Err = %q, want %q", tc.name, resp.Err, errTickSuffix)
+		}
+		if n := w.ctl.NodeCount(); n != 0 {
+			t.Fatalf("%s: refused tick applied events (%d nodes tracked)", tc.name, n)
+		}
+	}
+	req := Request{Kind: ReqTick, Node: 3, At: e2.Time, Cost: 100, Events: []uerl.Event{e1, e2}}
+	var resp Response
+	w.handle(&req, &resp)
+	twin := uerl.NewController(uerl.AlwaysPolicy())
+	twin.ObserveEvent(e1)
+	twin.ObserveEvent(e2)
+	if want := twin.Recommend(3, e2.Time, 100); resp.Err != "" || resp.Decision != want {
+		t.Fatalf("aligned tick answered %+v (err %q), want %+v", resp.Decision, resp.Err, want)
+	}
+}

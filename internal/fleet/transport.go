@@ -50,10 +50,13 @@ const (
 	// Request.Node at Request.At with potential cost Request.Cost in
 	// Response.Decision, and feeds that decision to its guard. It is
 	// ReqReplay (or ReqObserve), ReqRecommend and ReqObserveDecision in
-	// one round trip. Request.Incarnation is the incarnation the
-	// coordinator last saw the worker answer from; a worker that has
-	// since restarted applies nothing and refuses the tick in
-	// Response.Err, because the suffix extends state it no longer has.
+	// one round trip; the suffix's last event must be the tick's own, at
+	// (Node, At), which the worker serves through its controller's fused
+	// Tick. Request.Incarnation is the incarnation the coordinator last
+	// saw the worker answer from; a worker that has since restarted
+	// applies nothing and refuses the tick in Response.Err, because the
+	// suffix extends state it no longer has. A suffix ending anywhere
+	// else is refused the same way.
 	ReqTick
 )
 

@@ -101,11 +101,15 @@ func (w *Worker) handle(req *Request, resp *Response) {
 			resp.Err = errStaleTick
 			return
 		}
-		w.apply(req.Events)
-		resp.Decision = w.ctl.Recommend(req.Node, req.At, req.Cost)
-		if w.guard != nil {
-			w.guard.ObserveDecision(resp.Decision)
+		n := len(req.Events)
+		if n == 0 || req.Events[n-1].Node != req.Node || !req.Events[n-1].Time.Equal(req.At) {
+			resp.Err = errTickSuffix
+			return
 		}
+		// The suffix's last event is the tick's own: the controller's
+		// fused Tick ingests it, answers the query and charges the guard.
+		w.apply(req.Events[:n-1])
+		resp.Decision = w.ctl.Tick(req.Events[n-1], req.Cost)
 	case ReqForget:
 		w.ctl.Forget(req.Node)
 	case ReqRecommend:
@@ -158,6 +162,10 @@ func (w *Worker) handle(req *Request, resp *Response) {
 
 // errStaleTick refuses a ReqTick addressed to an earlier incarnation.
 const errStaleTick = "tick: worker restarted since the coordinator last saw it"
+
+// errTickSuffix refuses a ReqTick whose suffix does not end with the
+// event at (Node, At) the query is about.
+const errTickSuffix = "tick: event suffix does not end at the queried node and time"
 
 // apply ingests events into the worker's controller, oldest first.
 func (w *Worker) apply(events []uerl.Event) {

@@ -37,7 +37,7 @@ func (r *Ring[T]) Push(v T) (evicted T, wasDropped bool) {
 		r.size--
 		r.dropped++
 	}
-	r.buf[(r.head+r.size)%len(r.buf)] = v
+	r.buf[r.slot(r.size)] = v
 	r.size++
 	r.pushed++
 	return evicted, wasDropped
@@ -49,23 +49,19 @@ func (r *Ring[T]) At(i int) T {
 	if i < 0 || i >= r.size {
 		panic(fmt.Sprintf("lifecycle: ring index %d out of range [0,%d)", i, r.size))
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[r.slot(i)]
 }
 
-// Do invokes f over the retained elements, oldest to newest. f must not
-// mutate the ring.
-func (r *Ring[T]) Do(f func(T)) {
-	for i := 0; i < r.size; i++ {
-		f(r.buf[(r.head+i)%len(r.buf)])
-	}
-}
+// slot returns the buffer index of the i-th oldest retained element, so a
+// caller can keep per-element data in storage parallel to the ring.
+func (r *Ring[T]) slot(i int) int { return (r.head + i) % len(r.buf) }
 
 // Reset drops all retained elements (the pushed/dropped counters keep
 // their lifetime totals; reset elements do not count as dropped).
 func (r *Ring[T]) Reset() {
 	var zero T
 	for i := 0; i < r.size; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = zero
+		r.buf[r.slot(i)] = zero
 	}
 	r.head, r.size = 0, 0
 }

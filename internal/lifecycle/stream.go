@@ -20,32 +20,40 @@ import (
 // drops the oldest buffered transition (live experience is perishable:
 // the newest transitions reflect the distribution being learned), and the
 // drop is counted so operators can size the buffer against their retrain
-// cadence. Stream is safe for concurrent use: it is a mutex around the
-// shared Ring core.
+// cadence. Push copies each transition into slot-owned, pointer-free
+// storage (rl.Slots), so callers may reuse their state buffers. Stream is
+// safe for concurrent use: it is a mutex around the shared Ring core,
+// which keeps the FIFO order and the counters while the slots hold the
+// transitions.
 type Stream struct {
-	mu   sync.Mutex
-	ring *Ring[rl.Transition]
+	mu    sync.Mutex
+	ring  *Ring[struct{}]
+	slots rl.Slots
 }
 
 // NewStream creates a stream holding at most capacity transitions.
 func NewStream(capacity int) *Stream {
-	return &Stream{ring: NewRing[rl.Transition](capacity)}
+	return &Stream{ring: NewRing[struct{}](capacity), slots: rl.NewSlots(capacity)}
 }
 
 // Push appends a transition, evicting the oldest when full.
 func (s *Stream) Push(tr rl.Transition) {
 	s.mu.Lock()
-	s.ring.Push(tr)
+	s.ring.Push(struct{}{})
+	s.slots.Put(s.ring.slot(s.ring.Len()-1), tr)
 	s.mu.Unlock()
 }
 
 // Drain removes all buffered transitions in FIFO order, invoking f for
-// each. The callback must not call back into the stream.
+// each. The transition's state slices alias stream storage and are valid
+// only during the call; the callback must not call back into the stream.
 func (s *Stream) Drain(f func(rl.Transition)) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.ring.Len()
-	s.ring.Do(f)
+	for i := 0; i < n; i++ {
+		f(s.slots.At(s.ring.slot(i)))
+	}
 	s.ring.Reset()
 	return n
 }

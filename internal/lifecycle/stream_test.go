@@ -104,3 +104,37 @@ func TestStreamConcurrentOverflowCounters(t *testing.T) {
 		t.Fatalf("drained %d distinct transitions, want %d", len(seen), cap)
 	}
 }
+
+// A caller reusing one state buffer for every Push must not change what
+// Drain returns, and each transition's bits must survive the ring
+// wrapping over evicted slots, across drains.
+func TestStreamDrainOwnsStatesAcrossWraparound(t *testing.T) {
+	const cap = 4
+	s := NewStream(cap)
+	var state, next [3]float64
+	k := 0
+	for _, pushes := range []int{cap*2 + 1, 3, cap*3 + 2} {
+		for i := 0; i < pushes; i++ {
+			state = [3]float64{float64(k), 0.25 * float64(k), -float64(k)}
+			next = [3]float64{float64(k) + 1, 1 / float64(k+1), 7}
+			s.Push(rl.Transition{S: state[:], A: k, R: float64(k) / 2, NextS: next[:], Done: k%2 == 1})
+			state, next = [3]float64{-1, -1, -1}, [3]float64{-1, -1, -1}
+			k++
+		}
+		first := k - min(pushes, cap)
+		i := 0
+		s.Drain(func(tr rl.Transition) {
+			want := first + i
+			i++
+			wantS := [3]float64{float64(want), 0.25 * float64(want), -float64(want)}
+			wantNext := [3]float64{float64(want) + 1, 1 / float64(want+1), 7}
+			if tr.A != want || tr.R != float64(want)/2 || tr.Done != (want%2 == 1) ||
+				[3]float64(tr.S) != wantS || [3]float64(tr.NextS) != wantNext {
+				t.Fatalf("drained %+v, want transition %d with S %v NextS %v", tr, want, wantS, wantNext)
+			}
+		})
+		if i != min(pushes, cap) {
+			t.Fatalf("drained %d transitions, want %d", i, min(pushes, cap))
+		}
+	}
+}

@@ -35,8 +35,7 @@ type PERConfig struct {
 type PrioritizedReplay struct {
 	cfg     PERConfig
 	tree    *sumTree
-	buf     []Transition
-	store   stateStore
+	slots   Slots
 	next    int
 	size    int
 	maxPrio float64
@@ -60,7 +59,7 @@ func NewPrioritizedReplay(cfg PERConfig) *PrioritizedReplay {
 	return &PrioritizedReplay{
 		cfg:     cfg,
 		tree:    newSumTree(cfg.Capacity),
-		buf:     make([]Transition, cfg.Capacity),
+		slots:   NewSlots(cfg.Capacity),
 		maxPrio: 1,
 	}
 }
@@ -71,8 +70,7 @@ func NewPrioritizedReplay(cfg PERConfig) *PrioritizedReplay {
 //
 //uerl:hotpath
 func (p *PrioritizedReplay) Add(tr Transition) {
-	p.store.intern(p.next, &tr, p.cfg.Capacity)
-	p.buf[p.next] = tr
+	p.slots.Put(p.next, tr)
 	p.tree.set(p.next, p.maxPrio)
 	p.next = (p.next + 1) % p.cfg.Capacity
 	if p.size < p.cfg.Capacity {
@@ -123,7 +121,7 @@ func (p *PrioritizedReplay) SampleInto(rng *mathx.RNG, trs []Transition, handles
 		// Degenerate: all priorities zero; fall back to uniform.
 		for i := range trs {
 			h := rng.Intn(p.size)
-			trs[i], handles[i], ws[i] = p.buf[h], h, 1
+			trs[i], handles[i], ws[i] = p.slots.At(h), h, 1
 		}
 		return n
 	}
@@ -147,7 +145,7 @@ func (p *PrioritizedReplay) SampleInto(rng *mathx.RNG, trs []Transition, handles
 			prob = 1e-12
 		}
 		w := mathx.FastPow(float64(p.size)*prob, -beta)
-		trs[i], handles[i], ws[i] = p.buf[h], h, w
+		trs[i], handles[i], ws[i] = p.slots.At(h), h, w
 		if w > maxW {
 			maxW = w
 		}

@@ -46,45 +46,95 @@ type Replay interface {
 	UpdatePriorities(handles []int, priorities []float64)
 }
 
-// stateStore interns transition state vectors into flat, slot-owned backing
-// arrays so stored transitions never alias caller buffers. Environments are
-// then free to reuse ping-pong state buffers across steps (the vectorized
-// trainer's envs do), and Add allocates nothing in steady state. The state
-// dimension is learned from the first Add; vectors of any other length are
-// stored by reference as before.
-type stateStore struct {
+// Slots is pointer-free, slot-owned transition storage, the one shape
+// every experience buffer keeps: a slot's action, reward and done flag sit
+// in a flat metadata array, and its state vectors are copied into flat
+// backing arrays, so a stored transition never aliases caller buffers and
+// the collector scans no per-slot pointers. Environments are then free to
+// reuse ping-pong state buffers across steps (the vectorized trainer's
+// envs do), and Put allocates nothing in steady state. The state dimension
+// is learned from the first transition with a non-empty S; vectors of any
+// other length are kept by reference in a side table made on first use.
+// Slots does no locking.
+type Slots struct {
+	meta    []slotMeta
 	s, next []float64
 	dim     int
+	// odd holds, per slot, the states whose length is not dim; nil until
+	// such a state is stored.
+	odd []oddStates
 }
 
-func (st *stateStore) intern(slot int, tr *Transition, capacity int) {
-	if st.dim == 0 {
-		if len(tr.S) == 0 {
-			return
-		}
+// slotMeta is one slot's pointer-free transition record; flatS and
+// flatNext report which of its states live in the flat arrays.
+type slotMeta struct {
+	r                     float64
+	a                     int
+	done, flatS, flatNext bool
+}
+
+// oddStates holds a slot's by-reference states.
+type oddStates struct{ s, next []float64 }
+
+// NewSlots creates storage for capacity transitions.
+func NewSlots(capacity int) Slots {
+	return Slots{meta: make([]slotMeta, capacity)}
+}
+
+// Cap reports the number of slots.
+func (st *Slots) Cap() int { return len(st.meta) }
+
+// Put stores tr in slot, copying its states into slot-owned memory.
+func (st *Slots) Put(slot int, tr Transition) {
+	if st.dim == 0 && len(tr.S) > 0 {
 		st.dim = len(tr.S)
-		st.s = make([]float64, capacity*st.dim)
-		st.next = make([]float64, capacity*st.dim)
+		st.s = make([]float64, len(st.meta)*st.dim)
+		st.next = make([]float64, len(st.meta)*st.dim)
 	}
-	d := st.dim
-	if len(tr.S) == d {
-		dst := st.s[slot*d : (slot+1)*d]
-		copy(dst, tr.S)
-		tr.S = dst
+	m := slotMeta{r: tr.R, a: tr.A, done: tr.Done}
+	var odd oddStates
+	if m.flatS = st.dim > 0 && len(tr.S) == st.dim; m.flatS {
+		copy(st.s[slot*st.dim:], tr.S)
+	} else {
+		odd.s = tr.S
 	}
-	if len(tr.NextS) == d {
-		dst := st.next[slot*d : (slot+1)*d]
-		copy(dst, tr.NextS)
-		tr.NextS = dst
+	if m.flatNext = st.dim > 0 && len(tr.NextS) == st.dim; m.flatNext {
+		copy(st.next[slot*st.dim:], tr.NextS)
+	} else {
+		odd.next = tr.NextS
 	}
+	if st.odd == nil && (odd.s != nil || odd.next != nil) {
+		st.odd = make([]oddStates, len(st.meta))
+	}
+	if st.odd != nil {
+		st.odd[slot] = odd
+	}
+	st.meta[slot] = m
+}
+
+// At returns the transition in slot. Its state slices alias the slot's
+// storage: they stay valid until the slot is next Put.
+func (st *Slots) At(slot int) Transition {
+	m := st.meta[slot]
+	tr := Transition{A: m.a, R: m.r, Done: m.done}
+	if st.odd != nil {
+		tr.S, tr.NextS = st.odd[slot].s, st.odd[slot].next
+	}
+	lo, hi := slot*st.dim, (slot+1)*st.dim
+	if m.flatS {
+		tr.S = st.s[lo:hi:hi]
+	}
+	if m.flatNext {
+		tr.NextS = st.next[lo:hi:hi]
+	}
+	return tr
 }
 
 // UniformReplay is a fixed-capacity ring buffer with uniform sampling.
-// Stored transitions own their state memory (see stateStore), so callers
-// may reuse the slices they pass to Add.
+// Stored transitions own their state memory (see Slots), so callers may
+// reuse the slices they pass to Add.
 type UniformReplay struct {
-	buf   []Transition
-	store stateStore
+	slots Slots
 	next  int
 	full  bool
 }
@@ -94,7 +144,7 @@ func NewUniformReplay(capacity int) *UniformReplay {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("rl: replay capacity must be positive, got %d", capacity))
 	}
-	return &UniformReplay{buf: make([]Transition, capacity)}
+	return &UniformReplay{slots: NewSlots(capacity)}
 }
 
 // Add implements Replay. The transition's state vectors are copied into
@@ -102,10 +152,9 @@ func NewUniformReplay(capacity int) *UniformReplay {
 //
 //uerl:hotpath
 func (u *UniformReplay) Add(tr Transition) {
-	u.store.intern(u.next, &tr, len(u.buf))
-	u.buf[u.next] = tr
+	u.slots.Put(u.next, tr)
 	u.next++
-	if u.next == len(u.buf) {
+	if u.next == u.slots.Cap() {
 		u.next = 0
 		u.full = true
 	}
@@ -114,7 +163,7 @@ func (u *UniformReplay) Add(tr Transition) {
 // Len implements Replay.
 func (u *UniformReplay) Len() int {
 	if u.full {
-		return len(u.buf)
+		return u.slots.Cap()
 	}
 	return u.next
 }
@@ -140,7 +189,7 @@ func (u *UniformReplay) SampleInto(rng *mathx.RNG, trs []Transition, handles []i
 	}
 	for i := range trs {
 		idx := rng.Intn(size)
-		trs[i] = u.buf[idx]
+		trs[i] = u.slots.At(idx)
 		handles[i] = idx
 		ws[i] = 1
 	}

@@ -207,3 +207,68 @@ func TestAddZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleIntoOwnsStatesAcrossWraparound: a caller reusing one state
+// buffer for every Add must not change what SampleInto returns, and each
+// slot's bits must survive the ring overwriting its neighbours.
+func TestSampleIntoOwnsStatesAcrossWraparound(t *testing.T) {
+	const capacity, adds = 4, 11
+	want := func(k float64) (s, next [3]float64) {
+		return [3]float64{k, k + 0.5, -k}, [3]float64{k + 100, k / 3, math.Pi * k}
+	}
+	for name, r := range map[string]Replay{
+		"uniform": NewUniformReplay(capacity),
+		"per":     NewPrioritizedReplay(PERConfig{Capacity: capacity}),
+	} {
+		var s, next [3]float64
+		for k := 0; k < adds; k++ {
+			s, next = want(float64(k))
+			r.Add(Transition{S: s[:], A: k % 2, R: float64(k), NextS: next[:], Done: k%3 == 0})
+			s, next = [3]float64{-1, -1, -1}, [3]float64{-1, -1, -1}
+		}
+		trs := make([]Transition, 8)
+		handles, ws := make([]int, 8), make([]float64, 8)
+		rng := mathx.NewRNG(7)
+		for round := 0; round < 50; round++ {
+			if n := r.SampleInto(rng, trs, handles, ws); n != len(trs) {
+				t.Fatalf("%s: SampleInto wrote %d, want %d", name, n, len(trs))
+			}
+			for _, got := range trs {
+				k := int(got.R)
+				if k < adds-capacity || got.A != k%2 || got.Done != (k%3 == 0) {
+					t.Fatalf("%s: sampled stale or torn transition %+v", name, got)
+				}
+				wantS, wantNext := want(got.R)
+				if [3]float64(got.S) != wantS || [3]float64(got.NextS) != wantNext {
+					t.Fatalf("%s: transition %d states = %v / %v, want %v / %v", name, k, got.S, got.NextS, wantS, wantNext)
+				}
+			}
+		}
+	}
+}
+
+// TestSlotsOddLengthByReference: states whose length differs from the
+// learned dimension are kept by reference, nil states stay nil, and a
+// slot re-Put with regular states drops its by-reference ones.
+func TestSlotsOddLengthByReference(t *testing.T) {
+	st := NewSlots(2)
+	st.Put(1, Transition{R: 1}) // before the dimension is known
+	st.Put(0, Transition{S: []float64{1, 2, 3}, NextS: []float64{4, 5, 6}})
+	if got := st.At(1); got.S != nil || got.NextS != nil || got.R != 1 {
+		t.Fatalf("nil-state slot stored before the dimension = %+v, want nil states", got)
+	}
+	odd := []float64{7, 8}
+	st.Put(1, Transition{S: odd, A: 1, Done: true})
+	got := st.At(1)
+	if len(got.S) != 2 || &got.S[0] != &odd[0] || got.NextS != nil || got.A != 1 || !got.Done {
+		t.Fatalf("odd-length slot = %+v, want S by reference and nil NextS", got)
+	}
+	st.Put(1, Transition{S: []float64{9, 9, 9}, NextS: []float64{0, 0, 0}, R: 2})
+	if got := st.At(1); [3]float64(got.S) != [3]float64{9, 9, 9} || [3]float64(got.NextS) != [3]float64{} || got.R != 2 {
+		t.Fatalf("re-Put slot = %+v", got)
+	}
+	st.Put(0, Transition{R: 3})
+	if got := st.At(0); got.S != nil || got.NextS != nil || got.R != 3 {
+		t.Fatalf("nil-state slot = %+v, want nil states", got)
+	}
+}

@@ -154,7 +154,7 @@ type LearnerStats struct {
 // in between have been folded into the reward (the streaming analogue of
 // the training environment's Step).
 type pendingStep struct {
-	state  []float64 // normalized features at the decision
+	state  [FeatureDim]float64 // normalized features at the decision
 	action int
 	reward float64 // scaled, accumulates realized UE costs
 }
@@ -188,20 +188,24 @@ type pendingStep struct {
 type OnlineLearner struct {
 	mu      sync.Mutex
 	serving Serving
-	// acct receives the served-decision stream for budget accounting: the
-	// attached Guard in single-process mode, the serving layer itself when
-	// it does its own routing (the fleet Coordinator forwards to
-	// per-worker guards), nil otherwise.
-	acct decisionAccountant
 	// tick serves one decision tick: the serving layer's fused Tick when
-	// it has one, else threeCallTick.
+	// it has one (a *Controller charges its attached guard there, the
+	// fleet Coordinator its workers' guards), else threeCallTick.
 	tick func(e Event, potentialCostNodeHours float64) Decision
+	// acct receives threeCallTick's served-decision stream for budget
+	// accounting: the serving layer itself when it implements
+	// ObserveDecision, nil otherwise.
+	acct decisionAccountant
 	cfg  learnerConfig
 
 	trainer *lifecycle.OnlineTrainer
 	drift   *lifecycle.DriftDetector
-	pending map[int]*pendingStep
-	log     *auditLog
+	pending map[int]pendingStep
+	// states is the scratch a completed transition's two states are
+	// staged in for Ingest (which copies them), so building one
+	// allocates nothing.
+	states [2][FeatureDim]float64
+	log    *auditLog
 
 	// candidate is the staged shadow candidate and shadow its duel against
 	// the serving incumbent; both are nil outside a candidate window.
@@ -291,20 +295,17 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 			// would trip a mean-shift test without any real drift.
 			Dims: lifecycle.StationaryDriftDims,
 		}),
-		pending:  map[int]*pendingStep{},
+		pending:  map[int]pendingStep{},
 		log:      log,
 		retained: map[string]Policy{},
 		parentOf: map[string]string{},
 	}
-	if cfg.guard != nil {
-		l.acct = cfg.guard
-	} else if acc, ok := s.(decisionAccountant); ok {
-		l.acct = acc
-	}
-	l.tick = l.threeCallTick
 	if t, ok := s.(Ticker); ok {
 		// The fused step accounts the decision itself.
 		l.tick = t.Tick
+	} else {
+		l.tick = l.threeCallTick
+		l.acct, _ = s.(decisionAccountant)
 	}
 	return l
 }
@@ -360,10 +361,11 @@ func (l *OnlineLearner) processUE(e Event) {
 	realized := l.cfg.cost(e.Node, e.Time)
 	l.serving.ObserveEvent(e)
 	l.ues++
-	if p := l.pending[e.Node]; p != nil {
+	if p, ok := l.pending[e.Node]; ok {
 		// Eq. 4: the UE cost lands on the reward of the preceding
 		// decision, exactly as in the offline training environment.
 		p.reward -= realized * l.cfg.rewardScale
+		l.pending[e.Node] = p
 	}
 	if l.cfg.ueObserver != nil {
 		l.cfg.ueObserver(e.Node, e.Time, realized)
@@ -413,22 +415,23 @@ func (l *OnlineLearner) processDecision(e Event) {
 		return
 	}
 
-	norm := features.Vector(d.Features).Normalized()
-	action := 0
-	initReward := 0.0
+	prev, norm := &l.states[0], &l.states[1]
+	features.Vector(d.Features).NormalizedInto(norm[:])
+	next := pendingStep{state: *norm}
 	if d.Mitigate() {
-		action = 1
-		initReward = -(l.cfg.mitigationCostNodeMinutes / 60) * l.cfg.rewardScale
+		next.action = 1
+		next.reward = -(l.cfg.mitigationCostNodeMinutes / 60) * l.cfg.rewardScale
 	}
-	if p := l.pending[e.Node]; p != nil {
-		l.trainer.Ingest(rl.Transition{S: p.state, A: p.action, R: p.reward, NextS: norm})
+	if p, ok := l.pending[e.Node]; ok {
+		*prev = p.state
+		l.trainer.Ingest(rl.Transition{S: prev[:], A: p.action, R: p.reward, NextS: norm[:]})
 		l.sinceRetrain++
 	}
-	l.pending[e.Node] = &pendingStep{state: norm, action: action, reward: initReward}
+	l.pending[e.Node] = next
 
 	// Drift watches the distribution of observed telemetry, not the
-	// poll-time snapshot: Recommend reads features through Peek, which
-	// reports zero CEs-since-last-event (no current-tick events), so the
+	// poll-time snapshot: the served features read like Recommend's Peek,
+	// with zero CEs-since-last-event (no current-tick events), so the
 	// per-tick CE rate — the strongest drift signal — is patched back in
 	// from the event itself.
 	dv := features.Vector(d.Features)

@@ -188,18 +188,24 @@ func TestLifecycleQuietStreamNoChurn(t *testing.T) {
 }
 
 // countingServing is a Controller-backed serving layer and decision
-// accountant that counts the calls the learner makes into it.
+// accountant that counts the calls the learner makes into it. The
+// controller is a named field, not embedded, so its own fused Tick is not
+// promoted: the layer has no Ticker step of its own.
 type countingServing struct {
-	*Controller
+	ctl                                  *Controller
 	observe, recommend, accounted, ticks int
 }
 
-func (s *countingServing) ObserveEvent(e Event) { s.observe++; s.Controller.ObserveEvent(e) }
+func (s *countingServing) ObserveEvent(e Event) { s.observe++; s.ctl.ObserveEvent(e) }
 
 func (s *countingServing) Recommend(node int, at time.Time, cost float64) Decision {
 	s.recommend++
-	return s.Controller.Recommend(node, at, cost)
+	return s.ctl.Recommend(node, at, cost)
 }
+
+func (s *countingServing) Policy() Policy { return s.ctl.Policy() }
+
+func (s *countingServing) DeployPolicy(p Policy) (Policy, error) { return s.ctl.DeployPolicy(p) }
 
 func (s *countingServing) ObserveDecision(Decision) { s.accounted++ }
 
@@ -208,8 +214,7 @@ type tickingServing struct{ countingServing }
 
 func (s *tickingServing) Tick(e Event, cost float64) Decision {
 	s.ticks++
-	s.Controller.ObserveEvent(e)
-	return s.Controller.Recommend(e.Node, e.Time, cost)
+	return s.ctl.Tick(e, cost)
 }
 
 // TestLearnerResolvesFusedTick checks the learner serves a decision tick
@@ -218,8 +223,8 @@ func (s *tickingServing) Tick(e Event, cost float64) Decision {
 // calls on a layer without one.
 func TestLearnerResolvesFusedTick(t *testing.T) {
 	evs := driftingTelemetry(4, 20, 0)
-	split := &countingServing{Controller: NewController(AlwaysPolicy())}
-	fused := &tickingServing{countingServing{Controller: NewController(AlwaysPolicy())}}
+	split := &countingServing{ctl: NewController(AlwaysPolicy())}
+	fused := &tickingServing{countingServing{ctl: NewController(AlwaysPolicy())}}
 	for _, s := range []Serving{split, fused} {
 		NewServingLearner(s, WithLearnerSeed(1)).ProcessBatch(evs)
 	}

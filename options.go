@@ -188,8 +188,8 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 	}
 }
 
-// WithGuard attaches a Guard to the learner: the learner routes every
-// served decision through it for budget accounting, submits every
+// WithGuard attaches a Guard to the learner: the controller's fused Tick
+// charges it with every served decision, the learner submits every
 // shadow-winning candidate to its promotion budget and then its approval
 // hook, runs the rollout stage under its probation settings (probation
 // scoring and lineage rollback through Serving.DeployPolicy, owned by

@@ -38,11 +38,13 @@ type Serving interface {
 // answers a mitigation query for e.Node at e.Time, and accounts the
 // served decision with the guard that enforced it — ObserveEvent,
 // Recommend and the decision accountant's ObserveDecision in one call,
-// with the same results. The OnlineLearner resolves it once, when it is
-// built: a layer that implements it (the fleet Coordinator, which then
-// needs one transport round trip per tick) has each decision tick served
-// through Tick, any other layer through the three calls. Recommend stays
-// the separate, side-effect-free read for pollers.
+// with the same results. Both shipped layers implement it: a *Controller
+// serves the tick in one hold of the node's shard lock and charges its
+// attached guard, and the fleet Coordinator needs one transport round
+// trip per tick. The OnlineLearner resolves it once, when it is built: a
+// layer that implements it has each decision tick served through Tick,
+// any other layer through the three calls. Recommend stays the separate,
+// side-effect-free read for pollers.
 type Ticker interface {
 	Tick(e Event, potentialCostNodeHours float64) Decision
 }
