@@ -115,12 +115,15 @@ func (st *Slots) Put(slot int, tr Transition) {
 // At returns the transition in slot. Its state slices alias the slot's
 // storage: they stay valid until the slot is next Put.
 func (st *Slots) At(slot int) Transition {
-	m := st.meta[slot]
+	m := &st.meta[slot]
+	lo, hi := slot*st.dim, (slot+1)*st.dim
+	if m.flatS && m.flatNext {
+		return Transition{S: st.s[lo:hi:hi], A: m.a, R: m.r, NextS: st.next[lo:hi:hi], Done: m.done}
+	}
 	tr := Transition{A: m.a, R: m.r, Done: m.done}
 	if st.odd != nil {
 		tr.S, tr.NextS = st.odd[slot].s, st.odd[slot].next
 	}
-	lo, hi := slot*st.dim, (slot+1)*st.dim
 	if m.flatS {
 		tr.S = st.s[lo:hi:hi]
 	}
