@@ -10,7 +10,10 @@ package uerl
 
 import (
 	"context"
+	"flag"
 	"io"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -463,6 +466,67 @@ func BenchmarkControllerTick(b *testing.B) {
 		ctl.Tick(*e, float64(i&8191))
 		// Keep per-node timestamps advancing across laps of the stream.
 		e.Time = e.Time.Add(span)
+	}
+}
+
+// BenchmarkLearnerProcess measures a guarded learner's decision tick —
+// the lifecycle-drift workload's per-event path — in steady state. A fixed
+// drifting slice (the CE rate steps up mid-slice, realized UEs land in the
+// degraded phase) replays through OnlineLearner.Process over an RL-serving
+// controller with the learner's 32-16 net, its timestamps advancing lap by
+// lap. The drift threshold is out of reach, so no lifecycle event lands in
+// the timed laps. An op is one lap; ns/event is the tick cost, and any
+// allocation in the timed laps fails the benchmark.
+func BenchmarkLearnerProcess(b *testing.B) {
+	// One P, as testing.AllocsPerRun runs: the Q-network's scratch pool
+	// is per-P, so a goroutine moving to a P whose cache is still empty
+	// would count a warm-up allocation against the steady state.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{32, 16}, Outputs: 2, Dueling: true, Seed: 1})
+	p, err := newRLPolicy(net, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctl := NewController(p, WithShards(8))
+	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour))
+	l := NewOnlineLearner(ctl, WithGuard(g), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)),
+		WithDriftDetection(math.MaxFloat64, 512), WithExperienceCapacity(2048))
+	evs := driftingTelemetry(64, 512, 512)
+	span := evs[len(evs)-1].Time.Sub(evs[0].Time) + 30*time.Second
+	lap := func() {
+		l.ProcessBatch(evs)
+		for i := range evs {
+			evs[i].Time = evs[i].Time.Add(span)
+		}
+	}
+	// Warm up: grow the trackers, the pending map and the experience
+	// stream to the slice's working shape.
+	for i := 0; i < 4; i++ {
+		lap()
+	}
+	// Settle the setup's garbage, then refill the pool the collection
+	// emptied, so no collection or refill lands in the timed laps.
+	runtime.GC()
+	lap()
+	events := len(l.Events())
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	// After ResetTimer, which allocates the benchmark's metric map.
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		lap()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	if got := len(l.Events()); got != events {
+		b.Fatalf("the timed laps recorded %d lifecycle events, want none", got-events)
+	}
+	// Race instrumentation and the CPU profiler's writer goroutine
+	// allocate on their own; without them every allocation is the tick's.
+	if n := after.Mallocs - before.Mallocs; n != 0 && !raceEnabled && flag.Lookup("test.cpuprofile").Value.String() == "" {
+		b.Fatalf("OnlineLearner.Process allocated %d times over %d laps, want 0", n, b.N)
 	}
 }
 

@@ -214,7 +214,7 @@ func (sh *ctlShard) observe(e Event, cost float64) features.Vector {
 // through it.
 //
 //uerl:hotpath
-func (c *Controller) Tick(e Event, potentialCostNodeHours float64) Decision {
+func (c *Controller) Tick(e Event, potentialCostNodeHours float64) (d Decision) {
 	sh := c.shards[c.shardIndex(e.Node)]
 	sh.mu.Lock()
 	v := sh.observe(e, potentialCostNodeHours)
@@ -223,10 +223,10 @@ func (c *Controller) Tick(e Event, potentialCostNodeHours float64) Decision {
 	if v[features.HoursSinceBoot] < 0 {
 		v[features.HoursSinceBoot] = 0
 	}
-	d := c.decide(e.Node, e.Time, v)
+	c.decide(&d, e.Node, e.Time, &v)
 	if g := c.guard.Load(); g != nil {
 		// Budget accounting runs off the served decision stream.
-		g.ObserveDecision(d)
+		g.observeDecision(&d)
 	}
 	return d
 }
@@ -307,19 +307,22 @@ func (c *Controller) peek(node int, at time.Time, cost float64) features.Vector 
 // event — a lagging poller clock inflates the Eq. 2 variation features.
 //
 //uerl:hotpath
-func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours float64) Decision {
-	return c.decide(node, at, c.peek(node, at, potentialCostNodeHours))
+func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours float64) (d Decision) {
+	v := c.peek(node, at, potentialCostNodeHours)
+	c.decide(&d, node, at, &v)
+	return d
 }
 
-// decide serves the policy's decision on feature vector v for node at
-// time at: the shared tail of Recommend and Tick.
+// decide fills d with the policy's decision on feature vector v for node
+// at time at: the shared tail of Recommend and Tick, which pass their
+// result slot so the Decision is filled where it is returned.
 //
 //uerl:hotpath
-func (c *Controller) decide(node int, at time.Time, v features.Vector) Decision {
+func (c *Controller) decide(d *Decision, node int, at time.Time, v *features.Vector) {
 	// Load the policy once (through the accessor): a concurrent
 	// SwapPolicy must not mix two models' outputs within one decision.
 	policy := c.Policy()
-	d := policy.Decide(Snapshot{Node: node, Time: at, Features: v})
+	*d = policy.Decide(Snapshot{Node: node, Time: at, Features: *v})
 	// Normalize bookkeeping so custom policies can leave it to us. The
 	// snapshot and decision are plain values (inline feature arrays), so
 	// this whole query path performs zero heap allocations. Features is
@@ -327,7 +330,7 @@ func (c *Controller) decide(node int, at time.Time, v features.Vector) Decision 
 	// handed the policy, so audits see the true decision inputs even if a
 	// custom policy wrote something else there.
 	d.Node, d.Time = node, at
-	d.Features = v
+	d.Features = *v
 	if d.Policy == "" {
 		d.Policy = policy.Name()
 	}
@@ -347,7 +350,6 @@ func (c *Controller) decide(node int, at time.Time, v features.Vector) Decision 
 			d.VetoReason = reason
 		}
 	}
-	return d
 }
 
 // attachGuard installs g as the controller's mitigation gate. One guard

@@ -250,7 +250,11 @@ func (g *Guard) allowMitigation(node int, at time.Time) (bool, string) {
 // Controller.Tick calls it for every decision tick it serves, so an
 // OnlineLearner on the guarded controller charges it for every decision
 // it processes; standalone users call it themselves.
-func (g *Guard) ObserveDecision(d Decision) {
+func (g *Guard) ObserveDecision(d Decision) { g.observeDecision(&d) }
+
+// observeDecision is ObserveDecision on the caller's Decision, so
+// Controller.Tick charges the guard without copying it.
+func (g *Guard) observeDecision(d *Decision) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch {
@@ -276,7 +280,7 @@ func (g *Guard) ObserveUE(node int, at time.Time, realizedCostNodeHours float64)
 // crossing, deduped until the budget recovers. Caller holds g.mu.
 //
 //uerl:locked mu
-func (g *Guard) recordTripLocked(d Decision) {
+func (g *Guard) recordTripLocked(d *Decision) {
 	bc := g.budgets.Config()
 	switch d.VetoReason {
 	case guard.ReasonNodeBudget:
@@ -311,7 +315,7 @@ func (g *Guard) recordTripLocked(d Decision) {
 // trip. Caller holds g.mu.
 //
 //uerl:locked mu
-func (g *Guard) recordRecoveryLocked(d Decision) {
+func (g *Guard) recordRecoveryLocked(d *Decision) {
 	bc := g.budgets.Config()
 	if g.trippedNode[d.Node] {
 		delete(g.trippedNode, d.Node)

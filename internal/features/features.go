@@ -9,7 +9,6 @@ package features
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -149,9 +148,10 @@ func log1pCount(x float64) float64 {
 }
 
 // snapshot is a historical (time, CEsTotal, Boots) record used to compute
-// the Eq. 2 variation ratios.
+// the Eq. 2 variation ratios. t is the tick's offset from the tracker's
+// first tick (Tracker.offset), so history searches compare integers.
 type snapshot struct {
-	t     time.Time
+	t     int64
 	ces   float64
 	boots float64
 }
@@ -247,7 +247,9 @@ func (r *ringHist) popFront() {
 func (r *ringHist) reset() { r.head, r.size = 0, 0 }
 
 // Tracker maintains one node's feature state as ticks stream in. The zero
-// value is not usable; construct with NewTracker.
+// value is not usable; construct with NewTracker. Its history records each
+// tick by its offset from the first tick, so the Eq. 2 lookups and
+// compaction compare integers instead of time.Time values.
 type Tracker struct {
 	started bool
 	start   time.Time
@@ -332,10 +334,11 @@ func (tr *Tracker) Observe(tick errlog.Tick, ueCost float64) Vector {
 	// closest snapshots at or before t-Δt. Compaction is an O(1)-amortized
 	// head advance on the ring, so it runs on every tick and the history
 	// never exceeds the longest variation window.
-	tr.history.push(snapshot{t: tick.Time, ces: tr.cesTotal, boots: tr.boots})
-	tr.CompactHistory(tick.Time)
+	at := tr.offset(tick.Time)
+	tr.history.push(snapshot{t: at, ces: tr.cesTotal, boots: tr.boots})
+	tr.compact(cutoff(at, 2*time.Hour))
 
-	return tr.vectorAt(tick.Time, ceNow, ueCost)
+	return tr.vectorAt(tick.Time, at, ceNow, ueCost)
 }
 
 // Peek returns the feature vector the node would report at time now with
@@ -346,7 +349,7 @@ func (tr *Tracker) Observe(tick errlog.Tick, ueCost float64) Vector {
 //
 //uerl:hotpath
 func (tr *Tracker) Peek(now time.Time, ueCost float64) Vector {
-	v := tr.vectorAt(now, 0, ueCost)
+	v := tr.vectorAt(now, tr.offset(now), 0, ueCost)
 	if v[HoursSinceBoot] < 0 {
 		// A Peek earlier than the last boot (lagging poller clock) must
 		// not feed log1p a negative value downstream. Observe keeps the
@@ -356,10 +359,11 @@ func (tr *Tracker) Peek(now time.Time, ueCost float64) Vector {
 	return v
 }
 
-// vectorAt assembles the feature vector for time t from current counters.
+// vectorAt assembles the feature vector for time t, at offset at, from
+// current counters.
 //
 //uerl:hotpath
-func (tr *Tracker) vectorAt(t time.Time, ceNow, ueCost float64) Vector {
+func (tr *Tracker) vectorAt(t time.Time, at int64, ceNow, ueCost float64) Vector {
 	var v Vector
 	v[CEsSinceLastEvent] = ceNow
 	v[CEsTotal] = tr.cesTotal
@@ -373,34 +377,63 @@ func (tr *Tracker) vectorAt(t time.Time, ceNow, ueCost float64) Vector {
 	case tr.hasBoot:
 		v[HoursSinceBoot] = t.Sub(tr.lastBoot).Hours()
 	case tr.started:
-		v[HoursSinceBoot] = t.Sub(tr.start).Hours()
+		v[HoursSinceBoot] = time.Duration(at).Hours()
 	}
 	v[Boots] = tr.boots
-	v[CEVar1Min], v[BootVar1Min] = tr.variations(t, time.Minute)
-	v[CEVar1Hour], v[BootVar1Hour] = tr.variations(t, time.Hour)
+	v[CEVar1Min], v[BootVar1Min] = tr.variations(cutoff(at, time.Minute))
+	v[CEVar1Hour], v[BootVar1Hour] = tr.variations(cutoff(at, time.Hour))
 	v[UECost] = ueCost
 	return v
+}
+
+// offset is t's distance from the first tick in nanoseconds. time.Time.Sub
+// saturates instead of overflowing, so offsets order times as After and
+// Before do, the zero time and far-future times included: a saturated
+// cutoff lies beyond every recorded tick on its side. (Times that mix
+// monotonic and wall-only readings compare by wall clock in After but may
+// not here; telemetry timestamps carry no monotonic reading.)
+//
+//uerl:hotpath
+func (tr *Tracker) offset(t time.Time) int64 { return int64(t.Sub(tr.start)) }
+
+// cutoff is the offset dt (> 0) before offset at: offset(t.Add(-dt)) for
+// at = offset(t). It saturates at the minimum as Sub does; from a
+// saturated maximum it stays after every tick recorded within ~292 years
+// of the first, so searches answer as for the exact cutoff.
+//
+//uerl:hotpath
+func cutoff(at int64, dt time.Duration) int64 {
+	if at < math.MinInt64+int64(dt) {
+		return math.MinInt64
+	}
+	return at - int64(dt)
 }
 
 // variations implements Eq. 2 for both tracked counters over one window
 // Δt: value(now) / value(now-Δt) for CEsTotal and for Boots, each zero
 // when its denominator is zero. value(now-Δt) is the counter's value at
-// the latest snapshot at or before now-Δt (features only change at
-// events), so one search serves both ratios.
+// the latest snapshot at or before now-Δt, whose offset is cutoff
+// (features only change at events), so one search serves both ratios.
 //
 //uerl:hotpath
-func (tr *Tracker) variations(now time.Time, dt time.Duration) (ces, boots float64) {
-	cutoff := now.Add(-dt)
-	// sort.Search for the first snapshot with t > cutoff; its predecessor
-	// is the last snapshot at or before the cutoff.
-	//uerl:alloc-ok the predicate closure does not escape sort.Search, so it stays on the stack; Observe/Peek are alloc-asserted at 0 allocs/op
-	idx := sort.Search(tr.history.size, func(i int) bool {
-		return tr.history.at(i).t.After(cutoff)
-	}) - 1
-	if idx < 0 {
+func (tr *Tracker) variations(cutoff int64) (ces, boots float64) {
+	// Binary search for the first snapshot with t > cutoff; its
+	// predecessor is the last snapshot at or before the cutoff.
+	h := &tr.history
+	mask := len(h.buf) - 1
+	lo, hi := 0, h.size
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.buf[(h.head+mid)&mask].t > cutoff {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == 0 {
 		return 0, 0 // no history that far back: denominators are zero
 	}
-	then := tr.history.at(idx)
+	then := h.at(lo - 1)
 	if then.ces != 0 {
 		ces = tr.cesTotal / then.ces
 	}
@@ -415,8 +448,12 @@ func (tr *Tracker) variations(now time.Time, dt time.Duration) (ces, boots float
 // before the cutoff, so variation lookups are unaffected. On the ring
 // buffer this is just a head advance; Observe calls it on every tick.
 func (tr *Tracker) CompactHistory(now time.Time) {
-	cutoff := now.Add(-2 * time.Hour)
-	for tr.history.size > 1 && tr.history.at(1).t.Before(cutoff) {
+	tr.compact(cutoff(tr.offset(now), 2*time.Hour))
+}
+
+// compact is CompactHistory at the cutoff offset.
+func (tr *Tracker) compact(cutoff int64) {
+	for tr.history.size > 1 && tr.history.at(1).t < cutoff {
 		tr.history.popFront()
 	}
 }

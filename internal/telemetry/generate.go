@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/errlog"
@@ -30,7 +31,7 @@ func Generate(cfg Config) *errlog.Log {
 	nodeMfr := assignManufacturers(cfg, root.Fork())
 	dimms := buildDIMMs(cfg, nodeMfr, root.Fork())
 
-	log := &errlog.Log{}
+	log := &errlog.Log{Events: make([]errlog.Event, 0, eventCapacity(cfg, dimms))}
 	end := cfg.Start.Add(cfg.Duration)
 
 	genBoots(cfg, dimms, nodeMfr, root.Fork(), log)
@@ -41,6 +42,40 @@ func Generate(cfg Config) *errlog.Log {
 
 	log.Sort()
 	return log
+}
+
+// eventCapacity sizes the event log for the drawn DIMM population: the
+// expected boots, faulty-DIMM CE records (base rate from onset, storms
+// with their warnings), background CEs, UEs with their escalations and
+// bursts, and retirements, plus headroom for the draws' spread, so the
+// generators append without regrowing it. It reads the DIMM states only
+// and draws nothing, so the generated stream does not depend on it.
+func eventCapacity(cfg Config, dimms []*dimmState) int {
+	days := cfg.Duration.Hours() / 24
+	end := cfg.Start.Add(cfg.Duration)
+	boost := cfg.StormBoost
+	if boost <= 0 {
+		boost = 8
+	}
+	stormRate := cfg.CEEntriesPerDay*boost + cfg.WarningsPerStormDay
+	// Storm lengths are exponential, clamped below at half a day.
+	stormDays := 0.5 + cfg.StormDurationDays*math.Exp(-0.5/cfg.StormDurationDays)
+	n := float64(cfg.Nodes) * (1 + days/cfg.BootIntervalDays)
+	for _, d := range dimms {
+		if !d.faulty {
+			n += cfg.BackgroundCEPerDIMMYear * days / 365
+			continue
+		}
+		span := end.Sub(d.onset).Hours() / 24
+		n += span*cfg.CEEntriesPerDay + cfg.StormsPerFaultyDIMM*stormDays*stormRate +
+			span*max(cfg.FaultyNodeBootMultiplier-1, 0)/cfg.BootIntervalDays
+	}
+	n += float64(cfg.SignaledUEs)*(cfg.EscalationDays*stormRate+1+cfg.UEBurstMean) +
+		float64(cfg.SuddenUEs)*(1+cfg.UEBurstMean) + float64(cfg.RetiredDIMMs)
+	if !(n >= 0 && n < 1e8) {
+		return 0 // negative or absurd rates: no size hint, the log grows as needed
+	}
+	return int(1.1*n) + 256
 }
 
 // assignManufacturers deterministically assigns one manufacturer per node

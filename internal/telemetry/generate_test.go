@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/errlog"
+	"repro/internal/mathx"
 )
 
 // smallConfig returns a fast config for unit tests (~1/20 scale).
@@ -37,6 +38,27 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		if same {
 			t.Fatal("different seeds produced identical logs")
+		}
+	}
+}
+
+// TestGenerateSizesEventLogOnce: the event log is allocated once, at the
+// capacity eventCapacity estimates from the drawn DIMM population, and no
+// generator outgrows it — at unit-test scale and at the serving
+// benchmark's (240 nodes, four times the CE rate).
+func TestGenerateSizesEventLogOnce(t *testing.T) {
+	serving := Default()
+	serving.Nodes, serving.CEEntriesPerDay = 240, 4*serving.CEEntriesPerDay
+	for _, base := range []Config{smallConfig(), serving} {
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg := base
+			cfg.Seed = seed
+			root := mathx.NewRNG(cfg.Seed)
+			want := eventCapacity(cfg, buildDIMMs(cfg, assignManufacturers(cfg, root.Fork()), root.Fork()))
+			if l := Generate(cfg); cap(l.Events) != want {
+				t.Errorf("%d nodes, seed %d: %d events in capacity %d, want the estimate %d",
+					cfg.Nodes, seed, len(l.Events), cap(l.Events), want)
+			}
 		}
 	}
 }

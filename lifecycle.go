@@ -188,10 +188,11 @@ type pendingStep struct {
 type OnlineLearner struct {
 	mu      sync.Mutex
 	serving Serving
-	// tick serves one decision tick: the serving layer's fused Tick when
-	// it has one (a *Controller charges its attached guard there, the
-	// fleet Coordinator its workers' guards), else threeCallTick.
-	tick func(e Event, potentialCostNodeHours float64) Decision
+	// ticker is the serving layer's fused decision step, nil when it has
+	// none: a *Controller charges its attached guard in Tick, the fleet
+	// Coordinator its workers' guards. Without one, a decision tick is
+	// served by threeCallTick.
+	ticker Ticker
 	// acct receives threeCallTick's served-decision stream for budget
 	// accounting: the serving layer itself when it implements
 	// ObserveDecision, nil otherwise.
@@ -302,9 +303,8 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 	}
 	if t, ok := s.(Ticker); ok {
 		// The fused step accounts the decision itself.
-		l.tick = t.Tick
+		l.ticker = t
 	} else {
-		l.tick = l.threeCallTick
 		l.acct, _ = s.(decisionAccountant)
 	}
 	return l
@@ -385,7 +385,12 @@ func (l *OnlineLearner) processUE(e Event) {
 // processDecision handles a non-UE event: a decision tick. Caller holds
 // l.mu.
 func (l *OnlineLearner) processDecision(e Event) {
-	d := l.tick(e, l.cfg.cost(e.Node, e.Time))
+	var d Decision
+	if cost := l.cfg.cost(e.Node, e.Time); l.ticker != nil {
+		d = l.ticker.Tick(e, cost)
+	} else {
+		d = l.threeCallTick(e, cost)
+	}
 	if run := l.probation; run != nil {
 		// Probation scores the served decision against the replaced
 		// incumbent's counterfactual; a decided regression rolls back.

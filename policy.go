@@ -214,14 +214,17 @@ func (p *rlPolicy) Decide(s Snapshot) Decision {
 	var norm [features.Dim]float64
 	var qv [2]float64
 	p.q.QValuesInto(qv[:], s.vector().NormalizedInto(norm[:]))
-	act := ActionNone
-	if qv[1] > qv[0] {
-		act = ActionMitigate
+	return Decision{
+		Node:         s.Node,
+		Time:         s.Time,
+		Action:       actionOf(qv[1] > qv[0]),
+		Score:        qv[1] - qv[0],
+		QValues:      qv,
+		HasQ:         true,
+		Features:     s.Features,
+		Policy:       p.Name(),
+		ModelVersion: p.Version(),
 	}
-	d := decisionFor(p, s, act, qv[1]-qv[0])
-	d.QValues = qv
-	d.HasQ = true
-	return d
 }
 
 // ---- Oracle ----
