@@ -210,11 +210,24 @@ func (sh *ctlShard) observe(e Event, cost float64) features.Vector {
 // one hold of the node's shard lock. The served features are the vector
 // the ingest computed, read as Recommend's side-effect-free Peek would
 // read it at e.Time: no current-tick CEs, hours-since-boot clamped at 0.
-// Tick implements Ticker, so an OnlineLearner serves each decision tick
-// through it.
+// Tick implements Ticker; an OnlineLearner serving a Controller ticks
+// through the same step (tick) and keeps the RL policy's normalized input.
 //
 //uerl:hotpath
 func (c *Controller) Tick(e Event, potentialCostNodeHours float64) (d Decision) {
+	var norm [FeatureDim]float64
+	c.tick(&d, e, potentialCostNodeHours, &norm)
+	return d
+}
+
+// tick is Tick filling the caller's d. When the served policy is the
+// built-in RL policy it also leaves the network input in norm, which then
+// equals features.Vector(d.Features).NormalizedInto bit for bit (the
+// clamps below run before the policy, and a guard veto changes only the
+// action), and reports normed; otherwise norm is untouched.
+//
+//uerl:hotpath
+func (c *Controller) tick(d *Decision, e Event, potentialCostNodeHours float64, norm *[FeatureDim]float64) (normed bool) {
 	sh := c.shards[c.shardIndex(e.Node)]
 	sh.mu.Lock()
 	v := sh.observe(e, potentialCostNodeHours)
@@ -223,12 +236,12 @@ func (c *Controller) Tick(e Event, potentialCostNodeHours float64) (d Decision) 
 	if v[features.HoursSinceBoot] < 0 {
 		v[features.HoursSinceBoot] = 0
 	}
-	c.decide(&d, e.Node, e.Time, &v)
+	normed = c.decide(d, e.Node, e.Time, &v, norm)
 	if g := c.guard.Load(); g != nil {
 		// Budget accounting runs off the served decision stream.
-		g.observeDecision(&d)
+		g.observeDecision(d)
 	}
-	return d
+	return normed
 }
 
 // ObserveBatch ingests a batch of telemetry events, taking each shard's
@@ -309,20 +322,29 @@ func (c *Controller) peek(node int, at time.Time, cost float64) features.Vector 
 //uerl:hotpath
 func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours float64) (d Decision) {
 	v := c.peek(node, at, potentialCostNodeHours)
-	c.decide(&d, node, at, &v)
+	var norm [FeatureDim]float64
+	c.decide(&d, node, at, &v, &norm)
 	return d
 }
 
 // decide fills d with the policy's decision on feature vector v for node
-// at time at: the shared tail of Recommend and Tick, which pass their
-// result slot so the Decision is filled where it is returned.
+// at time at: the shared tail of Recommend and tick, which pass their
+// result slot so the Decision is filled where it is returned. The
+// built-in RL policy is reached through its concrete type, so d and norm
+// stay on the caller's stack, and leaves its normalized input in norm;
+// decide reports whether it did.
 //
 //uerl:hotpath
-func (c *Controller) decide(d *Decision, node int, at time.Time, v *features.Vector) {
+func (c *Controller) decide(d *Decision, node int, at time.Time, v *features.Vector, norm *[FeatureDim]float64) (normed bool) {
 	// Load the policy once (through the accessor): a concurrent
 	// SwapPolicy must not mix two models' outputs within one decision.
 	policy := c.Policy()
-	*d = policy.Decide(Snapshot{Node: node, Time: at, Features: *v})
+	if rp, ok := policy.(*rlPolicy); ok {
+		rp.decideInto(d, node, at, v, norm)
+		normed = true
+	} else {
+		*d = policy.Decide(Snapshot{Node: node, Time: at, Features: *v})
+	}
 	// Normalize bookkeeping so custom policies can leave it to us. The
 	// snapshot and decision are plain values (inline feature arrays), so
 	// this whole query path performs zero heap allocations. Features is
@@ -350,6 +372,7 @@ func (c *Controller) decide(d *Decision, node int, at time.Time, v *features.Vec
 			d.VetoReason = reason
 		}
 	}
+	return normed
 }
 
 // attachGuard installs g as the controller's mitigation gate. One guard

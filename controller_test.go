@@ -2,6 +2,7 @@ package uerl
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -524,5 +525,97 @@ func TestObserveBatchSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("ObserveBatch allocates %v times per batch, want ~0", allocs)
+	}
+}
+
+// mitigatingRLPolicy is an RL policy whose Q-network always prefers
+// ActionMitigate: its advantage rows ignore the input and favour action 1.
+func mitigatingRLPolicy(t testing.TB) *rlPolicy {
+	t.Helper()
+	net := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{16, 8}, Outputs: 2, Dueling: true, Seed: 5})
+	ps := net.Params()
+	clear(ps[len(ps)-2].W)
+	ps[len(ps)-1].W[0], ps[len(ps)-1].W[1] = 0, 5
+	p, err := newRLPolicy(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestTickLeavesNormalizedInput pins the one-normalization contract of
+// the fused tick: with the built-in RL policy serving, tick reports normed
+// and leaves exactly features.Vector(d.Features).NormalizedInto in norm,
+// bit for bit, including on a guard veto, on a tick before the node's last
+// boot (HoursSinceBoot clamped to 0) and on a Count: 0 CE event. Under any
+// other policy (Never, Always, the forest kinds, or an RL policy wrapped
+// by a candidate hook) tick reports no normalized input and leaves norm
+// untouched, so the learner normalizes itself.
+func TestTickLeavesNormalizedInput(t *testing.T) {
+	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	rlp := mitigatingRLPolicy(t)
+	ctl := NewController(rlp, WithShards(4))
+	NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
+	ce := func(at time.Duration, count int) Event {
+		return Event{Time: base.Add(at), Node: 1, DIMM: 8, Type: CorrectedError, Count: count, Rank: 0, Bank: 1, Row: 100, Col: 2}
+	}
+	evs := []Event{
+		{Time: base.Add(10 * time.Hour), Node: 1, Type: NodeBoot, DIMM: -1, Rank: -1, Bank: -1, Row: -1, Col: -1},
+		ce(9*time.Hour, 3), // before the boot: HoursSinceBoot clamps to 0
+		ce(10*time.Hour+time.Minute, 0),
+	}
+	for i := 2; i < 8; i++ {
+		evs = append(evs, ce(10*time.Hour+time.Duration(i)*time.Minute, i))
+	}
+	sentinel := func() (n [FeatureDim]float64) {
+		for i := range n {
+			n[i] = -7
+		}
+		return n
+	}
+	var clamped, zeroCount, vetoed bool
+	for _, e := range evs {
+		var d Decision
+		norm := sentinel()
+		if !ctl.tick(&d, e, 4200, &norm) {
+			t.Fatalf("%v event at %v: RL tick reported no normalized input", e.Type, e.Time)
+		}
+		var want [FeatureDim]float64
+		features.Vector(d.Features).NormalizedInto(want[:])
+		for i := range want {
+			if math.Float64bits(norm[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v event at %v: norm[%d] = %v, NormalizedInto(d.Features) = %v", e.Type, e.Time, i, norm[i], want[i])
+			}
+		}
+		clamped = clamped || (e.Type == CorrectedError && e.Time.Before(base.Add(10*time.Hour)) && d.Features[features.HoursSinceBoot] == 0)
+		zeroCount = zeroCount || (e.Type == CorrectedError && e.Count == 0)
+		vetoed = vetoed || d.Vetoed
+	}
+	if !clamped || !zeroCount || !vetoed {
+		t.Fatalf("cases not covered: clamped %v, Count 0 %v, veto %v", clamped, zeroCount, vetoed)
+	}
+
+	forest := testForest(t)
+	sc20, err := newRFPolicy(forest, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	myopic, err := newMyopicPolicy(forest, 1.0/30, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := struct{ Policy }{rlp}
+	at := base.Add(11 * time.Hour)
+	for _, p := range []Policy{NeverPolicy(), AlwaysPolicy(), sc20, myopic, hooked} {
+		ctl.SwapPolicy(p)
+		at = at.Add(time.Minute)
+		var d Decision
+		norm := sentinel()
+		if ctl.tick(&d, ce(at.Sub(base), 2), 4200, &norm) {
+			t.Fatalf("%s (%T): tick reported a normalized input", p.Kind(), p)
+		}
+		if norm != sentinel() {
+			t.Fatalf("%s (%T): tick wrote norm %v", p.Kind(), p, norm)
+		}
 	}
 }

@@ -9,7 +9,6 @@ package features
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/errlog"
@@ -73,29 +72,16 @@ func (v Vector) Predictor() []float64 { return v[:PredictorDim] }
 // relies on this saturation at laptop-scale training budgets).
 var maxCostFeature = math.Log1p(64000)
 
-// normPool recycles normalization scratch for WithNormalized.
-var normPool = sync.Pool{New: func() any { return new([Dim]float64) }}
-
-// WithNormalized invokes f with the normalized representation of v in
-// pooled scratch, then recycles the buffer. It is the zero-alloc idiom for
-// concurrent decision paths whose consumer is an interface call (the
-// replay RL decider), through which a stack buffer would escape to the
-// heap; f must not retain the slice past the call.
-//
-//uerl:hotpath
-func (v Vector) WithNormalized(f func(norm []float64)) {
-	buf := normPool.Get().(*[Dim]float64)
-	f(v.NormalizedInto(buf[:]))
-	normPool.Put(buf)
-}
-
 // NormalizedInto writes the network input representation into out (len
 // >= Dim) and returns out[:Dim]: counts and cost are log1p-compressed
 // (they span orders of magnitude), hours-since-boot is log1p-compressed,
 // the variation ratios are clamped to [0, 8], and the cost feature
 // saturates at maxCostFeature. The result has the same index layout as
-// Vector. It is the hot serving path: Observe → NormalizedInto →
-// ForwardInto allocates nothing.
+// Vector. It is the hot serving path, and the serving layer runs it once
+// per RL decision tick: the policy normalizes into its caller's buffer
+// and the online learner stores that buffer as the tick's experience
+// state. Observe → NormalizedInto → the stack forward pass allocates
+// nothing.
 //
 //uerl:hotpath
 func (v Vector) NormalizedInto(out []float64) []float64 {

@@ -91,10 +91,12 @@ func reluMaskAVX(dy, act *float64, n int)
 // gemvAVX computes y[o] = bias[o] + dot(w[o*in:(o+1)*in], x) for the
 // first out rows (out a positive multiple of 4, in any positive width),
 // bit-identical to dot: unfused multiply then add into dot's four lanes,
-// the in%4 tail on lane 0, and the (s0+s1)+(s2+s3) reduction.
+// the in%4 tail on lane 0, and the (s0+s1)+(s2+s3) reduction. relu is 0
+// or 1; 1 floors each row at +0 via VMAXPD, bit-identical to gemv's Go
+// rule !(v > 0) -> +0 (NaN and -0 included).
 //
 //go:noescape
-func gemvAVX(w, x, y, bias *float64, in, out int)
+func gemvAVX(w, x, y, bias *float64, in, out, relu int)
 
 // gemmFMAAVX computes, for each of nb samples and out output rows,
 // y[s*outP+o] = relu?(bias[o] + Σ_k w[o*inP+k]*x[s*inP+k]) with four

@@ -651,25 +651,30 @@ relumask_loop:
 	VZEROUPPER
 	RET
 
-// func gemvAVX(w, x, y, bias *float64, in, out int)
+// func gemvAVX(w, x, y, bias *float64, in, out, relu int)
 // Single-input forward rows, out a positive multiple of 4, any positive in:
-//   y[o] = bias[o] + dot(w[o*in:(o+1)*in], x)
+//   y[o] = relu?(bias[o] + dot(w[o*in:(o+1)*in], x))
 // bit-identical to dot: row o's four YMM lanes are dot's accumulators
 // s0..s3, each step an unfused VMULPD then VADDPD from a +0 start; the
 // in%4 tail goes to lane 0 with VMULSD/VADDSD (after lanes 2-3 are saved,
 // as VEX scalar ops zero the upper half); each row reduces as
 // (s0+s1)+(s2+s3) and then adds its bias. Rows are processed four at a
-// time, sharing each x load.
+// time, sharing each x load. With relu nonzero the epilogue applies
+// VMAXPD with +0 as its second source, which MAXPD returns whenever the
+// sum is not greater than it (-0 and NaN included): exactly the Go rule
+// !(v > 0) -> +0.
 // Registers: R8=row0 R13=in*8 R12=in&^3 bytes R15=in%4 SI=x DI=y R11=bias
 //            R14=rows left CX=row0 walker R9=row3 walker R10=x walker
-//            AX/DX=loop counters; Y0-Y3 row accumulators, X8-X11 their
-//            saved lanes 2-3
-TEXT ·gemvAVX(SB), NOSPLIT, $0-48
+//            AX/DX=loop counters BX=relu; Y0-Y3 row accumulators, X8-X11
+//            their saved lanes 2-3, Y15=+0
+TEXT ·gemvAVX(SB), NOSPLIT, $0-56
 	MOVQ w+0(FP), R8
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
 	MOVQ bias+24(FP), R11
 	MOVQ in+32(FP), R13
+	MOVQ relu+48(FP), BX
+	VXORPD Y15, Y15, Y15
 	MOVQ R13, R15
 	ANDQ $3, R15
 	MOVQ R13, R12
@@ -751,7 +756,12 @@ gemv_reduce:
 	VADDPD      X6, X5, X5   // rows 2-3
 	VINSERTF128 $1, X5, Y4, Y4
 	VADDPD      (R11), Y4, Y4 // + bias
-	VMOVUPD     Y4, (DI)
+	TESTQ       BX, BX
+	JZ          gemv_store
+	VMAXPD      Y15, Y4, Y4   // relu: +0 unless the sum is > +0
+
+gemv_store:
+	VMOVUPD Y4, (DI)
 
 	MOVQ R9, R8              // next quad's row0 follows row3
 	ADDQ $32, DI

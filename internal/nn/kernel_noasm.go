@@ -20,7 +20,7 @@ func axpy2FMAAVX(a float64, xa *float64, b float64, xb, y *float64, n int) {
 func adamAVX(w, grad, m, v *float64, n int, lr, b1, ob1, b2, ob2, eps, rc1, rc2 float64) {
 	panic("nn: no asm")
 }
-func gemvAVX(w, x, y, bias *float64, in, out int)                     { panic("nn: no asm") }
+func gemvAVX(w, x, y, bias *float64, in, out, relu int)               { panic("nn: no asm") }
 func gemmFMAAVX(w, x, y, bias *float64, nb, inP, out, outP, relu int) { panic("nn: no asm") }
 func reluMaskAVX(dy, act *float64, n int)                             { panic("nn: no asm") }
 func bgradFMAAVX(grad, x, dy *float64, nb, in, inP, out int)          { panic("nn: no asm") }

@@ -433,8 +433,12 @@ func sameBits(a, b []float64) bool {
 // TestGemvMatchesDot pins the single-input serving kernel: dense.forward
 // through gemvAVX must reproduce the scalar dot rows bit for bit at every
 // input width (covering each in%4 tail) and output count (covering the
-// 4-row quads and the dot remainder rows), and so must whole ForwardInto
-// passes at the learner and paper network shapes.
+// 4-row quads and the dot remainder rows), with and without the fused
+// ReLU, and so must whole ForwardInto passes at the learner and paper
+// network shapes. Some rows get a NaN bias or an all-zero row, so the
+// ReLU sees NaN and exactly +0 pre-activations; it must turn both into +0
+// as the Go rule !(v > 0) does. (A pre-activation is never -0: dot's
+// lanes start at +0, and -0 + +0 rounds to +0.)
 func TestGemvMatchesDot(t *testing.T) {
 	if !haveAVX2FMA {
 		t.Skip("no AVX2+FMA on this machine")
@@ -450,13 +454,29 @@ func TestGemvMatchesDot(t *testing.T) {
 	for in := 1; in <= 67; in++ {
 		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 256} {
 			d := &dense{in: in, out: out, w: &Param{W: fill(in * out)}, b: &Param{W: fill(out)}}
+			for o := 0; o < out; o++ {
+				switch rng.Intn(6) {
+				case 0:
+					d.b.W[o] = math.NaN()
+				case 1:
+					clear(d.w.W[o*in : (o+1)*in])
+					d.b.W[o] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				}
+			}
 			x := fill(in)
-			want := make([]float64, out)
-			got := make([]float64, out)
-			withAsm(t, false, func() { d.forward(x, want) })
-			withAsm(t, true, func() { d.forward(x, got) })
-			if !sameBits(want, got) {
-				t.Fatalf("in=%d out=%d: gemv %v, dot %v", in, out, got, want)
+			for _, relu := range []bool{false, true} {
+				want := make([]float64, out)
+				got := make([]float64, out)
+				withAsm(t, false, func() { d.forward(x, want, relu) })
+				withAsm(t, true, func() { d.forward(x, got, relu) })
+				if !sameBits(want, got) {
+					t.Fatalf("in=%d out=%d relu=%v: gemv %v, dot %v", in, out, relu, got, want)
+				}
+				for o, v := range want {
+					if relu && (math.IsNaN(v) || math.Float64bits(v) == math.Float64bits(math.Copysign(0, -1))) {
+						t.Fatalf("in=%d out=%d: ReLU row %d is %v, want +0 or positive", in, out, o, v)
+					}
+				}
 			}
 		}
 	}

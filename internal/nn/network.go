@@ -10,11 +10,12 @@
 //
 // Arithmetic runs on two paths:
 //
-//   - Serving: the single-input forward pass (ForwardInto) runs dot in
-//     plain Go, every multiply and add rounded separately, or gemvAVX on
-//     AVX2 CPUs, which keeps dot's lane structure with VMULPD/VADDPD and
-//     never VFMADD, so every serving decision has the same bits on every
-//     machine (TestGemvMatchesDot pins this).
+//   - Serving: the single-input forward pass (ForwardInto, and its
+//     stack-resident form Inference) runs dot in plain Go, every multiply
+//     and add rounded separately, or gemvAVX on AVX2 CPUs, which keeps
+//     dot's lane structure with VMULPD/VADDPD and never VFMADD, so every
+//     serving decision has the same bits on every machine
+//     (TestGemvMatchesDot and TestInferenceMatchesForwardInto pin this).
 //   - Training: the KernelFast stream (batch.go, fast.go), the only one
 //     the package trains under. A padded-weight FMA GEMM forward pass,
 //     FMA gradient accumulation and the reciprocal Adam update. It is
@@ -147,22 +148,39 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// forward computes y = W x + b for one input. With the assembly kernels
-// on, gemvAVX computes the first out&^3 rows four at a time, bit-identical
-// to dot; the remaining rows (and non-AVX2 builds) run dot directly.
+// forward computes y = W x + b for one input, floored at +0 when relu is
+// set (see gemv).
 //
 //uerl:hotpath
-func (d *dense) forward(x, y []float64) {
-	x = x[:d.in]
-	y = y[:d.out]
+func (d *dense) forward(x, y []float64, relu bool) {
+	gemv(d.w.W, x[:d.in], y[:d.out], d.b.W, relu)
+}
+
+// gemv computes y[o] = bias[o] + dot(w[o*in:(o+1)*in], x) for every row
+// o < len(y), where in = len(x), and with relu replaces every row that is
+// not greater than zero (-0 and NaN included) by +0. With the assembly
+// kernels on, gemvAVX computes the first len(y)&^3 rows four at a time,
+// ReLU fused into its epilogue, bit-identical to dot; the remaining rows
+// (and non-AVX2 builds) run dot directly.
+//
+//uerl:hotpath
+func gemv(w, x, y, bias []float64, relu bool) {
+	in := len(x)
 	o := 0
-	if useAsm && d.out >= 4 {
-		o = d.out &^ 3
-		gemvAVX(&d.w.W[0], &x[0], &y[0], &d.b.W[0], d.in, o)
+	if useAsm && len(y) >= 4 {
+		o = len(y) &^ 3
+		r := 0
+		if relu {
+			r = 1
+		}
+		gemvAVX(&w[0], &x[0], &y[0], &bias[0], in, o, r)
 	}
-	for ; o < d.out; o++ {
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		y[o] = d.b.W[o] + dot(row, x)
+	for ; o < len(y); o++ {
+		v := bias[o] + dot(w[o*in:(o+1)*in], x)
+		if relu && !(v > 0) {
+			v = 0
+		}
+		y[o] = v
 	}
 }
 
@@ -283,30 +301,134 @@ func (n *Network) ForwardInto(s *Scratch, x []float64) []float64 {
 	copy(s.acts[0], x)
 	cur := s.acts[0]
 	for i, d := range n.hidden {
-		d.forward(cur, s.acts[i+1])
-		relu(s.acts[i+1])
+		d.forward(cur, s.acts[i+1], true)
 		cur = s.acts[i+1]
 	}
 	if n.cfg.Dueling {
-		n.value.forward(cur, s.vOut)
-		n.adv.forward(cur, s.aOut)
+		n.value.forward(cur, s.vOut, false)
+		n.adv.forward(cur, s.aOut, false)
 		meanA := mathx.Mean(s.aOut)
 		for i := range s.q {
 			s.q[i] = s.vOut[0] + s.aOut[i] - meanA
 		}
 	} else {
-		n.out.forward(cur, s.q)
+		n.out.forward(cur, s.q, false)
 	}
 	return s.q
 }
 
-//uerl:hotpath
-func relu(x []float64) {
-	for i, v := range x {
-		if !(v > 0) {
-			x[i] = 0
-		}
+// stackWidth bounds the layer widths an Inference forward pass keeps on
+// the stack: each of its two ping-pong activation halves holds one layer's
+// output, sized for the paper's 256-wide hidden layers.
+const stackWidth = 256
+
+// Inference is an immutable single-input inference view of a frozen
+// network: the serving form of ForwardInto, with the same bits. Its output
+// head is packed into one zero-padded block of rows (for a dueling network
+// the value row followed by the advantage rows), so the head is one gemv
+// call instead of one dot per row, and every row stays bit-identical to
+// dot by gemv's contract. A forward pass keeps its activations in a
+// fixed-size stack array whenever every layer and the packed head fit
+// stackWidth, so it needs no scratch and allocates nothing; a wider
+// network takes a per-call NewScratch. The view reads the network's hidden
+// weights live and keeps its own copy of the head, so the network must not
+// be trained after the view is built. Safe for concurrent use.
+type Inference struct {
+	net *Network
+	// head holds the packed head's rows (a multiple of 4), each as wide
+	// as the head's input, and bias their biases; pad rows are zero.
+	head, bias []float64
+	rows       int
+	// onStack reports whether the network fits the stack forward.
+	onStack bool
+}
+
+// NewInference builds the inference view of net, which nobody may train
+// afterwards.
+func NewInference(net *Network) *Inference {
+	in := net.cfg.Inputs
+	if len(net.hidden) > 0 {
+		in = net.hidden[len(net.hidden)-1].out
 	}
+	heads := []*dense{net.out}
+	if net.cfg.Dueling {
+		heads = []*dense{net.value, net.adv}
+	}
+	f := &Inference{net: net}
+	for _, d := range heads {
+		f.rows += d.out
+	}
+	f.rows = pad4(f.rows)
+	f.head = make([]float64, 0, f.rows*in)
+	f.bias = make([]float64, 0, f.rows)
+	for _, d := range heads {
+		f.head = append(f.head, d.w.W...)
+		f.bias = append(f.bias, d.b.W...)
+	}
+	f.head = f.head[:cap(f.head)]
+	f.bias = f.bias[:cap(f.bias)]
+	f.onStack = f.rows <= stackWidth
+	for _, d := range net.hidden {
+		f.onStack = f.onStack && d.out <= stackWidth
+	}
+	return f
+}
+
+// QValuesInto writes the network's outputs for input x into dst (len >=
+// the output count), bit-identical to ForwardInto.
+//
+//uerl:hotpath
+func (f *Inference) QValuesInto(dst, x []float64) {
+	if !f.onStack {
+		copy(dst, f.net.ForwardInto(f.net.NewScratch(), x)) //uerl:alloc-ok networks wider than stackWidth take per-call scratch; no shipped or trained network is that wide
+		return
+	}
+	var buf [2 * stackWidth]float64
+	copy(dst, f.forward(x, &buf))
+}
+
+// Action returns argmax_a of the network's outputs for input x (the first
+// index on ties; a NaN output never wins).
+//
+//uerl:hotpath
+func (f *Inference) Action(x []float64) int {
+	if !f.onStack {
+		return mathx.ArgMax(f.net.ForwardInto(f.net.NewScratch(), x)) //uerl:alloc-ok networks wider than stackWidth take per-call scratch; no shipped or trained network is that wide
+	}
+	var buf [2 * stackWidth]float64
+	return mathx.ArgMax(f.forward(x, &buf))
+}
+
+// forward runs the stack forward pass in buf's two halves and returns the
+// outputs, a slice of buf: each hidden layer writes the half its input
+// does not occupy, ReLU fused, then the packed head writes the free half
+// and a dueling head recombines into the other one.
+//
+//uerl:hotpath
+func (f *Inference) forward(x []float64, buf *[2 * stackWidth]float64) []float64 {
+	n := f.net
+	if len(x) != n.cfg.Inputs {
+		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.cfg.Inputs))
+	}
+	cur, free := buf[:stackWidth], buf[stackWidth:]
+	for _, d := range n.hidden {
+		d.forward(x, free, true)
+		x = free[:d.out]
+		cur, free = free, cur
+	}
+	h := free[:f.rows]
+	gemv(f.head, x, h, f.bias, false)
+	k := n.cfg.Outputs
+	if !n.cfg.Dueling {
+		return h[:k]
+	}
+	adv := h[1 : 1+k]
+	meanA := mathx.Mean(adv)
+	q := cur[:k]
+	for i := range q {
+		q[i] = h[0] + adv[i] - meanA
+	}
+	return q
 }
 
 // Clone returns a deep copy with identical weights and zeroed gradients.

@@ -278,3 +278,122 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 	}()
 	n.Forward([]float64{1})
 }
+
+// edgeInput fills an input vector for trial: normal draws on even
+// trials, and on odd ones also a NaN, a ±Inf or -0s at random positions
+// (one NaN or Inf at most, so the rest of the network still computes
+// finite values that the comparison can tell apart).
+func edgeInput(rng *mathx.RNG, n, trial int) []float64 {
+	x := randSlice(rng, n)
+	if trial%2 == 1 {
+		switch rng.Intn(3) {
+		case 0:
+			x[rng.Intn(n)] = math.NaN()
+		case 1:
+			x[rng.Intn(n)] = math.Inf(rng.Intn(2)*2 - 1)
+		}
+		for i := range x {
+			if rng.Intn(4) == 0 {
+				x[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return x
+}
+
+// roughen edits a network's weights so that some hidden pre-activations
+// are exactly +0 (an all-zero row with a ±0 bias) or NaN (a NaN bias),
+// which the fused ReLU must floor to +0 as the Go rule does.
+func roughen(rng *mathx.RNG, n *Network) {
+	for _, d := range n.hidden {
+		for o := 0; o < d.out; o++ {
+			switch rng.Intn(8) {
+			case 0:
+				d.b.W[o] = math.NaN()
+			case 1:
+				clear(d.w.W[o*d.in : (o+1)*d.in])
+				d.b.W[o] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			}
+		}
+	}
+}
+
+// TestInferenceMatchesForwardInto pins the serving forward pass: the
+// stack forward (packed output head, ReLU fused into gemv) with the
+// assembly kernels on must reproduce ForwardInto with them off, bit for
+// bit (NaN payloads aside), and Action must be ArgMax of those outputs.
+// It covers every input width 1–67, hidden widths that are not multiples
+// of 4, dueling and plain heads with 1–5 outputs, a network wider than
+// the stack bound (the per-call scratch fallback), NaN, ±Inf and -0
+// inputs, and hidden units whose pre-activations are exactly +0 or NaN.
+func TestInferenceMatchesForwardInto(t *testing.T) {
+	rng := mathx.NewRNG(27)
+	hiddens := [][]int{nil, {5}, {7, 3}, {13, 6, 9}, {32, 16}, {stackWidth + 1, 3}}
+	check := func(cfg Config, trials int) {
+		t.Helper()
+		n := New(cfg)
+		roughen(rng, n)
+		f := NewInference(n)
+		wide := len(cfg.Hidden) > 0 && cfg.Hidden[0] > stackWidth
+		if f.onStack == wide {
+			t.Fatalf("%+v: onStack %v", cfg, f.onStack)
+		}
+		s := n.NewScratch()
+		for trial := 0; trial < trials; trial++ {
+			x := edgeInput(rng, cfg.Inputs, trial)
+			var want []float64
+			withAsm(t, false, func() { want = append(want, n.ForwardInto(s, x)...) })
+			for _, asm := range []bool{true, false} {
+				got := make([]float64, cfg.Outputs)
+				act := -1
+				run := func() {
+					f.QValuesInto(got, x)
+					act = f.Action(x)
+				}
+				if asm && !haveAVX2FMA {
+					continue
+				}
+				withAsm(t, asm, run)
+				if !sameBits(want, got) {
+					t.Fatalf("%+v asm=%v trial %d, x=%v: inference %v, ForwardInto %v", cfg, asm, trial, x, got, want)
+				}
+				if act != mathx.ArgMax(want) {
+					t.Fatalf("%+v asm=%v trial %d: Action %d, ArgMax %d of %v", cfg, asm, trial, act, mathx.ArgMax(want), want)
+				}
+			}
+		}
+	}
+	for in := 1; in <= 67; in++ {
+		for _, h := range hiddens[:4] {
+			for outs := 1; outs <= 5; outs++ {
+				for _, dueling := range []bool{false, true} {
+					check(Config{Inputs: in, Hidden: h, Outputs: outs, Dueling: dueling, Seed: int64(in)}, 4)
+				}
+			}
+		}
+	}
+	for _, h := range hiddens[3:] {
+		for outs := 1; outs <= 5; outs++ {
+			for _, dueling := range []bool{false, true} {
+				check(Config{Inputs: 15, Hidden: h, Outputs: outs, Dueling: dueling, Seed: int64(outs)}, 20)
+			}
+		}
+	}
+	check(Config{Inputs: 15, Hidden: []int{256, 256, 128, 64}, Outputs: 2, Dueling: true, Seed: 3}, 20)
+}
+
+// TestInferenceZeroAlloc pins the stack forward's allocation contract:
+// a network that fits the stack bound allocates nothing per call.
+func TestInferenceZeroAlloc(t *testing.T) {
+	for _, hidden := range [][]int{{32, 16}, {256, 256, 128, 64}} {
+		f := NewInference(New(Config{Inputs: 15, Hidden: hidden, Outputs: 2, Dueling: true, Seed: 1}))
+		x := randSlice(mathx.NewRNG(1), 15)
+		var q [2]float64
+		if a := testing.AllocsPerRun(100, func() {
+			f.QValuesInto(q[:], x)
+			_ = f.Action(x)
+		}); a != 0 {
+			t.Fatalf("hidden %v: %v allocs per forward pair, want 0", hidden, a)
+		}
+	}
+}

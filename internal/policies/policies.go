@@ -28,6 +28,10 @@ type Context struct {
 	// forest and prob memoize RFProb for this decision point.
 	forest *rf.Forest
 	prob   float64
+	// norm is RL's normalization scratch: a buffer the Context owns, so
+	// the normalized input passed through the rl.Policy interface call
+	// points into memory the caller already holds by pointer.
+	norm [features.Dim]float64
 }
 
 // RFProb returns f's positive-class score at this decision point,
@@ -50,10 +54,10 @@ type Decider interface {
 	// Name identifies the approach in reports.
 	Name() string
 	// Decide returns true to mitigate at this tick. It must not modify
-	// ctx (RFProb's memo aside): the replay engine hands one Context to
-	// every decider at a decision point and writes only each decider's
-	// own potential UE cost (Features[features.UECost]) into it between
-	// calls.
+	// ctx (RFProb's memo and RL's normalization scratch aside): the
+	// replay engine hands one Context to every decider at a decision
+	// point and writes only each decider's own potential UE cost
+	// (Features[features.UECost]) into it between calls.
 	Decide(ctx *Context) bool
 }
 
@@ -162,10 +166,11 @@ func (p *MyopicRF) Score(ctx *Context) float64 {
 // ConcurrentSafe implements ConcurrentDecider.
 func (p *MyopicRF) ConcurrentSafe() bool { return true }
 
-// RL wraps a trained (frozen) agent policy. Decide normalizes into pooled
-// scratch (features.WithNormalized), so the replay hot path allocates
+// RL wraps a trained (frozen) agent policy. Decide normalizes into
+// scratch owned by its *Context, so the replay hot path allocates
 // nothing: a stack buffer would escape through the rl.Policy interface
-// call.
+// call, and the Context is already held by pointer. Ties go to the first
+// action (rl.SharedQPolicy.Action), the serving rlPolicy's rule too.
 type RL struct {
 	Policy rl.Policy
 	// Label optionally overrides the report name.
@@ -182,11 +187,7 @@ func (p *RL) Name() string {
 
 // Decide implements Decider.
 func (p *RL) Decide(ctx *Context) bool {
-	act := 0
-	ctx.Features.WithNormalized(func(norm []float64) {
-		act = p.Policy.Action(norm)
-	})
-	return act == 1
+	return p.Policy.Action(ctx.Features.NormalizedInto(ctx.norm[:])) == 1
 }
 
 // ConcurrentSafe implements ConcurrentDecider: true when the wrapped

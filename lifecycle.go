@@ -188,10 +188,12 @@ type pendingStep struct {
 type OnlineLearner struct {
 	mu      sync.Mutex
 	serving Serving
-	// ticker is the serving layer's fused decision step, nil when it has
-	// none: a *Controller charges its attached guard in Tick, the fleet
-	// Coordinator its workers' guards. Without one, a decision tick is
-	// served by threeCallTick.
+	// ctl is the serving layer when it is a single-process *Controller,
+	// whose tick charges its attached guard and hands back the RL
+	// policy's normalized input. ticker is any other layer's fused
+	// decision step (the fleet Coordinator charges its workers' guards);
+	// with neither, a decision tick is served by threeCallTick.
+	ctl    *Controller
 	ticker Ticker
 	// acct receives threeCallTick's served-decision stream for budget
 	// accounting: the serving layer itself when it implements
@@ -201,12 +203,15 @@ type OnlineLearner struct {
 
 	trainer *lifecycle.OnlineTrainer
 	drift   *lifecycle.DriftDetector
-	pending map[int]pendingStep
-	// states is the scratch a completed transition's two states are
-	// staged in for Ingest (which copies them), so building one
-	// allocates nothing.
-	states [2][FeatureDim]float64
-	log    *auditLog
+	// pending maps a node to its open step in steps, a slab that only
+	// grows (one entry per node ever decided on), so a tick updates its
+	// node's step in place.
+	pending map[int]int
+	steps   []pendingStep
+	// norm is the tick's normalized state, staged for Ingest (which
+	// copies it) and for the node's next pending step.
+	norm [FeatureDim]float64
+	log  *auditLog
 
 	// candidate is the staged shadow candidate and shadow its duel against
 	// the serving incumbent; both are nil outside a candidate window.
@@ -296,13 +301,15 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 			// would trip a mean-shift test without any real drift.
 			Dims: lifecycle.StationaryDriftDims,
 		}),
-		pending:  map[int]pendingStep{},
+		pending:  map[int]int{},
 		log:      log,
 		retained: map[string]Policy{},
 		parentOf: map[string]string{},
 	}
-	if t, ok := s.(Ticker); ok {
-		// The fused step accounts the decision itself.
+	// The fused steps account the decision themselves.
+	if ctl, ok := s.(*Controller); ok {
+		l.ctl = ctl
+	} else if t, ok := s.(Ticker); ok {
 		l.ticker = t
 	} else {
 		l.acct, _ = s.(decisionAccountant)
@@ -361,11 +368,10 @@ func (l *OnlineLearner) processUE(e Event) {
 	realized := l.cfg.cost(e.Node, e.Time)
 	l.serving.ObserveEvent(e)
 	l.ues++
-	if p, ok := l.pending[e.Node]; ok {
+	if i, ok := l.pending[e.Node]; ok {
 		// Eq. 4: the UE cost lands on the reward of the preceding
 		// decision, exactly as in the offline training environment.
-		p.reward -= realized * l.cfg.rewardScale
-		l.pending[e.Node] = p
+		l.steps[i].reward -= realized * l.cfg.rewardScale
 	}
 	if l.cfg.ueObserver != nil {
 		l.cfg.ueObserver(e.Node, e.Time, realized)
@@ -386,9 +392,13 @@ func (l *OnlineLearner) processUE(e Event) {
 // l.mu.
 func (l *OnlineLearner) processDecision(e Event) {
 	var d Decision
-	if cost := l.cfg.cost(e.Node, e.Time); l.ticker != nil {
+	normed := false
+	switch cost := l.cfg.cost(e.Node, e.Time); {
+	case l.ctl != nil:
+		normed = l.ctl.tick(&d, e, cost, &l.norm)
+	case l.ticker != nil:
 		d = l.ticker.Tick(e, cost)
-	} else {
+	default:
 		d = l.threeCallTick(e, cost)
 	}
 	if run := l.probation; run != nil {
@@ -420,19 +430,28 @@ func (l *OnlineLearner) processDecision(e Event) {
 		return
 	}
 
-	prev, norm := &l.states[0], &l.states[1]
-	features.Vector(d.Features).NormalizedInto(norm[:])
-	next := pendingStep{state: *norm}
+	if !normed {
+		// The served policy left no normalized input (not the built-in
+		// RL policy, or not a *Controller layer): compute it here.
+		features.Vector(d.Features).NormalizedInto(l.norm[:])
+	}
+	i, ok := l.pending[e.Node]
+	if ok {
+		p := &l.steps[i]
+		l.trainer.Ingest(rl.Transition{S: p.state[:], A: p.action, R: p.reward, NextS: l.norm[:]})
+		l.sinceRetrain++
+	} else {
+		i = len(l.steps)
+		l.pending[e.Node] = i
+		l.steps = append(l.steps, pendingStep{})
+	}
+	// The node's step is overwritten in place; Ingest copied its state.
+	next := &l.steps[i]
+	next.state, next.action, next.reward = l.norm, 0, 0
 	if d.Mitigate() {
 		next.action = 1
 		next.reward = -(l.cfg.mitigationCostNodeMinutes / 60) * l.cfg.rewardScale
 	}
-	if p, ok := l.pending[e.Node]; ok {
-		*prev = p.state
-		l.trainer.Ingest(rl.Transition{S: prev[:], A: p.action, R: p.reward, NextS: norm[:]})
-		l.sinceRetrain++
-	}
-	l.pending[e.Node] = next
 
 	// Drift watches the distribution of observed telemetry, not the
 	// poll-time snapshot: the served features read like Recommend's Peek,

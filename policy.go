@@ -178,10 +178,12 @@ func (p *myopicPolicy) Decide(s Snapshot) Decision {
 
 // ---- RL ----
 
-// rlPolicy serves the trained Q-network. Network scratch is pooled and the
-// normalized input lives on Decide's stack, so one instance can serve all
-// controller shards concurrently and a Decide call allocates nothing in
-// steady state.
+// rlPolicy serves the trained Q-network. Each decision runs the network's
+// forward pass on its own stack (rl.SharedQPolicy) and normalizes into a
+// buffer its caller owns: Decide's stack, or the Controller's tick, which
+// hands the buffer on to the online learner as the tick's experience
+// state, so an RL-served tick normalizes once. One instance serves all
+// controller shards concurrently and a decision allocates nothing.
 type rlPolicy struct {
 	q *rl.SharedQPolicy
 	lineage
@@ -208,20 +210,30 @@ func newRLPolicy(net *nn.Network, info *TrainingInfo) (*rlPolicy, error) {
 func (p *rlPolicy) Kind() PolicyKind { return PolicyRL }
 func (p *rlPolicy) Name() string     { return "RL" }
 
-func (p *rlPolicy) Decide(s Snapshot) Decision {
-	// norm stays on the stack: QValuesInto is a concrete call that does
-	// not retain its input, so no pooled buffer or closure is needed.
-	var norm [features.Dim]float64
+func (p *rlPolicy) Decide(s Snapshot) (d Decision) {
+	var norm [FeatureDim]float64
+	p.decideInto(&d, s.Node, s.Time, (*features.Vector)(&s.Features), &norm)
+	return d
+}
+
+// decideInto fills d with the decision on v for node at time at and
+// leaves the network input, v normalized, in norm. Every pointer stays on
+// its caller's stack: QValuesInto is a concrete call that does not retain
+// its input. Ties (and NaN Q-values) go to ActionNone, the first action,
+// as in rl.SharedQPolicy.Action.
+//
+//uerl:hotpath
+func (p *rlPolicy) decideInto(d *Decision, node int, at time.Time, v *features.Vector, norm *[FeatureDim]float64) {
 	var qv [2]float64
-	p.q.QValuesInto(qv[:], s.vector().NormalizedInto(norm[:]))
-	return Decision{
-		Node:         s.Node,
-		Time:         s.Time,
+	p.q.QValuesInto(qv[:], v.NormalizedInto(norm[:]))
+	*d = Decision{
+		Node:         node,
+		Time:         at,
 		Action:       actionOf(qv[1] > qv[0]),
 		Score:        qv[1] - qv[0],
 		QValues:      qv,
 		HasQ:         true,
-		Features:     s.Features,
+		Features:     *v,
 		Policy:       p.Name(),
 		ModelVersion: p.Version(),
 	}

@@ -48,7 +48,7 @@ if [ -z "${BENCH_OUT:-}" ]; then
   done
   BENCH_OUT="BENCH_$((max + 1)).json"
 fi
-FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardSmall$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkControllerTick$|BenchmarkLearnerProcess$|BenchmarkDQNTrainEpoch$|BenchmarkLearnerEpoch$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$|BenchmarkScenarioCompile$}"
+FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardSmall$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkControllerTick$|BenchmarkRLDecide$|BenchmarkLearnerProcess$|BenchmarkDQNTrainEpoch$|BenchmarkLearnerEpoch$|BenchmarkCoordinatorTick$|BenchmarkFig3CostBenefit$|BenchmarkScenarioCompile$}"
 # The packages holding the benchmarks: the root module's serving and
 # research benches, the learner-shape network bench, the online learner's
 # retrain epoch, the fleet's coordinator bench, and the scenario compile
