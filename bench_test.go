@@ -470,35 +470,26 @@ func BenchmarkControllerTick(b *testing.B) {
 }
 
 // zeroAllocs runs loop, the benchmark's timed b.N operations, stops the
-// timer, and fails b if loop allocated. Race instrumentation and the CPU
-// profiler's writer goroutine allocate on their own, so neither is
-// checked. MemStats.Mallocs counts the whole process, and at GOMAXPROCS
-// >= 2 the runtime now and then allocates during a measurement on its
-// own: the scheduler, waking an idle P (after ReadMemStats restarts the
-// world, or when it preempts the benchmark goroutine), finds no idle OS
-// thread and runtime.newm allocates a new one's m, stacks and profiling
-// buffers (5 objects), or the background scavenger's timer grows a P's
-// timer heap (1 object). A nonzero measurement is therefore repeated,
-// untimed, up to twice: an allocation the measured code makes shows in
-// every repeat, and the benchmark fails only if all three read nonzero.
+// timer, and fails b if loop allocated at all. Race instrumentation and
+// the CPU profiler's writer goroutine allocate on their own, so neither is
+// checked. MemStats.Mallocs counts the whole process, so callers pin
+// GOMAXPROCS to 1, as testing.AllocsPerRun does: with a second P the
+// runtime now and then allocates during a measurement on its own. Waking
+// an idle P (after ReadMemStats restarts the world, or when the scheduler
+// preempts the benchmark goroutine) can find no idle OS thread, and
+// runtime.newm allocates a new one's m, stacks and profiling buffers (5
+// objects), or the background scavenger's timer grows a P's timer heap (1
+// object).
 func zeroAllocs(b *testing.B, what string, loop func()) {
 	b.Helper()
-	checked := !raceEnabled && flag.Lookup("test.cpuprofile").Value.String() == ""
 	var before, after runtime.MemStats
-	for try := 0; ; try++ {
-		runtime.ReadMemStats(&before)
-		loop()
-		runtime.ReadMemStats(&after)
-		if try == 0 {
-			b.StopTimer()
-		}
-		n := after.Mallocs - before.Mallocs
-		if n == 0 || !checked {
-			return
-		}
-		if try == 2 {
-			b.Fatalf("%s allocated in each of 3 measurements, %d times over %d ops in the last, want 0", what, n, b.N)
-		}
+	runtime.ReadMemStats(&before)
+	loop()
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	if n != 0 && !raceEnabled && flag.Lookup("test.cpuprofile").Value.String() == "" {
+		b.Fatalf("%s allocated %d times over %d ops, want 0", what, n, b.N)
 	}
 }
 
@@ -508,10 +499,9 @@ var rlDecideSink bool
 // BenchmarkRLDecide measures one served RL decision, rlPolicy.Decide:
 // the input normalization, the stack forward pass and the Decision, at
 // the online learner's 32-16 network and the paper's 256-256-128-64 one.
-// It runs at GOMAXPROCS 2, where a per-P scratch pool would miss its
-// cache, and any allocation fails it (see zeroAllocs).
+// Any allocation fails it; it runs on one P (see zeroAllocs).
 func BenchmarkRLDecide(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, shape := range []struct {
 		name   string
 		hidden []int
@@ -543,8 +533,10 @@ func BenchmarkRLDecide(b *testing.B) {
 // controller with the learner's 32-16 net, its timestamps advancing lap by
 // lap. The drift threshold is out of reach, so no lifecycle event lands in
 // the timed laps. An op is one lap; ns/event is the tick cost, and any
-// allocation in the timed laps fails the benchmark (see zeroAllocs).
+// allocation in the timed laps fails the benchmark. It runs on one P (see
+// zeroAllocs).
 func BenchmarkLearnerProcess(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{32, 16}, Outputs: 2, Dueling: true, Seed: 1})
 	p, err := newRLPolicy(net, nil)
 	if err != nil {
@@ -577,7 +569,7 @@ func BenchmarkLearnerProcess(b *testing.B) {
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 	if got := len(l.Events()); got != events {
-		b.Fatalf("the laps recorded %d lifecycle events, want none", got-events)
+		b.Fatalf("the timed laps recorded %d lifecycle events, want none", got-events)
 	}
 }
 

@@ -327,20 +327,22 @@ const stackWidth = 256
 // head is packed into one zero-padded block of rows (for a dueling network
 // the value row followed by the advantage rows), so the head is one gemv
 // call instead of one dot per row, and every row stays bit-identical to
-// dot by gemv's contract. A forward pass keeps its activations in a
-// fixed-size stack array whenever every layer and the packed head fit
-// stackWidth, so it needs no scratch and allocates nothing; a wider
-// network takes a per-call NewScratch. The view reads the network's hidden
-// weights live and keeps its own copy of the head, so the network must not
-// be trained after the view is built. Safe for concurrent use.
+// dot by gemv's contract. A forward pass keeps its activations in two
+// ping-pong halves of a fixed-size stack array whenever every layer and
+// the packed head fit stackWidth, so it needs no scratch and allocates
+// nothing; a wider network runs the same pass in a per-call buffer. The
+// view reads the network's hidden weights live and keeps its own copy of
+// the head, so the network must not be trained after the view is built.
+// Safe for concurrent use.
 type Inference struct {
 	net *Network
 	// head holds the packed head's rows (a multiple of 4), each as wide
 	// as the head's input, and bias their biases; pad rows are zero.
 	head, bias []float64
 	rows       int
-	// onStack reports whether the network fits the stack forward.
-	onStack bool
+	// width is the widest layer output, the packed head included: the
+	// size of each activation half.
+	width int
 }
 
 // NewInference builds the inference view of net, which nobody may train
@@ -367,9 +369,9 @@ func NewInference(net *Network) *Inference {
 	}
 	f.head = f.head[:cap(f.head)]
 	f.bias = f.bias[:cap(f.bias)]
-	f.onStack = f.rows <= stackWidth
+	f.width = f.rows
 	for _, d := range net.hidden {
-		f.onStack = f.onStack && d.out <= stackWidth
+		f.width = max(f.width, d.out)
 	}
 	return f
 }
@@ -379,12 +381,8 @@ func NewInference(net *Network) *Inference {
 //
 //uerl:hotpath
 func (f *Inference) QValuesInto(dst, x []float64) {
-	if !f.onStack {
-		copy(dst, f.net.ForwardInto(f.net.NewScratch(), x)) //uerl:alloc-ok networks wider than stackWidth take per-call scratch; no shipped or trained network is that wide
-		return
-	}
-	var buf [2 * stackWidth]float64
-	copy(dst, f.forward(x, &buf))
+	var stack [2 * stackWidth]float64
+	copy(dst, f.forward(x, &stack))
 }
 
 // Action returns argmax_a of the network's outputs for input x (the first
@@ -392,25 +390,27 @@ func (f *Inference) QValuesInto(dst, x []float64) {
 //
 //uerl:hotpath
 func (f *Inference) Action(x []float64) int {
-	if !f.onStack {
-		return mathx.ArgMax(f.net.ForwardInto(f.net.NewScratch(), x)) //uerl:alloc-ok networks wider than stackWidth take per-call scratch; no shipped or trained network is that wide
-	}
-	var buf [2 * stackWidth]float64
-	return mathx.ArgMax(f.forward(x, &buf))
+	var stack [2 * stackWidth]float64
+	return mathx.ArgMax(f.forward(x, &stack))
 }
 
-// forward runs the stack forward pass in buf's two halves and returns the
-// outputs, a slice of buf: each hidden layer writes the half its input
-// does not occupy, ReLU fused, then the packed head writes the free half
-// and a dueling head recombines into the other one.
+// forward runs the forward pass in two ping-pong activation halves, of
+// the caller's stack array when the network fits it, and returns the
+// outputs, a slice of those halves: each hidden layer writes the half its
+// input does not occupy, ReLU fused, then the packed head writes the free
+// half and a dueling head recombines into the other one.
 //
 //uerl:hotpath
-func (f *Inference) forward(x []float64, buf *[2 * stackWidth]float64) []float64 {
+func (f *Inference) forward(x []float64, stack *[2 * stackWidth]float64) []float64 {
 	n := f.net
 	if len(x) != n.cfg.Inputs {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.cfg.Inputs))
 	}
-	cur, free := buf[:stackWidth], buf[stackWidth:]
+	buf := stack[:]
+	if f.width > stackWidth {
+		buf = make([]float64, 2*f.width) //uerl:alloc-ok networks wider than stackWidth take a per-call buffer; no shipped or trained network is that wide
+	}
+	cur, free := buf[:len(buf)/2], buf[len(buf)/2:]
 	for _, d := range n.hidden {
 		d.forward(x, free, true)
 		x = free[:d.out]

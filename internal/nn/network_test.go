@@ -324,7 +324,7 @@ func roughen(rng *mathx.RNG, n *Network) {
 // bit (NaN payloads aside), and Action must be ArgMax of those outputs.
 // It covers every input width 1–67, hidden widths that are not multiples
 // of 4, dueling and plain heads with 1–5 outputs, a network wider than
-// the stack bound (the per-call scratch fallback), NaN, ±Inf and -0
+// the stack bound (the per-call buffer), NaN, ±Inf and -0
 // inputs, and hidden units whose pre-activations are exactly +0 or NaN.
 func TestInferenceMatchesForwardInto(t *testing.T) {
 	rng := mathx.NewRNG(27)
@@ -335,8 +335,8 @@ func TestInferenceMatchesForwardInto(t *testing.T) {
 		roughen(rng, n)
 		f := NewInference(n)
 		wide := len(cfg.Hidden) > 0 && cfg.Hidden[0] > stackWidth
-		if f.onStack == wide {
-			t.Fatalf("%+v: onStack %v", cfg, f.onStack)
+		if (f.width > stackWidth) != wide {
+			t.Fatalf("%+v: widest layer %d, stack bound %d", cfg, f.width, stackWidth)
 		}
 		s := n.NewScratch()
 		for trial := 0; trial < trials; trial++ {

@@ -19,8 +19,8 @@ import (
 //     goroutines simultaneously, without external locking; each call
 //     keeps its activations in a stack array and allocates nothing. A
 //     network with a layer wider than the stack bound (256 units, the
-//     paper's widest; no shipped or trained network is wider) takes
-//     per-call scratch instead.
+//     paper's widest; no shipped or trained network is wider) runs the
+//     same forward pass in a per-call buffer instead.
 //   - The wrapped network is strictly read-only for the policy's
 //     lifetime. The constructor's caller must hand over a network nobody
 //     trains afterwards (Clone a training agent's online network first);

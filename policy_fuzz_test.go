@@ -75,7 +75,7 @@ func FuzzForestDecision(f *testing.F) {
 	})
 }
 
-// fuzzNet builds the network FuzzRLDecide decides with: one of five
+// fuzzNet builds the network FuzzRLDecision decides with: one of five
 // hidden shapes (widths not multiples of 4 included), a dueling head when
 // shape is even and a plain one otherwise. With tie set, every output row
 // gets zero weights and the same bias, so both Q-values are equal (or both
@@ -96,14 +96,14 @@ func fuzzNet(seed int64, shape uint8, tie bool) *nn.Network {
 	return net
 }
 
-// FuzzRLDecide checks that serving and replay make the same RL decision.
+// FuzzRLDecision checks that serving and replay make the same RL decision.
 // For random networks and raw features (NaN and ±Inf included), the
 // served rlPolicy.Decide, the Controller's decision path (Recommend on an
 // unknown node, and its shared tail on the raw features) and the replayed
 // policies.RL over a SharedQPolicy must all decide alike. Their two tie
 // rules, qv[1] > qv[0] and the first index of mathx.ArgMax, agree today;
 // forced ties (and NaN Q-values) must decide ActionNone everywhere.
-func FuzzRLDecide(f *testing.F) {
+func FuzzRLDecision(f *testing.F) {
 	enc := func(xs ...float64) []byte {
 		raw := make([]byte, 8*len(xs))
 		for i, x := range xs {
