@@ -298,9 +298,6 @@ func BenchmarkFeatureTracker(b *testing.B) {
 		tick.Time = t0.Add(time.Duration(i) * time.Minute)
 		tick.Events[0].Time = tick.Time
 		tr.Observe(tick, 100)
-		if i%4096 == 0 {
-			tr.CompactHistory(tick.Time)
-		}
 	}
 }
 

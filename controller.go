@@ -103,7 +103,6 @@ type Controller struct {
 	// driving it; NewGuard attaches it exactly once. Unguarded
 	// controllers pay one nil atomic load per Recommend.
 	guard  atomic.Pointer[Guard]
-	now    func() time.Time
 	shards []*ctlShard
 	mask   uint64
 	// batchPool recycles ObserveBatch's per-shard bucket sets so batched
@@ -126,7 +125,6 @@ func NewController(policy Policy, opts ...ControllerOption) *Controller {
 	}
 	n := ceilPow2(cfg.shards)
 	c := &Controller{
-		now:    cfg.now,
 		shards: make([]*ctlShard, n),
 		mask:   uint64(n - 1),
 	}
@@ -381,12 +379,6 @@ func (c *Controller) attachGuard(g *Guard) {
 	if !c.guard.CompareAndSwap(nil, g) {
 		panic("uerl: controller already has a guard attached")
 	}
-}
-
-// RecommendNow is Recommend at the controller clock's current time (see
-// WithNowFunc).
-func (c *Controller) RecommendNow(node int, potentialCostNodeHours float64) Decision {
-	return c.Recommend(node, c.now(), potentialCostNodeHours)
 }
 
 // Features returns the node's raw Table 1 feature vector as it would be

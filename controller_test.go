@@ -159,14 +159,6 @@ func TestWithShardsRounding(t *testing.T) {
 	}
 }
 
-func TestWithNowFunc(t *testing.T) {
-	at := time.Date(2030, 1, 2, 3, 4, 5, 0, time.UTC)
-	ctl := NewController(AlwaysPolicy(), WithNowFunc(func() time.Time { return at }))
-	if d := ctl.RecommendNow(1, 2); !d.Time.Equal(at) {
-		t.Fatalf("RecommendNow used %v, want %v", d.Time, at)
-	}
-}
-
 // TestControllerConcurrency hammers one controller from many goroutines —
 // mixed single/batch ingestion, recommendations and forgets across
 // overlapping nodes — and is meant to run under -race (as CI does).

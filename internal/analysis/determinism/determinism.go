@@ -79,7 +79,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	switch {
 	case pkg == "time" && (name == "Now" || name == "Since" || name == "Until"):
 		pass.ReportWaivable(call.Pos(), waiver,
-			"time.%s reads the wall clock in a deterministic package; inject a clock (cf. uerl.WithNowFunc) or waive with //uerl:nondet-ok <reason>", name)
+			"time.%s reads the wall clock in a deterministic package; take the time as an argument (as Controller.Recommend does) or waive with //uerl:nondet-ok <reason>", name)
 	case (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name]:
 		pass.ReportWaivable(call.Pos(), waiver,
 			"rand.%s draws from the global math/rand generator; use a seeded mathx.RNG so streams are reproducible and forkable", name)

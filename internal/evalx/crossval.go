@@ -53,12 +53,6 @@ type CVConfig struct {
 	// RLEpisodes overrides the preset's per-candidate episode budget when
 	// positive.
 	RLEpisodes int
-	// TrainParallelism bounds the hyperparameter-search worker pool: 0
-	// selects GOMAXPROCS, 1 trains candidates serially. Each in-flight
-	// candidate holds its own networks and replay buffer (~10+ MB at
-	// paper scale), so memory-constrained runs should bound this.
-	// Selection is deterministic for every value.
-	TrainParallelism int
 	// Cache, when non-nil, memoizes the config-invariant artifacts (tick
 	// pipeline, per-split RF datasets and forests, optimal thresholds,
 	// trained RL policies) across runs sharing a Cache — e.g. the full
@@ -468,7 +462,7 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 
 	// Reduce to a running minimum as candidates finish instead of retaining
 	// every trained agent until the end: losers become garbage immediately,
-	// so peak memory is one agent per in-flight worker (TrainParallelism)
+	// so peak memory is one agent per in-flight worker (GOMAXPROCS)
 	// rather than one per candidate (~60 agents of 10+ MB each at paper
 	// scale). The total order (cost, candidate index) reproduces the serial
 	// selection rule — lowest cost, ties to the earliest candidate — for
@@ -479,7 +473,7 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 		bestCost float64
 		bestAg   *rl.Agent
 	)
-	parx.For(len(candidates), cfg.TrainParallelism, func(ci int) {
+	parx.For(len(candidates), 0, func(ci int) {
 		ac := candidates[ci]
 		envCfg := cfg.Env
 		envCfg.Seed = cfg.Seed + int64(spec.index)*1000 + int64(ci)

@@ -99,9 +99,9 @@ func TestReplayUnsafeDeciderFallsBackToSerial(t *testing.T) {
 
 	cfg := replayCfg()
 	cfg.Parallelism = 8
-	got := ReplayAll([]policies.Decider{policies.NewCEThreshold(10)}, byNode, sampler, cfg)[0]
+	got := ReplayAll([]policies.Decider{&statefulDecider{k: 7}}, byNode, sampler, cfg)[0]
 	cfg.Parallelism = 1
-	want := ReplayAll([]policies.Decider{policies.NewCEThreshold(10)}, byNode, sampler, cfg)[0]
+	want := ReplayAll([]policies.Decider{&statefulDecider{k: 7}}, byNode, sampler, cfg)[0]
 	if got != want {
 		t.Fatalf("stateful decider replay diverged:\n got %+v\nwant %+v", got, want)
 	}

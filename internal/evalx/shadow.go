@@ -14,22 +14,6 @@ type ShadowConfig struct {
 	// charged regardless — mitigation then only helps through the
 	// operational response it triggers, as in the paper's §5.5 ablation.
 	Restartable bool
-	// Window is the §4.4 prediction window (default 24 h): a UE counts
-	// as mitigated when a mitigation completed within this long before.
-	Window time.Duration
-	// Overhead is the mitigation completion overhead (default 2 min): a
-	// mitigation closer to the UE than this cannot complete in time.
-	Overhead time.Duration
-}
-
-func (c ShadowConfig) withDefaults() ShadowConfig {
-	if c.Window <= 0 {
-		c.Window = PredictionWindow
-	}
-	if c.Overhead <= 0 {
-		c.Overhead = OracleOverhead
-	}
-	return c
 }
 
 // ShadowEval scores one policy's decision stream against realized UE
@@ -59,7 +43,7 @@ type ShadowEval struct {
 // NewShadowEval builds a scorer for the named policy.
 func NewShadowEval(name string, cfg ShadowConfig) *ShadowEval {
 	return &ShadowEval{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		res:       Result{Policy: name},
 		recent:    map[int][]time.Time{},
 		lastEvent: map[int]time.Time{},
@@ -92,10 +76,10 @@ func (s *ShadowEval) UE(node int, at time.Time, costNodeHours float64) {
 	times := s.recent[node]
 	for i := len(times) - 1; i >= 0; i-- {
 		dt := at.Sub(times[i])
-		if dt > s.cfg.Window {
+		if dt > PredictionWindow {
 			break
 		}
-		if dt >= s.cfg.Overhead {
+		if dt >= OracleOverhead {
 			mitigated = true
 			break
 		}
@@ -113,7 +97,7 @@ func (s *ShadowEval) UE(node int, at time.Time, costNodeHours float64) {
 		// decision — count the non-mitigation so the confusion matrix
 		// balances exactly as offline replay reports it.
 		last, seen := s.lastEvent[node]
-		if !seen || at.Sub(last) > s.cfg.Window {
+		if !seen || at.Sub(last) > PredictionWindow {
 			s.res.Metrics.NonMitigations++
 		}
 	}

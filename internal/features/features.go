@@ -429,15 +429,10 @@ func (tr *Tracker) variations(cutoff int64) (ces, boots float64) {
 	return ces, boots
 }
 
-// CompactHistory drops snapshots older than the longest variation window,
-// bounding memory for long logs. It always keeps the latest snapshot at or
-// before the cutoff, so variation lookups are unaffected. On the ring
-// buffer this is just a head advance; Observe calls it on every tick.
-func (tr *Tracker) CompactHistory(now time.Time) {
-	tr.compact(cutoff(tr.offset(now), 2*time.Hour))
-}
-
-// compact is CompactHistory at the cutoff offset.
+// compact drops snapshots older than the cutoff offset, bounding memory
+// for long logs. It always keeps the latest snapshot at or before the
+// cutoff, so variation lookups are unaffected. On the ring buffer this is
+// just a head advance; Observe calls it on every tick.
 func (tr *Tracker) compact(cutoff int64) {
 	for tr.history.size > 1 && tr.history.at(1).t < cutoff {
 		tr.history.popFront()

@@ -158,8 +158,8 @@ func TestCompactHistoryPreservesVariation(t *testing.T) {
 	for i := 1; i <= 48; i++ {
 		tr.Observe(tick(time.Duration(i)*time.Hour, ceEvent(1, 0, 0, 0, 0, 0)), 0)
 	}
-	tr.CompactHistory(t0.Add(48 * time.Hour))
-	// Variation over 1 hour needs only the last 2 hours of history.
+	// Observe compacts on every tick; variation over 1 hour needs only the
+	// last 2 hours of history.
 	v := tr.Observe(tick(49*time.Hour, ceEvent(58, 0, 0, 0, 0, 0)), 0)
 	// CEsTotal = 10+48+58 = 116; value 1h before = 10+48 = 58 -> ratio 2.
 	if math.Abs(v[CEVar1Hour]-2) > 1e-9 {

@@ -156,7 +156,3 @@ func (d *DriftDetector) Rebase() {
 	d.cur.Reset()
 	d.hasRef = false
 }
-
-// Reference exposes the frozen reference statistics (for observability);
-// the second result reports whether a reference window has completed.
-func (d *DriftDetector) Reference() (features.SummaryStats, bool) { return d.ref, d.hasRef }

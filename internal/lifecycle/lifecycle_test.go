@@ -61,8 +61,6 @@ func testTrainerConfig(seed int64) TrainerConfig {
 		},
 		StreamCapacity: 256,
 		StepsPerEpoch:  12,
-		SyncEvery:      4,
-		ReplayCapacity: 512,
 	}
 }
 
@@ -252,7 +250,7 @@ func TestDriftDetectorDefaults(t *testing.T) {
 	if d.cfg.Threshold != 6 || d.cfg.WindowSamples != 512 {
 		t.Fatalf("defaults = %+v", d.cfg)
 	}
-	if _, ok := d.Reference(); ok {
+	if d.hasRef {
 		t.Fatal("fresh detector claims a reference window")
 	}
 }

@@ -17,14 +17,17 @@ type TrainerConfig struct {
 	// StepsPerEpoch is the number of batched gradient steps one Epoch
 	// runs after draining the stream (default 64).
 	StepsPerEpoch int
-	// SyncEvery hard-syncs the target network once per this many epoch
-	// gradient steps (default 16; the final step of an epoch always
-	// syncs, so a snapshot taken after Epoch serves the trained weights).
-	SyncEvery int
-	// ReplayCapacity bounds the agent-side prioritized replay the stream
-	// drains into (default 1<<15).
-	ReplayCapacity int
 }
+
+const (
+	// syncEvery hard-syncs the target network once per this many epoch
+	// gradient steps (the final step of an epoch always syncs, so a
+	// snapshot taken after Epoch serves the trained weights).
+	syncEvery = 16
+	// replayCapacity bounds the agent-side prioritized replay the stream
+	// drains into.
+	replayCapacity = 1 << 15
+)
 
 func (c TrainerConfig) withDefaults() TrainerConfig {
 	if c.StreamCapacity <= 0 {
@@ -32,12 +35,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	}
 	if c.StepsPerEpoch <= 0 {
 		c.StepsPerEpoch = 64
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 16
-	}
-	if c.ReplayCapacity <= 0 {
-		c.ReplayCapacity = 1 << 15
 	}
 	return c
 }
@@ -80,7 +77,7 @@ type OnlineTrainer struct {
 func NewOnlineTrainer(cfg TrainerConfig) *OnlineTrainer {
 	cfg = cfg.withDefaults()
 	agent := rl.NewAgent(cfg.Agent, rl.NewPrioritizedReplay(rl.PERConfig{
-		Capacity: cfg.ReplayCapacity,
+		Capacity: replayCapacity,
 		Alpha:    0.6,
 		Beta:     0.4,
 		// Anneal importance correction over a horizon of explicit steps.
@@ -112,7 +109,7 @@ func (t *OnlineTrainer) Epochs() int { return t.epochs }
 
 // Epoch drains the stream into the agent's replay buffer and runs the
 // configured number of batched gradient steps, returning the epoch
-// summary. The target network is synced on the SyncEvery schedule and
+// summary. The target network is synced on the syncEvery schedule and
 // once more after the final step, so the post-epoch online network is
 // exactly what a snapshot candidate serves.
 func (t *OnlineTrainer) Epoch() EpochResult {
@@ -129,7 +126,7 @@ func (t *OnlineTrainer) Epoch() EpochResult {
 		}
 		lossSum += loss
 		res.Steps++
-		if res.Steps%t.cfg.SyncEvery == 0 {
+		if res.Steps%syncEvery == 0 {
 			t.agent.SyncTarget()
 		}
 	}

@@ -186,8 +186,8 @@ func gemv(w, x, y, bias []float64, relu bool) {
 
 // Network is a dense feed-forward network with ReLU hidden activations and
 // an optional dueling output head. Networks are not safe for concurrent
-// mutation; training code must own the network. Forward is safe to call
-// concurrently only on distinct Scratch values via ForwardInto.
+// mutation; training code must own the network. ForwardInto is safe to
+// call concurrently only on distinct Scratch values.
 type Network struct {
 	cfg    Config
 	hidden []*dense
@@ -278,16 +278,6 @@ func (n *Network) NewScratch() *Scratch {
 	s.aOut = make([]float64, n.cfg.Outputs)
 	s.q = make([]float64, n.cfg.Outputs)
 	return s
-}
-
-// Forward computes Q-values for input x, allocating a fresh output slice.
-// For hot paths use ForwardInto with a reused Scratch.
-func (n *Network) Forward(x []float64) []float64 {
-	s := n.NewScratch()
-	q := n.ForwardInto(s, x)
-	out := make([]float64, len(q))
-	copy(out, q)
-	return out
 }
 
 // ForwardInto runs a forward pass using s for intermediates and returns the
@@ -495,13 +485,4 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	}
 	*n = *restored
 	return nil
-}
-
-// NumParams returns the total number of trainable scalars.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W)
-	}
-	return total
 }

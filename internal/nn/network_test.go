@@ -25,14 +25,20 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// forward runs one pass on a fresh Scratch and returns a copy of the
+// output.
+func forward(n *Network, x []float64) []float64 {
+	return append([]float64(nil), n.ForwardInto(n.NewScratch(), x)...)
+}
+
 func TestForwardShapes(t *testing.T) {
 	n := New(Config{Inputs: 4, Hidden: []int{8, 6}, Outputs: 2, Seed: 1})
-	q := n.Forward([]float64{1, 2, 3, 4})
+	q := forward(n, []float64{1, 2, 3, 4})
 	if len(q) != 2 {
 		t.Fatalf("output len %d", len(q))
 	}
 	d := New(Config{Inputs: 4, Hidden: []int{8}, Outputs: 3, Dueling: true, Seed: 1})
-	q = d.Forward([]float64{1, 0, -1, 2})
+	q = forward(d, []float64{1, 0, -1, 2})
 	if len(q) != 3 {
 		t.Fatalf("dueling output len %d", len(q))
 	}
@@ -42,14 +48,14 @@ func TestForwardDeterministic(t *testing.T) {
 	a := New(Config{Inputs: 3, Hidden: []int{5}, Outputs: 2, Seed: 9})
 	b := New(Config{Inputs: 3, Hidden: []int{5}, Outputs: 2, Seed: 9})
 	x := []float64{0.5, -1, 2}
-	qa, qb := a.Forward(x), b.Forward(x)
+	qa, qb := forward(a, x), forward(b, x)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatal("same seed networks differ")
 		}
 	}
 	c := New(Config{Inputs: 3, Hidden: []int{5}, Outputs: 2, Seed: 10})
-	qc := c.Forward(x)
+	qc := forward(c, x)
 	same := true
 	for i := range qa {
 		if qa[i] != qc[i] {
@@ -72,7 +78,7 @@ func TestDuelingMeanInvariant(t *testing.T) {
 	for i := range n.adv.b.W {
 		n.adv.b.W[i] = 0
 	}
-	q := n.Forward([]float64{1, -1})
+	q := forward(n, []float64{1, -1})
 	for i := 1; i < len(q); i++ {
 		if math.Abs(q[i]-q[0]) > 1e-12 {
 			t.Fatalf("zero-advantage dueling outputs differ: %v", q)
@@ -85,7 +91,7 @@ func TestDuelingMeanInvariant(t *testing.T) {
 func numericalGrad(n *Network, x, target []float64) [][]float64 {
 	const h = 1e-6
 	loss := func() float64 {
-		q := n.Forward(x)
+		q := forward(n, x)
 		l := 0.0
 		for i := range q {
 			d := q[i] - target[i]
@@ -203,7 +209,7 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	a := New(Config{Inputs: 3, Hidden: []int{4}, Outputs: 2, Seed: 1})
 	b := a.Clone()
 	x := []float64{1, 2, 3}
-	qa, qb := a.Forward(x), b.Forward(x)
+	qa, qb := forward(a, x), forward(b, x)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatal("clone differs")
@@ -211,7 +217,7 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 	// Mutating the clone must not touch the original.
 	b.Params()[0].W[0] += 1
-	qa2 := a.Forward(x)
+	qa2 := forward(a, x)
 	for i := range qa {
 		if qa[i] != qa2[i] {
 			t.Fatal("clone shares storage with original")
@@ -219,7 +225,7 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 	// CopyFrom restores equality.
 	b.CopyFrom(a)
-	qb = b.Forward(x)
+	qb = forward(b, x)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatal("CopyFrom did not sync")
@@ -238,7 +244,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, -2, 3, 0, 0.5, -0.5}
-	qa, qb := a.Forward(x), b.Forward(x)
+	qa, qb := forward(a, x), forward(&b, x)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatalf("round trip output mismatch: %v vs %v", qa, qb)
@@ -256,19 +262,6 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestNumParams(t *testing.T) {
-	n := New(Config{Inputs: 3, Hidden: []int{4}, Outputs: 2, Seed: 1})
-	// dense 3->4: 12+4; out 4->2: 8+2 = 26.
-	if got := n.NumParams(); got != 26 {
-		t.Fatalf("NumParams = %d, want 26", got)
-	}
-	d := New(Config{Inputs: 3, Hidden: []int{4}, Outputs: 2, Dueling: true, Seed: 1})
-	// dense 3->4: 16; value 4->1: 5; adv 4->2: 10 = 31.
-	if got := d.NumParams(); got != 31 {
-		t.Fatalf("dueling NumParams = %d, want 31", got)
-	}
-}
-
 func TestForwardPanicsOnBadInput(t *testing.T) {
 	n := New(Config{Inputs: 3, Outputs: 1, Seed: 1})
 	defer func() {
@@ -276,7 +269,7 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 			t.Fatal("expected panic on wrong input size")
 		}
 	}()
-	n.Forward([]float64{1})
+	forward(n, []float64{1})
 }
 
 // edgeInput fills an input vector for trial: normal draws on even

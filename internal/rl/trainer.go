@@ -4,10 +4,9 @@ import "repro/internal/mathx"
 
 // TrainResult summarizes a training run.
 type TrainResult struct {
-	Episodes     int
-	Steps        int
-	TotalReward  float64
-	MeanEpReward float64
+	Episodes    int
+	Steps       int
+	TotalReward float64
 	// EpisodeRewards holds the undiscounted reward of each episode in
 	// order, for convergence inspection.
 	EpisodeRewards []float64
@@ -19,9 +18,6 @@ type TrainOptions struct {
 	Episodes int
 	// MaxStepsPerEpisode caps runaway episodes; 0 means unlimited.
 	MaxStepsPerEpisode int
-	// OnEpisode, if non-nil, is invoked after each episode with its index
-	// and undiscounted reward.
-	OnEpisode func(episode int, reward float64)
 }
 
 // Train runs the agent in env for the requested number of episodes,
@@ -30,7 +26,7 @@ type TrainOptions struct {
 // node's event history against a randomly sampled job sequence.
 func Train(agent *Agent, env Environment, opts TrainOptions) TrainResult {
 	res := TrainResult{}
-	for ep := 0; ep < opts.Episodes; ep++ {
+	for range opts.Episodes {
 		state := env.Reset()
 		epReward := 0.0
 		for step := 0; ; step++ {
@@ -50,12 +46,6 @@ func Train(agent *Agent, env Environment, opts TrainOptions) TrainResult {
 		res.Episodes++
 		res.TotalReward += epReward
 		res.EpisodeRewards = append(res.EpisodeRewards, epReward)
-		if opts.OnEpisode != nil {
-			opts.OnEpisode(ep, epReward)
-		}
-	}
-	if res.Episodes > 0 {
-		res.MeanEpReward = res.TotalReward / float64(res.Episodes)
 	}
 	return res
 }
@@ -123,9 +113,6 @@ func TrainVec(agent *Agent, envs []Environment, opts TrainOptions) TrainResult {
 		res.Episodes++
 		res.TotalReward += epReward[s]
 		res.EpisodeRewards[episodeIdx[s]] = epReward[s]
-		if opts.OnEpisode != nil {
-			opts.OnEpisode(episodeIdx[s], epReward[s])
-		}
 		if started < opts.Episodes {
 			state[s] = envs[s].Reset()
 			episodeIdx[s] = started
@@ -188,9 +175,6 @@ func TrainVec(agent *Agent, envs []Environment, opts TrainOptions) TrainResult {
 				state[s] = next
 			}
 		}
-	}
-	if res.Episodes > 0 {
-		res.MeanEpReward = res.TotalReward / float64(res.Episodes)
 	}
 	return res
 }

@@ -54,7 +54,6 @@ func WithRestartable(restartable bool) SystemOption {
 // controllerConfig collects NewController options.
 type controllerConfig struct {
 	shards int
-	now    func() time.Time
 }
 
 // ControllerOption configures NewController.
@@ -71,19 +70,9 @@ func WithShards(n int) ControllerOption {
 	return func(c *controllerConfig) { c.shards = n }
 }
 
-// WithNowFunc sets the controller's clock, used by RecommendNow. Tests and
-// replay drivers inject a synthetic clock; the default is time.Now.
-func WithNowFunc(now func() time.Time) ControllerOption {
-	return func(c *controllerConfig) {
-		if now != nil {
-			c.now = now
-		}
-	}
-}
-
 // defaultControllerConfig seeds the option struct.
 func defaultControllerConfig() controllerConfig {
-	return controllerConfig{shards: 2 * runtime.GOMAXPROCS(0), now: time.Now}
+	return controllerConfig{shards: 2 * runtime.GOMAXPROCS(0)}
 }
 
 // learnerConfig collects NewOnlineLearner options.
