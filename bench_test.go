@@ -292,12 +292,13 @@ func BenchmarkFeatureTracker(b *testing.B) {
 		Rank: 1, Bank: 3, Row: 900, Col: 12,
 	}}}
 	tr := features.NewTracker()
+	var v features.Vector
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick.Time = t0.Add(time.Duration(i) * time.Minute)
 		tick.Events[0].Time = tick.Time
-		tr.Observe(tick, 100)
+		tr.Observe(tick, 100, &v)
 	}
 }
 

@@ -182,24 +182,24 @@ func (c *Controller) shardIndex(node int) uint64 {
 func (c *Controller) ObserveEvent(e Event) {
 	sh := c.shards[c.shardIndex(e.Node)]
 	sh.mu.Lock()
-	sh.observe(e, 0)
+	sh.observe(e, 0, nil)
 	sh.mu.Unlock()
 }
 
-// observe applies one event to the shard and returns the node's feature
-// vector at e.Time with potential UE cost cost; the caller holds the
-// write lock.
+// observe applies one event to the shard and fills v, unless nil, with
+// the node's feature vector at e.Time with potential UE cost cost; the
+// caller holds the write lock.
 //
 //uerl:hotpath
 //uerl:locked mu
-func (sh *ctlShard) observe(e Event, cost float64) features.Vector {
+func (sh *ctlShard) observe(e Event, cost float64, v *features.Vector) {
 	tr, ok := sh.trackers[e.Node]
 	if !ok {
 		tr = features.NewTracker()
 		sh.trackers[e.Node] = tr
 	}
 	sh.evBuf[0] = e.toErrlog()
-	return tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, cost)
+	tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, cost, v)
 }
 
 // Tick is one decision tick in one call: ObserveEvent(e), then
@@ -227,8 +227,9 @@ func (c *Controller) Tick(e Event, potentialCostNodeHours float64) (d Decision) 
 //uerl:hotpath
 func (c *Controller) tick(d *Decision, e Event, potentialCostNodeHours float64, norm *[FeatureDim]float64) (normed bool) {
 	sh := c.shards[c.shardIndex(e.Node)]
+	var v features.Vector
 	sh.mu.Lock()
-	v := sh.observe(e, potentialCostNodeHours)
+	sh.observe(e, potentialCostNodeHours, &v)
 	sh.mu.Unlock()
 	v[features.CEsSinceLastEvent] = 0
 	if v[features.HoursSinceBoot] < 0 {
@@ -283,7 +284,7 @@ func (c *Controller) ObserveBatch(ctx context.Context, events []Event) (int, err
 		sh := c.shards[i]
 		sh.mu.Lock()
 		for _, e := range bucket {
-			sh.observe(e, 0)
+			sh.observe(e, 0, nil)
 		}
 		sh.mu.Unlock()
 		ingested += len(bucket)
@@ -291,21 +292,20 @@ func (c *Controller) ObserveBatch(ctx context.Context, events []Event) (int, err
 	return ingested, nil
 }
 
-// peek reads a node's feature vector side-effect-free under the shard's
-// read lock; unknown nodes report the empty feature state.
+// peek fills v, which must be zero, with a node's feature vector read
+// side-effect-free under the shard's read lock; unknown nodes report the
+// empty feature state.
 //
 //uerl:hotpath
-func (c *Controller) peek(node int, at time.Time, cost float64) features.Vector {
+func (c *Controller) peek(v *features.Vector, node int, at time.Time, cost float64) {
 	sh := c.shards[c.shardIndex(node)]
-	var v features.Vector
 	sh.mu.RLock()
 	if tr, ok := sh.trackers[node]; ok {
-		v = tr.Peek(at, cost)
+		tr.Peek(at, cost, v)
 	} else {
 		v[features.UECost] = cost
 	}
 	sh.mu.RUnlock()
-	return v
 }
 
 // Recommend asks the policy whether to mitigate on the node at time at,
@@ -319,7 +319,8 @@ func (c *Controller) peek(node int, at time.Time, cost float64) features.Vector 
 //
 //uerl:hotpath
 func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours float64) (d Decision) {
-	v := c.peek(node, at, potentialCostNodeHours)
+	var v features.Vector
+	c.peek(&v, node, at, potentialCostNodeHours)
 	var norm [FeatureDim]float64
 	c.decide(&d, node, at, &v, &norm)
 	return d
@@ -386,7 +387,8 @@ func (c *Controller) attachGuard(g *Guard) {
 // side-effect-free read Recommend uses, exposed for observability. The
 // result is a value (comparable with ==) and the call does not allocate.
 func (c *Controller) Features(node int, at time.Time, potentialCostNodeHours float64) [FeatureDim]float64 {
-	v := c.peek(node, at, potentialCostNodeHours)
+	var v features.Vector
+	c.peek(&v, node, at, potentialCostNodeHours)
 	return v
 }
 

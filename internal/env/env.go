@@ -201,17 +201,18 @@ func (e *MitigationEnv) Reset() []float64 {
 		tick := e.ticks[e.idx]
 		e.tl.AdvanceTo(tick.Time)
 		if tick.HasUE() {
-			e.tracker.Observe(tick, 0)
+			e.tracker.Observe(tick, 0, nil)
 			e.tl.OnUE(ueTime(tick))
 			e.idx++
 			continue
 		}
 		if e.idx < skipUntil {
-			e.tracker.Observe(tick, 0)
+			e.tracker.Observe(tick, 0, nil)
 			e.idx++
 			continue
 		}
-		v := e.tracker.Observe(tick, e.tl.CostAt(tick.Time))
+		var v features.Vector
+		e.tracker.Observe(tick, e.tl.CostAt(tick.Time), &v)
 		e.state = v.NormalizedInto(e.nextStateBuf())
 		return e.state
 	}
@@ -268,12 +269,13 @@ func (e *MitigationEnv) Step(action int) ([]float64, float64, bool) {
 		tick := e.ticks[e.idx]
 		e.tl.AdvanceTo(tick.Time)
 		if tick.HasUE() {
-			e.tracker.Observe(tick, 0)
+			e.tracker.Observe(tick, 0, nil)
 			reward -= e.tl.OnUE(ueTime(tick))
 			e.idx++
 			continue
 		}
-		v := e.tracker.Observe(tick, e.tl.CostAt(tick.Time))
+		var v features.Vector
+		e.tracker.Observe(tick, e.tl.CostAt(tick.Time), &v)
 		e.state = v.NormalizedInto(e.nextStateBuf())
 		return e.state, reward * e.cfg.RewardScale, false
 	}

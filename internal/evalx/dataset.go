@@ -45,10 +45,11 @@ func BuildRFDataset(ticksByNode [][]errlog.Tick, from, to time.Time) RFDataset {
 		ueIdx := 0
 		for _, tick := range ticks {
 			if tick.HasUE() {
-				tracker.Observe(tick, 0)
+				tracker.Observe(tick, 0, nil)
 				continue
 			}
-			v := tracker.Observe(tick, 0)
+			var v features.Vector
+			tracker.Observe(tick, 0, &v)
 			if !from.IsZero() && tick.Time.Before(from) {
 				continue
 			}

@@ -178,7 +178,7 @@ func replayNodeAll(ds []policies.Decider, ticks []errlog.Tick, sampler *jobs.Sam
 			jobNodes := float64(tl.Job().Nodes)
 			jobStart := tl.JobStart()
 			sharedCost := tl.OnUE(ut)
-			tracker.Observe(tick, 0)
+			tracker.Observe(tick, 0, nil)
 			if cfg.inWindow(ut) {
 				unreachable := !haveEvent || ut.Sub(lastEvent) > PredictionWindow
 				for pi := range ps {
@@ -232,7 +232,8 @@ func replayNodeAll(ds []policies.Decider, ticks []errlog.Tick, sampler *jobs.Sam
 			lastOverride = sharedCost
 		}
 		// The literal also clears the previous tick's RFProb memo.
-		sc.ctx = policies.Context{Node: tick.Node, Time: tick.Time, Features: tracker.Observe(tick, sharedCost)}
+		sc.ctx = policies.Context{Node: tick.Node, Time: tick.Time}
+		tracker.Observe(tick, sharedCost, &sc.ctx.Features)
 		jobNodes := float64(tl.Job().Nodes)
 		jobStart := tl.JobStart()
 		inWin := cfg.inWindow(tick.Time)

@@ -78,7 +78,7 @@ func referenceReplayNode(d policies.Decider, ticks []errlog.Tick, sampler *jobs.
 			if cfg.CostOverride != nil {
 				cost = lastOverride
 			}
-			tracker.Observe(tick, 0)
+			tracker.Observe(tick, 0, nil)
 			if cfg.inWindow(ut) {
 				res.UEs++
 				res.UECost += cost
@@ -116,7 +116,8 @@ func referenceReplayNode(d policies.Decider, ticks []errlog.Tick, sampler *jobs.
 			ueCost = cfg.CostOverride(costRNG)
 			lastOverride = ueCost
 		}
-		v := tracker.Observe(tick, ueCost)
+		var v features.Vector
+		tracker.Observe(tick, ueCost, &v)
 		mitigate := d.Decide(&policies.Context{Node: tick.Node, Time: tick.Time, Features: v})
 		if mitigate {
 			// A mitigation in the post-UE downtime precedes the next job,

@@ -80,12 +80,13 @@ func RunFig6(w *World) Fig6Result {
 		for _, tick := range ticks {
 			tl.AdvanceTo(tick.Time)
 			if tick.HasUE() {
-				tracker.Observe(tick, 0)
+				tracker.Observe(tick, 0, nil)
 				tl.OnUE(tick.Time)
 				continue
 			}
 			cost := tl.CostAt(tick.Time)
-			v := tracker.Observe(tick, cost)
+			var v features.Vector
+			tracker.Observe(tick, cost, &v)
 			if tick.Time.Before(split.TrainTo) {
 				continue
 			}

@@ -277,12 +277,12 @@ func (tr *Tracker) Reset() {
 	tr.history.reset()
 }
 
-// Observe ingests a tick's events and returns the feature vector at the
-// tick time with the supplied potential UE cost. Ticks must be fed in
-// chronological order.
+// Observe ingests a tick's events and fills v with the feature vector at
+// the tick time with the supplied potential UE cost; with v nil it only
+// ingests. Ticks must be fed in chronological order.
 //
 //uerl:hotpath
-func (tr *Tracker) Observe(tick errlog.Tick, ueCost float64) Vector {
+func (tr *Tracker) Observe(tick errlog.Tick, ueCost float64, v *Vector) {
 	if !tr.started {
 		tr.started = true
 		tr.start = tick.Time
@@ -324,33 +324,33 @@ func (tr *Tracker) Observe(tick errlog.Tick, ueCost float64) Vector {
 	tr.history.push(snapshot{t: at, ces: tr.cesTotal, boots: tr.boots})
 	tr.compact(cutoff(at, 2*time.Hour))
 
-	return tr.vectorAt(tick.Time, at, ceNow, ueCost)
+	if v != nil {
+		tr.vectorAt(v, tick.Time, at, ceNow, ueCost)
+	}
 }
 
-// Peek returns the feature vector the node would report at time now with
-// the supplied potential UE cost, WITHOUT mutating the tracker: no
+// Peek fills v with the feature vector the node would report at time now
+// with the supplied potential UE cost, WITHOUT mutating the tracker: no
 // snapshot is recorded and no counters move. It is the read-only query
 // path used by Controller.Recommend, so polling a node never changes its
 // features. now must not precede the last observed tick.
 //
 //uerl:hotpath
-func (tr *Tracker) Peek(now time.Time, ueCost float64) Vector {
-	v := tr.vectorAt(now, tr.offset(now), 0, ueCost)
+func (tr *Tracker) Peek(now time.Time, ueCost float64, v *Vector) {
+	tr.vectorAt(v, now, tr.offset(now), 0, ueCost)
 	if v[HoursSinceBoot] < 0 {
 		// A Peek earlier than the last boot (lagging poller clock) must
 		// not feed log1p a negative value downstream. Observe keeps the
 		// raw value so replayed training inputs stay bit-identical.
 		v[HoursSinceBoot] = 0
 	}
-	return v
 }
 
-// vectorAt assembles the feature vector for time t, at offset at, from
-// current counters.
+// vectorAt fills every entry of v with the feature vector for time t, at
+// offset at, from current counters.
 //
 //uerl:hotpath
-func (tr *Tracker) vectorAt(t time.Time, at int64, ceNow, ueCost float64) Vector {
-	var v Vector
+func (tr *Tracker) vectorAt(v *Vector, t time.Time, at int64, ceNow, ueCost float64) {
 	v[CEsSinceLastEvent] = ceNow
 	v[CEsTotal] = tr.cesTotal
 	v[RanksWithCEs] = float64(tr.ranks.len())
@@ -364,12 +364,13 @@ func (tr *Tracker) vectorAt(t time.Time, at int64, ceNow, ueCost float64) Vector
 		v[HoursSinceBoot] = t.Sub(tr.lastBoot).Hours()
 	case tr.started:
 		v[HoursSinceBoot] = time.Duration(at).Hours()
+	default:
+		v[HoursSinceBoot] = 0
 	}
 	v[Boots] = tr.boots
 	v[CEVar1Min], v[BootVar1Min] = tr.variations(cutoff(at, time.Minute))
 	v[CEVar1Hour], v[BootVar1Hour] = tr.variations(cutoff(at, time.Hour))
 	v[UECost] = ueCost
-	return v
 }
 
 // offset is t's distance from the first tick in nanoseconds. time.Time.Sub

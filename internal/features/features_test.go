@@ -24,11 +24,11 @@ func ceEvent(count, rank, bank, row, col, dimm int) errlog.Event {
 
 func TestObserveCECounts(t *testing.T) {
 	tr := NewTracker()
-	v := tr.Observe(tick(0, ceEvent(5, 0, 1, 10, 20, 3)), 0)
+	v := observe(tr, tick(0, ceEvent(5, 0, 1, 10, 20, 3)), 0)
 	if v[CEsSinceLastEvent] != 5 || v[CEsTotal] != 5 {
 		t.Fatalf("first tick: %v", v)
 	}
-	v = tr.Observe(tick(time.Hour, ceEvent(3, 0, 2, 11, 20, 3)), 0)
+	v = observe(tr, tick(time.Hour, ceEvent(3, 0, 2, 11, 20, 3)), 0)
 	if v[CEsSinceLastEvent] != 3 {
 		t.Fatalf("CEs since last event = %v, want 3", v[CEsSinceLastEvent])
 	}
@@ -39,8 +39,8 @@ func TestObserveCECounts(t *testing.T) {
 
 func TestObserveSpatialSpread(t *testing.T) {
 	tr := NewTracker()
-	tr.Observe(tick(0, ceEvent(1, 0, 1, 10, 20, 3)), 0)
-	v := tr.Observe(tick(time.Minute,
+	observe(tr, tick(0, ceEvent(1, 0, 1, 10, 20, 3)), 0)
+	v := observe(tr, tick(time.Minute,
 		ceEvent(1, 0, 2, 11, 20, 3), // new bank, new row, same rank/col/DIMM
 		ceEvent(1, 1, 1, 10, 21, 4), // new rank, new col, new DIMM
 	), 0)
@@ -54,8 +54,8 @@ func TestObserveWarningsAndBoots(t *testing.T) {
 	tr := NewTracker()
 	boot := errlog.Event{Type: errlog.Boot}
 	warn := errlog.Event{Type: errlog.UEWarning}
-	tr.Observe(tick(0, boot), 0)
-	v := tr.Observe(tick(2*time.Hour, warn), 0)
+	observe(tr, tick(0, boot), 0)
+	v := observe(tr, tick(2*time.Hour, warn), 0)
 	if v[UEWarnings] != 1 || v[Boots] != 1 {
 		t.Fatalf("warn/boot counts: %v", v)
 	}
@@ -68,8 +68,8 @@ func TestVariationEq2(t *testing.T) {
 	tr := NewTracker()
 	// 10 CEs at t=0, 30 more at t=1h. At the second tick, CEsTotal=40 and
 	// the value one hour earlier was 10 -> variation over 1h = 4.
-	tr.Observe(tick(0, ceEvent(10, 0, 0, 0, 0, 0)), 0)
-	v := tr.Observe(tick(time.Hour, ceEvent(30, 0, 0, 0, 0, 0)), 0)
+	observe(tr, tick(0, ceEvent(10, 0, 0, 0, 0, 0)), 0)
+	v := observe(tr, tick(time.Hour, ceEvent(30, 0, 0, 0, 0, 0)), 0)
 	if math.Abs(v[CEVar1Hour]-4) > 1e-9 {
 		t.Fatalf("CE 1h variation = %v, want 4", v[CEVar1Hour])
 	}
@@ -84,14 +84,14 @@ func TestVariationZeroDenominator(t *testing.T) {
 	tr := NewTracker()
 	// First tick: no history before it -> variation 0 (paper: set to zero
 	// when the denominator is zero).
-	v := tr.Observe(tick(0, ceEvent(10, 0, 0, 0, 0, 0)), 0)
+	v := observe(tr, tick(0, ceEvent(10, 0, 0, 0, 0, 0)), 0)
 	if v[CEVar1Min] != 0 || v[CEVar1Hour] != 0 {
 		t.Fatalf("first-tick variation should be 0: %v", v)
 	}
 	// Snapshot exists but its value is zero (only a boot, no CEs).
 	tr2 := NewTracker()
-	tr2.Observe(tick(0, errlog.Event{Type: errlog.Boot}), 0)
-	v = tr2.Observe(tick(2*time.Hour, ceEvent(5, 0, 0, 0, 0, 0)), 0)
+	observe(tr2, tick(0, errlog.Event{Type: errlog.Boot}), 0)
+	v = observe(tr2, tick(2*time.Hour, ceEvent(5, 0, 0, 0, 0, 0)), 0)
 	if v[CEVar1Hour] != 0 {
 		t.Fatalf("zero-denominator variation should be 0, got %v", v[CEVar1Hour])
 	}
@@ -99,7 +99,7 @@ func TestVariationZeroDenominator(t *testing.T) {
 
 func TestUECostPassthrough(t *testing.T) {
 	tr := NewTracker()
-	v := tr.Observe(tick(0), 1234.5)
+	v := observe(tr, tick(0), 1234.5)
 	if v[UECost] != 1234.5 {
 		t.Fatalf("UE cost = %v", v[UECost])
 	}
@@ -142,11 +142,11 @@ func TestPredictorExcludesCost(t *testing.T) {
 
 func TestResetAndLast(t *testing.T) {
 	tr := NewTracker()
-	if v := tr.Observe(tick(0, ceEvent(5, 0, 0, 0, 0, 0)), 7); v[CEsTotal] != 5 {
+	if v := observe(tr, tick(0, ceEvent(5, 0, 0, 0, 0, 0)), 7); v[CEsTotal] != 5 {
 		t.Fatal("Observe returned the wrong vector")
 	}
 	tr.Reset()
-	v := tr.Observe(tick(time.Hour), 0)
+	v := observe(tr, tick(time.Hour), 0)
 	if v[CEsTotal] != 0 {
 		t.Fatal("Reset did not clear state")
 	}
@@ -154,13 +154,13 @@ func TestResetAndLast(t *testing.T) {
 
 func TestCompactHistoryPreservesVariation(t *testing.T) {
 	tr := NewTracker()
-	tr.Observe(tick(0, ceEvent(10, 0, 0, 0, 0, 0)), 0)
+	observe(tr, tick(0, ceEvent(10, 0, 0, 0, 0, 0)), 0)
 	for i := 1; i <= 48; i++ {
-		tr.Observe(tick(time.Duration(i)*time.Hour, ceEvent(1, 0, 0, 0, 0, 0)), 0)
+		observe(tr, tick(time.Duration(i)*time.Hour, ceEvent(1, 0, 0, 0, 0, 0)), 0)
 	}
 	// Observe compacts on every tick; variation over 1 hour needs only the
 	// last 2 hours of history.
-	v := tr.Observe(tick(49*time.Hour, ceEvent(58, 0, 0, 0, 0, 0)), 0)
+	v := observe(tr, tick(49*time.Hour, ceEvent(58, 0, 0, 0, 0, 0)), 0)
 	// CEsTotal = 10+48+58 = 116; value 1h before = 10+48 = 58 -> ratio 2.
 	if math.Abs(v[CEVar1Hour]-2) > 1e-9 {
 		t.Fatalf("variation after compaction = %v, want 2", v[CEVar1Hour])
@@ -173,7 +173,7 @@ func TestCompactHistoryPreservesVariation(t *testing.T) {
 func TestResetReusesStorage(t *testing.T) {
 	tr := NewTracker()
 	for i := 0; i < 200; i++ {
-		tr.Observe(tick(time.Duration(i)*time.Minute,
+		observe(tr, tick(time.Duration(i)*time.Minute,
 			ceEvent(1, i%4, i%16, i*7%4096, i%1024, i%8)), 0)
 	}
 	// Warm up one reset so lazily grown buffers exist, then resets must not
@@ -183,7 +183,7 @@ func TestResetReusesStorage(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Reset allocates %v times per run, want 0", allocs)
 	}
-	v := tr.Observe(tick(time.Hour), 0)
+	v := observe(tr, tick(time.Hour), 0)
 	for i := 0; i < UECost; i++ {
 		if v[i] != 0 {
 			t.Fatalf("state leaked through Reset: feature %d = %v", i, v[i])
@@ -203,11 +203,11 @@ func TestObserveZeroAllocSteadyState(t *testing.T) {
 	// Warm up the ring and bitsets.
 	for i := 0; i < 300; i++ {
 		advance()
-		tr.Observe(tk, 100)
+		observe(tr, tk, 100)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		advance()
-		tr.Observe(tk, 100)
+		observe(tr, tk, 100)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Observe allocates %v times per run, want 0", allocs)
@@ -217,7 +217,7 @@ func TestObserveZeroAllocSteadyState(t *testing.T) {
 func TestSpreadSetOverflow(t *testing.T) {
 	tr := NewTracker()
 	// Rows far beyond the bitset range must still count distinctly.
-	v := tr.Observe(tick(0,
+	v := observe(tr, tick(0,
 		ceEvent(1, 0, 0, maxSpreadBits+5, 0, 0),
 		ceEvent(1, 0, 0, maxSpreadBits+9, 0, 0),
 		ceEvent(1, 0, 0, maxSpreadBits+5, 0, 0),
@@ -227,7 +227,7 @@ func TestSpreadSetOverflow(t *testing.T) {
 		t.Fatalf("overflow rows counted %v, want 3", v[RowsWithCEs])
 	}
 	tr.Reset()
-	v = tr.Observe(tick(time.Minute, ceEvent(1, 0, 0, maxSpreadBits+5, 0, 0)), 0)
+	v = observe(tr, tick(time.Minute, ceEvent(1, 0, 0, maxSpreadBits+5, 0, 0)), 0)
 	if v[RowsWithCEs] != 1 {
 		t.Fatalf("overflow rows after reset counted %v, want 1", v[RowsWithCEs])
 	}
@@ -268,8 +268,8 @@ func TestNormalizedIntoMatchesNormalized(t *testing.T) {
 
 func TestHoursSinceBootBeforeFirstBoot(t *testing.T) {
 	tr := NewTracker()
-	tr.Observe(tick(0, ceEvent(1, 0, 0, 0, 0, 0)), 0)
-	v := tr.Observe(tick(3*time.Hour, ceEvent(1, 0, 0, 0, 0, 0)), 0)
+	observe(tr, tick(0, ceEvent(1, 0, 0, 0, 0, 0)), 0)
+	v := observe(tr, tick(3*time.Hour, ceEvent(1, 0, 0, 0, 0, 0)), 0)
 	// With no boot seen, fall back to time since start of observation.
 	if math.Abs(v[HoursSinceBoot]-3) > 1e-9 {
 		t.Fatalf("fallback hours since boot = %v, want 3", v[HoursSinceBoot])
@@ -297,4 +297,18 @@ func TestLog1pCountMatchesLog1p(t *testing.T) {
 				x, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
+}
+
+// observe is Tracker.Observe returning the filled vector.
+func observe(tr *Tracker, tick errlog.Tick, ueCost float64) Vector {
+	var v Vector
+	tr.Observe(tick, ueCost, &v)
+	return v
+}
+
+// peek is Tracker.Peek returning the filled vector.
+func peek(tr *Tracker, now time.Time, ueCost float64) Vector {
+	var v Vector
+	tr.Peek(now, ueCost, &v)
+	return v
 }

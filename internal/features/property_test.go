@@ -49,7 +49,7 @@ func TestTrackerMonotoneCumulative(t *testing.T) {
 			if c%7 == 0 {
 				ev = errlog.Event{Time: at, Node: 1, Type: errlog.Boot, Count: 1}
 			}
-			v := tr.Observe(errlog.Tick{Time: at, Node: 1, Events: []errlog.Event{ev}}, 0)
+			v := observe(tr, errlog.Tick{Time: at, Node: 1, Events: []errlog.Event{ev}}, 0)
 			if v[CEsTotal] < prevTotal || v[Boots] < prevBoots {
 				return false
 			}
@@ -69,7 +69,7 @@ func TestVariationNonNegative(t *testing.T) {
 	base := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 300; i++ {
 		at := base.Add(time.Duration(i*13) * time.Minute)
-		v := tr.Observe(errlog.Tick{Time: at, Node: 1, Events: []errlog.Event{{
+		v := observe(tr, errlog.Tick{Time: at, Node: 1, Events: []errlog.Event{{
 			Time: at, Node: 1, DIMM: 1, Type: errlog.CE, Count: 1 + i%5,
 			Rank: 0, Bank: 0, Row: i, Col: 0,
 		}}}, 0)

@@ -162,7 +162,7 @@ func TestTrackerMatchesTimeSearchReference(t *testing.T) {
 			}
 			cost := float64(rng.Intn(500))
 			tick := errlog.Tick{Time: at, Node: 1, Events: events}
-			if got, want := tr.Observe(tick, cost), ref.observe(tick, cost); !same(got, want) {
+			if got, want := observe(tr, tick, cost), ref.observe(tick, cost); !same(got, want) {
 				t.Fatalf("stream %d tick %d at %v: Observe = %v, oracle %v", stream, i, at, got, want)
 			}
 			probes := []time.Time{
@@ -175,7 +175,7 @@ func TestTrackerMatchesTimeSearchReference(t *testing.T) {
 				{}, time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC), at.AddDate(400, 0, 0),
 			}
 			for _, p := range probes {
-				if got, want := tr.Peek(p, cost), ref.peek(p, cost); !same(got, want) {
+				if got, want := peek(tr, p, cost), ref.peek(p, cost); !same(got, want) {
 					t.Fatalf("stream %d tick %d at %v: Peek(%v) = %v, oracle %v", stream, i, at, p, got, want)
 				}
 			}

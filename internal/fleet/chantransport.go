@@ -5,36 +5,26 @@ import (
 	"sync"
 )
 
-// rpc is one in-flight request/response pair handed across the worker
-// channel boundary.
-type rpc struct {
-	req  *Request
-	resp *Response
-}
-
-// chanEndpoint is the coordinator-side handle of one worker goroutine.
+// chanEndpoint is the coordinator-side handle of one worker slot.
 type chanEndpoint struct {
-	reqCh chan rpc
-	// done signals each reply; calls are serialized under the transport
-	// mutex, so one channel made at start serves every call.
-	done chan struct{}
-	stop chan struct{}
+	// w is the slot's worker; nil once killed, so its state is gone.
+	w *Worker
 	// killed and hung are fault-injection flags (guarded by the
-	// transport mutex). A killed worker's goroutine has exited and its
-	// state is gone — Rejoin starts a fresh worker from the factory. A
-	// hung worker keeps its goroutine and state but every Call fails
-	// with ErrWorkerTimeout until Rejoin clears the flag.
+	// transport mutex). A killed worker's state is gone — Rejoin starts
+	// a fresh worker from the factory. A hung worker keeps its state but
+	// every Call fails with ErrWorkerTimeout until Rejoin clears the
+	// flag.
 	killed bool
 	hung   bool
 	// incarnation counts the slot's restarts (Response.Incarnation).
 	incarnation uint64
 }
 
-// ChanTransport runs N workers as goroutines behind channel request/reply
-// boundaries — the single-binary multi-worker mode. Every request crosses
-// a real goroutine handoff (so -race exercises the coordinator/worker
-// interface exactly as a network transport would), yet calls are
-// synchronous and faults are modeled deterministically: Kill, Hang and
+// ChanTransport runs N workers in process — the single-binary
+// multi-worker mode. Call runs the worker synchronously on the caller's
+// goroutine, and the transport mutex serializes every call with every
+// other call and with Kill/Hang/Rejoin, so a worker never serves two
+// requests at once. Faults are modeled deterministically: Kill, Hang and
 // Rejoin flip per-worker flags, and calls against a faulted worker fail
 // immediately with the matching error instead of waiting out wall-clock
 // timeouts. Same call sequence + same fault schedule ⇒ same results,
@@ -63,38 +53,20 @@ func NewChanTransport(n int, factory func(id int) *Worker) *ChanTransport {
 	return t
 }
 
-// startEndpoint launches the serving goroutine for one worker, telling
-// it its incarnation.
+// startEndpoint puts w in a slot, telling it its incarnation.
 func startEndpoint(w *Worker, incarnation uint64) *chanEndpoint {
 	w.incarnation = incarnation
-	ep := &chanEndpoint{
-		reqCh:       make(chan rpc),
-		done:        make(chan struct{}),
-		stop:        make(chan struct{}),
-		incarnation: incarnation,
-	}
-	go func() {
-		for {
-			select {
-			case <-ep.stop:
-				return
-			case c := <-ep.reqCh:
-				w.handle(c.req, c.resp)
-				ep.done <- struct{}{}
-			}
-		}
-	}()
-	return ep
+	return &chanEndpoint{w: w, incarnation: incarnation}
 }
 
 // Workers reports the number of worker slots.
 func (t *ChanTransport) Workers() int { return len(t.eps) }
 
-// Call delivers req to worker w and waits for its reply. Faulted workers
+// Call has worker w serve req on the caller's goroutine. Faulted workers
 // fail immediately: ErrWorkerDown when killed, ErrWorkerTimeout when
-// hung. The call is serialized under the transport mutex, which keeps the
-// fault flags and the request handoff atomic with respect to concurrent
-// Kill/Hang/Rejoin.
+// hung. The call holds the transport mutex throughout, which keeps the
+// fault flags and the request atomic with respect to concurrent calls
+// and Kill/Hang/Rejoin.
 func (t *ChanTransport) Call(w int, req *Request, resp *Response) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -108,24 +80,20 @@ func (t *ChanTransport) Call(w int, req *Request, resp *Response) error {
 	case ep.hung:
 		return ErrWorkerTimeout
 	}
-	ep.reqCh <- rpc{req: req, resp: resp}
-	<-ep.done
+	ep.w.handle(req, resp)
 	resp.Incarnation = ep.incarnation
 	return nil
 }
 
-// Kill stops worker w: its goroutine exits and its state is gone. Calls
-// fail with ErrWorkerDown until Rejoin starts a replacement.
+// Kill stops worker w: its state is gone. Calls fail with ErrWorkerDown
+// until Rejoin starts a replacement.
 func (t *ChanTransport) Kill(w int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ep := t.eps[w]
-	if ep.killed {
-		return
-	}
 	ep.killed = true
 	ep.hung = false
-	close(ep.stop)
+	ep.w = nil
 }
 
 // Hang makes worker w unresponsive without losing its state: calls fail

@@ -193,7 +193,8 @@ func NewCoordinator(cfg Config, tr Transport) (*Coordinator, error) {
 }
 
 // NewInProcess builds the single-binary multi-worker deployment: a
-// coordinator over a ChanTransport running cfg.Workers goroutine workers.
+// coordinator over a ChanTransport of cfg.Workers in-process workers,
+// each call served synchronously on the caller's goroutine.
 // The returned transport doubles as the fault injector (Kill/Hang/Rejoin)
 // for tests and scenarios.
 func NewInProcess(cfg Config) (*Coordinator, *ChanTransport, error) {
@@ -268,18 +269,19 @@ func (c *Coordinator) ObserveEvent(e uerl.Event) {
 // match the three separate calls exactly.
 //
 //uerl:hotpath
-func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) uerl.Decision {
+func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) (d uerl.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ns := c.ingest(e); ns != nil {
 		q := query{at: e.Time, cost: potentialCostNodeHours}
-		if d, ok := c.deliver(e.Node, ns, &q); ok {
+		if c.deliver(e.Node, ns, &q) {
+			d = c.resp.Decision
 			d.StaleEvents = c.staleness(e.Node)
 			return d
 		}
 	}
-	d := c.recommend(e.Node, e.Time, potentialCostNodeHours)
-	c.observeDecision(d)
+	d = c.recommend(e.Node, e.Time, potentialCostNodeHours)
+	c.observeDecision(&d)
 	return d
 }
 
@@ -313,34 +315,34 @@ func (c *Coordinator) ingest(e uerl.Event) *nodeState {
 
 // deliver syncs node's journal backlog (usually just the newest event)
 // to its owner, charging health on failure. With q set and a live owner
-// the sync also answers q and charges the owner's guard; ok reports
-// whether it did. Caller holds c.mu.
+// the sync also answers q and charges the owner's guard; served reports
+// whether it did, and then c.resp holds the decision. Caller holds c.mu.
 //
 //uerl:hotpath
-func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (d uerl.Decision, ok bool) {
+func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (served bool) {
 	if ns.owner < 0 {
-		return d, false // orphaned: every worker is down; rejoinWorker re-homes it
+		return false // orphaned: every worker is down; rejoinWorker re-homes it
 	}
 	h := c.workers[ns.owner]
 	if h.state == WorkerDown {
-		return d, false // backlog waits for failover/rejoin to resolve the owner
+		return false // backlog waits for failover/rejoin to resolve the owner
 	}
 	if h.state == WorkerSuspect && c.clock.Before(h.nextRetry) {
-		return d, false // backing off; backlog journals and waits
+		return false // backing off; backlog journals and waits
 	}
 	if h.state != WorkerLive {
 		q = nil // a recovering suspect catches up first (noteRecovery)
 	}
-	d, ok, err := c.sync(node, ns, false, q)
+	served, err := c.sync(node, ns, false, q)
 	if err != nil {
 		c.noteFailure(h)
-		return d, false
+		return false
 	}
 	if h.state == WorkerSuspect {
 		c.noteRecovery(h)
 	}
 	h.failures = 0
-	return d, ok
+	return served
 }
 
 // sync is the one path that moves journaled events to node's owner. It
@@ -355,13 +357,15 @@ func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (d uerl.Decisio
 // owns.
 //
 // With q set and no rebuild needed, the suffix travels in a ReqTick that
-// also answers q and charges the owner's guard, and served reports the
-// decision. A restarted owner refuses the tick; sync rejoins it and
-// finishes the catch-up the plain way, leaving q unanswered. Caller
-// holds c.mu.
+// also answers q and charges the owner's guard, and served reports that
+// c.resp holds the decision: an owner that serves the tick answers from
+// the incarnation the coordinator expected, so nothing calls again
+// before sync returns. A restarted owner refuses the tick; sync rejoins
+// it and finishes the catch-up the plain way, leaving q unanswered.
+// Caller holds c.mu.
 //
 //uerl:hotpath
-func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (d uerl.Decision, served bool, err error) {
+func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (served bool, err error) {
 	evs, ok := c.journal.AppendFrom(c.suffix[:0], node, ns.applied)
 	if rebuild || !ok {
 		rebuild = true
@@ -369,30 +373,31 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (d u
 	}
 	c.suffix = evs
 	h := c.workers[ns.owner]
-	req := Request{Kind: ReqReplay, Node: node, Events: evs, Forget: rebuild}
+	req := c.request(ReqReplay)
+	req.Node, req.Events, req.Forget = node, evs, rebuild
 	switch {
 	case rebuild:
 	case q != nil:
-		req = Request{Kind: ReqTick, Node: node, Events: evs, At: q.at, Cost: q.cost, Incarnation: h.incarnation}
+		req.Kind, req.At, req.Cost, req.Incarnation = ReqTick, q.at, q.cost, h.incarnation
 	case len(evs) == 1:
-		req = Request{Kind: ReqObserve, Event: evs[0]}
+		c.request(ReqObserve).Event = evs[0]
 	}
-	resp, err := c.call(ns.owner, req)
+	tick := req.Kind == ReqTick
+	resp, err := c.call(ns.owner)
 	if err != nil {
-		return d, false, err
+		return false, err
 	}
-	if req.Kind == ReqTick && resp.Err != "" {
+	if tick && resp.Err != "" {
 		// Refused: the owner applied nothing (it restarted, or the
 		// suffix did not end at the query).
 		if h.restarted(resp.Incarnation) {
 			c.rejoinWorker(h)
 		}
 		if ns.owner != h.id || ns.applied == c.journal.Pushed(node) {
-			return d, false, nil // the rejoin rebuilt or moved the node
+			return false, nil // the rejoin rebuilt or moved the node
 		}
 		return c.sync(node, ns, false, nil)
 	}
-	d, served = resp.Decision, req.Kind == ReqTick
 	if rebuild || len(evs) != 1 {
 		c.replayedNodes++
 		c.replayedEvents += len(evs)
@@ -404,17 +409,26 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (d u
 	if h.restarted(resp.Incarnation) {
 		c.rejoinWorker(h)
 	}
-	return d, served, nil
+	return tick, nil
 }
 
-// call sends req to worker w through the coordinator's one reused
-// Request/Response pair. The response stays valid until the next call:
-// copy out what is needed before anything that may call again. Caller
-// holds c.mu.
+// request resets the coordinator's one reused Request to an empty one of
+// kind, in place, and returns it for the caller to fill in before call.
+// Caller holds c.mu.
 //
 //uerl:hotpath
-func (c *Coordinator) call(w int, req Request) (*Response, error) {
-	c.req = req
+func (c *Coordinator) request(kind ReqKind) *Request {
+	c.req = Request{Kind: kind}
+	return &c.req
+}
+
+// call sends the request built by request to worker w and answers in
+// the coordinator's one reused Response. The response stays valid until
+// the next call: copy out what is needed before anything that may call
+// again. Caller holds c.mu.
+//
+//uerl:hotpath
+func (c *Coordinator) call(w int) (*Response, error) {
 	c.resp = Response{}
 	err := c.tr.Call(w, &c.req, &c.resp)
 	return &c.resp, err
@@ -429,7 +443,7 @@ func (c *Coordinator) rehome(node int, ns *nodeState, owner int) bool {
 	if owner < 0 {
 		return false
 	}
-	if _, _, err := c.sync(node, ns, true, nil); err != nil {
+	if _, err := c.sync(node, ns, true, nil); err != nil {
 		c.noteFailure(c.workers[owner])
 		return false
 	}
@@ -499,7 +513,8 @@ func (c *Coordinator) rejoinWorker(h *workerHealth) {
 		if old >= 0 && old != h.id && c.workers[old].state != WorkerDown {
 			// Best-effort: drop the node's stale state on the previous
 			// owner so its footprint reflects only nodes it serves.
-			_, _ = c.call(old, Request{Kind: ReqForget, Node: node})
+			c.request(ReqForget).Node = node
+			_, _ = c.call(old)
 		}
 	}
 }
@@ -511,10 +526,12 @@ func (c *Coordinator) restage(h *workerHealth) {
 	if !h.modelStale || c.committedBytes == nil {
 		return
 	}
-	if resp, err := c.call(h.id, Request{Kind: ReqStage, Artifact: c.committedBytes}); err != nil || resp.Err != "" {
+	c.request(ReqStage).Artifact = c.committedBytes
+	if resp, err := c.call(h.id); err != nil || resp.Err != "" {
 		return
 	}
-	if resp, err := c.call(h.id, Request{Kind: ReqCommit, Version: c.committed.Version()}); err != nil || resp.Err != "" {
+	c.request(ReqCommit).Version = c.committed.Version()
+	if resp, err := c.call(h.id); err != nil || resp.Err != "" {
 		return
 	}
 	h.modelStale = false
@@ -528,7 +545,7 @@ func (c *Coordinator) reconcileWorker(id int) {
 		if ns.owner != id || ns.applied == c.journal.Pushed(node) {
 			continue
 		}
-		if _, _, err := c.sync(node, ns, false, nil); err != nil {
+		if _, err := c.sync(node, ns, false, nil); err != nil {
 			c.noteFailure(c.workers[id])
 			return
 		}
@@ -546,7 +563,8 @@ func (c *Coordinator) maintain(force bool) {
 		if !force && (h.state == WorkerLive || c.clock.Before(h.nextRetry)) {
 			continue
 		}
-		resp, err := c.call(h.id, Request{Kind: ReqPing})
+		c.request(ReqPing)
+		resp, err := c.call(h.id)
 		switch {
 		case err != nil:
 			c.noteFailure(h)
@@ -622,7 +640,7 @@ func (c *Coordinator) Recommend(node int, at time.Time, potentialCostNodeHours f
 }
 
 // recommend is Recommend's body. Caller holds c.mu.
-func (c *Coordinator) recommend(node int, at time.Time, potentialCostNodeHours float64) uerl.Decision {
+func (c *Coordinator) recommend(node int, at time.Time, potentialCostNodeHours float64) (d uerl.Decision) {
 	owner := -1
 	if ns, ok := c.nodes[node]; ok {
 		owner = ns.owner
@@ -635,11 +653,13 @@ func (c *Coordinator) recommend(node int, at time.Time, potentialCostNodeHours f
 	if c.workers[owner].state == WorkerDown {
 		return c.degraded(node, at, potentialCostNodeHours, DegradeOwnerDown)
 	}
-	resp, err := c.call(owner, Request{Kind: ReqRecommend, Node: node, At: at, Cost: potentialCostNodeHours})
+	req := c.request(ReqRecommend)
+	req.Node, req.At, req.Cost = node, at, potentialCostNodeHours
+	resp, err := c.call(owner)
 	if err != nil {
 		return c.degraded(node, at, potentialCostNodeHours, DegradeUnreachable)
 	}
-	d := resp.Decision
+	d = resp.Decision
 	d.StaleEvents = c.staleness(node)
 	return d
 }
@@ -659,7 +679,9 @@ func (c *Coordinator) Features(node int, at time.Time, potentialCostNodeHours fl
 	if owner < 0 || c.workers[owner].state == WorkerDown {
 		return [uerl.FeatureDim]float64{}, false
 	}
-	resp, err := c.call(owner, Request{Kind: ReqFeatures, Node: node, At: at, Cost: potentialCostNodeHours})
+	req := c.request(ReqFeatures)
+	req.Node, req.At, req.Cost = node, at, potentialCostNodeHours
+	resp, err := c.call(owner)
 	if err != nil {
 		return [uerl.FeatureDim]float64{}, false
 	}
@@ -697,7 +719,8 @@ func (c *Coordinator) DeployPolicy(p uerl.Policy) (uerl.Policy, error) {
 		if h.state == WorkerDown {
 			continue
 		}
-		resp, err := c.call(h.id, Request{Kind: ReqStage, Artifact: artifact})
+		c.request(ReqStage).Artifact = artifact
+		resp, err := c.call(h.id)
 		if err != nil {
 			c.noteFailure(h)
 			continue
@@ -712,7 +735,8 @@ func (c *Coordinator) DeployPolicy(p uerl.Policy) (uerl.Policy, error) {
 	quorum := len(reachable)/2 + 1
 	if len(reachable) == 0 || len(staged) < quorum {
 		for _, id := range staged {
-			_, _ = c.call(id, Request{Kind: ReqAbort})
+			c.request(ReqAbort)
+			_, _ = c.call(id)
 		}
 		return c.committed, fmt.Errorf("fleet: deploy of %s rejected by quorum (%d/%d staged, need %d): %s",
 			p.Version(), len(staged), len(reachable), quorum, firstOr(rejections, "no reachable workers"))
@@ -724,7 +748,8 @@ func (c *Coordinator) DeployPolicy(p uerl.Policy) (uerl.Policy, error) {
 		h.modelStale = true
 	}
 	for _, id := range staged {
-		resp, err := c.call(id, Request{Kind: ReqCommit, Version: p.Version()})
+		c.request(ReqCommit).Version = p.Version()
+		resp, err := c.call(id)
 		if err != nil {
 			c.noteFailure(c.workers[id])
 			continue
@@ -750,11 +775,11 @@ func firstOr(list []string, fallback string) string {
 func (c *Coordinator) ObserveDecision(d uerl.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observeDecision(d)
+	c.observeDecision(&d)
 }
 
 // observeDecision is ObserveDecision's body. Caller holds c.mu.
-func (c *Coordinator) observeDecision(d uerl.Decision) {
+func (c *Coordinator) observeDecision(d *uerl.Decision) {
 	if d.Degraded {
 		return
 	}
@@ -762,7 +787,8 @@ func (c *Coordinator) observeDecision(d uerl.Decision) {
 	if !ok || ns.owner < 0 || c.workers[ns.owner].state == WorkerDown {
 		return
 	}
-	_, _ = c.call(ns.owner, Request{Kind: ReqObserveDecision, Decision: d})
+	c.request(ReqObserveDecision).Decision = *d
+	_, _ = c.call(ns.owner)
 }
 
 // ObserveUE does nothing: a worker guard charges no budget for realized
@@ -841,7 +867,8 @@ func (c *Coordinator) Stats() Stats {
 			ModelStale: h.modelStale, OwnedNodes: owned[h.id],
 		}
 		if h.state != WorkerDown {
-			if resp, err := c.call(h.id, Request{Kind: ReqStats}); err == nil {
+			c.request(ReqStats)
+			if resp, err := c.call(h.id); err == nil {
 				ws := resp.Stats
 				wh.Stats = &ws
 			}

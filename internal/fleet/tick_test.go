@@ -68,8 +68,6 @@ func TestFleetTickParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer stopAll(fusedTr)
-			defer stopAll(splitTr)
 			both := func(f func(*Coordinator, *ChanTransport)) {
 				f(fused, fusedTr)
 				f(split, splitTr)
@@ -126,13 +124,6 @@ func TestFleetTickParity(t *testing.T) {
 	}
 }
 
-// stopAll kills every worker goroutine behind tr.
-func stopAll(tr *ChanTransport) {
-	for w := 0; w < tr.Workers(); w++ {
-		tr.Kill(w)
-	}
-}
-
 // countingTransport counts the calls it forwards.
 type countingTransport struct {
 	inner Transport
@@ -148,13 +139,12 @@ func (c *countingTransport) Call(w int, req *Request, resp *Response) error {
 // never trips, over a counting transport, and warms every node up so
 // ticks run in steady state. next returns the following tick's event:
 // nodes in rotation, a minute apart, each at one fixed location.
-func steadyFleet(tb testing.TB) (c *Coordinator, ct *countingTransport, tr *ChanTransport, next func() uerl.Event) {
+func steadyFleet(tb testing.TB) (c *Coordinator, ct *countingTransport, next func() uerl.Event) {
 	tb.Helper()
 	factory := func(id int) *Worker {
 		return NewWorker(id, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(1e12, time.Hour)))
 	}
-	tr = NewChanTransport(2, factory)
-	ct = &countingTransport{inner: tr}
+	ct = &countingTransport{inner: NewChanTransport(2, factory)}
 	c, err := NewCoordinator(Config{Workers: 2, Seed: 1, Initial: uerl.AlwaysPolicy(), NewWorker: factory}, ct)
 	if err != nil {
 		tb.Fatal(err)
@@ -170,7 +160,7 @@ func steadyFleet(tb testing.TB) (c *Coordinator, ct *countingTransport, tr *Chan
 	for range 4 * nodes {
 		c.Tick(next(), 100)
 	}
-	return c, ct, tr, next
+	return c, ct, next
 }
 
 // TestCoordinatorTickOneCallZeroAlloc pins the fused path's cost: a
@@ -178,8 +168,7 @@ func steadyFleet(tb testing.TB) (c *Coordinator, ct *countingTransport, tr *Chan
 // call and allocates nothing, end to end through the in-process
 // transport and the worker.
 func TestCoordinatorTickOneCallZeroAlloc(t *testing.T) {
-	c, ct, tr, next := steadyFleet(t)
-	defer stopAll(tr)
+	c, ct, next := steadyFleet(t)
 	for range 32 {
 		before := ct.calls
 		if d := c.Tick(next(), 100); d.Degraded || d.Vetoed || !d.Mitigate() {
@@ -197,8 +186,7 @@ func TestCoordinatorTickOneCallZeroAlloc(t *testing.T) {
 // BenchmarkCoordinatorTick measures one steady-state decision tick
 // through a two-worker in-process fleet with guarded workers.
 func BenchmarkCoordinatorTick(b *testing.B) {
-	c, _, tr, next := steadyFleet(b)
-	defer stopAll(tr)
+	c, _, next := steadyFleet(b)
 	b.ReportAllocs()
 	for b.Loop() {
 		c.Tick(next(), 100)

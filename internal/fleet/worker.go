@@ -53,8 +53,9 @@ func WithStageGate(gate func(version string) error) WorkerOption {
 // boundary: the unit a coordinator hashes nodes onto. A worker has no
 // knowledge of the fleet — it applies whatever the coordinator sends, so
 // the same implementation backs live serving, journal replay after a
-// failover, and staged model swaps. All methods are invoked by the
-// transport's serving goroutine, one request at a time.
+// failover, and staged model swaps. The transport invokes its methods
+// one request at a time (ChanTransport on the caller's goroutine, under
+// its mutex).
 type Worker struct {
 	id int
 	// incarnation is the worker process's identity, set by the
