@@ -41,9 +41,9 @@ type Event struct {
 	Rank, Bank, Row, Col int
 }
 
-// toErrlog converts the public event to the internal log record.
-func (e Event) toErrlog() errlog.Event {
-	var ev errlog.Event
+// toErrlog converts the public event into the internal log record ev.
+func (e *Event) toErrlog(ev *errlog.Event) {
+	*ev = errlog.Event{}
 	ev.Time = e.Time
 	ev.Node = e.Node
 	ev.DIMM = e.DIMM
@@ -62,7 +62,6 @@ func (e Event) toErrlog() errlog.Event {
 	case UncorrectedError:
 		ev.Type = errlog.UE
 	}
-	return ev
 }
 
 // ctlShard owns the feature trackers of one slice of the node space.
@@ -198,7 +197,7 @@ func (sh *ctlShard) observe(e Event, cost float64, v *features.Vector) {
 		tr = features.NewTracker()
 		sh.trackers[e.Node] = tr
 	}
-	sh.evBuf[0] = e.toErrlog()
+	e.toErrlog(&sh.evBuf[0])
 	tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, cost, v)
 }
 

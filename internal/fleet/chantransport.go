@@ -7,15 +7,13 @@ import (
 
 // chanEndpoint is the coordinator-side handle of one worker slot.
 type chanEndpoint struct {
-	// w is the slot's worker; nil once killed, so its state is gone.
+	// w is the slot's worker, nil once killed: its state is gone, and
+	// Rejoin starts a fresh worker from the factory. Guarded by the
+	// transport mutex, as is hung.
 	w *Worker
-	// killed and hung are fault-injection flags (guarded by the
-	// transport mutex). A killed worker's state is gone — Rejoin starts
-	// a fresh worker from the factory. A hung worker keeps its state but
-	// every Call fails with ErrWorkerTimeout until Rejoin clears the
-	// flag.
-	killed bool
-	hung   bool
+	// hung is a fault-injection flag: the worker keeps its state but
+	// every Call fails with ErrWorkerTimeout until Rejoin clears it.
+	hung bool
 	// incarnation counts the slot's restarts (Response.Incarnation).
 	incarnation uint64
 }
@@ -48,13 +46,13 @@ func NewChanTransport(n int, factory func(id int) *Worker) *ChanTransport {
 	}
 	t := &ChanTransport{factory: factory, eps: make([]*chanEndpoint, n)}
 	for i := range t.eps {
-		t.eps[i] = startEndpoint(factory(i), 0)
+		t.eps[i] = newEndpoint(factory(i), 0)
 	}
 	return t
 }
 
-// startEndpoint puts w in a slot, telling it its incarnation.
-func startEndpoint(w *Worker, incarnation uint64) *chanEndpoint {
+// newEndpoint puts w in a slot, telling it its incarnation.
+func newEndpoint(w *Worker, incarnation uint64) *chanEndpoint {
 	w.incarnation = incarnation
 	return &chanEndpoint{w: w, incarnation: incarnation}
 }
@@ -75,7 +73,7 @@ func (t *ChanTransport) Call(w int, req *Request, resp *Response) error {
 	}
 	ep := t.eps[w]
 	switch {
-	case ep.killed:
+	case ep.w == nil:
 		return ErrWorkerDown
 	case ep.hung:
 		return ErrWorkerTimeout
@@ -90,10 +88,8 @@ func (t *ChanTransport) Call(w int, req *Request, resp *Response) error {
 func (t *ChanTransport) Kill(w int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ep := t.eps[w]
-	ep.killed = true
-	ep.hung = false
-	ep.w = nil
+	t.eps[w].w = nil
+	t.eps[w].hung = false
 }
 
 // Hang makes worker w unresponsive without losing its state: calls fail
@@ -101,7 +97,7 @@ func (t *ChanTransport) Kill(w int) {
 func (t *ChanTransport) Hang(w int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.eps[w].killed {
+	if t.eps[w].w != nil {
 		t.eps[w].hung = true
 	}
 }
@@ -115,8 +111,8 @@ func (t *ChanTransport) Rejoin(w int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ep := t.eps[w]
-	if ep.killed {
-		t.eps[w] = startEndpoint(t.factory(w), ep.incarnation+1)
+	if ep.w == nil {
+		t.eps[w] = newEndpoint(t.factory(w), ep.incarnation+1)
 		return
 	}
 	ep.hung = false
