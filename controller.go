@@ -201,30 +201,30 @@ func (sh *ctlShard) observe(e Event, cost float64, v *features.Vector) {
 	tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, cost, v)
 }
 
-// Tick is one decision tick in one call: ObserveEvent(e), then
-// Recommend(e.Node, e.Time, potentialCostNodeHours), then the attached
-// guard's ObserveDecision of the answer — with the same results, but in
-// one hold of the node's shard lock. The served features are the vector
-// the ingest computed, read as Recommend's side-effect-free Peek would
-// read it at e.Time: no current-tick CEs, hours-since-boot clamped at 0.
-// Tick implements Ticker; an OnlineLearner serving a Controller ticks
-// through the same step (tick) and keeps the RL policy's normalized input.
+// Tick is TickInto returning the decision.
 //
 //uerl:hotpath
 func (c *Controller) Tick(e Event, potentialCostNodeHours float64) (d Decision) {
 	var norm [FeatureDim]float64
-	c.tick(&d, e, potentialCostNodeHours, &norm)
+	c.TickInto(&d, e, potentialCostNodeHours, &norm)
 	return d
 }
 
-// tick is Tick filling the caller's d. When the served policy is the
-// built-in RL policy it also leaves the network input in norm, which then
-// equals features.Vector(d.Features).NormalizedInto bit for bit (the
-// clamps below run before the policy, and a guard veto changes only the
-// action), and reports normed; otherwise norm is untouched.
+// TickInto is one decision tick in one call, filling d: ObserveEvent(e),
+// then Recommend(e.Node, e.Time, potentialCostNodeHours), then the
+// attached guard's ObserveDecision of the answer — with the same results,
+// but in one hold of the node's shard lock. The served features are the
+// vector the ingest computed, read as Recommend's side-effect-free Peek
+// would read it at e.Time: no current-tick CEs, hours-since-boot clamped
+// at 0. When the served policy is the built-in RL policy it also leaves
+// the network input in norm, which then equals
+// features.Vector(d.Features).NormalizedInto bit for bit (the clamps
+// below run before the policy, and a guard veto changes only the
+// action), and reports normed; otherwise norm is untouched. TickInto
+// implements Ticker.
 //
 //uerl:hotpath
-func (c *Controller) tick(d *Decision, e Event, potentialCostNodeHours float64, norm *[FeatureDim]float64) (normed bool) {
+func (c *Controller) TickInto(d *Decision, e Event, potentialCostNodeHours float64, norm *[FeatureDim]float64) (normed bool) {
 	sh := c.shards[c.shardIndex(e.Node)]
 	var v features.Vector
 	sh.mu.Lock()
@@ -326,36 +326,40 @@ func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours fl
 }
 
 // decide fills d with the policy's decision on feature vector v for node
-// at time at: the shared tail of Recommend and tick, which pass their
+// at time at: the shared tail of Recommend and TickInto, which pass their
 // result slot so the Decision is filled where it is returned. The
-// built-in RL policy is reached through its concrete type, so d and norm
-// stay on the caller's stack, and leaves its normalized input in norm;
-// decide reports whether it did.
+// built-in RL and static policies are reached through their concrete
+// types, so d and norm stay on the caller's stack and no Decision is
+// copied; the RL policy leaves its normalized input in norm, and decide
+// reports whether it did.
 //
 //uerl:hotpath
 func (c *Controller) decide(d *Decision, node int, at time.Time, v *features.Vector, norm *[FeatureDim]float64) (normed bool) {
 	// Load the policy once (through the accessor): a concurrent
 	// SwapPolicy must not mix two models' outputs within one decision.
 	policy := c.Policy()
-	if rp, ok := policy.(*rlPolicy); ok {
-		rp.decideInto(d, node, at, v, norm)
+	switch p := policy.(type) {
+	case *rlPolicy:
+		p.decideInto(d, node, at, v, norm)
 		normed = true
-	} else {
+	case *staticPolicy:
+		p.decideInto(d, node, at, v)
+	default:
 		*d = policy.Decide(Snapshot{Node: node, Time: at, Features: *v})
-	}
-	// Normalize bookkeeping so custom policies can leave it to us. The
-	// snapshot and decision are plain values (inline feature arrays), so
-	// this whole query path performs zero heap allocations. Features is
-	// authoritative: the controller always records the exact snapshot it
-	// handed the policy, so audits see the true decision inputs even if a
-	// custom policy wrote something else there.
-	d.Node, d.Time = node, at
-	d.Features = *v
-	if d.Policy == "" {
-		d.Policy = policy.Name()
-	}
-	if d.ModelVersion == "" {
-		d.ModelVersion = policy.Version()
+		// Normalize bookkeeping so custom policies can leave it to us
+		// (the built-in ones fill every field). Features is
+		// authoritative: the controller always records the exact
+		// snapshot it handed the policy, so audits see the true
+		// decision inputs even if a custom policy wrote something else
+		// there.
+		d.Node, d.Time = node, at
+		d.Features = *v
+		if d.Policy == "" {
+			d.Policy = policy.Name()
+		}
+		if d.ModelVersion == "" {
+			d.ModelVersion = policy.Version()
+		}
 	}
 	// Guard consult: a tripped mitigation budget degrades the decision to
 	// ActionNone instead of serving it — graceful suppression, never an
@@ -363,7 +367,7 @@ func (c *Controller) decide(d *Decision, node int, at time.Time, v *features.Vec
 	// stays side-effect-free w.r.t. node state and allocation-free; budget
 	// accounting is charged from the served-decision stream (see
 	// Guard.ObserveDecision), not from polling.
-	if g := c.guard.Load(); g != nil && d.Mitigate() {
+	if g := c.guard.Load(); g != nil && d.Action == ActionMitigate {
 		if ok, reason := g.allowMitigation(node, at); !ok {
 			d.Action = ActionNone
 			d.Vetoed = true

@@ -569,7 +569,7 @@ func TestTickLeavesNormalizedInput(t *testing.T) {
 	for _, e := range evs {
 		var d Decision
 		norm := sentinel()
-		if !ctl.tick(&d, e, 4200, &norm) {
+		if !ctl.TickInto(&d, e, 4200, &norm) {
 			t.Fatalf("%v event at %v: RL tick reported no normalized input", e.Type, e.Time)
 		}
 		var want [FeatureDim]float64
@@ -603,7 +603,7 @@ func TestTickLeavesNormalizedInput(t *testing.T) {
 		at = at.Add(time.Minute)
 		var d Decision
 		norm := sentinel()
-		if ctl.tick(&d, ce(at.Sub(base), 2), 4200, &norm) {
+		if ctl.TickInto(&d, ce(at.Sub(base), 2), 4200, &norm) {
 			t.Fatalf("%s (%T): tick reported a normalized input", p.Kind(), p)
 		}
 		if norm != sentinel() {

@@ -107,5 +107,7 @@ type Decision struct {
 	StaleEvents int
 }
 
-// Mitigate reports whether the decision is to mitigate.
+// Mitigate reports whether the decision is to mitigate. The receiver is
+// a copy of the whole Decision even when inlined, so the serving hot
+// paths compare Action directly.
 func (d Decision) Mitigate() bool { return d.Action == ActionMitigate }

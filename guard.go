@@ -262,7 +262,7 @@ func (g *Guard) observeDecision(d *Decision) {
 		g.suppressed++
 		g.vetoesByReason[d.VetoReason]++
 		g.recordTripLocked(d)
-	case d.Mitigate():
+	case d.Action == ActionMitigate:
 		g.budgets.ChargeMitigation(d.Node, d.Time, g.mitigationCostNodeHours())
 		// A served mitigation means the budgets recovered: re-arm the
 		// trip audit for the next crossing and record the recovery — the

@@ -16,11 +16,13 @@
 // per-node applied watermark; the acked count is the sum of those
 // watermarks.
 //
-// A decision tick (Coordinator.Tick: ingest, decide, account) costs one
-// transport round trip in steady state: sync carries the owner's
+// A decision tick (Coordinator.TickInto: ingest, decide, account) costs
+// one transport round trip in steady state: sync carries the owner's
 // unapplied suffix together with the query and the guard charge in one
-// ReqTick, and the coordinator reuses one Request/Response pair and one
-// suffix buffer for every call, so delivery allocates nothing. Every
+// ReqTick that brings the RL policy's normalized input back with the
+// decision. The suffix is a subslice of the node's journal window unless
+// it wraps round it, and one Request/Response pair serves every call, so
+// delivery allocates nothing and copies no event. Every
 // case off that path — an unhealthy owner, a rebuild, a deduplicated
 // event, a restarted worker refusing the tick — runs the three-call
 // path ObserveEvent, Recommend and ObserveDecision run.
@@ -44,6 +46,7 @@ import (
 
 	uerl "repro"
 	"repro/internal/features"
+	"repro/internal/lifecycle"
 	"repro/internal/mathx"
 )
 
@@ -123,9 +126,11 @@ type nodeState struct {
 	// owner is the worker currently holding the node's tracker state;
 	// -1 while the node is orphaned (no live worker).
 	owner int
+	// window is the node's journal window (EventJournal.Window).
+	window *lifecycle.Ring[uerl.Event]
 	// applied is how many of the node's journaled events have been
 	// applied to the current owner's state (the node's acked count);
-	// journal.Pushed(node) - applied is the pending backlog.
+	// window.Pushed() - applied is the pending backlog.
 	applied uint64
 	// lost counts events permanently unreplayable into the current
 	// state: trimmed from the bounded journal before the last full
@@ -148,8 +153,8 @@ type Coordinator struct {
 	clock time.Time
 
 	// req and resp are the one Request/Response pair every transport
-	// call goes through (see call); suffix is sync's journal buffer,
-	// sized to a full window so it never grows.
+	// call goes through (see call); suffix is sync's buffer for a
+	// journal suffix that wraps round its window, so it never grows.
 	req    Request
 	resp   Response
 	suffix []uerl.Event
@@ -260,29 +265,42 @@ func (c *Coordinator) ObserveEvent(e uerl.Event) {
 	}
 }
 
-// Tick is one decision tick in one call: ObserveEvent(e), then
+// Tick is TickInto returning the decision.
+func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) (d uerl.Decision) {
+	var norm [uerl.FeatureDim]float64
+	c.TickInto(&d, e, potentialCostNodeHours, &norm)
+	return d
+}
+
+// TickInto is one decision tick in one call: ObserveEvent(e), then
 // Recommend(e.Node, e.Time, potentialCostNodeHours), then
-// ObserveDecision of the answer, under one lock hold. When the owner is
-// live and the journal still holds its unapplied suffix, the three
-// travel as one ReqTick; every other case runs the three-call path, so
-// the decisions, health transitions, replay counts and guard ledgers
-// match the three separate calls exactly.
+// ObserveDecision of the answer, under one lock hold, with the answer
+// filled into d. When the owner is live and the journal still holds its
+// unapplied suffix, the three travel as one ReqTick; every other case
+// runs the three-call path, so the decisions, health transitions, replay
+// counts and guard ledgers match the three separate calls exactly. A
+// ReqTick served by the built-in RL policy brings its normalized input
+// back, and TickInto copies it into norm and reports normed (see
+// uerl.Ticker); the three-call path leaves norm untouched.
 //
 //uerl:hotpath
-func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) (d uerl.Decision) {
+func (c *Coordinator) TickInto(d *uerl.Decision, e uerl.Event, potentialCostNodeHours float64, norm *[uerl.FeatureDim]float64) (normed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ns := c.ingest(e); ns != nil {
 		q := query{at: e.Time, cost: potentialCostNodeHours}
 		if c.deliver(e.Node, ns, &q) {
-			d = c.resp.Decision
-			d.StaleEvents = c.staleness(e.Node)
-			return d
+			*d = c.resp.Decision
+			d.StaleEvents = c.staleness(ns)
+			if c.resp.Normed {
+				*norm = c.resp.Normalized
+			}
+			return c.resp.Normed
 		}
 	}
-	d = c.recommend(e.Node, e.Time, potentialCostNodeHours)
-	c.observeDecision(&d)
-	return d
+	*d = c.recommend(e.Node, e.Time, potentialCostNodeHours)
+	c.observeDecision(d)
+	return false
 }
 
 // query is the mitigation query a ReqTick carries.
@@ -302,13 +320,13 @@ func (c *Coordinator) ingest(e uerl.Event) *nodeState {
 		c.clock = e.Time
 	}
 	c.maintain(false)
-	if c.journal.Append(e) {
-		return nil
-	}
 	ns, ok := c.nodes[e.Node]
 	if !ok {
-		ns = &nodeState{owner: c.hrwOwner(e.Node)}
+		ns = &nodeState{owner: c.hrwOwner(e.Node), window: c.journal.Window(e.Node)}
 		c.nodes[e.Node] = ns
+	}
+	if c.journal.Append(ns.window, e) {
+		return nil
 	}
 	return ns
 }
@@ -366,12 +384,11 @@ func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (served bool) {
 //
 //uerl:hotpath
 func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (served bool, err error) {
-	evs, ok := c.journal.AppendFrom(c.suffix[:0], node, ns.applied)
+	evs, ok := journalSuffix(c.suffix[:0], ns.window, ns.applied)
 	if rebuild || !ok {
 		rebuild = true
-		evs, _ = c.journal.AppendFrom(c.suffix[:0], node, c.journal.Trimmed(node))
+		evs, _ = journalSuffix(c.suffix[:0], ns.window, ns.window.Dropped())
 	}
-	c.suffix = evs
 	h := c.workers[ns.owner]
 	req := c.request(ReqReplay)
 	req.Node, req.Events, req.Forget = node, evs, rebuild
@@ -393,7 +410,7 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (ser
 		if h.restarted(resp.Incarnation) {
 			c.rejoinWorker(h)
 		}
-		if ns.owner != h.id || ns.applied == c.journal.Pushed(node) {
+		if ns.owner != h.id || ns.applied == ns.window.Pushed() {
 			return false, nil // the rejoin rebuilt or moved the node
 		}
 		return c.sync(node, ns, false, nil)
@@ -403,33 +420,34 @@ func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (ser
 		c.replayedEvents += len(evs)
 	}
 	if rebuild {
-		ns.lost = c.journal.Trimmed(node)
+		ns.lost = ns.window.Dropped()
 	}
-	ns.applied = c.journal.Pushed(node)
+	ns.applied = ns.window.Pushed()
 	if h.restarted(resp.Incarnation) {
 		c.rejoinWorker(h)
 	}
 	return tick, nil
 }
 
-// request resets the coordinator's one reused Request to an empty one of
-// kind, in place, and returns it for the caller to fill in before call.
+// request readies the coordinator's one reused Request for kind, to be
+// filled in before call. It resets only Kind, and Artifact so a deploy's
+// bytes are not retained: each builder sets every field its kind reads.
 // Caller holds c.mu.
 //
 //uerl:hotpath
 func (c *Coordinator) request(kind ReqKind) *Request {
-	c.req = Request{Kind: kind}
+	c.req.Kind, c.req.Artifact = kind, nil
 	return &c.req
 }
 
 // call sends the request built by request to worker w and answers in
-// the coordinator's one reused Response. The response stays valid until
-// the next call: copy out what is needed before anything that may call
-// again. Caller holds c.mu.
+// the coordinator's one reused Response, resetting only Err (see
+// Response). It stays valid until the next call: copy out what is needed
+// before anything that may call again. Caller holds c.mu.
 //
 //uerl:hotpath
 func (c *Coordinator) call(w int) (*Response, error) {
-	c.resp = Response{}
+	c.resp.Err = ""
 	err := c.tr.Call(w, &c.req, &c.resp)
 	return &c.resp, err
 }
@@ -542,7 +560,7 @@ func (c *Coordinator) restage(h *workerHealth) {
 func (c *Coordinator) reconcileWorker(id int) {
 	for _, node := range c.journal.Nodes() {
 		ns := c.nodes[node]
-		if ns.owner != id || ns.applied == c.journal.Pushed(node) {
+		if ns.owner != id || ns.applied == ns.window.Pushed() {
 			continue
 		}
 		if _, err := c.sync(node, ns, false, nil); err != nil {
@@ -587,27 +605,27 @@ func (c *Coordinator) Reconcile() {
 	defer c.mu.Unlock()
 	c.maintain(true)
 	for _, node := range c.journal.Nodes() {
-		if ns := c.nodes[node]; ns.applied != c.journal.Pushed(node) {
+		if ns := c.nodes[node]; ns.applied != ns.window.Pushed() {
 			c.deliver(node, ns, nil)
 		}
 	}
 }
 
-// staleness bounds how stale node's served state is: journaled events not
-// yet applied to the owner plus events lost to a rebuild. Caller holds
-// c.mu.
-func (c *Coordinator) staleness(node int) int {
-	ns, ok := c.nodes[node]
-	if !ok {
+// staleness bounds how stale the served state of ns's node is: journaled
+// events not yet applied to the owner plus events lost to a rebuild; 0
+// for a node never journaled (nil ns). Caller holds c.mu.
+func (c *Coordinator) staleness(ns *nodeState) int {
+	if ns == nil {
 		return 0
 	}
-	return int(c.journal.Pushed(node)-ns.applied) + int(ns.lost)
+	return int(ns.window.Pushed()-ns.applied) + int(ns.lost)
 }
 
-// degraded builds the conservative answer for a node whose owner cannot
-// serve: ActionNone, flagged Degraded with the fault named, the committed
-// policy identity for audit, and the staleness bound. Caller holds c.mu.
-func (c *Coordinator) degraded(node int, at time.Time, cost float64, reason string) uerl.Decision {
+// degraded builds the conservative answer for node (ledger ns) whose owner
+// cannot serve: ActionNone, flagged Degraded with the fault named, the
+// committed policy identity for audit, and the staleness bound. Caller
+// holds c.mu.
+func (c *Coordinator) degraded(node int, ns *nodeState, at time.Time, cost float64, reason string) uerl.Decision {
 	d := uerl.Decision{
 		Node:          node,
 		Time:          at,
@@ -616,7 +634,7 @@ func (c *Coordinator) degraded(node int, at time.Time, cost float64, reason stri
 		ModelVersion:  c.committed.Version(),
 		Degraded:      true,
 		DegradeReason: reason,
-		StaleEvents:   c.staleness(node),
+		StaleEvents:   c.staleness(ns),
 	}
 	// Match the empty-state feature shape Recommend would report (the
 	// potential cost is an input, not tracker state).
@@ -641,26 +659,27 @@ func (c *Coordinator) Recommend(node int, at time.Time, potentialCostNodeHours f
 
 // recommend is Recommend's body. Caller holds c.mu.
 func (c *Coordinator) recommend(node int, at time.Time, potentialCostNodeHours float64) (d uerl.Decision) {
+	ns := c.nodes[node]
 	owner := -1
-	if ns, ok := c.nodes[node]; ok {
+	if ns != nil {
 		owner = ns.owner
 	} else {
 		owner = c.hrwOwner(node)
 	}
 	if owner < 0 {
-		return c.degraded(node, at, potentialCostNodeHours, DegradeNoWorkers)
+		return c.degraded(node, ns, at, potentialCostNodeHours, DegradeNoWorkers)
 	}
 	if c.workers[owner].state == WorkerDown {
-		return c.degraded(node, at, potentialCostNodeHours, DegradeOwnerDown)
+		return c.degraded(node, ns, at, potentialCostNodeHours, DegradeOwnerDown)
 	}
 	req := c.request(ReqRecommend)
 	req.Node, req.At, req.Cost = node, at, potentialCostNodeHours
 	resp, err := c.call(owner)
 	if err != nil {
-		return c.degraded(node, at, potentialCostNodeHours, DegradeUnreachable)
+		return c.degraded(node, ns, at, potentialCostNodeHours, DegradeUnreachable)
 	}
 	d = resp.Decision
-	d.StaleEvents = c.staleness(node)
+	d.StaleEvents = c.staleness(ns)
 	return d
 }
 

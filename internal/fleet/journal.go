@@ -51,18 +51,29 @@ func sameDelivery(a, b uerl.Event) bool {
 		a.Row == b.Row && a.Col == b.Col
 }
 
-// Append journals e. It returns dup=true (and journals nothing) when e is
-// a redelivery of an event already in the dedup window.
-func (j *EventJournal) Append(e uerl.Event) (dup bool) {
-	r, ok := j.nodes[e.Node]
+// Window returns node's journal window, creating an empty one on first
+// use. The coordinator keeps it in the node's ledger, so a tick finds it
+// without a second lookup. Its Pushed count is the sequence number the
+// node's next journaled event gets (dedup drops excluded), and its
+// Dropped count how many of the node's events have aged out of the
+// window and can no longer be replayed.
+func (j *EventJournal) Window(node int) *lifecycle.Ring[uerl.Event] {
+	w, ok := j.nodes[node]
 	if !ok {
-		r = lifecycle.NewRing[uerl.Event](j.capacity)
-		j.nodes[e.Node] = r
+		w = lifecycle.NewRing[uerl.Event](j.capacity)
+		j.nodes[node] = w
 	}
+	return w
+}
+
+// Append journals e into w, the window of e.Node. It returns dup=true
+// (and journals nothing) when e is a redelivery of an event already in
+// the dedup window.
+func (j *EventJournal) Append(w *lifecycle.Ring[uerl.Event], e uerl.Event) (dup bool) {
 	if j.window > 0 {
 		floor := e.Time.Add(-j.window)
-		for i := r.Len() - 1; i >= 0; i-- {
-			prev := r.At(i)
+		for i := w.Len() - 1; i >= 0; i-- {
+			prev := w.At(i)
 			if prev.Time.Before(floor) {
 				break
 			}
@@ -72,50 +83,31 @@ func (j *EventJournal) Append(e uerl.Event) (dup bool) {
 			}
 		}
 	}
-	r.Push(e)
+	w.Push(e)
 	return false
 }
 
-// Pushed reports how many events were ever journaled for node (dedup
-// drops excluded). The next event journaled for the node gets sequence
-// number Pushed.
-func (j *EventJournal) Pushed(node int) uint64 {
-	if r, ok := j.nodes[node]; ok {
-		return r.Pushed()
-	}
-	return 0
-}
-
-// Trimmed reports how many of node's journaled events have aged out of
-// the bounded window and can no longer be replayed.
-func (j *EventJournal) Trimmed(node int) uint64 {
-	if r, ok := j.nodes[node]; ok {
-		return r.Dropped()
-	}
-	return 0
-}
-
-// AppendFrom appends node's retained events with sequence numbers >= seq
-// to dst in order, and reports whether the window still covers that
-// range (ok=false means events in [seq, oldest-retained) were trimmed,
-// so a catch-up from seq is impossible and the caller must do a full
-// rebuild from AppendFrom(dst, node, Trimmed(node)) instead). A dst with
-// the journal's capacity never grows.
+// journalSuffix returns w's retained events with sequence numbers >= seq,
+// oldest first, and reports whether the window still covers that range
+// (ok=false means events in [seq, oldest retained) were trimmed, so a
+// catch-up from seq is impossible and the caller must rebuild from
+// journalSuffix(dst, w, w.Dropped()) instead). A range that lies in one
+// piece of the window's storage, as every steady tick's does, is
+// returned as a subslice of it, valid until the next Append to w; only
+// a range that wraps round the window is copied, appended to dst in two
+// segments. A dst with the journal's capacity never grows.
 //
 //uerl:hotpath
-func (j *EventJournal) AppendFrom(dst []uerl.Event, node int, seq uint64) ([]uerl.Event, bool) {
-	r, ok := j.nodes[node]
-	if !ok {
-		return dst, seq == 0
-	}
-	oldest := r.Dropped()
+func journalSuffix(dst []uerl.Event, w *lifecycle.Ring[uerl.Event], seq uint64) ([]uerl.Event, bool) {
+	oldest := w.Dropped()
 	if seq < oldest {
 		return dst, false
 	}
-	for i := int(seq - oldest); i < r.Len(); i++ {
-		dst = append(dst, r.At(i)) //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
+	a, b := w.Window(int(seq - oldest))
+	if len(b) == 0 {
+		return a, true
 	}
-	return dst, true
+	return append(append(dst, a...), b...), true //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
 }
 
 // Nodes returns the journaled node ids in ascending order — the

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -31,65 +32,20 @@ func TestFleetTickParity(t *testing.T) {
 	var cover struct{ vetoes, deduped, trimmed, rejoins, failovers uint64 }
 	for seed := int64(1); seed <= schedules; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := mathx.NewRNG(seed)
-			workers := 1 + rng.Intn(3)
-			nodes := 2 + rng.Intn(8)
-			step := time.Duration(10+rng.Intn(50)) * time.Second
-			budget := 0.05 + 0.1*rng.Float64()
-			window := time.Duration(10+rng.Intn(50)) * time.Minute
-			cfg := Config{
-				Workers: workers, Seed: seed, Initial: uerl.AlwaysPolicy(),
-				NewWorker: func(id int) *Worker {
-					return NewWorker(id, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(budget, window)))
-				},
-				JournalCapacity: 2 * perRun,
-			}
-			if rng.Intn(2) == 0 {
-				cfg.DedupWindow = 5 * time.Second
-			}
-			if rng.Intn(3) == 0 {
-				cfg.JournalCapacity = 2 + rng.Intn(6)
-			}
-			var events []uerl.Event
-			for _, e := range genStream(seed, nodes, perRun, step) {
-				events = append(events, e)
-				if rng.Float64() < 0.1 {
-					dup := e
-					dup.Time = dup.Time.Add(time.Second)
-					events = append(events, dup)
-				}
-			}
-
-			fused, fusedTr, err := NewInProcess(cfg)
+			sc := newTickSchedule(seed, perRun)
+			fused, fusedTr, err := NewInProcess(sc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			split, splitTr, err := NewInProcess(cfg)
+			split, splitTr, err := NewInProcess(sc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			both := func(f func(*Coordinator, *ChanTransport)) {
-				f(fused, fusedTr)
-				f(split, splitTr)
-			}
-
-			for i, e := range events {
-				w, r := rng.Intn(workers), rng.Float64()
-				switch {
-				case r < 0.02:
-					both(func(_ *Coordinator, tr *ChanTransport) { tr.Kill(w) })
-				case r < 0.04:
-					both(func(_ *Coordinator, tr *ChanTransport) { tr.Kill(w); tr.Rejoin(w) })
-				case r < 0.06:
-					both(func(_ *Coordinator, tr *ChanTransport) { tr.Hang(w) })
-				case r < 0.10:
-					both(func(_ *Coordinator, tr *ChanTransport) { tr.Rejoin(w) })
-				case r < 0.11:
-					both(func(c *Coordinator, _ *ChanTransport) { c.Reconcile() })
-				}
-				cost := float64(10 + rng.Intn(200))
+			for i, e := range sc.events {
+				cost := sc.fault([]*Coordinator{fused, split}, []*ChanTransport{fusedTr, splitTr})
 				if e.Type == uerl.UncorrectedError {
-					both(func(c *Coordinator, _ *ChanTransport) { c.ObserveEvent(e) })
+					fused.ObserveEvent(e)
+					split.ObserveEvent(e)
 					continue
 				}
 				got := fused.Tick(e, cost)
@@ -103,7 +59,8 @@ func TestFleetTickParity(t *testing.T) {
 			if got, want := fused.Stats(), split.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("stats diverged at end of stream:\nfused %+v\nsplit %+v", got, want)
 			}
-			both(func(c *Coordinator, _ *ChanTransport) { c.Reconcile() })
+			fused.Reconcile()
+			split.Reconcile()
 			st := fused.Stats()
 			if want := split.Stats(); !reflect.DeepEqual(st, want) {
 				t.Fatalf("stats diverged after Reconcile:\nfused %+v\nsplit %+v", st, want)
@@ -122,6 +79,74 @@ func TestFleetTickParity(t *testing.T) {
 	if cover.vetoes == 0 || cover.deduped == 0 || cover.trimmed == 0 || cover.rejoins == 0 || cover.failovers == 0 {
 		t.Fatalf("schedules left a path unexercised: %+v", cover)
 	}
+}
+
+// tickSchedule is one random fault schedule of TestFleetTickParity: a
+// fleet configuration of 1–3 guarded workers whose node budgets veto,
+// dedup on or off, on some seeds a journal small enough that rebuilds
+// trim, and an event stream with redelivered duplicates.
+type tickSchedule struct {
+	cfg     Config
+	events  []uerl.Event
+	workers int
+	rng     *mathx.RNG
+}
+
+func newTickSchedule(seed int64, perRun int) *tickSchedule {
+	rng := mathx.NewRNG(seed)
+	workers := 1 + rng.Intn(3)
+	nodes := 2 + rng.Intn(8)
+	step := time.Duration(10+rng.Intn(50)) * time.Second
+	budget := 0.05 + 0.1*rng.Float64()
+	window := time.Duration(10+rng.Intn(50)) * time.Minute
+	sc := &tickSchedule{workers: workers, rng: rng}
+	sc.cfg = Config{
+		Workers: workers, Seed: seed, Initial: uerl.AlwaysPolicy(),
+		NewWorker: func(id int) *Worker {
+			return NewWorker(id, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(budget, window)))
+		},
+		JournalCapacity: 2 * perRun,
+	}
+	if rng.Intn(2) == 0 {
+		sc.cfg.DedupWindow = 5 * time.Second
+	}
+	if rng.Intn(3) == 0 {
+		sc.cfg.JournalCapacity = 2 + rng.Intn(6)
+	}
+	for _, e := range genStream(seed, nodes, perRun, step) {
+		sc.events = append(sc.events, e)
+		if rng.Float64() < 0.1 {
+			dup := e
+			dup.Time = dup.Time.Add(time.Second)
+			sc.events = append(sc.events, dup)
+		}
+	}
+	return sc
+}
+
+// fault draws the fault before the next event and applies it alike to
+// every fleet (coordinators cs over transports trs): a kill, a
+// kill-then-rejoin restart the coordinators never see fail, a hang, a
+// rejoin, a Reconcile, or nothing. It returns the next tick's potential
+// cost.
+func (sc *tickSchedule) fault(cs []*Coordinator, trs []*ChanTransport) (cost float64) {
+	w, r := sc.rng.Intn(sc.workers), sc.rng.Float64()
+	for i, tr := range trs {
+		switch {
+		case r < 0.02:
+			tr.Kill(w)
+		case r < 0.04:
+			tr.Kill(w)
+			tr.Rejoin(w)
+		case r < 0.06:
+			tr.Hang(w)
+		case r < 0.10:
+			tr.Rejoin(w)
+		case r < 0.11:
+			cs[i].Reconcile()
+		}
+	}
+	return float64(10 + sc.rng.Intn(200))
 }
 
 // countingTransport counts the calls it forwards.
@@ -230,5 +255,141 @@ func TestWorkerRefusesMisalignedTick(t *testing.T) {
 	twin.ObserveEvent(e2)
 	if want := twin.Recommend(3, e2.Time, 100); resp.Err != "" || resp.Decision != want {
 		t.Fatalf("aligned tick answered %+v (err %q), want %+v", resp.Decision, resp.Err, want)
+	}
+}
+
+// scrubTransport proves the coordinator's reuse of one Request and one
+// Response safe. Before each call it fills every Response field but Err
+// with garbage, so a field the worker did not write for the kind reads
+// as garbage, and it hands the worker a fresh Request holding only the
+// fields the kind documents, so a field left over from an earlier
+// request cannot reach it.
+type scrubTransport struct{ inner Transport }
+
+func (s *scrubTransport) Call(w int, req *Request, resp *Response) error {
+	*resp = Response{
+		Decision: uerl.Decision{
+			Node: -99, Action: uerl.ActionMitigate, Score: math.NaN(), HasQ: true,
+			Policy: "garbage", ModelVersion: "garbage", Vetoed: true, Degraded: true, StaleEvents: 99,
+		},
+		Normed:      true,
+		Stats:       WorkerStats{Nodes: -1, ServingVersion: "garbage", Guard: &uerl.GuardStats{}},
+		Version:     "garbage",
+		Err:         resp.Err,
+		Incarnation: 1 << 40,
+	}
+	for i := range resp.Normalized {
+		resp.Normalized[i], resp.Features[i], resp.Decision.Features[i] = math.NaN(), -1, -1
+	}
+	clean := Request{Kind: req.Kind}
+	switch req.Kind {
+	case ReqObserve:
+		clean.Event = req.Event
+	case ReqReplay:
+		clean.Node, clean.Events, clean.Forget = req.Node, req.Events, req.Forget
+	case ReqForget:
+		clean.Node = req.Node
+	case ReqRecommend, ReqFeatures:
+		clean.Node, clean.At, clean.Cost = req.Node, req.At, req.Cost
+	case ReqStage:
+		clean.Artifact = req.Artifact
+	case ReqCommit:
+		clean.Version = req.Version
+	case ReqObserveDecision:
+		clean.Decision = req.Decision
+	case ReqTick:
+		clean.Node, clean.Events, clean.At, clean.Cost, clean.Incarnation = req.Node, req.Events, req.At, req.Cost, req.Incarnation
+	}
+	return s.inner.Call(w, &clean, resp)
+}
+
+// TestFleetReusedCallParity runs TestFleetTickParity's schedules through
+// two fleets, one over the plain in-process transport and one over
+// scrubTransport, with Features reads and deploys (one worker's stage
+// gate refusing the Never policy, so some deploys abort) mixed in, and
+// demands identical decisions, feature reads, deploy outcomes and Stats.
+func TestFleetReusedCallParity(t *testing.T) {
+	const (
+		schedules = 100
+		perRun    = 160
+	)
+	var deploys, rejected int
+	for seed := int64(1); seed <= schedules; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sc := newTickSchedule(seed, perRun)
+			newWorker := sc.cfg.NewWorker
+			sc.cfg.NewWorker = func(id int) *Worker {
+				w := newWorker(id)
+				if id == 0 {
+					w.stageGate = func(version string) error {
+						if version == uerl.NeverPolicy().Version() {
+							return fmt.Errorf("worker 0 refuses %s", version)
+						}
+						return nil
+					}
+				}
+				return w
+			}
+			plainTr := NewChanTransport(sc.workers, sc.cfg.NewWorker)
+			scrubTr := NewChanTransport(sc.workers, sc.cfg.NewWorker)
+			plain, err := NewCoordinator(sc.cfg, plainTr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scrub, err := NewCoordinator(sc.cfg, &scrubTransport{inner: scrubTr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			policies := []uerl.Policy{uerl.NeverPolicy(), uerl.AlwaysPolicy()}
+			for i, e := range sc.events {
+				cost := sc.fault([]*Coordinator{plain, scrub}, []*ChanTransport{plainTr, scrubTr})
+				switch r := sc.rng.Float64(); {
+				case e.Type == uerl.UncorrectedError:
+					plain.ObserveEvent(e)
+					scrub.ObserveEvent(e)
+				case r < 0.03:
+					p := policies[sc.rng.Intn(2)]
+					_, errPlain := plain.DeployPolicy(p)
+					_, errScrub := scrub.DeployPolicy(p)
+					if (errPlain == nil) != (errScrub == nil) {
+						t.Fatalf("event %d: deploy of %s: plain err %v, scrubbed err %v", i, p.Version(), errPlain, errScrub)
+					}
+					deploys++
+					if errPlain != nil {
+						rejected++
+					}
+				case r < 0.10:
+					fp, okPlain := plain.Features(e.Node, e.Time, cost)
+					fs, okScrub := scrub.Features(e.Node, e.Time, cost)
+					if fp != fs || okPlain != okScrub {
+						t.Fatalf("event %d: features %v %v, scrubbed %v %v", i, fp, okPlain, fs, okScrub)
+					}
+				case r < 0.25:
+					plain.ObserveEvent(e)
+					scrub.ObserveEvent(e)
+					want := plain.Recommend(e.Node, e.Time, cost)
+					if got := scrub.Recommend(e.Node, e.Time, cost); got != want {
+						t.Fatalf("event %d: recommend served\n%+v\nscrubbed\n%+v", i, want, got)
+					}
+					plain.ObserveDecision(want)
+					scrub.ObserveDecision(want)
+				default:
+					var got, want uerl.Decision
+					var norm [uerl.FeatureDim]float64
+					normedPlain := plain.TickInto(&want, e, cost, &norm)
+					if normed := scrub.TickInto(&got, e, cost, &norm); got != want || normed != normedPlain {
+						t.Fatalf("event %d: tick served\n%+v (normed %v)\nscrubbed\n%+v (normed %v)", i, want, normedPlain, got, normed)
+					}
+				}
+			}
+			plain.Reconcile()
+			scrub.Reconcile()
+			if got, want := scrub.Stats(), plain.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stats diverged:\nplain    %+v\nscrubbed %+v", want, got)
+			}
+		})
+	}
+	if deploys == 0 || rejected == 0 || rejected == deploys {
+		t.Fatalf("schedules left a deploy path unexercised: %d deploys, %d rejected", deploys, rejected)
 	}
 }

@@ -25,21 +25,23 @@ const (
 	// worker).
 	ReqForget
 	// ReqRecommend answers a mitigation query for Request.Node at
-	// Request.At with potential cost Request.Cost.
+	// Request.At with potential cost Request.Cost in Response.Decision.
 	ReqRecommend
-	// ReqFeatures reads Request.Node's raw feature vector.
+	// ReqFeatures reads Request.Node's raw feature vector into
+	// Response.Features.
 	ReqFeatures
 	// ReqStage validates Request.Artifact (a SaveModel document) and
-	// holds the decoded policy for a later ReqCommit. A validation
-	// failure is reported in Response.Err — an application-level
-	// rejection, not a transport failure.
+	// holds the decoded policy for a later ReqCommit, reporting its
+	// version in Response.Version. A validation failure is reported in
+	// Response.Err — an application-level rejection, not a transport
+	// failure.
 	ReqStage
 	// ReqCommit swaps the staged policy matching Request.Version into
 	// the worker's controller.
 	ReqCommit
 	// ReqAbort discards any staged policy.
 	ReqAbort
-	// ReqStats reports the worker's serving state.
+	// ReqStats reports the worker's serving state in Response.Stats.
 	ReqStats
 	// ReqObserveDecision feeds Request.Decision to the worker's guard
 	// for budget accounting (no-op on unguarded workers).
@@ -48,7 +50,8 @@ const (
 	// Request.Events (the node's unapplied journal suffix, oldest first,
 	// extending its existing state), answers a mitigation query for
 	// Request.Node at Request.At with potential cost Request.Cost in
-	// Response.Decision, and feeds that decision to its guard. It is
+	// Response.Decision (with Normalized and Normed), and feeds that
+	// decision to its guard. It is
 	// ReqReplay (or ReqObserve), ReqRecommend and ReqObserveDecision in
 	// one round trip; the suffix's last event must be the tick's own, at
 	// (Node, At), which the worker serves through its controller's fused
@@ -61,7 +64,8 @@ const (
 )
 
 // Request is one coordinator→worker message. Exactly the fields the Kind
-// documents are meaningful; the rest stay zero.
+// documents are meaningful; the others hold whatever an earlier request
+// left there. Events may alias the coordinator's journal.
 type Request struct {
 	Kind     ReqKind
 	Event    uerl.Event
@@ -77,14 +81,19 @@ type Request struct {
 	Incarnation uint64
 }
 
-// Response is the worker's answer. Err carries application-level
-// rejections (e.g. a staged artifact failing validation) from a healthy
-// worker; transport-level failures are the error return of
-// Transport.Call and count against the worker's health instead.
-// Incarnation is stamped by the transport, not the worker (see
+// Response is the worker's answer: it writes the fields its request kind
+// documents, and Err, and leaves the others as they were. Err carries
+// application-level rejections (e.g. a staged artifact failing
+// validation) from a healthy worker; transport-level failures are the
+// error return of Transport.Call and count against the worker's health
+// instead. Incarnation is stamped by the transport, not the worker (see
 // Transport).
 type Response struct {
-	Decision    uerl.Decision
+	Decision uerl.Decision
+	// Normalized is a ReqTick's RL network input, valid when Normed
+	// (see uerl.Ticker).
+	Normalized  [uerl.FeatureDim]float64
+	Normed      bool
 	Features    [uerl.FeatureDim]float64
 	Stats       WorkerStats
 	Version     string

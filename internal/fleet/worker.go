@@ -108,9 +108,10 @@ func (w *Worker) handle(req *Request, resp *Response) {
 			return
 		}
 		// The suffix's last event is the tick's own: the controller's
-		// fused Tick ingests it, answers the query and charges the guard.
+		// fused tick ingests it, answers the query, charges the guard
+		// and leaves the RL policy's normalized input.
 		w.apply(req.Events[:n-1])
-		resp.Decision = w.ctl.Tick(req.Events[n-1], req.Cost)
+		resp.Normed = w.ctl.TickInto(&resp.Decision, req.Events[n-1], req.Cost, &resp.Normalized)
 	case ReqForget:
 		w.ctl.Forget(req.Node)
 	case ReqRecommend:

@@ -27,20 +27,16 @@ func NewRing[T any](capacity int) *Ring[T] {
 	return &Ring[T]{buf: make([]T, capacity)}
 }
 
-// Push appends v, evicting the oldest element when full. It returns the
-// evicted element and whether an eviction happened.
-func (r *Ring[T]) Push(v T) (evicted T, wasDropped bool) {
+// Push appends v, evicting the oldest element when full.
+func (r *Ring[T]) Push(v T) {
 	if r.size == len(r.buf) {
-		evicted = r.buf[r.head]
-		wasDropped = true
-		r.head = (r.head + 1) % len(r.buf)
+		r.head = r.slot(1)
 		r.size--
 		r.dropped++
 	}
 	r.buf[r.slot(r.size)] = v
 	r.size++
 	r.pushed++
-	return evicted, wasDropped
 }
 
 // At returns the i-th oldest retained element (0 = oldest). It panics when
@@ -52,9 +48,37 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[r.slot(i)]
 }
 
-// slot returns the buffer index of the i-th oldest retained element, so a
-// caller can keep per-element data in storage parallel to the ring.
-func (r *Ring[T]) slot(i int) int { return (r.head + i) % len(r.buf) }
+// Window returns the retained elements from the i-th oldest on, oldest
+// first, as two slices of the ring's own storage: b is the part that
+// wraps round to the start of the buffer (empty unless the window wraps)
+// and a the rest. They are valid until the next Push or Reset, and
+// appending to one never overwrites the ring. It panics when i is out of
+// [0, Len()].
+func (r *Ring[T]) Window(i int) (a, b []T) {
+	if i < 0 || i > r.size {
+		panic(fmt.Sprintf("lifecycle: ring window start %d out of range [0,%d]", i, r.size))
+	}
+	start, end, n := r.head+i, r.head+r.size, len(r.buf)
+	switch {
+	case end <= n:
+		return r.buf[start:end:end], nil
+	case start >= n:
+		return r.buf[start-n : end-n : end-n], nil // wholly in the wrapped part
+	default:
+		return r.buf[start:], r.buf[: end-n : end-n]
+	}
+}
+
+// slot returns the buffer index of the i-th oldest retained element (i in
+// [0, Cap()]), so a caller can keep per-element data in storage parallel
+// to the ring.
+func (r *Ring[T]) slot(i int) int {
+	j := r.head + i
+	if j >= len(r.buf) {
+		j -= len(r.buf)
+	}
+	return j
+}
 
 // Reset drops all retained elements (the pushed/dropped counters keep
 // their lifetime totals; reset elements do not count as dropped).

@@ -188,12 +188,9 @@ type pendingStep struct {
 type OnlineLearner struct {
 	mu      sync.Mutex
 	serving Serving
-	// ctl is the serving layer when it is a single-process *Controller,
-	// whose tick charges its attached guard and hands back the RL
-	// policy's normalized input. ticker is any other layer's fused
-	// decision step (the fleet Coordinator charges its workers' guards);
-	// with neither, a decision tick is served by threeCallTick.
-	ctl    *Controller
+	// ticker is the serving layer's fused decision step when it has one
+	// (both shipped layers do); without it a decision tick is served by
+	// threeCallTick.
 	ticker Ticker
 	// acct receives threeCallTick's served-decision stream for budget
 	// accounting: the serving layer itself when it implements
@@ -208,8 +205,10 @@ type OnlineLearner struct {
 	// node's step in place.
 	pending map[int]int
 	steps   []pendingStep
-	// norm is the tick's normalized state, staged for Ingest (which
-	// copies it) and for the node's next pending step.
+	// dec is the tick's served decision and norm its normalized state,
+	// staged for Ingest (which copies it) and the node's next pending
+	// step; fields, so passing them through Ticker does not escape.
+	dec  Decision
 	norm [FeatureDim]float64
 	log  *auditLog
 
@@ -307,9 +306,7 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 		parentOf: map[string]string{},
 	}
 	// The fused steps account the decision themselves.
-	if ctl, ok := s.(*Controller); ok {
-		l.ctl = ctl
-	} else if t, ok := s.(Ticker); ok {
+	if t, ok := s.(Ticker); ok {
 		l.ticker = t
 	} else {
 		l.acct, _ = s.(decisionAccountant)
@@ -391,33 +388,30 @@ func (l *OnlineLearner) processUE(e Event) {
 // processDecision handles a non-UE event: a decision tick. Caller holds
 // l.mu.
 func (l *OnlineLearner) processDecision(e Event) {
-	var d Decision
+	d := &l.dec
 	normed := false
-	switch cost := l.cfg.cost(e.Node, e.Time); {
-	case l.ctl != nil:
-		normed = l.ctl.tick(&d, e, cost, &l.norm)
-	case l.ticker != nil:
-		d = l.ticker.Tick(e, cost)
-	default:
-		d = l.threeCallTick(e, cost)
+	if cost := l.cfg.cost(e.Node, e.Time); l.ticker != nil {
+		normed = l.ticker.TickInto(d, e, cost, &l.norm)
+	} else {
+		*d = l.threeCallTick(e, cost)
 	}
 	if run := l.probation; run != nil {
 		// Probation scores the served decision against the replaced
 		// incumbent's counterfactual; a decided regression rolls back.
 		ref := run.reference.Decide(Snapshot{Node: d.Node, Time: d.Time, Features: d.Features})
-		run.score.Decision(d.Node, d.Time, d.Mitigate(), ref.Mitigate())
+		run.score.Decision(d.Node, d.Time, d.Action == ActionMitigate, ref.Action == ActionMitigate)
 		l.judgeProbation(d.Time)
 	}
 	l.decisions++
 	if l.cfg.decisionObserver != nil {
-		l.cfg.decisionObserver(d)
+		l.cfg.decisionObserver(*d)
 	}
 	if l.shadow != nil {
 		// The candidate decides on the snapshot the incumbent was served
 		// from, degraded ones included: the duel scores the traffic the
 		// fleet actually saw.
 		cd := l.candidate.Decide(Snapshot{Node: e.Node, Time: e.Time, Features: d.Features})
-		l.shadow.Decision(e.Node, e.Time, d.Mitigate(), cd.Mitigate())
+		l.shadow.Decision(e.Node, e.Time, d.Action == ActionMitigate, cd.Action == ActionMitigate)
 		l.judgeShadow(e.Time)
 	}
 	if d.Degraded {
@@ -432,7 +426,7 @@ func (l *OnlineLearner) processDecision(e Event) {
 
 	if !normed {
 		// The served policy left no normalized input (not the built-in
-		// RL policy, or not a *Controller layer): compute it here.
+		// RL policy, or a path without a fused tick): compute it here.
 		features.Vector(d.Features).NormalizedInto(l.norm[:])
 	}
 	i, ok := l.pending[e.Node]
@@ -448,7 +442,7 @@ func (l *OnlineLearner) processDecision(e Event) {
 	// The node's step is overwritten in place; Ingest copied its state.
 	next := &l.steps[i]
 	next.state, next.action, next.reward = l.norm, 0, 0
-	if d.Mitigate() {
+	if d.Action == ActionMitigate {
 		next.action = 1
 		next.reward = -(l.cfg.mitigationCostNodeMinutes / 60) * l.cfg.rewardScale
 	}

@@ -212,9 +212,9 @@ func (s *countingServing) ObserveDecision(Decision) { s.accounted++ }
 // tickingServing adds the fused Ticker step.
 type tickingServing struct{ countingServing }
 
-func (s *tickingServing) Tick(e Event, cost float64) Decision {
+func (s *tickingServing) TickInto(d *Decision, e Event, cost float64, norm *[FeatureDim]float64) bool {
 	s.ticks++
-	return s.ctl.Tick(e, cost)
+	return s.ctl.TickInto(d, e, cost, norm)
 }
 
 // TestLearnerResolvesFusedTick checks the learner serves a decision tick

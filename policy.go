@@ -95,8 +95,21 @@ func (p *staticPolicy) Kind() PolicyKind { return p.kind }
 func (p *staticPolicy) Name() string     { return p.name }
 func (p *staticPolicy) Version() string  { return p.version }
 
-func (p *staticPolicy) Decide(s Snapshot) Decision {
-	return decisionFor(p, s, p.act, p.score)
+func (p *staticPolicy) Decide(s Snapshot) (d Decision) {
+	p.decideInto(&d, s.Node, s.Time, (*features.Vector)(&s.Features))
+	return d
+}
+
+// decideInto fills d with the constant decision on v for node at time at.
+//
+//uerl:hotpath
+func (p *staticPolicy) decideInto(d *Decision, node int, at time.Time, v *features.Vector) {
+	// Zeroed, then filled, in place: assigning a composite literal
+	// through d would build it on the stack and copy it.
+	*d = Decision{}
+	d.Node, d.Time, d.Action, d.Score = node, at, p.act, p.score
+	d.Features = *v
+	d.Policy, d.ModelVersion = p.name, p.version
 }
 
 // ---- Trained kinds ----
@@ -226,17 +239,11 @@ func (p *rlPolicy) Decide(s Snapshot) (d Decision) {
 func (p *rlPolicy) decideInto(d *Decision, node int, at time.Time, v *features.Vector, norm *[FeatureDim]float64) {
 	var qv [2]float64
 	p.q.QValuesInto(qv[:], v.NormalizedInto(norm[:]))
-	*d = Decision{
-		Node:         node,
-		Time:         at,
-		Action:       actionOf(qv[1] > qv[0]),
-		Score:        qv[1] - qv[0],
-		QValues:      qv,
-		HasQ:         true,
-		Features:     *v,
-		Policy:       p.Name(),
-		ModelVersion: p.Version(),
-	}
+	*d = Decision{} // in place, as in staticPolicy.decideInto
+	d.Node, d.Time = node, at
+	d.Action, d.Score, d.QValues, d.HasQ = actionOf(qv[1] > qv[0]), qv[1]-qv[0], qv, true
+	d.Features = *v
+	d.Policy, d.ModelVersion = p.Name(), p.Version()
 }
 
 // ---- Oracle ----

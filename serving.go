@@ -34,19 +34,25 @@ type Serving interface {
 	DeployPolicy(p Policy) (Policy, error)
 }
 
-// A Ticker is a Serving layer with a fused decision step. Tick ingests e,
-// answers a mitigation query for e.Node at e.Time, and accounts the
-// served decision with the guard that enforced it — ObserveEvent,
-// Recommend and the decision accountant's ObserveDecision in one call,
-// with the same results. Both shipped layers implement it: a *Controller
-// serves the tick in one hold of the node's shard lock and charges its
-// attached guard, and the fleet Coordinator needs one transport round
-// trip per tick. The OnlineLearner resolves it once, when it is built: a
-// layer that implements it has each decision tick served through Tick,
-// any other layer through the three calls. Recommend stays the separate,
-// side-effect-free read for pollers.
+// A Ticker is a Serving layer with a fused decision step. TickInto
+// ingests e, answers a mitigation query for e.Node at e.Time in d, and
+// accounts the served decision with the guard that enforced it —
+// ObserveEvent, Recommend and the decision accountant's ObserveDecision
+// in one call, with the same results. When the built-in RL policy served
+// the decision, TickInto also leaves the policy's network input in norm,
+// features.Vector(d.Features).NormalizedInto bit for bit, and reports
+// normed; otherwise it reports false and norm holds nothing of use. Both
+// shipped layers implement it: a *Controller serves the tick in one hold
+// of the node's shard lock and charges its attached guard, and the fleet
+// Coordinator needs one transport round trip per tick, which brings the
+// worker's normalized input back with the decision. The OnlineLearner
+// resolves it once, when it is built: a layer that implements it has
+// each decision tick served through TickInto, and the learner trains on
+// norm instead of normalizing again; any other layer is served through
+// the three calls. Recommend stays the separate, side-effect-free read
+// for pollers.
 type Ticker interface {
-	Tick(e Event, potentialCostNodeHours float64) Decision
+	TickInto(d *Decision, e Event, potentialCostNodeHours float64, norm *[FeatureDim]float64) (normed bool)
 }
 
 // decisionAccountant is the served-decision accounting surface: budget
