@@ -17,12 +17,13 @@
 // watermarks.
 //
 // A decision tick (Coordinator.TickInto: ingest, decide, account) costs
-// one transport round trip in steady state: sync carries the owner's
-// unapplied suffix together with the query and the guard charge in one
-// ReqTick that brings the RL policy's normalized input back with the
-// decision. The suffix is a subslice of the node's journal window unless
-// it wraps round it, and one Request/Response pair serves every call, so
-// delivery allocates nothing and copies no event. Every
+// one transport round trip in steady state: sync carries the tick's own
+// event, the owner's unapplied suffix before it, the query and the guard
+// charge in one ReqTick that brings the RL policy's normalized input back
+// with the decision. The event travels as the caller passed it, and the
+// suffix, decoded from the node's journal window into one reused buffer,
+// is empty on a steady tick; one Request/Response pair serves every call,
+// so delivery allocates nothing and decodes no event. Every
 // case off that path — an unhealthy owner, a rebuild, a deduplicated
 // event, a restarted worker refusing the tick — runs the three-call
 // path ObserveEvent, Recommend and ObserveDecision run.
@@ -40,13 +41,14 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	uerl "repro"
 	"repro/internal/features"
-	"repro/internal/lifecycle"
 	"repro/internal/mathx"
 )
 
@@ -121,16 +123,19 @@ func (cfg *Config) applyDefaults() error {
 	return nil
 }
 
-// nodeState is the coordinator's ledger for one journaled node.
+// nodeState is the coordinator's ledger for one journaled node: who owns
+// it, how far the owner has applied its events, and its journal window,
+// held by value so a steady tick touches this one record.
 type nodeState struct {
+	node int
 	// owner is the worker currently holding the node's tracker state;
 	// -1 while the node is orphaned (no live worker).
 	owner int
-	// window is the node's journal window (EventJournal.Window).
-	window *lifecycle.Ring[uerl.Event]
+	// win is the node's journal window.
+	win journalWindow
 	// applied is how many of the node's journaled events have been
 	// applied to the current owner's state (the node's acked count);
-	// window.Pushed() - applied is the pending backlog.
+	// win.ring.Pushed() - applied is the pending backlog.
 	applied uint64
 	// lost counts events permanently unreplayable into the current
 	// state: trimmed from the bounded journal before the last full
@@ -148,13 +153,20 @@ type Coordinator struct {
 	journal *EventJournal
 	workers []*workerHealth
 	nodes   map[int]*nodeState
+	// ledger holds the nodes' ledgers in ascending node order — the
+	// deterministic iteration order for failover reassignment.
+	ledger []*nodeState
 	// clock is the max event time observed — the only time source for
 	// health decisions.
 	clock time.Time
+	// nextProbe is at or before the nextRetry of every worker that is
+	// not live, so maintain has nothing due before it.
+	nextProbe time.Time
 
 	// req and resp are the one Request/Response pair every transport
-	// call goes through (see call); suffix is sync's buffer for a
-	// journal suffix that wraps round its window, so it never grows.
+	// call goes through (see call); suffix is sync's buffer for the
+	// decoded journal suffix, which holds a full window, so it never
+	// grows.
 	req    Request
 	resp   Response
 	suffix []uerl.Event
@@ -260,8 +272,8 @@ func (c *Coordinator) hrwOwner(node int) int {
 func (c *Coordinator) ObserveEvent(e uerl.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ns := c.ingest(e); ns != nil {
-		c.deliver(e.Node, ns, nil)
+	if ns := c.ingest(&e); ns != nil {
+		c.deliver(ns, nil, 0)
 	}
 }
 
@@ -287,9 +299,8 @@ func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) (d uerl
 func (c *Coordinator) TickInto(d *uerl.Decision, e uerl.Event, potentialCostNodeHours float64, norm *[uerl.FeatureDim]float64) (normed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ns := c.ingest(e); ns != nil {
-		q := query{at: e.Time, cost: potentialCostNodeHours}
-		if c.deliver(e.Node, ns, &q) {
+	if ns := c.ingest(&e); ns != nil {
+		if c.deliver(ns, &e, potentialCostNodeHours) {
 			*d = c.resp.Decision
 			d.StaleEvents = c.staleness(ns)
 			if c.resp.Normed {
@@ -303,41 +314,46 @@ func (c *Coordinator) TickInto(d *uerl.Decision, e uerl.Event, potentialCostNode
 	return false
 }
 
-// query is the mitigation query a ReqTick carries.
-type query struct {
-	at   time.Time
-	cost float64
-}
-
 // ingest is ObserveEvent's bookkeeping before delivery: advance the
 // clock, run due health probes and journal e. It returns e's node ledger,
 // or nil when e was a deduplicated redelivery (the state already
 // reflects it). Caller holds c.mu.
 //
 //uerl:hotpath
-func (c *Coordinator) ingest(e uerl.Event) *nodeState {
+func (c *Coordinator) ingest(e *uerl.Event) *nodeState {
 	if e.Time.After(c.clock) {
 		c.clock = e.Time
 	}
 	c.maintain(false)
 	ns, ok := c.nodes[e.Node]
 	if !ok {
-		ns = &nodeState{owner: c.hrwOwner(e.Node), window: c.journal.Window(e.Node)}
-		c.nodes[e.Node] = ns
+		ns = c.addNode(e.Node)
 	}
-	if c.journal.Append(ns.window, e) {
+	if c.journal.Append(&ns.win, e) {
 		return nil
 	}
 	return ns
 }
 
-// deliver syncs node's journal backlog (usually just the newest event)
-// to its owner, charging health on failure. With q set and a live owner
-// the sync also answers q and charges the owner's guard; served reports
-// whether it did, and then c.resp holds the decision. Caller holds c.mu.
+// addNode opens the ledger of a node seen for the first time. Caller
+// holds c.mu.
+func (c *Coordinator) addNode(node int) *nodeState {
+	ns := &nodeState{node: node, owner: c.hrwOwner(node), win: c.journal.newWindow()}
+	c.nodes[node] = ns
+	i, _ := slices.BinarySearchFunc(c.ledger, node, func(ns *nodeState, node int) int { return cmp.Compare(ns.node, node) })
+	c.ledger = slices.Insert(c.ledger, i, ns)
+	return ns
+}
+
+// deliver syncs the node's journal backlog (usually just the newest
+// event) to its owner, charging health on failure. With tick set (the
+// node's newest journaled event) and a live owner the sync also answers
+// the tick's query at potential cost cost and charges the owner's guard;
+// served reports whether it did, and then c.resp holds the decision.
+// Caller holds c.mu.
 //
 //uerl:hotpath
-func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (served bool) {
+func (c *Coordinator) deliver(ns *nodeState, tick *uerl.Event, cost float64) (served bool) {
 	if ns.owner < 0 {
 		return false // orphaned: every worker is down; rejoinWorker re-homes it
 	}
@@ -349,9 +365,9 @@ func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (served bool) {
 		return false // backing off; backlog journals and waits
 	}
 	if h.state != WorkerLive {
-		q = nil // a recovering suspect catches up first (noteRecovery)
+		tick = nil // a recovering suspect catches up first (noteRecovery)
 	}
-	served, err := c.sync(node, ns, false, q)
+	served, err := c.sync(ns, false, tick, cost)
 	if err != nil {
 		c.noteFailure(h)
 		return false
@@ -363,70 +379,75 @@ func (c *Coordinator) deliver(node int, ns *nodeState, q *query) (served bool) {
 	return served
 }
 
-// sync is the one path that moves journaled events to node's owner. It
-// sends the suffix the owner has not applied yet; with rebuild set, or
-// when the bounded journal trimmed part of that suffix, it sends the
-// full retained window and has the owner drop its state first. Events
-// trimmed before a rebuild are gone from the rebuilt state and recorded
-// in ns.lost (surfaced as Decision.StaleEvents). A one-event catch-up
-// travels as a plain observe; everything else is replay traffic. An
-// owner answering from a new incarnation restarted and lost the state
-// the suffix extends, so it is rejoined, which rebuilds every node it
-// owns.
+// sync is the one path that moves journaled events to the node's owner.
+// It sends the suffix the owner has not applied yet, decoded from the
+// journal; with rebuild set, or when the bounded journal trimmed part of
+// that suffix, it sends the full retained window and has the owner drop
+// its state first. Events trimmed before a rebuild are gone from the
+// rebuilt state and recorded in ns.lost (surfaced as
+// Decision.StaleEvents). A one-event catch-up travels as a plain
+// observe; everything else is replay traffic. An owner answering from a
+// new incarnation restarted and lost the state the suffix extends, so it
+// is rejoined, which rebuilds every node it owns.
 //
-// With q set and no rebuild needed, the suffix travels in a ReqTick that
-// also answers q and charges the owner's guard, and served reports that
-// c.resp holds the decision: an owner that serves the tick answers from
-// the incarnation the coordinator expected, so nothing calls again
-// before sync returns. A restarted owner refuses the tick; sync rejoins
-// it and finishes the catch-up the plain way, leaving q unanswered.
-// Caller holds c.mu.
+// With tick set and no rebuild needed, the tick's event travels as it is
+// beside the suffix before it in a ReqTick that also answers the tick's
+// query at potential cost cost and charges the owner's guard, and served
+// reports that c.resp holds the decision: an owner that serves the tick
+// answers from the incarnation the coordinator expected, so nothing
+// calls again before sync returns. A restarted owner refuses the tick;
+// sync rejoins it and finishes the catch-up the plain way, leaving the
+// query unanswered. Caller holds c.mu.
 //
 //uerl:hotpath
-func (c *Coordinator) sync(node int, ns *nodeState, rebuild bool, q *query) (served bool, err error) {
-	evs, ok := journalSuffix(c.suffix[:0], ns.window, ns.applied)
-	if rebuild || !ok {
-		rebuild = true
-		evs, _ = journalSuffix(c.suffix[:0], ns.window, ns.window.Dropped())
+func (c *Coordinator) sync(ns *nodeState, rebuild bool, tick *uerl.Event, cost float64) (served bool, err error) {
+	w := &ns.win
+	from, to := ns.applied, w.ring.Pushed()
+	if rebuild || from < w.ring.Dropped() {
+		rebuild, from, tick = true, w.ring.Dropped(), nil
 	}
+	sent := int(to - from)
+	if tick != nil {
+		to-- // the newest journaled event is the tick's own
+	}
+	evs := c.journal.suffix(c.suffix[:0], w, ns.node, from, to)
 	h := c.workers[ns.owner]
 	req := c.request(ReqReplay)
-	req.Node, req.Events, req.Forget = node, evs, rebuild
+	req.Node, req.Events, req.Forget = ns.node, evs, rebuild
 	switch {
 	case rebuild:
-	case q != nil:
-		req.Kind, req.At, req.Cost, req.Incarnation = ReqTick, q.at, q.cost, h.incarnation
-	case len(evs) == 1:
+	case tick != nil:
+		req.Kind, req.Event, req.Cost, req.Incarnation = ReqTick, *tick, cost, h.incarnation
+	case sent == 1:
 		c.request(ReqObserve).Event = evs[0]
 	}
-	tick := req.Kind == ReqTick
 	resp, err := c.call(ns.owner)
 	if err != nil {
 		return false, err
 	}
-	if tick && resp.Err != "" {
+	if tick != nil && resp.Err != "" {
 		// Refused: the owner applied nothing (it restarted, or the
-		// suffix did not end at the query).
+		// suffix did not lead up to the tick's event).
 		if h.restarted(resp.Incarnation) {
 			c.rejoinWorker(h)
 		}
-		if ns.owner != h.id || ns.applied == ns.window.Pushed() {
+		if ns.owner != h.id || ns.applied == w.ring.Pushed() {
 			return false, nil // the rejoin rebuilt or moved the node
 		}
-		return c.sync(node, ns, false, nil)
+		return c.sync(ns, false, nil, 0)
 	}
-	if rebuild || len(evs) != 1 {
+	if rebuild || sent != 1 {
 		c.replayedNodes++
-		c.replayedEvents += len(evs)
+		c.replayedEvents += sent
 	}
 	if rebuild {
-		ns.lost = ns.window.Dropped()
+		ns.lost = w.ring.Dropped()
 	}
-	ns.applied = ns.window.Pushed()
+	ns.applied = w.ring.Pushed()
 	if h.restarted(resp.Incarnation) {
 		c.rejoinWorker(h)
 	}
-	return tick, nil
+	return tick != nil, nil
 }
 
 // request readies the coordinator's one reused Request for kind, to be
@@ -452,16 +473,17 @@ func (c *Coordinator) call(w int) (*Response, error) {
 	return &c.resp, err
 }
 
-// rehome moves node to owner (-1 orphans it) and rebuilds it there from
-// the journal window. A failed rebuild charges the new owner — possibly
-// cascading the failover — and leaves the backlog journaled for deliver
-// to retry. Reports whether the rebuild landed. Caller holds c.mu.
-func (c *Coordinator) rehome(node int, ns *nodeState, owner int) bool {
+// rehome moves ns's node to owner (-1 orphans it) and rebuilds it there
+// from the journal window. A failed rebuild charges the new owner —
+// possibly cascading the failover — and leaves the backlog journaled for
+// deliver to retry. Reports whether the rebuild landed. Caller holds
+// c.mu.
+func (c *Coordinator) rehome(ns *nodeState, owner int) bool {
 	ns.owner, ns.applied = owner, 0
 	if owner < 0 {
 		return false
 	}
-	if _, err := c.sync(node, ns, true, nil); err != nil {
+	if _, err := c.sync(ns, true, nil, 0); err != nil {
 		c.noteFailure(c.workers[owner])
 		return false
 	}
@@ -480,7 +502,16 @@ func (c *Coordinator) noteFailure(h *workerHealth) {
 	if h.state == WorkerLive {
 		h.state = WorkerSuspect
 	}
+	c.retryAt(h)
+}
+
+// retryAt schedules h's next attempt after its latest failure, keeping
+// nextProbe at or before it. Caller holds c.mu.
+func (c *Coordinator) retryAt(h *workerHealth) {
 	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, h.failures))
+	if h.nextRetry.Before(c.nextProbe) {
+		c.nextProbe = h.nextRetry
+	}
 }
 
 // noteRecovery clears a suspect worker back to live, re-staging a missed
@@ -499,11 +530,11 @@ func (c *Coordinator) noteRecovery(h *workerHealth) {
 // until a rejoin. Caller holds c.mu.
 func (c *Coordinator) declareDead(h *workerHealth) {
 	h.state = WorkerDown
-	h.nextRetry = c.clock.Add(h.backoff(c.cfg.RetryBackoff, h.failures))
+	c.retryAt(h)
 	c.failovers++
-	for _, node := range c.journal.Nodes() {
-		if ns := c.nodes[node]; ns.owner == h.id {
-			c.rehome(node, ns, c.hrwOwner(node))
+	for _, ns := range c.ledger {
+		if ns.owner == h.id {
+			c.rehome(ns, c.hrwOwner(ns.node))
 		}
 	}
 }
@@ -519,19 +550,18 @@ func (c *Coordinator) rejoinWorker(h *workerHealth) {
 	h.modelStale = c.committedBytes != nil
 	c.rejoins++
 	c.restage(h)
-	for _, node := range c.journal.Nodes() {
-		ns := c.nodes[node]
-		if c.hrwOwner(node) != h.id {
+	for _, ns := range c.ledger {
+		if c.hrwOwner(ns.node) != h.id {
 			continue
 		}
 		old := ns.owner
-		if !c.rehome(node, ns, h.id) {
+		if !c.rehome(ns, h.id) {
 			continue
 		}
 		if old >= 0 && old != h.id && c.workers[old].state != WorkerDown {
 			// Best-effort: drop the node's stale state on the previous
 			// owner so its footprint reflects only nodes it serves.
-			c.request(ReqForget).Node = node
+			c.request(ReqForget).Node = ns.node
 			_, _ = c.call(old)
 		}
 	}
@@ -558,12 +588,11 @@ func (c *Coordinator) restage(h *workerHealth) {
 // reconcileWorker catches up the journal backlog of every node owned by
 // worker id. Caller holds c.mu.
 func (c *Coordinator) reconcileWorker(id int) {
-	for _, node := range c.journal.Nodes() {
-		ns := c.nodes[node]
-		if ns.owner != id || ns.applied == ns.window.Pushed() {
+	for _, ns := range c.ledger {
+		if ns.owner != id || ns.applied == ns.win.ring.Pushed() {
 			continue
 		}
-		if _, err := c.sync(node, ns, false, nil); err != nil {
+		if _, err := c.sync(ns, false, nil, 0); err != nil {
 			c.noteFailure(c.workers[id])
 			return
 		}
@@ -573,10 +602,16 @@ func (c *Coordinator) reconcileWorker(id int) {
 // maintain runs due health probes against suspect and down workers on
 // the telemetry clock: a successful probe recovers a suspect, a failed
 // one backs off further (suspects crossing the failure threshold are
-// declared dead), and a down or restarted worker rejoins. force ignores
-// the backoff schedule and probes every worker now, live ones included —
+// declared dead), and a down or restarted worker rejoins. Before
+// nextProbe no probe is due, so it returns at once. force ignores the
+// backoff schedule and probes every worker now, live ones included —
 // Reconcile's settling semantics. Caller holds c.mu.
+//
+//uerl:hotpath
 func (c *Coordinator) maintain(force bool) {
+	if !force && c.clock.Before(c.nextProbe) {
+		return
+	}
 	for _, h := range c.workers {
 		if !force && (h.state == WorkerLive || c.clock.Before(h.nextRetry)) {
 			continue
@@ -592,7 +627,16 @@ func (c *Coordinator) maintain(force bool) {
 			c.noteRecovery(h)
 		}
 	}
+	c.nextProbe = farFuture
+	for _, h := range c.workers {
+		if h.state != WorkerLive && h.nextRetry.Before(c.nextProbe) {
+			c.nextProbe = h.nextRetry
+		}
+	}
 }
+
+// farFuture is nextProbe while every worker is live.
+var farFuture = time.Unix(1<<62, 0)
 
 // Reconcile settles the fleet now: it probes every worker (ignoring the
 // backoff schedule — recovered and restarted workers rejoin immediately)
@@ -604,9 +648,9 @@ func (c *Coordinator) Reconcile() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maintain(true)
-	for _, node := range c.journal.Nodes() {
-		if ns := c.nodes[node]; ns.applied != ns.window.Pushed() {
-			c.deliver(node, ns, nil)
+	for _, ns := range c.ledger {
+		if ns.applied != ns.win.ring.Pushed() {
+			c.deliver(ns, nil, 0)
 		}
 	}
 }
@@ -618,7 +662,7 @@ func (c *Coordinator) staleness(ns *nodeState) int {
 	if ns == nil {
 		return 0
 	}
-	return int(ns.window.Pushed()-ns.applied) + int(ns.lost)
+	return int(ns.win.ring.Pushed()-ns.applied) + int(ns.lost)
 }
 
 // degraded builds the conservative answer for node (ledger ns) whose owner
@@ -868,11 +912,12 @@ func (c *Coordinator) Stats() Stats {
 		Rejoins:        c.rejoins,
 		ReplayedNodes:  c.replayedNodes,
 		ReplayedEvents: c.replayedEvents,
-		Journal:        c.journal.Stats(),
+		Journal:        JournalStats{Nodes: len(c.ledger), Deduped: c.journal.deduped},
 	}
 	owned := make(map[int]int, len(c.workers))
-	for _, node := range c.journal.Nodes() {
-		ns := c.nodes[node]
+	for _, ns := range c.ledger {
+		st.Journal.Appended += ns.win.ring.Pushed()
+		st.Journal.Trimmed += ns.win.ring.Dropped()
 		if ns.owner < 0 {
 			st.OrphanNodes++
 			continue

@@ -317,3 +317,56 @@ func TestFleetWorkerGuardVeto(t *testing.T) {
 		t.Fatalf("no worker guard recorded charges: %+v", st.Workers)
 	}
 }
+
+// TestFleetProbesIdleSuspect: a suspect worker whose nodes see no
+// traffic is still probed on the telemetry clock, so it recovers at the
+// first event of any node at or after its nextRetry, and not before, and
+// the coordinator's early exit from maintain while every worker is live
+// never skips a due probe.
+func TestFleetProbesIdleSuspect(t *testing.T) {
+	c, tr, err := NewInProcess(Config{Workers: 2, Seed: 5, Initial: uerl.AlwaysPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := map[int]int{}
+	for n := 0; len(owned) < 2; n++ {
+		if _, ok := owned[c.hrwOwner(n)]; !ok {
+			owned[c.hrwOwner(n)] = n
+		}
+	}
+	t0 := time.Unix(1_700_000_000, 0).UTC()
+	c.Tick(ev(owned[0], t0, 1), 100)
+	c.Tick(ev(owned[1], t0, 1), 100)
+	state := func() WorkerState { return c.Stats().Workers[1].State }
+	for round := 0; round < 3; round++ {
+		// One failed delivery makes worker 1 suspect; it is reachable
+		// again at once, but only a probe can find that out.
+		at := t0.Add(time.Duration(round+1) * time.Hour)
+		tr.Hang(1)
+		c.ObserveEvent(ev(owned[1], at, 1))
+		tr.Rejoin(1)
+		if got := state(); got != WorkerSuspect {
+			t.Fatalf("round %d: worker 1 is %s after a failed delivery, want suspect", round, got)
+		}
+		retry := c.workers[1].nextRetry
+		recovered := false
+		for i := 1; i <= 120 && !recovered; i++ {
+			at := at.Add(time.Duration(i) * time.Second)
+			c.ObserveEvent(ev(owned[0], at, 1))
+			want := WorkerSuspect
+			if !at.Before(retry) {
+				want, recovered = WorkerLive, true
+			}
+			if got := state(); got != want {
+				t.Fatalf("round %d: worker 1 is %s at +%ds (nextRetry +%s), want %s", round, got, i, retry.Sub(at.Add(-time.Duration(i)*time.Second)), want)
+			}
+		}
+		if !recovered {
+			t.Fatalf("round %d: worker 1 never came due for a probe (nextRetry %v)", round, retry)
+		}
+		// The recovery caught the idle node's backlog up.
+		if st := c.Stats(); st.AckedEvents != st.Journal.Appended {
+			t.Fatalf("round %d: %d of %d events acked after recovery", round, st.AckedEvents, st.Journal.Appended)
+		}
+	}
+}

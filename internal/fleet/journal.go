@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"math"
 	"time"
 
 	uerl "repro"
@@ -16,6 +16,13 @@ import (
 // is still inside the window; events that age out of the window before a
 // rebuild needs them are counted and surface as Decision.StaleEvents.
 //
+// The windows themselves live in the coordinator's node ledger
+// (nodeState), one by value per node, so the journal holds only what all
+// windows share: their capacity, the dedup window, the table of
+// non-UTC time zones records refer to, and the dedup count. A window
+// stores each event as a pointer-free 40-byte record (see record), which
+// the garbage collector never scans.
+//
 // An optional dedup window absorbs duplicated delivery from flapping
 // collectors: an event identical to a journaled one (same node, type,
 // location and count) within the window is dropped before it can
@@ -26,8 +33,10 @@ import (
 type EventJournal struct {
 	capacity int
 	window   time.Duration
-	nodes    map[int]*lifecycle.Ring[uerl.Event]
-	deduped  uint64
+	// locs are the non-UTC locations of journaled times; a record's
+	// location index i > 0 names locs[i-1].
+	locs    []*time.Location
+	deduped uint64
 }
 
 // NewEventJournal creates a journal retaining up to capacity events per
@@ -36,89 +45,185 @@ func NewEventJournal(capacity int, dedupWindow time.Duration) *EventJournal {
 	if capacity <= 0 {
 		panic("fleet: journal capacity must be positive")
 	}
-	return &EventJournal{
-		capacity: capacity,
-		window:   dedupWindow,
-		nodes:    map[int]*lifecycle.Ring[uerl.Event]{},
+	return &EventJournal{capacity: capacity, window: dedupWindow}
+}
+
+// record is one journaled event without its node, which the window
+// implies: the time in Unix nanoseconds, and the other fields as int32.
+// meta holds the time's location index (0 = UTC) and the wide flag. An
+// event a record cannot hold exactly — a field outside int32, a time
+// outside int64 nanoseconds, or one location more than the journal's
+// table takes — is flagged wide and kept whole in its window's side
+// table. Decoding is lossless except for a monotonic clock reading,
+// which no record keeps, as no wire format would.
+type record struct {
+	unix                                   int64
+	typ, dimm, count, rank, bank, row, col int32
+	meta                                   uint32
+}
+
+const (
+	// wideFlag marks a record whose event lives in the window's side
+	// table.
+	wideFlag = 1 << 31
+	// maxLocations bounds the journal's location table; an event in a
+	// further location is journaled wide.
+	maxLocations = 64
+	// minUnixSec and maxUnixSec bound the seconds whose times fit int64
+	// Unix nanoseconds at any nanosecond offset.
+	minUnixSec, maxUnixSec = -9223372036, 9223372035
+)
+
+// journalWindow is one node's journal window: a drop-oldest ring of
+// records, and the side table of its wide events keyed by sequence
+// number (nil until the first wide event). The ring's Pushed count is
+// the sequence number the node's next journaled event gets (dedup drops
+// excluded), and its Dropped count how many of the node's events have
+// aged out of the window and can no longer be replayed.
+type journalWindow struct {
+	ring lifecycle.Ring[record]
+	wide map[uint64]uerl.Event
+}
+
+// newWindow returns an empty window with the journal's capacity.
+func (j *EventJournal) newWindow() journalWindow {
+	return journalWindow{ring: *lifecycle.NewRing[record](j.capacity)}
+}
+
+// narrow reports whether v fits an int32 field.
+func narrow(v int) bool { return int(int32(v)) == v }
+
+// encode packs e into a record, flagging it wide when a field does not
+// fit. It registers a new non-UTC location in the journal's table.
+//
+//uerl:hotpath
+func (j *EventJournal) encode(e *uerl.Event) record {
+	r := record{
+		unix: e.Time.UnixNano(), typ: int32(e.Type), dimm: int32(e.DIMM), count: int32(e.Count),
+		rank: int32(e.Rank), bank: int32(e.Bank), row: int32(e.Row), col: int32(e.Col),
+	}
+	sec := e.Time.Unix()
+	if sec < minUnixSec || sec > maxUnixSec || !narrow(int(e.Type)) || !narrow(e.DIMM) || !narrow(e.Count) ||
+		!narrow(e.Rank) || !narrow(e.Bank) || !narrow(e.Row) || !narrow(e.Col) {
+		r.meta = wideFlag
+		return r
+	}
+	if loc := e.Time.Location(); loc != time.UTC {
+		r.meta = j.location(loc)
+	}
+	return r
+}
+
+// location returns loc's record index, adding it to the table when there
+// is room, and the wide flag when there is none.
+func (j *EventJournal) location(loc *time.Location) uint32 {
+	for i, l := range j.locs {
+		if l == loc {
+			return uint32(i + 1)
+		}
+	}
+	if len(j.locs) == maxLocations {
+		return wideFlag
+	}
+	j.locs = append(j.locs, loc)
+	return uint32(len(j.locs))
+}
+
+// decode returns the event of node that record r, sequence number seq of
+// window w, holds.
+//
+//uerl:hotpath
+func (j *EventJournal) decode(w *journalWindow, node int, seq uint64, r *record) uerl.Event {
+	if r.meta&wideFlag != 0 {
+		return w.wide[seq]
+	}
+	at := time.Unix(0, r.unix)
+	if r.meta == 0 {
+		at = at.UTC()
+	} else {
+		at = at.In(j.locs[r.meta-1])
+	}
+	return uerl.Event{
+		Time: at, Node: node, Type: uerl.EventType(r.typ), DIMM: int(r.dimm), Count: int(r.count),
+		Rank: int(r.rank), Bank: int(r.bank), Row: int(r.row), Col: int(r.col),
 	}
 }
 
-// sameDelivery reports whether b looks like a redelivery of a: identical
-// in everything but the (collector-stamped, possibly re-stamped) time.
-func sameDelivery(a, b uerl.Event) bool {
-	return a.Node == b.Node && a.Type == b.Type && a.DIMM == b.DIMM &&
-		a.Count == b.Count && a.Rank == b.Rank && a.Bank == b.Bank &&
-		a.Row == b.Row && a.Col == b.Col
-}
-
-// Window returns node's journal window, creating an empty one on first
-// use. The coordinator keeps it in the node's ledger, so a tick finds it
-// without a second lookup. Its Pushed count is the sequence number the
-// node's next journaled event gets (dedup drops excluded), and its
-// Dropped count how many of the node's events have aged out of the
-// window and can no longer be replayed.
-func (j *EventJournal) Window(node int) *lifecycle.Ring[uerl.Event] {
-	w, ok := j.nodes[node]
-	if !ok {
-		w = lifecycle.NewRing[uerl.Event](j.capacity)
-		j.nodes[node] = w
-	}
-	return w
+// sameDelivery reports whether record b looks like a redelivery of a:
+// identical in everything but the (collector-stamped, possibly
+// re-stamped) time. Neither may be wide.
+func sameDelivery(a, b *record) bool {
+	return a.typ == b.typ && a.dimm == b.dimm && a.count == b.count &&
+		a.rank == b.rank && a.bank == b.bank && a.row == b.row && a.col == b.col
 }
 
 // Append journals e into w, the window of e.Node. It returns dup=true
 // (and journals nothing) when e is a redelivery of an event already in
 // the dedup window.
-func (j *EventJournal) Append(w *lifecycle.Ring[uerl.Event], e uerl.Event) (dup bool) {
-	if j.window > 0 {
-		floor := e.Time.Add(-j.window)
-		for i := w.Len() - 1; i >= 0; i-- {
-			prev := w.At(i)
-			if prev.Time.Before(floor) {
-				break
-			}
-			if sameDelivery(prev, e) {
-				j.deduped++
-				return true
-			}
-		}
+//
+//uerl:hotpath
+func (j *EventJournal) Append(w *journalWindow, e *uerl.Event) (dup bool) {
+	r := j.encode(e)
+	if j.window > 0 && j.redelivered(w, e, &r) {
+		j.deduped++
+		return true
 	}
-	w.Push(e)
+	ring := &w.ring
+	if len(w.wide) > 0 && ring.Len() == ring.Cap() {
+		delete(w.wide, ring.Dropped()) // the evicted event's entry, if it has one
+	}
+	if r.meta&wideFlag != 0 {
+		if w.wide == nil {
+			w.wide = map[uint64]uerl.Event{} //uerl:alloc-ok a window's side table is made on its first wide event, which no telemetry stream has
+		}
+		w.wide[ring.Pushed()] = *e
+	}
+	ring.Push(r)
 	return false
 }
 
-// journalSuffix returns w's retained events with sequence numbers >= seq,
-// oldest first, and reports whether the window still covers that range
-// (ok=false means events in [seq, oldest retained) were trimmed, so a
-// catch-up from seq is impossible and the caller must rebuild from
-// journalSuffix(dst, w, w.Dropped()) instead). A range that lies in one
-// piece of the window's storage, as every steady tick's does, is
-// returned as a subslice of it, valid until the next Append to w; only
-// a range that wraps round the window is copied, appended to dst in two
-// segments. A dst with the journal's capacity never grows.
-//
-//uerl:hotpath
-func journalSuffix(dst []uerl.Event, w *lifecycle.Ring[uerl.Event], seq uint64) ([]uerl.Event, bool) {
-	oldest := w.Dropped()
-	if seq < oldest {
-		return dst, false
+// redelivered reports whether e, encoded as r, repeats an event of w
+// within the dedup window. A wide record compares as the event it holds.
+func (j *EventJournal) redelivered(w *journalWindow, e *uerl.Event, r *record) bool {
+	floor := r.unix - int64(j.window)
+	if floor > r.unix {
+		floor = math.MinInt64 // the window reaches past the oldest representable time
 	}
-	a, b := w.Window(int(seq - oldest))
-	if len(b) == 0 {
-		return a, true
+	first := w.ring.Dropped()
+	for i := w.ring.Len() - 1; i >= 0; i-- {
+		prev := w.ring.At(i)
+		if (prev.meta|r.meta)&wideFlag == 0 {
+			if prev.unix < floor {
+				return false
+			}
+			if sameDelivery(&prev, r) {
+				return true
+			}
+			continue
+		}
+		pe := j.decode(w, e.Node, first+uint64(i), &prev)
+		if pe.Time.Before(e.Time.Add(-j.window)) {
+			return false
+		}
+		if pe.Time = e.Time; pe == *e {
+			return true
+		}
 	}
-	return append(append(dst, a...), b...), true //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
+	return false
 }
 
-// Nodes returns the journaled node ids in ascending order — the
-// deterministic iteration order for failover reassignment.
-func (j *EventJournal) Nodes() []int {
-	out := make([]int, 0, len(j.nodes))
-	for n := range j.nodes {
-		out = append(out, n)
+// suffix appends to dst the events of node's window w with sequence
+// numbers in [from, to), oldest first, decoded; the window must still
+// retain from. A dst with the journal's capacity never grows.
+//
+//uerl:hotpath
+func (j *EventJournal) suffix(dst []uerl.Event, w *journalWindow, node int, from, to uint64) []uerl.Event {
+	oldest := w.ring.Dropped()
+	for seq := from; seq < to; seq++ {
+		r := w.ring.At(int(seq - oldest))
+		dst = append(dst, j.decode(w, node, seq, &r)) //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
 	}
-	sort.Ints(out)
-	return out
+	return dst
 }
 
 // JournalStats summarizes journal activity.
@@ -131,14 +236,4 @@ type JournalStats struct {
 	Deduped uint64 `json:"deduped"`
 	// Trimmed counts events aged out of the bounded windows.
 	Trimmed uint64 `json:"trimmed"`
-}
-
-// Stats reports journal activity totals.
-func (j *EventJournal) Stats() JournalStats {
-	st := JournalStats{Nodes: len(j.nodes), Deduped: j.deduped}
-	for _, r := range j.nodes {
-		st.Appended += r.Pushed()
-		st.Trimmed += r.Dropped()
-	}
-	return st
 }

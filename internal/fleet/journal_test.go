@@ -18,31 +18,44 @@ func ev(node int, at time.Time, count int) uerl.Event {
 func TestJournalDedupWindow(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0).UTC()
 	j := NewEventJournal(16, 2*time.Second)
-	w := j.Window(1)
-	if dup := j.Append(w, ev(1, t0, 5)); dup {
+	w := j.newWindow()
+	appendEv := func(e uerl.Event) bool { return j.Append(&w, &e) }
+	if dup := appendEv(ev(1, t0, 5)); dup {
 		t.Fatal("first event reported as duplicate")
 	}
 	// Identical payload redelivered 1s later: inside the window → dropped.
-	if dup := j.Append(w, ev(1, t0.Add(time.Second), 5)); !dup {
+	if dup := appendEv(ev(1, t0.Add(time.Second), 5)); !dup {
 		t.Fatal("redelivery inside dedup window not deduplicated")
 	}
 	// Same payload 3s later: outside the window → a legitimate repeat.
-	if dup := j.Append(w, ev(1, t0.Add(3*time.Second), 5)); dup {
+	if dup := appendEv(ev(1, t0.Add(3*time.Second), 5)); dup {
 		t.Fatal("repeat outside dedup window wrongly deduplicated")
 	}
 	// Different payload inside the window: kept.
-	if dup := j.Append(w, ev(1, t0.Add(3*time.Second), 7)); dup {
+	if dup := appendEv(ev(1, t0.Add(3*time.Second), 7)); dup {
 		t.Fatal("distinct event wrongly deduplicated")
 	}
-	st := j.Stats()
-	if st.Appended != 3 || st.Deduped != 1 {
-		t.Fatalf("stats: appended=%d deduped=%d, want 3 1", st.Appended, st.Deduped)
+	// A wide redelivery compares as the event it holds: the same count
+	// beyond int32 is a duplicate, one that truncates alike is not.
+	if dup := appendEv(ev(1, t0.Add(4*time.Second), 1<<40)); dup {
+		t.Fatal("first wide event reported as duplicate")
+	}
+	if dup := appendEv(ev(1, t0.Add(5*time.Second), 1<<40)); !dup {
+		t.Fatal("wide redelivery inside dedup window not deduplicated")
+	}
+	if dup := appendEv(ev(1, t0.Add(5*time.Second), 2<<40)); dup {
+		t.Fatal("wide event wrongly deduplicated against one truncating alike")
+	}
+	if got := w.ring.Pushed(); got != 5 || j.deduped != 2 {
+		t.Fatalf("appended=%d deduped=%d, want 5 2", got, j.deduped)
 	}
 	// Dedup off: the same redelivery is journaled.
 	j2 := NewEventJournal(16, 0)
-	w2 := j2.Window(1)
-	j2.Append(w2, ev(1, t0, 5))
-	if dup := j2.Append(w2, ev(1, t0.Add(time.Second), 5)); dup {
+	w2 := j2.newWindow()
+	e := ev(1, t0, 5)
+	j2.Append(&w2, &e)
+	e.Time = t0.Add(time.Second)
+	if dup := j2.Append(&w2, &e); dup {
 		t.Fatal("dedup fired with a zero window")
 	}
 }
@@ -50,55 +63,54 @@ func TestJournalDedupWindow(t *testing.T) {
 func TestJournalReplayFromAndTrim(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0).UTC()
 	j := NewEventJournal(4, 0)
-	w := j.Window(9)
-	if j.Window(9) != w {
-		t.Fatal("Window(9) made a second window for the node")
-	}
+	w := j.newWindow()
 	for i := 0; i < 6; i++ {
-		j.Append(w, ev(9, t0.Add(time.Duration(i)*time.Minute), i+1))
+		e := ev(9, t0.Add(time.Duration(i)*time.Minute), i+1)
+		j.Append(&w, &e)
 	}
-	if got := w.Pushed(); got != 6 {
+	if got := w.ring.Pushed(); got != 6 {
 		t.Fatalf("Pushed = %d, want 6", got)
 	}
-	if got := w.Dropped(); got != 2 {
+	if got := w.ring.Dropped(); got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
 	}
 	counts := func(evs []uerl.Event) []int {
 		var out []int
 		for _, e := range evs {
+			if want := ev(9, t0.Add(time.Duration(e.Count-1)*time.Minute), e.Count); e != want {
+				t.Fatalf("decoded %+v, journaled %+v", e, want)
+			}
 			out = append(out, e.Count)
 		}
 		return out
 	}
 	buf := make([]uerl.Event, 0, 4)
-	// The four retained events wrap round the window (head at slot 2):
-	// a suffix in one piece aliases the window, one that wraps is copied
-	// into the caller's buffer.
+	// The four retained events wrap round the window (head at slot 2);
+	// every suffix, in one piece or not, is decoded into the caller's
+	// buffer, and one ending before the newest event leaves it out.
 	for _, tc := range []struct {
-		seq    uint64
-		want   []int
-		copied bool
+		from, to uint64
+		want     []int
 	}{
-		{seq: 5, want: []int{6}},
-		{seq: 4, want: []int{5, 6}},
-		{seq: 3, want: []int{4, 5, 6}, copied: true},
-		{seq: 2, want: []int{3, 4, 5, 6}, copied: true}, // the full retained window
-		{seq: 6, want: nil},                             // nothing pending
+		{from: 5, to: 6, want: []int{6}},
+		{from: 4, to: 6, want: []int{5, 6}},
+		{from: 3, to: 6, want: []int{4, 5, 6}},
+		{from: 2, to: 6, want: []int{3, 4, 5, 6}}, // the full retained window
+		{from: 2, to: 5, want: []int{3, 4, 5}},    // a tick's suffix: the newest travels apart
+		{from: 5, to: 5, want: nil},               // a steady tick: nothing before it
+		{from: 6, to: 6, want: nil},               // nothing pending
 	} {
-		evs, ok := journalSuffix(buf[:0], w, tc.seq)
-		if !ok || !reflect.DeepEqual(counts(evs), tc.want) {
-			t.Fatalf("journalSuffix(%d) = %v ok=%v, want %v true", tc.seq, counts(evs), ok, tc.want)
+		evs := j.suffix(buf[:0], &w, 9, tc.from, tc.to)
+		if !reflect.DeepEqual(counts(evs), tc.want) {
+			t.Fatalf("suffix(%d, %d) = %v, want %v", tc.from, tc.to, counts(evs), tc.want)
 		}
-		if inBuf := len(evs) > 0 && &evs[0] == &buf[:1][0]; inBuf != tc.copied {
-			t.Fatalf("journalSuffix(%d): copied into dst = %v, want %v", tc.seq, inBuf, tc.copied)
+		if len(evs) > 0 && &evs[0] != &buf[:1][0] {
+			t.Fatalf("suffix(%d, %d) was not decoded into the caller's buffer", tc.from, tc.to)
 		}
-	}
-	// Catch-up from seq 1 fell off the window.
-	if _, ok := journalSuffix(buf[:0], w, 1); ok {
-		t.Fatal("journalSuffix(1) claimed coverage past the trimmed range")
 	}
 	// A new node: empty window, catch-up from zero trivially covered.
-	if evs, ok := journalSuffix(buf[:0], j.Window(404), 0); !ok || len(evs) != 0 {
-		t.Fatalf("window(new node) = %v ok=%v, want empty true", evs, ok)
+	empty := j.newWindow()
+	if evs := j.suffix(buf[:0], &empty, 404, 0, 0); len(evs) != 0 {
+		t.Fatalf("suffix of a new node's window = %v, want empty", evs)
 	}
 }

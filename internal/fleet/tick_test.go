@@ -162,27 +162,35 @@ func (c *countingTransport) Call(w int, req *Request, resp *Response) error {
 
 // steadyFleet builds a two-worker fleet of guarded workers whose budget
 // never trips, over a counting transport, and warms every node up so
-// ticks run in steady state. next returns the following tick's event:
-// nodes in rotation, a minute apart, each at one fixed location.
+// ticks run in steady state: 16 nodes in rotation, a minute apart, each
+// at one fixed location. next returns the following tick's event.
 func steadyFleet(tb testing.TB) (c *Coordinator, ct *countingTransport, next func() uerl.Event) {
+	const nodes = 16
+	return warmFleet(tb, 0, 4*nodes, func(i int) int { return i % nodes })
+}
+
+// warmFleet is steadyFleet over journal windows of capacity events (0:
+// the default), warmed with warm ticks, whose i-th tick's node is
+// node(i).
+func warmFleet(tb testing.TB, capacity, warm int, node func(i int) int) (c *Coordinator, ct *countingTransport, next func() uerl.Event) {
 	tb.Helper()
 	factory := func(id int) *Worker {
 		return NewWorker(id, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(1e12, time.Hour)))
 	}
 	ct = &countingTransport{inner: NewChanTransport(2, factory)}
-	c, err := NewCoordinator(Config{Workers: 2, Seed: 1, Initial: uerl.AlwaysPolicy(), NewWorker: factory}, ct)
+	cfg := Config{Workers: 2, Seed: 1, Initial: uerl.AlwaysPolicy(), NewWorker: factory, JournalCapacity: capacity}
+	c, err := NewCoordinator(cfg, ct)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const nodes = 16
 	t0 := time.Unix(1_700_000_000, 0).UTC()
 	i := 0
 	next = func() uerl.Event {
-		e := ev(i%nodes, t0.Add(time.Duration(i)*time.Minute), 1)
+		e := ev(node(i), t0.Add(time.Duration(i)*time.Minute), 1)
 		i++
 		return e
 	}
-	for range 4 * nodes {
+	for range warm {
 		c.Tick(next(), 100)
 	}
 	return c, ct, next
@@ -218,11 +226,31 @@ func BenchmarkCoordinatorTick(b *testing.B) {
 	}
 }
 
-// TestWorkerRefusesMisalignedTick: a worker serves a ReqTick's last event
-// through its controller's fused Tick, so a suffix that does not end at
-// the queried (node, time) is refused in Response.Err with nothing
-// applied, never answered by guessing. An aligned
-// tick answers exactly what ObserveEvent and Recommend on a twin
+// BenchmarkCoordinatorTickWorkingSet is BenchmarkCoordinatorTick over a
+// fleet-sized working set: 240 nodes with full 256-event journal windows,
+// each tick's node drawn at random as in a telemetry stream, so the
+// coordinator's ledger, the journal and the workers' trackers and guard
+// windows no longer fit in cache.
+func BenchmarkCoordinatorTickWorkingSet(b *testing.B) {
+	const nodes, window = 240, 256
+	order := mathx.NewRNG(31)
+	pick := func(int) int { return order.Intn(nodes) }
+	c, _, next := warmFleet(b, window, 2*nodes*window, pick)
+	if st := c.Stats().Journal; st.Nodes != nodes || st.Trimmed == 0 {
+		b.Fatalf("warm-up left %d nodes, %d trimmed; want %d nodes with full windows", st.Nodes, st.Trimmed, nodes)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Tick(next(), 100)
+	}
+}
+
+// TestWorkerRefusesMisalignedTick: a worker applies a ReqTick's suffix
+// and then serves its Event through its controller's fused Tick, so a
+// suffix that does not lead up to that event — one holding another
+// node's event or a later one — is refused in Response.Err with nothing
+// applied, never answered by guessing. An aligned tick, with or without
+// a suffix, answers exactly what ObserveEvent and Recommend on a twin
 // controller answer.
 func TestWorkerRefusesMisalignedTick(t *testing.T) {
 	w := NewWorker(0, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(1, time.Hour)))
@@ -230,13 +258,16 @@ func TestWorkerRefusesMisalignedTick(t *testing.T) {
 	e1 := uerl.Event{Time: base, Node: 3, DIMM: 1, Type: uerl.CorrectedError, Count: 2, Rank: 0, Bank: 1, Row: 5, Col: 2}
 	e2 := e1
 	e2.Time = base.Add(time.Minute)
+	e3 := e1
+	e3.Time = base.Add(2 * time.Minute)
+	other := e1
+	other.Node = 4
 	for _, tc := range []struct {
 		name string
 		req  Request
 	}{
-		{"empty suffix", Request{Kind: ReqTick, Node: 3, At: base}},
-		{"other node", Request{Kind: ReqTick, Node: 4, At: e2.Time, Events: []uerl.Event{e1, e2}}},
-		{"earlier time", Request{Kind: ReqTick, Node: 3, At: e1.Time, Events: []uerl.Event{e1, e2}}},
+		{"other node", Request{Kind: ReqTick, Event: e2, Events: []uerl.Event{other}}},
+		{"later event", Request{Kind: ReqTick, Event: e1, Events: []uerl.Event{e2}}},
 	} {
 		var resp Response
 		w.handle(&tc.req, &resp)
@@ -247,14 +278,19 @@ func TestWorkerRefusesMisalignedTick(t *testing.T) {
 			t.Fatalf("%s: refused tick applied events (%d nodes tracked)", tc.name, n)
 		}
 	}
-	req := Request{Kind: ReqTick, Node: 3, At: e2.Time, Cost: 100, Events: []uerl.Event{e1, e2}}
-	var resp Response
-	w.handle(&req, &resp)
 	twin := uerl.NewController(uerl.AlwaysPolicy())
-	twin.ObserveEvent(e1)
-	twin.ObserveEvent(e2)
-	if want := twin.Recommend(3, e2.Time, 100); resp.Err != "" || resp.Decision != want {
-		t.Fatalf("aligned tick answered %+v (err %q), want %+v", resp.Decision, resp.Err, want)
+	for _, req := range []Request{
+		{Kind: ReqTick, Event: e1, Cost: 100},
+		{Kind: ReqTick, Event: e3, Cost: 100, Events: []uerl.Event{e2}},
+	} {
+		var resp Response
+		w.handle(&req, &resp)
+		for _, e := range append(req.Events, req.Event) {
+			twin.ObserveEvent(e)
+		}
+		if want := twin.Recommend(3, req.Event.Time, 100); resp.Err != "" || resp.Decision != want {
+			t.Fatalf("aligned tick with %d-event suffix answered %+v (err %q), want %+v", len(req.Events), resp.Decision, resp.Err, want)
+		}
 	}
 }
 
@@ -298,7 +334,7 @@ func (s *scrubTransport) Call(w int, req *Request, resp *Response) error {
 	case ReqObserveDecision:
 		clean.Decision = req.Decision
 	case ReqTick:
-		clean.Node, clean.Events, clean.At, clean.Cost, clean.Incarnation = req.Node, req.Events, req.At, req.Cost, req.Incarnation
+		clean.Event, clean.Events, clean.Cost, clean.Incarnation = req.Event, req.Events, req.Cost, req.Incarnation
 	}
 	return s.inner.Call(w, &clean, resp)
 }

@@ -47,25 +47,30 @@ const (
 	// for budget accounting (no-op on unguarded workers).
 	ReqObserveDecision
 	// ReqTick is one fused decision tick: the worker applies
-	// Request.Events (the node's unapplied journal suffix, oldest first,
-	// extending its existing state), answers a mitigation query for
-	// Request.Node at Request.At with potential cost Request.Cost in
-	// Response.Decision (with Normalized and Normed), and feeds that
-	// decision to its guard. It is
+	// Request.Events (the node's unapplied journal suffix before the
+	// tick, oldest first, extending its existing state; empty in steady
+	// state), then serves Request.Event, the tick's own event, through
+	// its controller's fused Tick: it ingests the event, answers a
+	// mitigation query for the event's node at the event's time with
+	// potential cost Request.Cost in Response.Decision (with Normalized
+	// and Normed), and feeds that decision to its guard. It is
 	// ReqReplay (or ReqObserve), ReqRecommend and ReqObserveDecision in
-	// one round trip; the suffix's last event must be the tick's own, at
-	// (Node, At), which the worker serves through its controller's fused
-	// Tick. Request.Incarnation is the incarnation the coordinator last
-	// saw the worker answer from; a worker that has since restarted
-	// applies nothing and refuses the tick in Response.Err, because the
-	// suffix extends state it no longer has. A suffix ending anywhere
-	// else is refused the same way.
+	// one round trip. Request.Incarnation is the incarnation the
+	// coordinator last saw the worker answer from; a worker that has
+	// since restarted applies nothing and refuses the tick in
+	// Response.Err, because the suffix extends state it no longer has. A
+	// suffix holding an event of another node, or one later than the
+	// tick's, is refused the same way.
 	ReqTick
 )
 
 // Request is one coordinator→worker message. Exactly the fields the Kind
 // documents are meaningful; the others hold whatever an earlier request
-// left there. Events may alias the coordinator's journal.
+// left there. Events are decoded from the coordinator's journal into a
+// buffer it reuses for every call; Event is the caller's event as
+// passed, or a decoded one. A decoded event equals the journaled one
+// but for a monotonic clock reading, which no wire format carries
+// either.
 type Request struct {
 	Kind     ReqKind
 	Event    uerl.Event

@@ -102,16 +102,17 @@ func (w *Worker) handle(req *Request, resp *Response) {
 			resp.Err = errStaleTick
 			return
 		}
-		n := len(req.Events)
-		if n == 0 || req.Events[n-1].Node != req.Node || !req.Events[n-1].Time.Equal(req.At) {
-			resp.Err = errTickSuffix
-			return
+		for i := range req.Events {
+			if e := &req.Events[i]; e.Node != req.Event.Node || e.Time.After(req.Event.Time) {
+				resp.Err = errTickSuffix
+				return
+			}
 		}
-		// The suffix's last event is the tick's own: the controller's
-		// fused tick ingests it, answers the query, charges the guard
-		// and leaves the RL policy's normalized input.
-		w.apply(req.Events[:n-1])
-		resp.Normed = w.ctl.TickInto(&resp.Decision, req.Events[n-1], req.Cost, &resp.Normalized)
+		// The controller's fused tick ingests the tick's event, answers
+		// the query, charges the guard and leaves the RL policy's
+		// normalized input.
+		w.apply(req.Events)
+		resp.Normed = w.ctl.TickInto(&resp.Decision, req.Event, req.Cost, &resp.Normalized)
 	case ReqForget:
 		w.ctl.Forget(req.Node)
 	case ReqRecommend:
@@ -165,9 +166,9 @@ func (w *Worker) handle(req *Request, resp *Response) {
 // errStaleTick refuses a ReqTick addressed to an earlier incarnation.
 const errStaleTick = "tick: worker restarted since the coordinator last saw it"
 
-// errTickSuffix refuses a ReqTick whose suffix does not end with the
-// event at (Node, At) the query is about.
-const errTickSuffix = "tick: event suffix does not end at the queried node and time"
+// errTickSuffix refuses a ReqTick whose suffix does not lead up to the
+// tick's event: an event of another node, or a later one.
+const errTickSuffix = "tick: event suffix does not lead up to the tick's event"
 
 // apply ingests events into the worker's controller, oldest first.
 func (w *Worker) apply(events []uerl.Event) {

@@ -115,12 +115,23 @@ func (b *Budgets) nodeSpend(n int, at time.Time) float64 {
 	return w.Total(at)
 }
 
+// metersMitigations reports whether a node or fleet mitigation budget is
+// set. Without one the mitigation checks and charges have nothing to
+// read or record, and return without taking the lock: the configuration
+// never changes after NewBudgets.
+func (b *Budgets) metersMitigations() bool {
+	return b.cfg.NodeCheckpointNodeHours > 0 || b.cfg.FleetMaxMitigations > 0
+}
+
 // AllowMitigation reports whether one more mitigation costing
 // costNodeHours on node at time at fits every mitigation budget; when it
 // does not, the returned reason names the tripped budget. A node budget
 // smaller than a single mitigation's cost suppresses mitigation on that
 // node entirely.
 func (b *Budgets) AllowMitigation(node int, at time.Time, costNodeHours float64) (bool, string) {
+	if !b.metersMitigations() {
+		return true, ""
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cfg.NodeCheckpointNodeHours > 0 {
@@ -140,6 +151,9 @@ func (b *Budgets) AllowMitigation(node int, at time.Time, costNodeHours float64)
 // costing costNodeHours on node at time at against the node and fleet
 // windows.
 func (b *Budgets) ChargeMitigation(node int, at time.Time, costNodeHours float64) {
+	if !b.metersMitigations() {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cfg.NodeCheckpointNodeHours > 0 {

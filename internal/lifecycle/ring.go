@@ -48,27 +48,6 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[r.slot(i)]
 }
 
-// Window returns the retained elements from the i-th oldest on, oldest
-// first, as two slices of the ring's own storage: b is the part that
-// wraps round to the start of the buffer (empty unless the window wraps)
-// and a the rest. They are valid until the next Push or Reset, and
-// appending to one never overwrites the ring. It panics when i is out of
-// [0, Len()].
-func (r *Ring[T]) Window(i int) (a, b []T) {
-	if i < 0 || i > r.size {
-		panic(fmt.Sprintf("lifecycle: ring window start %d out of range [0,%d]", i, r.size))
-	}
-	start, end, n := r.head+i, r.head+r.size, len(r.buf)
-	switch {
-	case end <= n:
-		return r.buf[start:end:end], nil
-	case start >= n:
-		return r.buf[start-n : end-n : end-n], nil // wholly in the wrapped part
-	default:
-		return r.buf[start:], r.buf[: end-n : end-n]
-	}
-}
-
 // slot returns the buffer index of the i-th oldest retained element (i in
 // [0, Cap()]), so a caller can keep per-element data in storage parallel
 // to the ring.

@@ -309,8 +309,13 @@ func (n *Network) ForwardInto(s *Scratch, x []float64) []float64 {
 
 // stackWidth bounds the layer widths an Inference forward pass keeps on
 // the stack: each of its two ping-pong activation halves holds one layer's
-// output, sized for the paper's 256-wide hidden layers.
-const stackWidth = 256
+// output, sized for the paper's 256-wide hidden layers. A network no wider
+// than narrowWidth, as the online learner's 32-16 one is, runs in a
+// quarter-size array instead, so a call zeroes 1 KiB, not 4 KiB.
+const (
+	stackWidth  = 256
+	narrowWidth = 64
+)
 
 // Inference is an immutable single-input inference view of a frozen
 // network: the serving form of ForwardInto, with the same bits. Its output
@@ -371,8 +376,13 @@ func NewInference(net *Network) *Inference {
 //
 //uerl:hotpath
 func (f *Inference) QValuesInto(dst, x []float64) {
+	if f.width <= narrowWidth {
+		var stack [2 * narrowWidth]float64
+		copy(dst, f.forward(x, stack[:]))
+		return
+	}
 	var stack [2 * stackWidth]float64
-	copy(dst, f.forward(x, &stack))
+	copy(dst, f.forward(x, stack[:]))
 }
 
 // Action returns argmax_a of the network's outputs for input x (the first
@@ -380,24 +390,27 @@ func (f *Inference) QValuesInto(dst, x []float64) {
 //
 //uerl:hotpath
 func (f *Inference) Action(x []float64) int {
+	if f.width <= narrowWidth {
+		var stack [2 * narrowWidth]float64
+		return mathx.ArgMax(f.forward(x, stack[:]))
+	}
 	var stack [2 * stackWidth]float64
-	return mathx.ArgMax(f.forward(x, &stack))
+	return mathx.ArgMax(f.forward(x, stack[:]))
 }
 
 // forward runs the forward pass in two ping-pong activation halves, of
-// the caller's stack array when the network fits it, and returns the
+// the caller's stack buffer when the network fits it, and returns the
 // outputs, a slice of those halves: each hidden layer writes the half its
 // input does not occupy, ReLU fused, then the packed head writes the free
 // half and a dueling head recombines into the other one.
 //
 //uerl:hotpath
-func (f *Inference) forward(x []float64, stack *[2 * stackWidth]float64) []float64 {
+func (f *Inference) forward(x []float64, buf []float64) []float64 {
 	n := f.net
 	if len(x) != n.cfg.Inputs {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.cfg.Inputs))
 	}
-	buf := stack[:]
-	if f.width > stackWidth {
+	if 2*f.width > len(buf) {
 		buf = make([]float64, 2*f.width) //uerl:alloc-ok networks wider than stackWidth take a per-call buffer; no shipped or trained network is that wide
 	}
 	cur, free := buf[:len(buf)/2], buf[len(buf)/2:]

@@ -319,9 +319,11 @@ func roughen(rng *mathx.RNG, n *Network) {
 // of 4, dueling and plain heads with 1–5 outputs, a network wider than
 // the stack bound (the per-call buffer), NaN, ±Inf and -0
 // inputs, and hidden units whose pre-activations are exactly +0 or NaN.
+// Hidden widths at and just past narrowWidth cover the switch between
+// the two stack arrays.
 func TestInferenceMatchesForwardInto(t *testing.T) {
 	rng := mathx.NewRNG(27)
-	hiddens := [][]int{nil, {5}, {7, 3}, {13, 6, 9}, {32, 16}, {stackWidth + 1, 3}}
+	hiddens := [][]int{nil, {5}, {7, 3}, {13, 6, 9}, {32, 16}, {narrowWidth, 7}, {narrowWidth + 1, 5}, {stackWidth + 1, 3}}
 	check := func(cfg Config, trials int) {
 		t.Helper()
 		n := New(cfg)
