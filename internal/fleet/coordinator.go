@@ -153,9 +153,6 @@ type Coordinator struct {
 	journal *EventJournal
 	workers []*workerHealth
 	nodes   map[int]*nodeState
-	// ledger holds the nodes' ledgers in ascending node order — the
-	// deterministic iteration order for failover reassignment.
-	ledger []*nodeState
 	// clock is the max event time observed — the only time source for
 	// health decisions.
 	clock time.Time
@@ -340,9 +337,19 @@ func (c *Coordinator) ingest(e *uerl.Event) *nodeState {
 func (c *Coordinator) addNode(node int) *nodeState {
 	ns := &nodeState{node: node, owner: c.hrwOwner(node), win: c.journal.newWindow()}
 	c.nodes[node] = ns
-	i, _ := slices.BinarySearchFunc(c.ledger, node, func(ns *nodeState, node int) int { return cmp.Compare(ns.node, node) })
-	c.ledger = slices.Insert(c.ledger, i, ns)
 	return ns
+}
+
+// sortedNodes returns the node ledgers in ascending node order, the
+// deterministic order failover, rejoin and reconciliation walk them in.
+// Caller holds c.mu.
+func (c *Coordinator) sortedNodes() []*nodeState {
+	out := make([]*nodeState, 0, len(c.nodes))
+	for _, ns := range c.nodes {
+		out = append(out, ns)
+	}
+	slices.SortFunc(out, func(a, b *nodeState) int { return cmp.Compare(a.node, b.node) })
+	return out
 }
 
 // deliver syncs the node's journal backlog (usually just the newest
@@ -410,7 +417,7 @@ func (c *Coordinator) sync(ns *nodeState, rebuild bool, tick *uerl.Event, cost f
 	if tick != nil {
 		to-- // the newest journaled event is the tick's own
 	}
-	evs := c.journal.suffix(c.suffix[:0], w, ns.node, from, to)
+	evs := w.suffix(c.suffix[:0], ns.node, from, to)
 	h := c.workers[ns.owner]
 	req := c.request(ReqReplay)
 	req.Node, req.Events, req.Forget = ns.node, evs, rebuild
@@ -532,7 +539,7 @@ func (c *Coordinator) declareDead(h *workerHealth) {
 	h.state = WorkerDown
 	c.retryAt(h)
 	c.failovers++
-	for _, ns := range c.ledger {
+	for _, ns := range c.sortedNodes() {
 		if ns.owner == h.id {
 			c.rehome(ns, c.hrwOwner(ns.node))
 		}
@@ -550,7 +557,7 @@ func (c *Coordinator) rejoinWorker(h *workerHealth) {
 	h.modelStale = c.committedBytes != nil
 	c.rejoins++
 	c.restage(h)
-	for _, ns := range c.ledger {
+	for _, ns := range c.sortedNodes() {
 		if c.hrwOwner(ns.node) != h.id {
 			continue
 		}
@@ -588,7 +595,7 @@ func (c *Coordinator) restage(h *workerHealth) {
 // reconcileWorker catches up the journal backlog of every node owned by
 // worker id. Caller holds c.mu.
 func (c *Coordinator) reconcileWorker(id int) {
-	for _, ns := range c.ledger {
+	for _, ns := range c.sortedNodes() {
 		if ns.owner != id || ns.applied == ns.win.ring.Pushed() {
 			continue
 		}
@@ -648,7 +655,7 @@ func (c *Coordinator) Reconcile() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maintain(true)
-	for _, ns := range c.ledger {
+	for _, ns := range c.sortedNodes() {
 		if ns.applied != ns.win.ring.Pushed() {
 			c.deliver(ns, nil, 0)
 		}
@@ -912,10 +919,10 @@ func (c *Coordinator) Stats() Stats {
 		Rejoins:        c.rejoins,
 		ReplayedNodes:  c.replayedNodes,
 		ReplayedEvents: c.replayedEvents,
-		Journal:        JournalStats{Nodes: len(c.ledger), Deduped: c.journal.deduped},
+		Journal:        JournalStats{Nodes: len(c.nodes), Deduped: c.journal.deduped},
 	}
 	owned := make(map[int]int, len(c.workers))
-	for _, ns := range c.ledger {
+	for _, ns := range c.nodes {
 		st.Journal.Appended += ns.win.ring.Pushed()
 		st.Journal.Trimmed += ns.win.ring.Dropped()
 		if ns.owner < 0 {

@@ -25,11 +25,11 @@ func JournalRoundTrip(capacity int, events []uerl.Event) (each []uerl.Event, win
 			nodes[e.Node] = w
 		}
 		j.Append(w, e)
-		each = append(each, j.suffix(nil, w, e.Node, w.ring.Pushed()-1, w.ring.Pushed())...)
+		each = append(each, w.suffix(nil, e.Node, w.ring.Pushed()-1, w.ring.Pushed())...)
 	}
 	windows = map[int][]uerl.Event{}
 	for node, w := range nodes {
-		windows[node] = j.suffix(nil, w, node, w.ring.Dropped(), w.ring.Pushed())
+		windows[node] = w.suffix(nil, node, w.ring.Dropped(), w.ring.Pushed())
 		wide += len(w.wide)
 	}
 	return each, windows, wide

@@ -18,10 +18,9 @@ import (
 //
 // The windows themselves live in the coordinator's node ledger
 // (nodeState), one by value per node, so the journal holds only what all
-// windows share: their capacity, the dedup window, the table of
-// non-UTC time zones records refer to, and the dedup count. A window
-// stores each event as a pointer-free 40-byte record (see record), which
-// the garbage collector never scans.
+// windows share: their capacity, the dedup window and the dedup count. A
+// window stores each event as a pointer-free 40-byte record (see record),
+// which the garbage collector never scans.
 //
 // An optional dedup window absorbs duplicated delivery from flapping
 // collectors: an event identical to a journaled one (same node, type,
@@ -33,10 +32,7 @@ import (
 type EventJournal struct {
 	capacity int
 	window   time.Duration
-	// locs are the non-UTC locations of journaled times; a record's
-	// location index i > 0 names locs[i-1].
-	locs    []*time.Location
-	deduped uint64
+	deduped  uint64
 }
 
 // NewEventJournal creates a journal retaining up to capacity events per
@@ -49,30 +45,22 @@ func NewEventJournal(capacity int, dedupWindow time.Duration) *EventJournal {
 }
 
 // record is one journaled event without its node, which the window
-// implies: the time in Unix nanoseconds, and the other fields as int32.
-// meta holds the time's location index (0 = UTC) and the wide flag. An
-// event a record cannot hold exactly — a field outside int32, a time
-// outside int64 nanoseconds, or one location more than the journal's
-// table takes — is flagged wide and kept whole in its window's side
-// table. Decoding is lossless except for a monotonic clock reading,
-// which no record keeps, as no wire format would.
+// implies: the UTC time in Unix nanoseconds, and the other fields as
+// int32. An event a record cannot hold exactly — a field outside int32,
+// a time outside int64 nanoseconds, or a time in a location other than
+// UTC (no committed telemetry source stamps one) — is flagged wide and
+// kept whole in its window's side table. Decoding is lossless except for
+// a monotonic clock reading, which no record keeps, as no wire format
+// would.
 type record struct {
 	unix                                   int64
 	typ, dimm, count, rank, bank, row, col int32
-	meta                                   uint32
+	wide                                   bool
 }
 
-const (
-	// wideFlag marks a record whose event lives in the window's side
-	// table.
-	wideFlag = 1 << 31
-	// maxLocations bounds the journal's location table; an event in a
-	// further location is journaled wide.
-	maxLocations = 64
-	// minUnixSec and maxUnixSec bound the seconds whose times fit int64
-	// Unix nanoseconds at any nanosecond offset.
-	minUnixSec, maxUnixSec = -9223372036, 9223372035
-)
+// minUnixSec and maxUnixSec bound the seconds whose times fit int64 Unix
+// nanoseconds at any nanosecond offset.
+const minUnixSec, maxUnixSec = -9223372036, 9223372035
 
 // journalWindow is one node's journal window: a drop-oldest ring of
 // records, and the side table of its wide events keyed by sequence
@@ -93,59 +81,31 @@ func (j *EventJournal) newWindow() journalWindow {
 // narrow reports whether v fits an int32 field.
 func narrow(v int) bool { return int(int32(v)) == v }
 
-// encode packs e into a record, flagging it wide when a field does not
-// fit. It registers a new non-UTC location in the journal's table.
+// encode packs e into a record, flagging it wide when it does not fit.
 //
 //uerl:hotpath
-func (j *EventJournal) encode(e *uerl.Event) record {
-	r := record{
+func encode(e *uerl.Event) record {
+	sec := e.Time.Unix()
+	return record{
 		unix: e.Time.UnixNano(), typ: int32(e.Type), dimm: int32(e.DIMM), count: int32(e.Count),
 		rank: int32(e.Rank), bank: int32(e.Bank), row: int32(e.Row), col: int32(e.Col),
+		wide: sec < minUnixSec || sec > maxUnixSec || e.Time.Location() != time.UTC ||
+			!narrow(int(e.Type)) || !narrow(e.DIMM) || !narrow(e.Count) ||
+			!narrow(e.Rank) || !narrow(e.Bank) || !narrow(e.Row) || !narrow(e.Col),
 	}
-	sec := e.Time.Unix()
-	if sec < minUnixSec || sec > maxUnixSec || !narrow(int(e.Type)) || !narrow(e.DIMM) || !narrow(e.Count) ||
-		!narrow(e.Rank) || !narrow(e.Bank) || !narrow(e.Row) || !narrow(e.Col) {
-		r.meta = wideFlag
-		return r
-	}
-	if loc := e.Time.Location(); loc != time.UTC {
-		r.meta = j.location(loc)
-	}
-	return r
-}
-
-// location returns loc's record index, adding it to the table when there
-// is room, and the wide flag when there is none.
-func (j *EventJournal) location(loc *time.Location) uint32 {
-	for i, l := range j.locs {
-		if l == loc {
-			return uint32(i + 1)
-		}
-	}
-	if len(j.locs) == maxLocations {
-		return wideFlag
-	}
-	j.locs = append(j.locs, loc)
-	return uint32(len(j.locs))
 }
 
 // decode returns the event of node that record r, sequence number seq of
 // window w, holds.
 //
 //uerl:hotpath
-func (j *EventJournal) decode(w *journalWindow, node int, seq uint64, r *record) uerl.Event {
-	if r.meta&wideFlag != 0 {
+func (w *journalWindow) decode(node int, seq uint64, r *record) uerl.Event {
+	if r.wide {
 		return w.wide[seq]
 	}
-	at := time.Unix(0, r.unix)
-	if r.meta == 0 {
-		at = at.UTC()
-	} else {
-		at = at.In(j.locs[r.meta-1])
-	}
 	return uerl.Event{
-		Time: at, Node: node, Type: uerl.EventType(r.typ), DIMM: int(r.dimm), Count: int(r.count),
-		Rank: int(r.rank), Bank: int(r.bank), Row: int(r.row), Col: int(r.col),
+		Time: time.Unix(0, r.unix).UTC(), Node: node, Type: uerl.EventType(r.typ),
+		DIMM: int(r.dimm), Count: int(r.count), Rank: int(r.rank), Bank: int(r.bank), Row: int(r.row), Col: int(r.col),
 	}
 }
 
@@ -163,7 +123,7 @@ func sameDelivery(a, b *record) bool {
 //
 //uerl:hotpath
 func (j *EventJournal) Append(w *journalWindow, e *uerl.Event) (dup bool) {
-	r := j.encode(e)
+	r := encode(e)
 	if j.window > 0 && j.redelivered(w, e, &r) {
 		j.deduped++
 		return true
@@ -172,7 +132,7 @@ func (j *EventJournal) Append(w *journalWindow, e *uerl.Event) (dup bool) {
 	if len(w.wide) > 0 && ring.Len() == ring.Cap() {
 		delete(w.wide, ring.Dropped()) // the evicted event's entry, if it has one
 	}
-	if r.meta&wideFlag != 0 {
+	if r.wide {
 		if w.wide == nil {
 			w.wide = map[uint64]uerl.Event{} //uerl:alloc-ok a window's side table is made on its first wide event, which no telemetry stream has
 		}
@@ -192,7 +152,7 @@ func (j *EventJournal) redelivered(w *journalWindow, e *uerl.Event, r *record) b
 	first := w.ring.Dropped()
 	for i := w.ring.Len() - 1; i >= 0; i-- {
 		prev := w.ring.At(i)
-		if (prev.meta|r.meta)&wideFlag == 0 {
+		if !prev.wide && !r.wide {
 			if prev.unix < floor {
 				return false
 			}
@@ -201,7 +161,7 @@ func (j *EventJournal) redelivered(w *journalWindow, e *uerl.Event, r *record) b
 			}
 			continue
 		}
-		pe := j.decode(w, e.Node, first+uint64(i), &prev)
+		pe := w.decode(e.Node, first+uint64(i), &prev)
 		if pe.Time.Before(e.Time.Add(-j.window)) {
 			return false
 		}
@@ -217,11 +177,11 @@ func (j *EventJournal) redelivered(w *journalWindow, e *uerl.Event, r *record) b
 // retain from. A dst with the journal's capacity never grows.
 //
 //uerl:hotpath
-func (j *EventJournal) suffix(dst []uerl.Event, w *journalWindow, node int, from, to uint64) []uerl.Event {
+func (w *journalWindow) suffix(dst []uerl.Event, node int, from, to uint64) []uerl.Event {
 	oldest := w.ring.Dropped()
 	for seq := from; seq < to; seq++ {
 		r := w.ring.At(int(seq - oldest))
-		dst = append(dst, j.decode(w, node, seq, &r)) //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
+		dst = append(dst, w.decode(node, seq, &r)) //uerl:alloc-ok grows only past the caller's capacity; the coordinator's buffer holds a full window
 	}
 	return dst
 }

@@ -16,9 +16,10 @@ import (
 // every event of every committed scenario stream, and crafted events at
 // the edges of the record — -1 fields, fields and times beyond what a
 // record holds (kept whole in the window's side table, and dropped from
-// it when their slot is evicted), non-UTC locations and the zero time —
-// decodes == to the event journaled, Location included, both right
-// after it was journaled and from the retained window at the end.
+// it when their slot is evicted), non-UTC locations (kept whole as well)
+// and the zero time — decodes == to the event journaled, Location
+// included, both right after it was journaled and from the retained
+// window at the end.
 func TestJournalRecordRoundTrip(t *testing.T) {
 	if fleet.RecordSize > 40 {
 		t.Fatalf("journal record is %d bytes, want at most 40", fleet.RecordSize)
@@ -53,8 +54,8 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		{e: uerl.Event{Time: t0.Add(time.Second), Node: 1, Type: uerl.UEWarning, DIMM: math.MaxInt32, Count: math.MinInt32}},
 		{e: uerl.Event{Time: t0.Add(2 * time.Second), Node: 1, Type: uerl.CorrectedError, Row: math.MaxInt32 + 1}, wide: true},
 		{e: uerl.Event{Time: t0.Add(3 * time.Second), Node: 1, Type: uerl.EventType(1 << 40), Count: 1}, wide: true},
-		{e: uerl.Event{Time: t0.Add(4 * time.Second).In(cet), Node: 1, Type: uerl.NodeBoot, Count: 3}},
-		{e: uerl.Event{Time: t0.Add(5 * time.Second).In(time.Local), Node: 1, Type: uerl.CorrectedError, Col: 9}},
+		{e: uerl.Event{Time: t0.Add(4 * time.Second).In(cet), Node: 1, Type: uerl.NodeBoot, Count: 3}, wide: true},
+		{e: uerl.Event{Time: t0.Add(5 * time.Second).In(time.Local), Node: 1, Type: uerl.CorrectedError, Col: 9}, wide: true},
 		{e: uerl.Event{Time: time.Time{}, Node: 2, Type: uerl.UncorrectedError}, wide: true},
 		{e: uerl.Event{Time: time.Date(1600, 1, 1, 0, 0, 0, 0, cet), Node: 2, Count: 2}, wide: true},
 		{e: uerl.Event{Time: time.Date(2500, 1, 1, 0, 0, 0, 1, time.UTC), Node: 2, Count: 3}, wide: true},
@@ -66,8 +67,8 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	for _, c := range crafted {
 		events = append(events, c.e)
 	}
-	// Windows of 3: node 1's two wide events are evicted, node 2 keeps
-	// its last three, all wide.
+	// Windows of 3: node 1's first four wide events are evicted and it
+	// keeps its time.Local one, node 2 keeps its last three, all wide.
 	const capacity = 3
 	retainedWide := 0
 	for node, n := range map[int]int{1: 0, 2: 0} {
@@ -81,7 +82,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		}
 	}
 	checkRoundTrip(t, "crafted", capacity, events, retainedWide)
-	checkRoundTrip(t, "crafted, nothing evicted", len(events), events, 6)
+	checkRoundTrip(t, "crafted, nothing evicted", len(events), events, 8)
 }
 
 // checkRoundTrip journals events into windows of capacity and demands

@@ -100,7 +100,7 @@ func TestJournalReplayFromAndTrim(t *testing.T) {
 		{from: 5, to: 5, want: nil},               // a steady tick: nothing before it
 		{from: 6, to: 6, want: nil},               // nothing pending
 	} {
-		evs := j.suffix(buf[:0], &w, 9, tc.from, tc.to)
+		evs := w.suffix(buf[:0], 9, tc.from, tc.to)
 		if !reflect.DeepEqual(counts(evs), tc.want) {
 			t.Fatalf("suffix(%d, %d) = %v, want %v", tc.from, tc.to, counts(evs), tc.want)
 		}
@@ -110,7 +110,7 @@ func TestJournalReplayFromAndTrim(t *testing.T) {
 	}
 	// A new node: empty window, catch-up from zero trivially covered.
 	empty := j.newWindow()
-	if evs := j.suffix(buf[:0], &empty, 404, 0, 0); len(evs) != 0 {
+	if evs := empty.suffix(buf[:0], 404, 0, 0); len(evs) != 0 {
 		t.Fatalf("suffix of a new node's window = %v, want empty", evs)
 	}
 }

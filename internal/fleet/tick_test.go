@@ -247,11 +247,12 @@ func BenchmarkCoordinatorTickWorkingSet(b *testing.B) {
 
 // TestWorkerRefusesMisalignedTick: a worker applies a ReqTick's suffix
 // and then serves its Event through its controller's fused Tick, so a
-// suffix that does not lead up to that event — one holding another
-// node's event or a later one — is refused in Response.Err with nothing
-// applied, never answered by guessing. An aligned tick, with or without
-// a suffix, answers exactly what ObserveEvent and Recommend on a twin
-// controller answer.
+// suffix holding another node's event is refused in Response.Err with
+// nothing applied, never answered by guessing. An aligned tick, with or
+// without a suffix, answers exactly what ObserveEvent and Recommend on a
+// twin controller answer, also when the suffix holds an event later
+// than the tick's own (an out-of-order stream, journaled in arrival
+// order).
 func TestWorkerRefusesMisalignedTick(t *testing.T) {
 	w := NewWorker(0, uerl.AlwaysPolicy(), WithWorkerGuard(uerl.WithNodeCheckpointBudget(1, time.Hour)))
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -262,26 +263,19 @@ func TestWorkerRefusesMisalignedTick(t *testing.T) {
 	e3.Time = base.Add(2 * time.Minute)
 	other := e1
 	other.Node = 4
-	for _, tc := range []struct {
-		name string
-		req  Request
-	}{
-		{"other node", Request{Kind: ReqTick, Event: e2, Events: []uerl.Event{other}}},
-		{"later event", Request{Kind: ReqTick, Event: e1, Events: []uerl.Event{e2}}},
-	} {
-		var resp Response
-		w.handle(&tc.req, &resp)
-		if resp.Err != errTickSuffix {
-			t.Fatalf("%s: Err = %q, want %q", tc.name, resp.Err, errTickSuffix)
-		}
-		if n := w.ctl.NodeCount(); n != 0 {
-			t.Fatalf("%s: refused tick applied events (%d nodes tracked)", tc.name, n)
-		}
+	req := Request{Kind: ReqTick, Event: e2, Events: []uerl.Event{other}}
+	var resp Response
+	w.handle(&req, &resp)
+	if resp.Err != errTickSuffix {
+		t.Fatalf("other node: Err = %q, want %q", resp.Err, errTickSuffix)
+	}
+	if n := w.ctl.NodeCount(); n != 0 {
+		t.Fatalf("other node: refused tick applied events (%d nodes tracked)", n)
 	}
 	twin := uerl.NewController(uerl.AlwaysPolicy())
 	for _, req := range []Request{
 		{Kind: ReqTick, Event: e1, Cost: 100},
-		{Kind: ReqTick, Event: e3, Cost: 100, Events: []uerl.Event{e2}},
+		{Kind: ReqTick, Event: e2, Cost: 100, Events: []uerl.Event{e3}},
 	} {
 		var resp Response
 		w.handle(&req, &resp)

@@ -59,8 +59,9 @@ const (
 	// coordinator last saw the worker answer from; a worker that has
 	// since restarted applies nothing and refuses the tick in
 	// Response.Err, because the suffix extends state it no longer has. A
-	// suffix holding an event of another node, or one later than the
-	// tick's, is refused the same way.
+	// suffix holding an event of another node is refused the same way.
+	// The suffix is in journal (arrival) order, so an event in it may be
+	// later than the tick's own when the stream arrives out of order.
 	ReqTick
 )
 

@@ -103,7 +103,7 @@ func (w *Worker) handle(req *Request, resp *Response) {
 			return
 		}
 		for i := range req.Events {
-			if e := &req.Events[i]; e.Node != req.Event.Node || e.Time.After(req.Event.Time) {
+			if req.Events[i].Node != req.Event.Node {
 				resp.Err = errTickSuffix
 				return
 			}

@@ -376,13 +376,7 @@ func NewInference(net *Network) *Inference {
 //
 //uerl:hotpath
 func (f *Inference) QValuesInto(dst, x []float64) {
-	if f.width <= narrowWidth {
-		var stack [2 * narrowWidth]float64
-		copy(dst, f.forward(x, stack[:]))
-		return
-	}
-	var stack [2 * stackWidth]float64
-	copy(dst, f.forward(x, stack[:]))
+	f.run(dst, x)
 }
 
 // Action returns argmax_a of the network's outputs for input x (the first
@@ -390,12 +384,28 @@ func (f *Inference) QValuesInto(dst, x []float64) {
 //
 //uerl:hotpath
 func (f *Inference) Action(x []float64) int {
+	return f.run(nil, x)
+}
+
+// run runs the forward pass for input x in the smallest stack array that
+// fits the network. It copies the outputs into dst, or, with dst nil,
+// returns their argmax.
+//
+//uerl:hotpath
+func (f *Inference) run(dst, x []float64) int {
+	var out []float64
 	if f.width <= narrowWidth {
 		var stack [2 * narrowWidth]float64
-		return mathx.ArgMax(f.forward(x, stack[:]))
+		out = f.forward(x, stack[:])
+	} else {
+		var stack [2 * stackWidth]float64
+		out = f.forward(x, stack[:])
 	}
-	var stack [2 * stackWidth]float64
-	return mathx.ArgMax(f.forward(x, stack[:]))
+	if dst == nil {
+		return mathx.ArgMax(out)
+	}
+	copy(dst, out)
+	return 0
 }
 
 // forward runs the forward pass in two ping-pong activation halves, of
