@@ -14,6 +14,8 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,10 +257,11 @@ func BenchmarkPERSample(b *testing.B) {
 		p.Add(tr)
 	}
 	rng := mathx.NewRNG(1)
+	trs, handles, ws := make([]rl.Transition, 32), make([]int, 32), make([]float64, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Sample(rng, 32)
+		p.SampleInto(rng, trs, handles, ws)
 	}
 }
 
@@ -467,27 +470,82 @@ func BenchmarkControllerTick(b *testing.B) {
 	}
 }
 
-// zeroAllocs runs loop, the benchmark's timed b.N operations, stops the
-// timer, and fails b if loop allocated at all. Race instrumentation and
-// the CPU profiler's writer goroutine allocate on their own, so neither is
-// checked. MemStats.Mallocs counts the whole process, so callers pin
-// GOMAXPROCS to 1, as testing.AllocsPerRun does: with a second P the
-// runtime now and then allocates during a measurement on its own. Waking
-// an idle P (after ReadMemStats restarts the world, or when the scheduler
-// preempts the benchmark goroutine) can find no idle OS thread, and
-// runtime.newm allocates a new one's m, stacks and profiling buffers (5
-// objects), or the background scavenger's timer grows a P's timer heap (1
-// object).
+// zeroAllocs runs loop, the benchmark's timed b.N operations, on one P,
+// stops the timer, and fails b if loop allocated at all. Race
+// instrumentation and the CPU profiler's writer goroutine allocate on
+// their own, so neither is checked.
+//
+// MemStats.Mallocs counts the whole process, and the runtime allocates on
+// its own now and then: the background scavenger's timer grows a P's
+// timer heap (1 object), and at more than one P, waking an idle P can find
+// no idle OS thread, so runtime.newm allocates a new one's m, stacks and
+// profiling buffers (5 objects). The loop therefore runs at GOMAXPROCS 1,
+// as testing.AllocsPerRun does (set here because the testing package
+// resets GOMAXPROCS to the -cpu value before each sub-benchmark's b.N
+// loop), and with every allocation profiled: when Mallocs moved, only the
+// allocations whose call stacks leave the runtime count.
 func zeroAllocs(b *testing.B, what string, loop func()) {
 	b.Helper()
+	b.StopTimer()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	pre := allocSites()
+	b.StartTimer()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	loop()
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	n := after.Mallocs - before.Mallocs
-	if n != 0 && !raceEnabled && flag.Lookup("test.cpuprofile").Value.String() == "" {
+	if after.Mallocs == before.Mallocs || raceEnabled || flag.Lookup("test.cpuprofile").Value.String() != "" {
+		return
+	}
+	var n int64
+	for stk, objs := range allocSites() {
+		if objs > pre[stk] && !runtimeOwn(stk) {
+			n += objs - pre[stk]
+		}
+	}
+	if n != 0 {
 		b.Fatalf("%s allocated %d times over %d ops, want 0", what, n, b.N)
+	}
+}
+
+// allocSites returns the heap profile's allocated-object count per call
+// stack. The two collections publish every allocation made before it.
+func allocSites() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	sites := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		sites[r.Stack0] += r.AllocObjects
+	}
+	return sites
+}
+
+// runtimeOwn reports whether an allocation's call stack stays inside the
+// runtime, or is allocSites' own. A stack that fills the record may be
+// cut short, so it never counts as the runtime's.
+func runtimeOwn(stk [32]uintptr) bool {
+	end := slices.Index(stk[:], 0)
+	if end < 0 {
+		return false
+	}
+	frames := runtime.CallersFrames(stk[:end])
+	for {
+		f, more := frames.Next()
+		if f.Function == "repro.allocSites" {
+			return true
+		}
+		if !strings.HasPrefix(f.Function, "runtime.") && !strings.HasPrefix(f.Function, "internal/runtime/") {
+			return false
+		}
+		if !more {
+			return true
+		}
 	}
 }
 
@@ -499,7 +557,6 @@ var rlDecideSink bool
 // the online learner's 32-16 network and the paper's 256-256-128-64 one.
 // Any allocation fails it; it runs on one P (see zeroAllocs).
 func BenchmarkRLDecide(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, shape := range []struct {
 		name   string
 		hidden []int
@@ -531,10 +588,9 @@ func BenchmarkRLDecide(b *testing.B) {
 // controller with the learner's 32-16 net, its timestamps advancing lap by
 // lap. The drift threshold is out of reach, so no lifecycle event lands in
 // the timed laps. An op is one lap; ns/event is the tick cost, and any
-// allocation in the timed laps fails the benchmark. It runs on one P (see
-// zeroAllocs).
+// allocation in the timed laps fails the benchmark. The timed laps run on
+// one P (see zeroAllocs).
 func BenchmarkLearnerProcess(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := nn.New(nn.Config{Inputs: features.Dim, Hidden: []int{32, 16}, Outputs: 2, Dueling: true, Seed: 1})
 	p, err := newRLPolicy(net, nil)
 	if err != nil {
@@ -547,7 +603,7 @@ func BenchmarkLearnerProcess(b *testing.B) {
 	evs := driftingTelemetry(64, 512, 512)
 	span := evs[len(evs)-1].Time.Sub(evs[0].Time) + 30*time.Second
 	lap := func() {
-		l.ProcessBatch(evs)
+		processAll(l, evs)
 		for i := range evs {
 			evs[i].Time = evs[i].Time.Add(span)
 		}

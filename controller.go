@@ -166,9 +166,6 @@ func (c *Controller) DeployPolicy(p Policy) (Policy, error) {
 	return c.SwapPolicy(p), nil
 }
 
-// ShardCount reports the number of tracker shards.
-func (c *Controller) ShardCount() int { return len(c.shards) }
-
 // shardIndex maps a node id to its shard (Fibonacci hashing, so dense
 // sequential node ids spread across shards instead of clustering).
 func (c *Controller) shardIndex(node int) uint64 {

@@ -153,7 +153,7 @@ func TestWithShardsRounding(t *testing.T) {
 		{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16}, {1 << 20, maxShards},
 	} {
 		ctl := NewController(AlwaysPolicy(), WithShards(tc.in))
-		if got := ctl.ShardCount(); got != tc.want {
+		if got := len(ctl.shards); got != tc.want {
 			t.Fatalf("WithShards(%d) -> %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -392,7 +392,7 @@ func TestServingPathZeroAlloc(t *testing.T) {
 	lg := NewGuard(lctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
 	l := NewOnlineLearner(lctl, WithGuard(lg), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)))
 	for node := 0; node < 4; node++ {
-		l.ProcessBatch(degradingEvents(node, base, 256))
+		processAll(l, degradingEvents(node, base, 256))
 	}
 	events := len(l.Events())
 	at = base.Add(300 * time.Minute)

@@ -281,33 +281,21 @@ func (g *Guard) ObserveUE(node int, at time.Time, realizedCostNodeHours float64)
 //
 //uerl:locked mu
 func (g *Guard) recordTripLocked(d *Decision) {
-	bc := g.budgets.Config()
 	switch d.VetoReason {
 	case guard.ReasonNodeBudget:
 		if g.trippedNode[d.Node] {
 			return
 		}
 		g.trippedNode[d.Node] = true
-		g.trips++
-		g.log.record(LifecycleEvent{
-			Kind: LifecycleBudgetTrip, Time: d.Time, Generation: g.promotions,
-			ModelVersion: d.ModelVersion, Score: g.budgets.NodeSpend(d.Node, d.Time),
-			Detail: fmt.Sprintf("node %d checkpoint budget tripped: %.3f nh in sliding %s (limit %.3f nh); mitigation suppressed",
-				d.Node, g.budgets.NodeSpend(d.Node, d.Time), bc.NodeWindow, bc.NodeCheckpointNodeHours),
-		})
 	case guard.ReasonFleetBudget:
 		if g.trippedFleet {
 			return
 		}
 		g.trippedFleet = true
-		g.trips++
-		g.log.record(LifecycleEvent{
-			Kind: LifecycleBudgetTrip, Time: d.Time, Generation: g.promotions,
-			ModelVersion: d.ModelVersion, Score: float64(g.budgets.FleetMitigations(d.Time)),
-			Detail: fmt.Sprintf("fleet mitigation budget tripped: %d mitigations in sliding %s (limit %d); mitigation suppressed",
-				g.budgets.FleetMitigations(d.Time), bc.FleetWindow, bc.FleetMaxMitigations),
-		})
+	default:
+		return
 	}
+	g.recordBudgetLocked(LifecycleBudgetTrip, d.VetoReason, d)
 }
 
 // recordRecoveryLocked clears tripped budget states a served mitigation
@@ -316,27 +304,42 @@ func (g *Guard) recordTripLocked(d *Decision) {
 //
 //uerl:locked mu
 func (g *Guard) recordRecoveryLocked(d *Decision) {
-	bc := g.budgets.Config()
 	if g.trippedNode[d.Node] {
 		delete(g.trippedNode, d.Node)
-		g.recoveries++
-		g.log.record(LifecycleEvent{
-			Kind: LifecycleBudgetRecover, Time: d.Time, Generation: g.promotions,
-			ModelVersion: d.ModelVersion, Score: g.budgets.NodeSpend(d.Node, d.Time),
-			Detail: fmt.Sprintf("node %d checkpoint budget recovered: %.3f nh in sliding %s (limit %.3f nh); mitigation resumed",
-				d.Node, g.budgets.NodeSpend(d.Node, d.Time), bc.NodeWindow, bc.NodeCheckpointNodeHours),
-		})
+		g.recordBudgetLocked(LifecycleBudgetRecover, guard.ReasonNodeBudget, d)
 	}
 	if g.trippedFleet {
 		g.trippedFleet = false
-		g.recoveries++
-		g.log.record(LifecycleEvent{
-			Kind: LifecycleBudgetRecover, Time: d.Time, Generation: g.promotions,
-			ModelVersion: d.ModelVersion, Score: float64(g.budgets.FleetMitigations(d.Time)),
-			Detail: fmt.Sprintf("fleet mitigation budget recovered: %d mitigations in sliding %s (limit %d); mitigation resumed",
-				g.budgets.FleetMitigations(d.Time), bc.FleetWindow, bc.FleetMaxMitigations),
-		})
+		g.recordBudgetLocked(LifecycleBudgetRecover, guard.ReasonFleetBudget, d)
 	}
+}
+
+// recordBudgetLocked counts and records a node (guard.ReasonNodeBudget)
+// or fleet (guard.ReasonFleetBudget) mitigation budget's trip or
+// recovery at decision d. Caller holds g.mu.
+//
+//uerl:locked mu
+func (g *Guard) recordBudgetLocked(kind LifecycleEventKind, reason string, d *Decision) {
+	state, mitigation := "tripped", "suppressed"
+	if kind == LifecycleBudgetTrip {
+		g.trips++
+	} else {
+		g.recoveries++
+		state, mitigation = "recovered", "resumed"
+	}
+	bc := g.budgets.Config()
+	ev := LifecycleEvent{Kind: kind, Time: d.Time, Generation: g.promotions, ModelVersion: d.ModelVersion}
+	if reason == guard.ReasonNodeBudget {
+		ev.Score = g.budgets.NodeSpend(d.Node, d.Time)
+		ev.Detail = fmt.Sprintf("node %d checkpoint budget %s: %.3f nh in sliding %s (limit %.3f nh); mitigation %s",
+			d.Node, state, ev.Score, bc.NodeWindow, bc.NodeCheckpointNodeHours, mitigation)
+	} else {
+		n := g.budgets.FleetMitigations(d.Time)
+		ev.Score = float64(n)
+		ev.Detail = fmt.Sprintf("fleet mitigation budget %s: %d mitigations in sliding %s (limit %d); mitigation %s",
+			state, n, bc.FleetWindow, bc.FleetMaxMitigations, mitigation)
+	}
+	g.log.record(ev)
 }
 
 // allowPromotion is the promotion-budget gate: it reports whether req

@@ -141,7 +141,7 @@ func TestGuardNodeBudgetVetoAndRecovery(t *testing.T) {
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
 	stream := ceStream(1, [2]int{10, 1})
-	l.ProcessBatch(stream)
+	processAll(l, stream)
 
 	st := g.Stats()
 	if st.SuppressedMitigations != 7 {
@@ -192,7 +192,7 @@ func TestGuardFleetBudgetVeto(t *testing.T) {
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
 	stream := ceStream(4, [2]int{8, 1})
-	l.ProcessBatch(stream)
+	processAll(l, stream)
 	st := g.Stats()
 	if st.SuppressedMitigations != 6 || st.BudgetTrips != 1 {
 		t.Fatalf("fleet budget: suppressed=%d trips=%d, want 6/1", st.SuppressedMitigations, st.BudgetTrips)
@@ -200,6 +200,61 @@ func TestGuardFleetBudgetVeto(t *testing.T) {
 	d := ctl.Recommend(3, stream[len(stream)-1].Time, 100)
 	if !d.Vetoed || d.VetoReason != guard.ReasonFleetBudget {
 		t.Fatalf("fleet veto decision = %+v", d)
+	}
+}
+
+// A standalone guard's budget audit: each node and fleet budget crossing
+// records one trip event, the next served mitigation one recovery event
+// per tripped budget, and further vetoes or mitigations record nothing.
+// Every Kind, Score and Detail is pinned.
+func TestGuardBudgetAuditPinned(t *testing.T) {
+	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	// 0.1 node-hours per hour at 2 node-minutes per mitigation admits 3
+	// mitigations per node; the fleet admits 6.
+	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour),
+		WithFleetMitigationBudget(6, time.Hour), WithProbation(0, 0))
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	tick := func(node int, at time.Time) Decision {
+		return ctl.Tick(Event{Time: at, Node: node, DIMM: 0, Type: CorrectedError,
+			Count: 1, Rank: 0, Bank: 1, Row: 0, Col: 3}, 100)
+	}
+	// Node 0: three mitigations, then two node-budget vetoes.
+	for i := 0; i < 5; i++ {
+		d := tick(0, t0.Add(time.Duration(i)*30*time.Second))
+		if want := i >= 3; d.Vetoed != want || (want && d.VetoReason != guard.ReasonNodeBudget) {
+			t.Fatalf("node 0 tick %d: %+v", i, d)
+		}
+	}
+	// Nodes 1-3 fill the fleet budget; nodes 4 and 5 are vetoed by it.
+	for n := 1; n <= 5; n++ {
+		d := tick(n, t0.Add(10*time.Minute+time.Duration(n)*time.Second))
+		if want := n >= 4; d.Vetoed != want || (want && d.VetoReason != guard.ReasonFleetBudget) {
+			t.Fatalf("node %d tick: %+v", n, d)
+		}
+	}
+	// Two hours on, node 0 mitigates again: both budgets recover, once.
+	for i := 0; i < 2; i++ {
+		if d := tick(0, t0.Add(2*time.Hour+time.Duration(i)*time.Minute)); d.Vetoed {
+			t.Fatalf("node 0 after the windows slid: %+v", d)
+		}
+	}
+
+	want := []LifecycleEvent{
+		{Kind: LifecycleBudgetTrip, Time: t0.Add(90 * time.Second), ModelVersion: "always.v1", Score: 0.1,
+			Detail: "node 0 checkpoint budget tripped: 0.100 nh in sliding 1h0m0s (limit 0.100 nh); mitigation suppressed"},
+		{Kind: LifecycleBudgetTrip, Time: t0.Add(10*time.Minute + 4*time.Second), ModelVersion: "always.v1", Score: 6,
+			Detail: "fleet mitigation budget tripped: 6 mitigations in sliding 1h0m0s (limit 6); mitigation suppressed"},
+		{Kind: LifecycleBudgetRecover, Time: t0.Add(2 * time.Hour), ModelVersion: "always.v1", Score: 0.03333333333333333,
+			Detail: "node 0 checkpoint budget recovered: 0.033 nh in sliding 1h0m0s (limit 0.100 nh); mitigation resumed"},
+		{Kind: LifecycleBudgetRecover, Time: t0.Add(2 * time.Hour), ModelVersion: "always.v1", Score: 1,
+			Detail: "fleet mitigation budget recovered: 1 mitigations in sliding 1h0m0s (limit 6); mitigation resumed"},
+	}
+	if got := g.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("budget audit:\n got %#v\nwant %#v", got, want)
+	}
+	st := g.Stats()
+	if st.SuppressedMitigations != 4 || st.BudgetTrips != 2 || st.BudgetRecoveries != 2 {
+		t.Fatalf("guard stats = %+v, want 4 suppressed, 2 trips, 2 recoveries", st)
 	}
 }
 
@@ -240,11 +295,11 @@ func TestGuardRecommendNoAllocs(t *testing.T) {
 // budget-trip audit event and a learner reject.
 func TestGuardPromotionBudgetFreezes(t *testing.T) {
 	l, _ := newGuardedLearner(t, []GuardOption{WithPromotionBudget(1), WithProbation(128, 5)})
-	ctl := l.Controller()
+	ctl := l.serving.(*Controller)
 	// Two distribution steps: each triggers drift → retrain → an injected
 	// never-mitigate candidate that wins the weakened shadow gate on the
 	// UE-free window. The budget admits only the first promotion.
-	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{500, 40}, [2]int{500, 120}))
+	processAll(l, ceStream(8, [2]int{600, 1}, [2]int{500, 40}, [2]int{500, 120}))
 
 	st := l.Stats()
 	if st.Generation != 1 {
@@ -288,9 +343,9 @@ func TestGuardPromotionBudgetFreezes(t *testing.T) {
 // with an approval-deny audit event carrying the hook's reason.
 func TestGuardApprovalDenyBlocks(t *testing.T) {
 	l, g := newGuardedLearner(t, []GuardOption{WithApprovalHook(DenyPromotions("change freeze CHG-42"))})
-	ctl := l.Controller()
+	ctl := l.serving.(*Controller)
 	before := ctl.Policy().Version()
-	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
+	processAll(l, ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
 
 	if st := l.Stats(); st.Generation != 0 {
 		t.Fatalf("denied promotion still executed: %+v", st)
@@ -322,7 +377,7 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 	// The 700-transition retrain floor admits exactly one retrain, so the
 	// injected regressive candidate is the only promotion of the run.
 	l, g := newGuardedLearner(t, []GuardOption{WithProbation(1<<20, 5)}, WithRetraining(700, 32))
-	ctl := l.Controller()
+	ctl := l.serving.(*Controller)
 	incumbentVersion := ctl.Policy().Version()
 
 	stream := ceStream(8, [2]int{600, 1}, [2]int{800, 40})
@@ -350,7 +405,7 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 		}(w)
 	}
 
-	l.ProcessBatch(stream)
+	processAll(l, stream)
 
 	// The regressive candidate is serving and on probation.
 	promoted := ctl.Policy()
@@ -365,7 +420,7 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 	}
 
 	// The adversarial burst: UEs the incumbent would have caught.
-	l.ProcessBatch(burst)
+	processAll(l, burst)
 	close(stop)
 	wg.Wait()
 
@@ -422,8 +477,8 @@ func TestGuardLifecycleDeterministic(t *testing.T) {
 	run := func() ([]LifecycleEvent, LearnerStats) {
 		l, _ := newGuardedLearner(t, []GuardOption{WithProbation(1<<20, 5)}, WithRetraining(700, 32))
 		stream := ceStream(8, [2]int{600, 1}, [2]int{800, 40})
-		l.ProcessBatch(stream)
-		l.ProcessBatch(ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
+		processAll(l, stream)
+		processAll(l, ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
 		return l.Events(), l.Stats()
 	}
 	ev1, st1 := run()
@@ -472,7 +527,7 @@ func TestApprovalCallbackDefaults(t *testing.T) {
 // one shared trail.
 func TestAuditLogAccessorsDefensiveCopies(t *testing.T) {
 	l, g := newGuardedLearner(t, []GuardOption{WithApprovalHook(DenyPromotions("freeze"))})
-	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
+	processAll(l, ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
 
 	evs := l.Events()
 	if len(evs) == 0 {
@@ -531,8 +586,8 @@ func TestGuardAccessorsConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	l.ProcessBatch(stream)
-	l.ProcessBatch(ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
+	processAll(l, stream)
+	processAll(l, ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
 	close(stop)
 	wg.Wait()
 }
@@ -663,7 +718,7 @@ func TestGuardChargedByTickWithoutWithGuard(t *testing.T) {
 	ctl := NewController(AlwaysPolicy(), WithShards(2))
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
 	l := NewOnlineLearner(ctl, WithDriftDetection(1e9, 128))
-	l.ProcessBatch(ceStream(1, [2]int{10, 1}))
+	processAll(l, ceStream(1, [2]int{10, 1}))
 	st := g.Stats()
 	if st.SuppressedMitigations != 7 || st.BudgetTrips != 1 {
 		t.Fatalf("guard stats = %+v, want 7 suppressed mitigations (3 within budget) and 1 trip", st)

@@ -248,16 +248,6 @@ func (l *Log) Nodes() []int {
 	return out
 }
 
-// ByNode groups events by node id, preserving chronological order within
-// each node.
-func (l *Log) ByNode() map[int][]Event {
-	out := map[int][]Event{}
-	for _, e := range l.Events {
-		out[e.Node] = append(out[e.Node], e)
-	}
-	return out
-}
-
 // PartitionManufacturer returns the sub-log containing only events from
 // nodes of the given manufacturer, used for the MN/A, MN/B, MN/C
 // evaluations of §4.5.
@@ -265,17 +255,6 @@ func (l *Log) PartitionManufacturer(m Manufacturer) *Log {
 	out := &Log{}
 	for _, e := range l.Events {
 		if e.Manufacturer == m {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
-
-// Slice returns the sub-log with events in [from, to).
-func (l *Log) Slice(from, to time.Time) *Log {
-	out := &Log{}
-	for _, e := range l.Events {
-		if !e.Time.Before(from) && e.Time.Before(to) {
 			out.Events = append(out.Events, e)
 		}
 	}

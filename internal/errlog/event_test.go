@@ -97,15 +97,11 @@ func TestSpanAndCounts(t *testing.T) {
 	}
 }
 
-func TestNodesAndByNode(t *testing.T) {
+func TestNodes(t *testing.T) {
 	l := &Log{Events: []Event{ce(3, 0, 1), ce(1, 0, 1), ce(3, time.Hour, 1)}}
 	nodes := l.Nodes()
 	if len(nodes) != 2 || nodes[0] != 1 || nodes[1] != 3 {
 		t.Fatalf("Nodes = %v", nodes)
-	}
-	by := l.ByNode()
-	if len(by[3]) != 2 || len(by[1]) != 1 {
-		t.Fatalf("ByNode sizes wrong: %v", by)
 	}
 }
 
@@ -118,13 +114,5 @@ func TestPartitionManufacturer(t *testing.T) {
 	pa := l.PartitionManufacturer(ManufacturerA)
 	if len(pa.Events) != 1 || pa.Events[0].Node != 1 {
 		t.Fatalf("partition A = %v", pa.Events)
-	}
-}
-
-func TestSlice(t *testing.T) {
-	l := &Log{Events: []Event{ce(1, 0, 1), ce(1, time.Hour, 1), ce(1, 2*time.Hour, 1)}}
-	s := l.Slice(t0.Add(30*time.Minute), t0.Add(90*time.Minute))
-	if len(s.Events) != 1 || !s.Events[0].Time.Equal(t0.Add(time.Hour)) {
-		t.Fatalf("slice = %v", s.Events)
 	}
 }

@@ -27,17 +27,6 @@ func (t Tick) HasUE() bool {
 	return false
 }
 
-// CECount returns the number of corrected errors represented in the tick.
-func (t Tick) CECount() int {
-	n := 0
-	for _, e := range t.Events {
-		if e.Type == CE {
-			n += e.Count
-		}
-	}
-	return n
-}
-
 // MergeWindow is the paper's minimum wallclock time between state
 // transitions: events within the same minute are combined (§3.2.3).
 const MergeWindow = time.Minute

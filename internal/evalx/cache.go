@@ -295,7 +295,7 @@ func (c *Cache) Sampler(trace []jobs.Job) *jobs.Sampler {
 // dataset returns the memoized RF training set for ticks before trainTo.
 func (c *Cache) dataset(log *errlog.Log, byNode [][]errlog.Tick, trainTo time.Time) RFDataset {
 	build := func() RFDataset {
-		return BuildRFDataset(ticksUpTo(byNode, trainTo), time.Time{}, trainTo)
+		return BuildRFDataset(TicksUpTo(byNode, trainTo), time.Time{}, trainTo)
 	}
 	if c == nil {
 		return build()

@@ -186,10 +186,10 @@ func (c CVConfig) hyperCandidates(stateLen int, seed int64) []rl.AgentConfig {
 	}
 }
 
-// ticksUpTo trims each node's sequence to ticks before t. Per-node tick
-// sequences are time-sorted, so the boundary is a binary search instead of
-// the full rescans the split loops used to pay.
-func ticksUpTo(byNode [][]errlog.Tick, t time.Time) [][]errlog.Tick {
+// TicksUpTo trims each node's sequence to ticks before t, dropping nodes
+// left empty. Per-node tick sequences are time-sorted, so each boundary is
+// a binary search.
+func TicksUpTo(byNode [][]errlog.Tick, t time.Time) [][]errlog.Tick {
 	out := make([][]errlog.Tick, 0, len(byNode))
 	for _, ticks := range byNode {
 		end := sort.Search(len(ticks), func(i int) bool {
@@ -382,7 +382,7 @@ func fitSplit(cfg CVConfig, world cvWorld, spec splitSpec, forestCfg rf.ForestCo
 			trainTo: spec.trainTo.UnixNano(), valFrom: spec.valFrom.UnixNano(),
 		}
 		art := cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
-			trainTicks := ticksUpTo(byNode, spec.trainTo)
+			trainTicks := TicksUpTo(byNode, spec.trainTo)
 			useValidation := hasUEIn(world.art.UETimes, spec.valFrom, spec.trainTo)
 			return trainRL(cfg, trainTicks, sampler, spec, useValidation, warm)
 		})

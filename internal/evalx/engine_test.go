@@ -40,7 +40,7 @@ func engineFixture(t testing.TB) ([][]errlog.Tick, *jobs.Sampler, []policies.Dec
 	// non-degenerate on the evaluation ticks.
 	first, last := pre.Span()
 	trainTo := first.Add(time.Duration(float64(last.Sub(first)) * 0.5))
-	ds := BuildRFDataset(ticksUpTo(byNode, trainTo), time.Time{}, trainTo)
+	ds := BuildRFDataset(TicksUpTo(byNode, trainTo), time.Time{}, trainTo)
 	if len(ds.X) == 0 || ds.Positives() == 0 {
 		t.Fatal("fixture produced a degenerate RF dataset")
 	}

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/env"
-	"repro/internal/errlog"
 	"repro/internal/evalx"
 	"repro/internal/features"
 	"repro/internal/policies"
@@ -32,7 +30,7 @@ func RunAblation(w *World) AblationResult {
 	sampler := w.cache.Sampler(w.Trace)
 	first, last := art.Pre.Span()
 	trainTo := first.Add(time.Duration(float64(last.Sub(first)) * 0.6))
-	trainTicks := trimTicks(byNode, trainTo)
+	trainTicks := evalx.TicksUpTo(byNode, trainTo)
 
 	episodes := ablationEpisodes(w.Scale.Preset)
 	base := rl.AgentConfig{
@@ -106,21 +104,6 @@ func ablationEpisodes(p evalx.Preset) int {
 	default:
 		return 120
 	}
-}
-
-// trimTicks trims each node's sequence to ticks strictly before t (binary
-// search; per-node sequences are time-sorted).
-func trimTicks(byNode [][]errlog.Tick, t time.Time) [][]errlog.Tick {
-	out := make([][]errlog.Tick, 0, len(byNode))
-	for _, ticks := range byNode {
-		end := sort.Search(len(ticks), func(i int) bool {
-			return !ticks[i].Time.Before(t)
-		})
-		if end > 0 {
-			out = append(out, ticks[:end])
-		}
-	}
-	return out
 }
 
 // maskedEnv zeroes one state feature, hiding it from the agent.

@@ -170,8 +170,8 @@ func TestRunFig6Shape(t *testing.T) {
 	// The paper's core behavioural claim: the agent mitigates more often
 	// as the potential UE cost grows. Compare the cheap decades with the
 	// expensive ones.
-	low := (r.MitigationFraction(0) + r.MitigationFraction(1)) / 2
-	high := (r.MitigationFraction(4) + r.MitigationFraction(5)) / 2
+	low := (mitigationFraction(r, 0) + mitigationFraction(r, 1)) / 2
+	high := (mitigationFraction(r, 4) + mitigationFraction(r, 5)) / 2
 	if high < low {
 		t.Errorf("mitigation fraction does not grow with cost: low %.3f high %.3f", low, high)
 	}
@@ -276,4 +276,18 @@ func TestRunAblationShape(t *testing.T) {
 		t.Fatal("render missing header")
 	}
 	checkGolden(t, "ablation.golden", renderExact(r.Render, r.Results))
+}
+
+// mitigationFraction returns the overall mitigate fraction in a cost
+// decade, across probability bins.
+func mitigationFraction(r Fig6Result, decade int) float64 {
+	mit, tot := 0, 0
+	for y := 0; y < r.ProbBins; y++ {
+		mit += r.Mitigate[y][decade]
+		tot += r.Total[y][decade]
+	}
+	if tot == 0 {
+		return 0
+	}
+	return float64(mit) / float64(tot)
 }

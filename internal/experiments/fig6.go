@@ -133,18 +133,3 @@ func (r Fig6Result) Render(w io.Writer) {
 	}
 	writeTable(w, header, rows)
 }
-
-// MitigationFraction returns the overall mitigate fraction in a cost
-// decade, across probability bins (used by shape tests: the fraction must
-// grow with cost).
-func (r Fig6Result) MitigationFraction(decade int) float64 {
-	mit, tot := 0, 0
-	for y := 0; y < r.ProbBins; y++ {
-		mit += r.Mitigate[y][decade]
-		tot += r.Total[y][decade]
-	}
-	if tot == 0 {
-		return 0
-	}
-	return float64(mit) / float64(tot)
-}

@@ -439,7 +439,3 @@ func (tr *Tracker) compact(cutoff int64) {
 		tr.history.popFront()
 	}
 }
-
-// HistoryLen reports the number of retained history snapshots (for tests
-// and observability).
-func (tr *Tracker) HistoryLen() int { return tr.history.size }

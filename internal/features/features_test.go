@@ -165,8 +165,8 @@ func TestCompactHistoryPreservesVariation(t *testing.T) {
 	if math.Abs(v[CEVar1Hour]-2) > 1e-9 {
 		t.Fatalf("variation after compaction = %v, want 2", v[CEVar1Hour])
 	}
-	if tr.HistoryLen() > 10 {
-		t.Fatalf("history not compacted: %d entries", tr.HistoryLen())
+	if tr.history.size > 10 {
+		t.Fatalf("history not compacted: %d entries", tr.history.size)
 	}
 }
 

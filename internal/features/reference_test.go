@@ -179,8 +179,8 @@ func TestTrackerMatchesTimeSearchReference(t *testing.T) {
 					t.Fatalf("stream %d tick %d at %v: Peek(%v) = %v, oracle %v", stream, i, at, p, got, want)
 				}
 			}
-			if tr.HistoryLen() != len(ref.history) {
-				t.Fatalf("stream %d tick %d: history holds %d snapshots, oracle %d", stream, i, tr.HistoryLen(), len(ref.history))
+			if tr.history.size != len(ref.history) {
+				t.Fatalf("stream %d tick %d: history holds %d snapshots, oracle %d", stream, i, tr.history.size, len(ref.history))
 			}
 		}
 	}

@@ -274,13 +274,6 @@ func (c *Coordinator) ObserveEvent(e uerl.Event) {
 	}
 }
 
-// Tick is TickInto returning the decision.
-func (c *Coordinator) Tick(e uerl.Event, potentialCostNodeHours float64) (d uerl.Decision) {
-	var norm [uerl.FeatureDim]float64
-	c.TickInto(&d, e, potentialCostNodeHours, &norm)
-	return d
-}
-
 // TickInto is one decision tick in one call: ObserveEvent(e), then
 // Recommend(e.Node, e.Time, potentialCostNodeHours), then
 // ObserveDecision of the answer, under one lock hold, with the answer

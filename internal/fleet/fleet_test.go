@@ -335,8 +335,8 @@ func TestFleetProbesIdleSuspect(t *testing.T) {
 		}
 	}
 	t0 := time.Unix(1_700_000_000, 0).UTC()
-	c.Tick(ev(owned[0], t0, 1), 100)
-	c.Tick(ev(owned[1], t0, 1), 100)
+	fusedTick(c, ev(owned[0], t0, 1), 100)
+	fusedTick(c, ev(owned[1], t0, 1), 100)
 	state := func() WorkerState { return c.Stats().Workers[1].State }
 	for round := 0; round < 3; round++ {
 		// One failed delivery makes worker 1 suspect; it is reachable

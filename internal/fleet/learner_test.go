@@ -53,7 +53,9 @@ func learnerOptions(opts ...uerl.LearnerOption) []uerl.LearnerOption {
 func promotedRL(t *testing.T) uerl.Policy {
 	t.Helper()
 	l := uerl.NewOnlineLearner(uerl.NewController(uerl.NeverPolicy()), learnerOptions()...)
-	l.ProcessBatch(driftStream(8, 600, 800))
+	for _, e := range driftStream(8, 600, 800) {
+		l.Process(e)
+	}
 	p := l.Serving().Policy()
 	if p.Kind() != uerl.PolicyRL {
 		t.Fatalf("learner serves %s after the drift stream, want an RL policy: %+v", p.Version(), l.Events())

@@ -11,9 +11,16 @@ import (
 	"repro/internal/mathx"
 )
 
+// fusedTick is Coordinator.TickInto returning the decision.
+func fusedTick(c *Coordinator, e uerl.Event, potentialCostNodeHours float64) (d uerl.Decision) {
+	var norm [uerl.FeatureDim]float64
+	c.TickInto(&d, e, potentialCostNodeHours, &norm)
+	return d
+}
+
 // TestFleetTickParity is the fused tick's differential test: two fleets
 // built alike see the same events and the same random fault schedule,
-// one fed by Tick, the other by ObserveEvent → Recommend →
+// one fed by TickInto, the other by ObserveEvent → Recommend →
 // ObserveDecision, and their decision streams and Stats — worker guard
 // ledgers and replay traffic included — must match exactly. Schedules
 // use 1–3 guarded workers whose node budgets veto, dedup on and off with
@@ -48,7 +55,7 @@ func TestFleetTickParity(t *testing.T) {
 					split.ObserveEvent(e)
 					continue
 				}
-				got := fused.Tick(e, cost)
+				got := fusedTick(fused, e, cost)
 				split.ObserveEvent(e)
 				want := split.Recommend(e.Node, e.Time, cost)
 				split.ObserveDecision(want)
@@ -191,7 +198,7 @@ func warmFleet(tb testing.TB, capacity, warm int, node func(i int) int) (c *Coor
 		return e
 	}
 	for range warm {
-		c.Tick(next(), 100)
+		fusedTick(c, next(), 100)
 	}
 	return c, ct, next
 }
@@ -204,14 +211,14 @@ func TestCoordinatorTickOneCallZeroAlloc(t *testing.T) {
 	c, ct, next := steadyFleet(t)
 	for range 32 {
 		before := ct.calls
-		if d := c.Tick(next(), 100); d.Degraded || d.Vetoed || !d.Mitigate() {
+		if d := fusedTick(c, next(), 100); d.Degraded || d.Vetoed || !d.Mitigate() {
 			t.Fatalf("steady-state tick not served by the owner: %+v", d)
 		}
 		if n := ct.calls - before; n != 1 {
 			t.Fatalf("steady-state tick made %d transport calls, want 1", n)
 		}
 	}
-	if allocs := testing.AllocsPerRun(200, func() { c.Tick(next(), 100) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { fusedTick(c, next(), 100) }); allocs != 0 {
 		t.Fatalf("steady-state tick allocated %.2f times, want 0", allocs)
 	}
 }
@@ -222,7 +229,7 @@ func BenchmarkCoordinatorTick(b *testing.B) {
 	c, _, next := steadyFleet(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		c.Tick(next(), 100)
+		fusedTick(c, next(), 100)
 	}
 }
 
@@ -241,7 +248,7 @@ func BenchmarkCoordinatorTickWorkingSet(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		c.Tick(next(), 100)
+		fusedTick(c, next(), 100)
 	}
 }
 

@@ -81,9 +81,6 @@ func NewWorker(id int, initial uerl.Policy, opts ...WorkerOption) *Worker {
 	return w
 }
 
-// ID reports the worker's slot.
-func (w *Worker) ID() int { return w.id }
-
 // handle processes one request. Transport-level failures never originate
 // here — a reachable worker always answers, reporting application-level
 // rejections via resp.Err.

@@ -102,8 +102,3 @@ func (w *Window) Total(at time.Time) float64 {
 	}
 	return total
 }
-
-// Span reports the window's effective span (bucket-quantized).
-func (w *Window) Span() time.Duration {
-	return w.bucket * windowBuckets
-}

@@ -129,10 +129,9 @@ func Generate(cfg Config) []Job {
 // to be the job running on a randomly chosen node than a 1-node job of the
 // same duration.
 type Sampler struct {
-	jobs   []Job
-	cum    []float64 // cumulative node-count weights
-	total  float64
-	maxJob float64 // largest node-hours in the trace
+	jobs  []Job
+	cum   []float64 // cumulative node-count weights
+	total float64
 	// lut is an equi-probability bucket index over cum: lut[k] is the
 	// first index whose cumulative weight reaches bucket k's lower bound,
 	// so a draw binary-searches only within one bucket (O(1) expected)
@@ -157,9 +156,6 @@ func NewSampler(trace []Job) *Sampler {
 	for i, j := range trace {
 		run += float64(j.Nodes)
 		s.cum[i] = run
-		if nh := j.NodeHours(); nh > s.maxJob {
-			s.maxJob = nh
-		}
 	}
 	s.total = run
 
@@ -205,13 +201,6 @@ func (s *Sampler) Sample(rng *mathx.RNG) Job {
 	}
 	return s.jobs[idx]
 }
-
-// MaxNodeHours reports the largest job volume in the trace, the cap on any
-// single potential UE cost.
-func (s *Sampler) MaxNodeHours() float64 { return s.maxJob }
-
-// Jobs exposes the underlying trace.
-func (s *Sampler) Jobs() []Job { return s.jobs }
 
 // TraceStats summarizes a trace for calibration and tooling.
 type TraceStats struct {

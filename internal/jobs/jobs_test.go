@@ -92,20 +92,6 @@ func TestSamplerWeighting(t *testing.T) {
 	}
 }
 
-func TestSamplerMaxNodeHours(t *testing.T) {
-	trace := []Job{
-		{ID: 1, Nodes: 2, Duration: time.Hour},
-		{ID: 2, Nodes: 5, Duration: 10 * time.Hour},
-	}
-	s := NewSampler(trace)
-	if got := s.MaxNodeHours(); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("MaxNodeHours = %v", got)
-	}
-	if len(s.Jobs()) != 2 {
-		t.Fatal("Jobs accessor wrong")
-	}
-}
-
 func TestSamplerPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -15,8 +15,8 @@ func TestStreamFIFOAndBounds(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Push(rl.Transition{A: i})
 	}
-	if s.Len() != 4 || s.Cap() != 4 {
-		t.Fatalf("len=%d cap=%d, want 4/4", s.Len(), s.Cap())
+	if s.ring.Len() != 4 || s.ring.Cap() != 4 {
+		t.Fatalf("len=%d cap=%d, want 4/4", s.ring.Len(), s.ring.Cap())
 	}
 	if s.Pushed() != 6 || s.Dropped() != 2 {
 		t.Fatalf("pushed=%d dropped=%d, want 6/2", s.Pushed(), s.Dropped())
@@ -31,8 +31,8 @@ func TestStreamFIFOAndBounds(t *testing.T) {
 			t.Fatalf("drained[%d] = %d, want %d", i, a, i+2)
 		}
 	}
-	if s.Len() != 0 {
-		t.Fatalf("stream not empty after drain: %d", s.Len())
+	if s.ring.Len() != 0 {
+		t.Fatalf("stream not empty after drain: %d", s.ring.Len())
 	}
 	// Wrap-around after drain still preserves order.
 	for i := 10; i < 13; i++ {

@@ -58,13 +58,6 @@ func (s *Stream) Drain(f func(rl.Transition)) int {
 	return n
 }
 
-// Len reports the number of buffered transitions.
-func (s *Stream) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring.Len()
-}
-
 // Pushed reports the total number of transitions ever pushed.
 func (s *Stream) Pushed() uint64 {
 	s.mu.Lock()
@@ -78,6 +71,3 @@ func (s *Stream) Dropped() uint64 {
 	defer s.mu.Unlock()
 	return s.ring.Dropped()
 }
-
-// Cap reports the stream capacity.
-func (s *Stream) Cap() int { return s.ring.Cap() }

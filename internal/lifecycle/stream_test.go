@@ -22,8 +22,8 @@ func TestStreamOverflowCountersAcrossWraparound(t *testing.T) {
 			s.Push(rl.Transition{A: total})
 			total++
 		}
-		if s.Len() != cap {
-			t.Fatalf("lap %d: len=%d, want full at %d", lap, s.Len(), cap)
+		if s.ring.Len() != cap {
+			t.Fatalf("lap %d: len=%d, want full at %d", lap, s.ring.Len(), cap)
 		}
 		wantDropped := uint64(total - drained - cap)
 		if s.Pushed() != uint64(total) || s.Dropped() != wantDropped {
@@ -36,7 +36,7 @@ func TestStreamOverflowCountersAcrossWraparound(t *testing.T) {
 	}
 	// Conservation: everything pushed was either dropped, drained, or is
 	// still buffered.
-	if got := s.Dropped() + uint64(drained) + uint64(s.Len()); got != s.Pushed() {
+	if got := s.Dropped() + uint64(drained) + uint64(s.ring.Len()); got != s.Pushed() {
 		t.Fatalf("conservation broken: dropped+drained+len = %d, pushed = %d", got, s.Pushed())
 	}
 }
@@ -61,9 +61,9 @@ func TestStreamDrainAfterOverflowReturnsNewestWindow(t *testing.T) {
 					pushes, i, a, want)
 			}
 		}
-		if s.Len() != 0 || s.Dropped() != uint64(pushes-cap) {
+		if s.ring.Len() != 0 || s.Dropped() != uint64(pushes-cap) {
 			t.Fatalf("%d pushes: len=%d dropped=%d after drain, want 0/%d",
-				pushes, s.Len(), s.Dropped(), pushes-cap)
+				pushes, s.ring.Len(), s.Dropped(), pushes-cap)
 		}
 	}
 }
@@ -87,8 +87,8 @@ func TestStreamConcurrentOverflowCounters(t *testing.T) {
 	if s.Pushed() != workers*perWorker {
 		t.Fatalf("pushed=%d, want %d", s.Pushed(), workers*perWorker)
 	}
-	if s.Len() != cap {
-		t.Fatalf("len=%d, want full at %d", s.Len(), cap)
+	if s.ring.Len() != cap {
+		t.Fatalf("len=%d, want full at %d", s.ring.Len(), cap)
 	}
 	if s.Dropped() != workers*perWorker-cap {
 		t.Fatalf("dropped=%d, want %d", s.Dropped(), workers*perWorker-cap)

@@ -56,9 +56,6 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

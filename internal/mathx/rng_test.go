@@ -41,12 +41,12 @@ func TestForkIndependence(t *testing.T) {
 func TestPoissonMean(t *testing.T) {
 	g := NewRNG(3)
 	for _, mean := range []float64{0.5, 4, 20, 200} {
-		var w Welford
-		for i := 0; i < 20000; i++ {
-			w.Add(float64(g.Poisson(mean)))
+		xs := make([]float64, 20000)
+		for i := range xs {
+			xs[i] = float64(g.Poisson(mean))
 		}
-		if math.Abs(w.Mean()-mean) > 4*math.Sqrt(mean/20000)+0.5 {
-			t.Errorf("Poisson(%v) sample mean %v too far", mean, w.Mean())
+		if m := Mean(xs); math.Abs(m-mean) > 4*math.Sqrt(mean/20000)+0.5 {
+			t.Errorf("Poisson(%v) sample mean %v too far", mean, m)
 		}
 	}
 }
@@ -63,12 +63,12 @@ func TestPoissonEdge(t *testing.T) {
 
 func TestExponentialMean(t *testing.T) {
 	g := NewRNG(9)
-	var w Welford
-	for i := 0; i < 50000; i++ {
-		w.Add(g.Exponential(3.0))
+	xs := make([]float64, 50000)
+	for i := range xs {
+		xs[i] = g.Exponential(3.0)
 	}
-	if math.Abs(w.Mean()-3.0) > 0.15 {
-		t.Errorf("Exponential(3) sample mean %v", w.Mean())
+	if m := Mean(xs); math.Abs(m-3.0) > 0.15 {
+		t.Errorf("Exponential(3) sample mean %v", m)
 	}
 	if g.Exponential(0) != 0 || g.Exponential(-2) != 0 {
 		t.Error("non-positive mean should return 0")
@@ -119,13 +119,13 @@ func TestGeometric(t *testing.T) {
 	if g.Geometric(1) != 0 {
 		t.Error("Geometric(1) must be 0")
 	}
-	var w Welford
-	for i := 0; i < 30000; i++ {
-		w.Add(float64(g.Geometric(0.25)))
+	xs := make([]float64, 30000)
+	for i := range xs {
+		xs[i] = float64(g.Geometric(0.25))
 	}
 	// Mean of geometric(failures) is (1-p)/p = 3.
-	if math.Abs(w.Mean()-3) > 0.2 {
-		t.Errorf("Geometric(0.25) mean %v, want about 3", w.Mean())
+	if m := Mean(xs); math.Abs(m-3) > 0.2 {
+		t.Errorf("Geometric(0.25) mean %v, want about 3", m)
 	}
 }
 

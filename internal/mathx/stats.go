@@ -5,39 +5,6 @@ import (
 	"sort"
 )
 
-// Welford implements Welford's online algorithm for running mean and
-// variance. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the running statistics.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or 0 with no observations.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance, or 0 with fewer than two observations.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It copies and sorts the input.
 // An empty slice returns 0.

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Error("zero value should report zeros")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %v", w.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(w.Var()-32.0/7.0) > 1e-9 {
-		t.Errorf("var = %v", w.Var())
-	}
-	if math.Abs(w.Std()-math.Sqrt(32.0/7.0)) > 1e-9 {
-		t.Errorf("std = %v", w.Std())
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	cases := []struct {

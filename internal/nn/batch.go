@@ -25,9 +25,6 @@ type BatchScratch struct {
 	dBufA, dBufB []float64 // ping-pong gradient buffers [B*maxWidth]
 }
 
-// Batch reports the maximum batch size the scratch was sized for.
-func (s *BatchScratch) Batch() int { return s.batch }
-
 // NewBatchScratch allocates batched scratch space for up to batch samples.
 func (n *Network) NewBatchScratch(batch int) *BatchScratch {
 	if batch <= 0 {

@@ -197,6 +197,3 @@ func (f *Forest) PredictProb(x []float64) float64 {
 	}
 	return sum / float64(len(f.trees))
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }

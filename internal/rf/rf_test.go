@@ -41,16 +41,16 @@ func TestTreePureLeaf(t *testing.T) {
 	if got := tree.PredictProb([]float64{9}); got != 1 {
 		t.Fatalf("pure-positive prob = %v", got)
 	}
-	if tree.Depth() != 0 {
-		t.Fatalf("pure leaf depth %d", tree.Depth())
+	if treeDepth(tree) != 0 {
+		t.Fatalf("pure leaf depth %d", treeDepth(tree))
 	}
 }
 
 func TestTreeMaxDepthRespected(t *testing.T) {
 	x, y := axisData(500, 5)
 	tree := TrainTree(x, y, TreeConfig{MaxDepth: 2}, mathx.NewRNG(1))
-	if tree.Depth() > 2 {
-		t.Fatalf("depth %d exceeds MaxDepth 2", tree.Depth())
+	if treeDepth(tree) > 2 {
+		t.Fatalf("depth %d exceeds MaxDepth 2", treeDepth(tree))
 	}
 }
 
@@ -106,8 +106,8 @@ func TestForestLearnsAxisSplit(t *testing.T) {
 	if correct < 185 {
 		t.Fatalf("forest accuracy %d/200", correct)
 	}
-	if f.NumTrees() != 30 {
-		t.Fatalf("NumTrees = %d", f.NumTrees())
+	if len(f.trees) != 30 {
+		t.Fatalf("%d trees", len(f.trees))
 	}
 }
 
@@ -208,4 +208,24 @@ func TestPackedPredictionMatchesTreeWalk(t *testing.T) {
 			t.Fatalf("probe %d: round-tripped prediction differs", i)
 		}
 	}
+}
+
+// treeDepth returns the maximum depth of the tree (a single leaf has depth 0).
+func treeDepth(t *Tree) int {
+	var walk func(i int) int
+	walk = func(i int) int {
+		nd := t.nodes[i]
+		if nd.feature < 0 {
+			return 0
+		}
+		l, r := walk(nd.left), walk(nd.right)
+		if r > l {
+			l = r
+		}
+		return l + 1
+	}
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return walk(0)
 }

@@ -176,23 +176,3 @@ func (t *Tree) PredictProb(x []float64) float64 {
 		}
 	}
 }
-
-// Depth returns the maximum depth of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int {
-	var walk func(i int) int
-	walk = func(i int) int {
-		nd := t.nodes[i]
-		if nd.feature < 0 {
-			return 0
-		}
-		l, r := walk(nd.left), walk(nd.right)
-		if r > l {
-			l = r
-		}
-		return l + 1
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return walk(0)
-}

@@ -208,9 +208,6 @@ func (a *Agent) initBatchState() {
 	a.chunkNext = make([]float64, trainChunkSize)
 }
 
-// Config returns the agent's configuration (with defaults applied).
-func (a *Agent) Config() AgentConfig { return a.cfg }
-
 // Online exposes the online network (for serialization and inspection).
 func (a *Agent) Online() *nn.Network { return a.online }
 
@@ -229,9 +226,6 @@ func (a *Agent) SetOnline(net *nn.Network) {
 	a.initBatchState()
 }
 
-// Steps reports the number of environment steps observed.
-func (a *Agent) Steps() int { return a.steps }
-
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.cfg.Epsilon.At(a.steps) }
 
@@ -247,14 +241,6 @@ func (a *Agent) Act(state []float64) int {
 func (a *Agent) Greedy(state []float64) int {
 	q := a.online.ForwardInto(a.scr, state)
 	return mathx.ArgMax(q)
-}
-
-// QValues returns a copy of the online network's Q-values for state.
-func (a *Agent) QValues(state []float64) []float64 {
-	q := a.online.ForwardInto(a.scr, state)
-	out := make([]float64, len(q))
-	copy(out, q)
-	return out
 }
 
 // Observe records a transition and performs training/synchronization

@@ -166,8 +166,8 @@ func TestAgentDeterministicAcrossRuns(t *testing.T) {
 	envB := &banditEnv{rng: mathx.NewRNG(5)}
 	Train(a, envA, TrainOptions{Episodes: 100})
 	Train(b, envB, TrainOptions{Episodes: 100})
-	qa := a.QValues([]float64{1})
-	qb := b.QValues([]float64{1})
+	qa := a.online.ForwardInto(a.scr, []float64{1})
+	qb := b.online.ForwardInto(b.scr, []float64{1})
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatalf("non-deterministic training: %v vs %v", qa, qb)

@@ -19,7 +19,8 @@ type PERConfig struct {
 	// Beta is the importance-sampling exponent correcting the sampling
 	// bias; annealed from Beta towards 1 over BetaSteps samples.
 	Beta float64
-	// BetaSteps is the number of Sample calls over which beta anneals to 1.
+	// BetaSteps is the number of SampleInto calls over which beta anneals
+	// to 1.
 	// Zero keeps beta fixed.
 	BetaSteps int
 	// Eps is added to priorities so no transition starves. Default 1e-3.
@@ -93,22 +94,10 @@ func (p *PrioritizedReplay) beta() float64 {
 	return p.cfg.Beta + (1-p.cfg.Beta)*frac
 }
 
-// Sample implements Replay using stratified proportional sampling: the total
-// priority mass is divided into n equal segments and one sample is drawn
-// uniformly within each, which lowers sample variance versus independent
-// draws.
-func (p *PrioritizedReplay) Sample(rng *mathx.RNG, n int) ([]Transition, []int, []float64) {
-	trs := make([]Transition, n)
-	handles := make([]int, n)
-	ws := make([]float64, n)
-	if p.SampleInto(rng, trs, handles, ws) == 0 {
-		return nil, nil, nil
-	}
-	return trs, handles, ws
-}
-
-// SampleInto implements Replay without allocating, using the same
-// stratified draws (and the same RNG stream) as Sample.
+// SampleInto implements Replay using stratified proportional sampling: the
+// total priority mass is divided into n = len(trs) equal segments and one
+// sample is drawn uniformly within each, which lowers sample variance
+// versus independent draws.
 //
 //uerl:hotpath
 func (p *PrioritizedReplay) SampleInto(rng *mathx.RNG, trs []Transition, handles []int, ws []float64) int {

@@ -70,7 +70,7 @@ func TestPERWeightsBounded(t *testing.T) {
 		}
 		p.UpdatePriorities(handles, vals)
 		rng := mathx.NewRNG(7)
-		_, _, ws := p.Sample(rng, 4)
+		_, _, ws := sample(p, rng, 4)
 		for _, w := range ws {
 			if !(w > 0 && w <= 1+1e-9) {
 				return false

@@ -1,10 +1,6 @@
 package rl
 
-import (
-	"slices"
-
-	"repro/internal/nn"
-)
+import "repro/internal/nn"
 
 // SharedQPolicy is a concurrency-safe greedy policy over a frozen network
 // (Agent.SnapshotPolicy returns one). Unlike a greedy closure owning a
@@ -15,7 +11,7 @@ import (
 //
 // Concurrency contract:
 //
-//   - QValues / QValuesInto / Action may be called from any number of
+//   - QValuesInto / Action may be called from any number of
 //     goroutines simultaneously, without external locking; each call
 //     keeps its activations in a stack array and allocates nothing. A
 //     network with a layer wider than the stack bound (256 units, the
@@ -43,15 +39,6 @@ func NewSharedQPolicy(net *nn.Network) *SharedQPolicy {
 
 // Net exposes the wrapped network (for serialization and inspection).
 func (p *SharedQPolicy) Net() *nn.Network { return p.net }
-
-// QValues appends the Q-values for state to out and returns the extended
-// slice. Safe for concurrent use.
-func (p *SharedQPolicy) QValues(out, state []float64) []float64 {
-	n, k := len(out), p.net.Config().Outputs
-	out = slices.Grow(out, k)[:n+k]
-	p.inf.QValuesInto(out[n:], state)
-	return out
-}
 
 // QValuesInto writes the Q-values for state into dst (len >= the network's
 // output count) without allocating. Safe for concurrent use.

@@ -32,14 +32,11 @@ type Replay interface {
 	Add(tr Transition)
 	// Len reports how many transitions are stored.
 	Len() int
-	// Sample draws n transitions. It returns the transitions, their buffer
-	// handles (for UpdatePriorities), and importance-sampling weights
-	// normalized to max 1.
-	Sample(rng *mathx.RNG, n int) ([]Transition, []int, []float64)
-	// SampleInto is the allocation-free form of Sample: it fills the
-	// caller-owned slices (all len(trs) long) and returns the number of
-	// transitions written (0 when the buffer is empty). It consumes the
-	// same RNG stream as Sample.
+	// SampleInto draws len(trs) transitions without allocating: it fills
+	// the caller-owned slices (all len(trs) long) with the transitions,
+	// their buffer handles (for UpdatePriorities) and importance-sampling
+	// weights normalized to max 1, and returns the number of transitions
+	// written (0 when the buffer is empty).
 	SampleInto(rng *mathx.RNG, trs []Transition, handles []int, ws []float64) int
 	// UpdatePriorities sets new priorities (typically |TD error|) for the
 	// sampled handles. Uniform buffers ignore it.
@@ -171,18 +168,7 @@ func (u *UniformReplay) Len() int {
 	return u.next
 }
 
-// Sample implements Replay. All importance weights are 1.
-func (u *UniformReplay) Sample(rng *mathx.RNG, n int) ([]Transition, []int, []float64) {
-	trs := make([]Transition, n)
-	handles := make([]int, n)
-	ws := make([]float64, n)
-	if u.SampleInto(rng, trs, handles, ws) == 0 {
-		return nil, nil, nil
-	}
-	return trs, handles, ws
-}
-
-// SampleInto implements Replay without allocating.
+// SampleInto implements Replay. All importance weights are 1.
 //
 //uerl:hotpath
 func (u *UniformReplay) SampleInto(rng *mathx.RNG, trs []Transition, handles []int, ws []float64) int {

@@ -11,6 +11,16 @@ func tr(r float64) Transition {
 	return Transition{S: []float64{r}, A: 0, R: r, NextS: []float64{r}, Done: true}
 }
 
+// sample draws n transitions from r through SampleInto; nil slices when r
+// is empty.
+func sample(r Replay, rng *mathx.RNG, n int) ([]Transition, []int, []float64) {
+	trs, handles, ws := make([]Transition, n), make([]int, n), make([]float64, n)
+	if r.SampleInto(rng, trs, handles, ws) == 0 {
+		return nil, nil, nil
+	}
+	return trs, handles, ws
+}
+
 func TestUniformReplayRing(t *testing.T) {
 	u := NewUniformReplay(3)
 	if u.Len() != 0 {
@@ -26,7 +36,7 @@ func TestUniformReplayRing(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	seen := map[float64]bool{}
 	for i := 0; i < 200; i++ {
-		trs, _, ws := u.Sample(rng, 1)
+		trs, _, ws := sample(u, rng, 1)
 		seen[trs[0].R] = true
 		if ws[0] != 1 {
 			t.Fatal("uniform weights must be 1")
@@ -46,7 +56,7 @@ func TestUniformReplayRing(t *testing.T) {
 
 func TestUniformReplayEmptySample(t *testing.T) {
 	u := NewUniformReplay(3)
-	trs, _, _ := u.Sample(mathx.NewRNG(1), 4)
+	trs, _, _ := sample(u, mathx.NewRNG(1), 4)
 	if trs != nil {
 		t.Fatal("empty buffer should return nil")
 	}
@@ -84,7 +94,7 @@ func TestPERPrioritySkewsSampling(t *testing.T) {
 	rng := mathx.NewRNG(2)
 	counts := map[float64]int{}
 	for i := 0; i < 2000; i++ {
-		trs, _, _ := p.Sample(rng, 2)
+		trs, _, _ := sample(p, rng, 2)
 		for _, x := range trs {
 			counts[x.R]++
 		}
@@ -103,7 +113,7 @@ func TestPERImportanceWeightsNormalized(t *testing.T) {
 		[]float64{1, 2, 3, 4, 5, 6, 7, 8})
 	rng := mathx.NewRNG(3)
 	for i := 0; i < 50; i++ {
-		_, _, ws := p.Sample(rng, 4)
+		_, _, ws := sample(p, rng, 4)
 		maxW := 0.0
 		for _, w := range ws {
 			if w <= 0 || w > 1+1e-9 {
@@ -129,7 +139,7 @@ func TestPERBetaAnneals(t *testing.T) {
 	}
 	rng := mathx.NewRNG(4)
 	for i := 0; i < 20; i++ {
-		p.Sample(rng, 2)
+		sample(p, rng, 2)
 	}
 	if got := p.beta(); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("annealed beta %v, want 1", got)
@@ -145,7 +155,7 @@ func TestPERHandlesOutOfRangeUpdate(t *testing.T) {
 
 func TestPERSampleEmpty(t *testing.T) {
 	p := NewPrioritizedReplay(PERConfig{Capacity: 4})
-	trs, _, _ := p.Sample(mathx.NewRNG(1), 2)
+	trs, _, _ := sample(p, mathx.NewRNG(1), 2)
 	if trs != nil {
 		t.Fatal("empty PER should return nil")
 	}
@@ -161,7 +171,7 @@ func TestPERWrapAroundOverwrites(t *testing.T) {
 	}
 	rng := mathx.NewRNG(5)
 	for i := 0; i < 100; i++ {
-		trs, _, _ := p.Sample(rng, 1)
+		trs, _, _ := sample(p, rng, 1)
 		if trs[0].R == 1 {
 			t.Fatal("overwritten transition sampled")
 		}
@@ -179,7 +189,7 @@ func TestAddCopiesStateVectors(t *testing.T) {
 	} {
 		r.Add(Transition{S: s, NextS: next, A: 1, R: 1})
 		s[0], next[0] = 99, 99
-		trs, _, _ := r.Sample(mathx.NewRNG(1), 1)
+		trs, _, _ := sample(r, mathx.NewRNG(1), 1)
 		if trs[0].S[0] != 1 || trs[0].NextS[0] != 4 {
 			t.Fatalf("%s: stored transition aliases caller buffers: S[0]=%v NextS[0]=%v",
 				name, trs[0].S[0], trs[0].NextS[0])

@@ -118,10 +118,12 @@ func TestGenerateSignalBeforeSignaledUEs(t *testing.T) {
 	cfg := Default().Scale(0.3)
 	l := Generate(cfg)
 	reduced := errlog.ReduceUEBursts(l, errlog.UEBurstWindow)
-	byNode := reduced.ByNode()
+	byNode := map[int][]errlog.Event{}
+	for _, e := range reduced.Events {
+		byNode[e.Node] = append(byNode[e.Node], e)
+	}
 	withSignal, without := 0, 0
-	for node, events := range byNode {
-		_ = node
+	for _, events := range byNode {
 		var lastEvent time.Time
 		seenAny := false
 		for _, e := range events {

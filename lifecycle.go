@@ -327,14 +327,6 @@ func (l *OnlineLearner) threeCallTick(e Event, potentialCostNodeHours float64) D
 	return d
 }
 
-// Controller returns the served controller when the serving layer is a
-// single-process *Controller; nil under a distributed serving layer (use
-// Serving for the general handle).
-func (l *OnlineLearner) Controller() *Controller {
-	ctl, _ := l.serving.(*Controller)
-	return ctl
-}
-
 // Serving returns the serving layer the learner drives.
 func (l *OnlineLearner) Serving() Serving { return l.serving }
 
@@ -350,13 +342,6 @@ func (l *OnlineLearner) Process(e Event) {
 		return
 	}
 	l.processDecision(e)
-}
-
-// ProcessBatch ingests a time-ordered event batch.
-func (l *OnlineLearner) ProcessBatch(events []Event) {
-	for _, e := range events {
-		l.Process(e)
-	}
 }
 
 // processUE folds a realized UE into the pending reward, the feature
@@ -703,13 +688,6 @@ func (l *OnlineLearner) Events() []LifecycleEvent { return l.log.since(0) }
 // the incremental form of Events for live tailing. Out-of-range n
 // returns nil.
 func (l *OnlineLearner) EventsSince(n int) []LifecycleEvent { return l.log.since(n) }
-
-// Generation reports the current model generation (promotions so far).
-func (l *OnlineLearner) Generation() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.generation
-}
 
 // Stats summarizes the learner's activity.
 func (l *OnlineLearner) Stats() LearnerStats {

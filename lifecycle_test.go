@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// processAll feeds a time-ordered event batch through l.Process.
+func processAll(l *OnlineLearner, events []Event) {
+	for _, e := range events {
+		l.Process(e)
+	}
+}
+
 // driftingTelemetry builds a deterministic telemetry stream whose CE rate
 // steps up sharply mid-stream (a fleet-wide fault-mode change), with a
 // few realized UEs sprinkled into the degraded phase.
@@ -55,7 +62,7 @@ func newTestLearner() *OnlineLearner {
 // traffic proceeds unblocked (run under -race in CI).
 func TestLifecycleEndToEnd(t *testing.T) {
 	learner := newTestLearner()
-	ctl := learner.Controller()
+	ctl := learner.serving.(*Controller)
 	initialVersion := ctl.Policy().Version()
 	stream := driftingTelemetry(8, 600, 800)
 
@@ -79,7 +86,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 		}(w)
 	}
 
-	learner.ProcessBatch(stream)
+	processAll(learner, stream)
 	wg.Wait()
 
 	stats := learner.Stats()
@@ -153,7 +160,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 func TestLifecycleDeterministic(t *testing.T) {
 	run := func() ([]LifecycleEvent, LearnerStats) {
 		learner := newTestLearner()
-		learner.ProcessBatch(driftingTelemetry(8, 600, 800))
+		processAll(learner, driftingTelemetry(8, 600, 800))
 		return learner.Events(), learner.Stats()
 	}
 	ev1, st1 := run()
@@ -173,9 +180,9 @@ func TestLifecycleDeterministic(t *testing.T) {
 // retrain, or swap anything.
 func TestLifecycleQuietStreamNoChurn(t *testing.T) {
 	learner := newTestLearner()
-	ctl := learner.Controller()
+	ctl := learner.serving.(*Controller)
 	before := ctl.Policy().Version()
-	learner.ProcessBatch(driftingTelemetry(8, 1200, 0))
+	processAll(learner, driftingTelemetry(8, 1200, 0))
 	if events := learner.Events(); len(events) != 0 {
 		t.Fatalf("stationary stream produced lifecycle events: %+v", events)
 	}
@@ -226,7 +233,7 @@ func TestLearnerResolvesFusedTick(t *testing.T) {
 	split := &countingServing{ctl: NewController(AlwaysPolicy())}
 	fused := &tickingServing{countingServing{ctl: NewController(AlwaysPolicy())}}
 	for _, s := range []Serving{split, fused} {
-		NewServingLearner(s, WithLearnerSeed(1)).ProcessBatch(evs)
+		processAll(NewServingLearner(s, WithLearnerSeed(1)), evs)
 	}
 	n := len(evs)
 	if split.observe != n || split.recommend != n || split.accounted != n || split.ticks != 0 {

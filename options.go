@@ -316,10 +316,10 @@ func WithGuardMitigationCost(nodeMinutes float64) GuardOption {
 	return func(c *guardConfig) { c.mitigationCostNodeMinutes = nodeMinutes }
 }
 
-// WithGuardRestartable selects whether mitigation establishes a restart
-// point for probation accounting (default true). It must equal the
-// learner's WithLearnerRestartable: NewOnlineLearner panics on a mismatch
-// under WithGuard.
+// WithGuardRestartable records whether mitigation establishes a restart
+// point (default true). The guard itself never reads it; it only has to
+// equal the learner's WithLearnerRestartable, which NewServingLearner
+// checks under WithGuard (a mismatch panics).
 func WithGuardRestartable(restartable bool) GuardOption {
 	return func(c *guardConfig) { c.restartable = restartable }
 }

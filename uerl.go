@@ -188,9 +188,6 @@ func (s *System) trainedSplit() evalx.SingleSplit {
 // trainFrac is the single-split train/test boundary (§4.1).
 const trainFrac = 0.75
 
-// World exposes the underlying experiment world for advanced use.
-func (s *System) World() *experiments.World { return s.world }
-
 // LogStats summarizes the synthetic error log against the paper's §2.1
 // aggregate counts.
 func (s *System) LogStats() telemetry.Stats {

@@ -141,7 +141,7 @@ func TestSystemSharesWorldArtifacts(t *testing.T) {
 	if !ok {
 		t.Fatalf("TrainPolicy(%s) returned %T", PolicySC20RF, p)
 	}
-	w := s.World()
+	w := s.world
 	split := evalx.TrainSingleSplit(w.Log, w.Trace, s.cvConfig(), trainFrac)
 	if split.Forest != rp.d.Forest {
 		t.Fatalf("world fit forest %p is not the policy's forest %p: the system retrained instead of reading the world's cache",
