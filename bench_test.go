@@ -11,12 +11,14 @@ package uerl
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -372,7 +374,7 @@ func benchEvents(n, nodes int, base time.Time) []Event {
 // BenchmarkControllerObserveEvent measures single-event ingestion: shard
 // lookup, lock, tracker update.
 func BenchmarkControllerObserveEvent(b *testing.B) {
-	ctl := NewController(AlwaysPolicy(), WithShards(8))
+	ctl := NewController(AlwaysPolicy())
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	ev := Event{Node: 1, DIMM: 8, Type: CorrectedError, Count: 3, Rank: 0, Bank: 1, Row: 100, Col: 2}
 	b.ReportAllocs()
@@ -388,7 +390,7 @@ func BenchmarkControllerObserveEvent(b *testing.B) {
 // events across 256 nodes (one shard lock per shard per batch instead of
 // one per event); ns/op is per event.
 func BenchmarkControllerObserveBatch(b *testing.B) {
-	ctl := NewController(AlwaysPolicy(), WithShards(8))
+	ctl := NewController(AlwaysPolicy())
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	batch := benchEvents(1024, 256, base)
 	span := batch[len(batch)-1].Time.Sub(batch[0].Time) + time.Second
@@ -408,11 +410,63 @@ func BenchmarkControllerObserveBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/event")
 }
 
+// BenchmarkControllerObserveBesidePollers measures single-event ingestion
+// over 256 nodes beside 1, 2 and 4 goroutines polling Recommend at the
+// newest ingested time on NeverPolicy: the contended write path, where an
+// ingest and a poll meeting on one shard park each other. ns/event is the
+// ingest cost; polls/s is the pollers' combined rate over the same time.
+func BenchmarkControllerObserveBesidePollers(b *testing.B) {
+	for _, pollers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("pollers=%d", pollers), func(b *testing.B) {
+			ctl := NewController(NeverPolicy())
+			base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+			evs := benchEvents(4096, 256, base)
+			if _, err := ctl.ObserveBatch(context.Background(), evs); err != nil {
+				b.Fatal(err)
+			}
+			span := evs[len(evs)-1].Time.Sub(evs[0].Time) + time.Second
+			var newest atomic.Int64
+			newest.Store(evs[len(evs)-1].Time.UnixNano())
+			var stop atomic.Bool
+			var polls atomic.Int64
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for w := 0; w < pollers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					n := 0
+					for ; !stop.Load(); n++ {
+						ctl.Recommend((n*7+w*64)&255, time.Unix(0, newest.Load()), 50)
+					}
+					polls.Add(int64(n))
+				}(w)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			close(start)
+			for i := 0; i < b.N; i++ {
+				e := &evs[i&4095]
+				// Keep per-node timestamps advancing across laps.
+				e.Time = e.Time.Add(span)
+				ctl.ObserveEvent(*e)
+				newest.Store(e.Time.UnixNano())
+			}
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			b.ReportMetric(float64(polls.Load())/b.Elapsed().Seconds(), "polls/s")
+		})
+	}
+}
+
 // BenchmarkControllerRecommendParallel measures side-effect-free query
 // throughput with goroutines hammering one controller across shards, the
 // fleet-polling hot path (Q-network forward included).
 func BenchmarkControllerRecommendParallel(b *testing.B) {
-	ctl := NewController(servingPolicy(b), WithShards(8))
+	ctl := NewController(servingPolicy(b))
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	if _, err := ctl.ObserveBatch(context.Background(), benchEvents(4096, 256, base)); err != nil {
 		b.Fatal(err)
@@ -437,7 +491,7 @@ func BenchmarkControllerRecommendParallel(b *testing.B) {
 // BenchmarkControllerRecommendSerial is the single-caller baseline for the
 // parallel bench above.
 func BenchmarkControllerRecommendSerial(b *testing.B) {
-	ctl := NewController(servingPolicy(b), WithShards(8))
+	ctl := NewController(servingPolicy(b))
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	if _, err := ctl.ObserveBatch(context.Background(), benchEvents(4096, 256, base)); err != nil {
 		b.Fatal(err)
@@ -455,7 +509,7 @@ func BenchmarkControllerRecommendSerial(b *testing.B) {
 // decision (Q-network forward included) and the attached guard's charge,
 // in one shard-lock hold.
 func BenchmarkControllerTick(b *testing.B) {
-	ctl := NewController(servingPolicy(b), WithShards(8))
+	ctl := NewController(servingPolicy(b))
 	NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour))
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	evs := benchEvents(4096, 256, base)
@@ -596,7 +650,7 @@ func BenchmarkLearnerProcess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl := NewController(p, WithShards(8))
+	ctl := NewController(p)
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour))
 	l := NewOnlineLearner(ctl, WithGuard(g), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)),
 		WithDriftDetection(math.MaxFloat64, 512), WithExperienceCapacity(2048))

@@ -2,6 +2,7 @@ package uerl
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,10 +82,11 @@ type ctlShard struct {
 // answers mitigation queries with full Decisions from a pluggable Policy.
 //
 // The controller is safe for concurrent use. Node state is partitioned
-// across shards (WithShards); events for different nodes proceed in
-// parallel, and Recommend takes only a read lock, so a fleet poller never
-// blocks ingestion. Events must arrive in non-decreasing time order per
-// node; different nodes are independent.
+// across shardCount shards; events for different nodes proceed in
+// parallel, and Recommend takes only its node's shard read lock, so a
+// poller waits on ingestion only when both meet on one shard. Events must
+// arrive in non-decreasing time order per node; different nodes are
+// independent.
 //
 // The serving policy is held behind an atomic pointer: SwapPolicy
 // installs a retrained model with a single pointer swap, so hot-swapping
@@ -111,18 +113,39 @@ type Controller struct {
 	batchPool sync.Pool
 }
 
+// shardsPerP is the shard count per GOMAXPROCS. A call meets another
+// caller on its shard about once in shards/(callers-1) calls, and on a
+// meeting the RWMutex parks the waiter instead of spinning, so the count
+// is sized to make meetings rare. README's "Shards sized so a poll rarely
+// parks the ingester" has the measured curve.
+const shardsPerP = 128
+
+// maxShards caps the shard count. Contention depends on how often two
+// callers meet on a shard, not on the core count: past 1024 shards a
+// meeting is already rare for any plausible number of concurrent callers,
+// and each further shard costs only heap (its lock and map) and one bucket
+// that ObserveBatch walks per batch.
+const maxShards = 1024
+
+// shardCount is the shard count at procs Ps: shardsPerP per P, rounded up
+// to a power of two and capped at maxShards.
+func shardCount(procs int) int {
+	n := min(shardsPerP*procs, maxShards)
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
 // NewController builds a serving controller around a policy. Any Policy
 // works — the trained RL agent, a §4.2 baseline, a LoadModel artifact, or
 // a custom implementation (which must be safe for concurrent use).
-func NewController(policy Policy, opts ...ControllerOption) *Controller {
-	cfg := defaultControllerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+func NewController(policy Policy) *Controller {
 	if policy == nil {
 		panic("uerl: NewController with nil policy")
 	}
-	n := ceilPow2(cfg.shards)
+	n := shardCount(runtime.GOMAXPROCS(0))
 	c := &Controller{
 		shards: make([]*ctlShard, n),
 		mask:   uint64(n - 1),

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,7 +106,7 @@ func TestObserveBatch(t *testing.T) {
 		batch = append(batch, degradingEvents(node, base, 10)...)
 	}
 
-	batched := NewController(AlwaysPolicy(), WithShards(4))
+	batched := NewController(AlwaysPolicy())
 	n, err := batched.ObserveBatch(context.Background(), batch)
 	if err != nil || n != len(batch) {
 		t.Fatalf("ObserveBatch = %d, %v; want %d, nil", n, err, len(batch))
@@ -114,7 +116,7 @@ func TestObserveBatch(t *testing.T) {
 	}
 
 	// Batch ingestion must land in the same state as one-by-one ingestion.
-	single := NewController(AlwaysPolicy(), WithShards(4))
+	single := NewController(AlwaysPolicy())
 	for _, ev := range batch {
 		single.ObserveEvent(ev)
 	}
@@ -148,14 +150,19 @@ func TestObserveBatchCancelled(t *testing.T) {
 	}
 }
 
-func TestWithShardsRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16}, {1 << 20, maxShards},
+// The shard count is shardsPerP per P, rounded up to a power of two and
+// capped at maxShards, and NewController sizes itself by GOMAXPROCS.
+func TestShardCountDerivation(t *testing.T) {
+	for _, tc := range []struct{ procs, want int }{
+		{1, 128}, {2, 256}, {3, 512}, {8, 1024}, {64, 1024},
 	} {
-		ctl := NewController(AlwaysPolicy(), WithShards(tc.in))
-		if got := len(ctl.shards); got != tc.want {
-			t.Fatalf("WithShards(%d) -> %d shards, want %d", tc.in, got, tc.want)
+		if got := shardCount(tc.procs); got != tc.want {
+			t.Fatalf("shardCount(%d) = %d, want %d", tc.procs, got, tc.want)
 		}
+	}
+	ctl := NewController(AlwaysPolicy())
+	if got, want := len(ctl.shards), shardCount(runtime.GOMAXPROCS(0)); got != want {
+		t.Fatalf("NewController built %d shards, want %d", got, want)
 	}
 }
 
@@ -163,7 +170,7 @@ func TestWithShardsRounding(t *testing.T) {
 // mixed single/batch ingestion, recommendations and forgets across
 // overlapping nodes — and is meant to run under -race (as CI does).
 func TestControllerConcurrency(t *testing.T) {
-	ctl := NewController(testRLPolicy(t), WithShards(8))
+	ctl := NewController(testRLPolicy(t))
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 
 	const workers = 8
@@ -206,12 +213,72 @@ func TestControllerConcurrency(t *testing.T) {
 	}
 }
 
+// TestControllerReadsArePrefixConsistent polls one node's Features and
+// Recommend while another goroutine ingests the node's stream. Every read
+// must equal a twin controller's answer after some prefix of the stream,
+// and no read may map to an earlier prefix than the read before it: a
+// reader sees whole events, in order, never a torn or rolled-back state.
+func TestControllerReadsArePrefixConsistent(t *testing.T) {
+	const node, cost = 3, 40.0
+	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	stream := degradingEvents(node, base, 300)
+	at := stream[len(stream)-1].Time.Add(time.Hour)
+	policy := testRLPolicy(t)
+
+	// feats[k] and decs[k] are the twin's answers after the first k events.
+	twin := NewController(policy)
+	feats := make([][FeatureDim]float64, len(stream)+1)
+	decs := make([]Decision, len(stream)+1)
+	for k := 0; ; k++ {
+		feats[k] = twin.Features(node, at, cost)
+		decs[k] = twin.Recommend(node, at, cost)
+		if k == len(stream) {
+			break
+		}
+		twin.ObserveEvent(stream[k])
+	}
+
+	ctl := NewController(policy)
+	var done atomic.Bool
+	go func() {
+		for _, ev := range stream {
+			ctl.ObserveEvent(ev)
+			runtime.Gosched() // interleave with the poller at GOMAXPROCS 1 too
+		}
+		done.Store(true)
+	}()
+	// prefix is the earliest prefix every read so far is consistent with;
+	// each read advances it to the first matching prefix at or after it.
+	prefix, reads := 0, 0
+	advance := func(what string, match func(k int) bool) {
+		reads++
+		for k := prefix; k < len(feats); k++ {
+			if match(k) {
+				prefix = k
+				return
+			}
+		}
+		t.Fatalf("%s read %d matches no prefix at or after %d", what, reads, prefix)
+	}
+	for finished := false; !finished; {
+		finished = done.Load()
+		f := ctl.Features(node, at, cost)
+		advance("Features", func(k int) bool { return f == feats[k] })
+		d := ctl.Recommend(node, at, cost)
+		advance("Recommend", func(k int) bool { return d == decs[k] })
+		runtime.Gosched()
+	}
+	if prefix != len(stream) {
+		t.Fatalf("final read maps to prefix %d, want the whole stream (%d)", prefix, len(stream))
+	}
+}
+
 // TestSwapPolicyPreservesTrackerState is the regression test for the old
 // immutable-policy Controller: installing a retrained model used to mean
 // rebuilding the whole controller, losing every node's accumulated
 // feature history. SwapPolicy must change only the policy.
 func TestSwapPolicyPreservesTrackerState(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(4))
+	ctl := NewController(AlwaysPolicy())
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	for node := 0; node < 8; node++ {
 		for _, ev := range degradingEvents(node, base, 50) {
@@ -257,7 +324,7 @@ func TestSwapPolicyPreservesTrackerState(t *testing.T) {
 // policy's action with the other's identity. Meant for -race.
 func TestSwapPolicyConcurrent(t *testing.T) {
 	always, never := AlwaysPolicy(), NeverPolicy()
-	ctl := NewController(always, WithShards(4))
+	ctl := NewController(always)
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	for _, ev := range degradingEvents(1, base, 20) {
 		ctl.ObserveEvent(ev)
@@ -324,7 +391,7 @@ func TestServingPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool allocate")
 	}
-	ctl := NewController(testRLPolicy(t), WithShards(8))
+	ctl := NewController(testRLPolicy(t))
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	for _, ev := range degradingEvents(1, base, 256) {
 		ctl.ObserveEvent(ev)
@@ -388,7 +455,7 @@ func TestServingPathZeroAlloc(t *testing.T) {
 	// A guarded learner's decision tick, over a steady-state window that
 	// holds no lifecycle event: serving, experience, drift and shadow-free
 	// bookkeeping allocate nothing.
-	lctl := NewController(testRLPolicy(t), WithShards(8))
+	lctl := NewController(testRLPolicy(t))
 	lg := NewGuard(lctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
 	l := NewOnlineLearner(lctl, WithGuard(lg), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)))
 	for node := 0; node < 4; node++ {
@@ -439,7 +506,7 @@ func tickParityStream() []Event {
 func TestControllerTickParity(t *testing.T) {
 	stream := tickParityStream()
 	for _, p := range []Policy{AlwaysPolicy(), testRLPolicy(t)} {
-		fused, split := NewController(p, WithShards(2)), NewController(p, WithShards(2))
+		fused, split := NewController(p), NewController(p)
 		budget := WithNodeCheckpointBudget(0.1, time.Hour)
 		gf, gs := NewGuard(fused, budget, WithProbation(0, 0)), NewGuard(split, budget, WithProbation(0, 0))
 		kinds := map[EventType]int{}
@@ -490,7 +557,7 @@ func TestObserveBatchSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool allocate")
 	}
-	ctl := NewController(AlwaysPolicy(), WithShards(8))
+	ctl := NewController(AlwaysPolicy())
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	batch := benchEvents(1024, 256, base)
 	span := batch[len(batch)-1].Time.Sub(batch[0].Time) + time.Second
@@ -546,7 +613,7 @@ func mitigatingRLPolicy(t testing.TB) *rlPolicy {
 func TestTickLeavesNormalizedInput(t *testing.T) {
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	rlp := mitigatingRLPolicy(t)
-	ctl := NewController(rlp, WithShards(4))
+	ctl := NewController(rlp)
 	NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
 	ce := func(at time.Duration, count int) Event {
 		return Event{Time: base.Add(at), Node: 1, DIMM: 8, Type: CorrectedError, Count: count, Rank: 0, Bank: 1, Row: 100, Col: 2}

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("model artifact: kind=%s version=%s\n", policy.Kind(), policy.Version())
 
 	fmt.Println("\n== live controller demo ==")
-	ctl := uerl.NewController(policy, uerl.WithShards(8))
+	ctl := uerl.NewController(policy)
 
 	now := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	// Node 7 is healthy; node 8 shows an escalating corrected-error storm

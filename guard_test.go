@@ -94,7 +94,7 @@ func regressiveCandidateHook(t testing.TB) func(Policy) Policy {
 // a UE-free window, a never-mitigate candidate wins shadow on spend
 // alone.
 func newGuardedLearner(t testing.TB, gopts []GuardOption, extra ...LearnerOption) (*OnlineLearner, *Guard) {
-	ctl := NewController(AlwaysPolicy(), WithShards(4))
+	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, gopts...)
 	opts := []LearnerOption{
 		WithGuard(g),
@@ -131,7 +131,7 @@ func findEvent(evs []LifecycleEvent, kind LifecycleEventKind) (LifecycleEvent, b
 // (never block or error), audit the trip exactly once per crossing, and
 // let mitigation resume when the window slides.
 func TestGuardNodeBudgetVetoAndRecovery(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl,
 		// 0.1 node-hours per hour at 2 node-minutes per mitigation: the
 		// budget admits exactly 3 mitigations per window.
@@ -187,7 +187,7 @@ func TestGuardNodeBudgetVetoAndRecovery(t *testing.T) {
 
 // The fleet-wide mitigation-rate budget vetoes across nodes.
 func TestGuardFleetBudgetVeto(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithFleetMitigationBudget(2, time.Hour), WithProbation(0, 0))
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
@@ -208,7 +208,7 @@ func TestGuardFleetBudgetVeto(t *testing.T) {
 // per tripped budget, and further vetoes or mitigations record nothing.
 // Every Kind, Score and Detail is pinned.
 func TestGuardBudgetAuditPinned(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	ctl := NewController(AlwaysPolicy())
 	// 0.1 node-hours per hour at 2 node-minutes per mitigation admits 3
 	// mitigations per node; the fleet admits 6.
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour),
@@ -263,8 +263,8 @@ func TestGuardBudgetAuditPinned(t *testing.T) {
 // the controller's zero-alloc hot-path contract survives guarding.
 func TestGuardRecommendNoAllocs(t *testing.T) {
 	at := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
-	base := NewController(AlwaysPolicy(), WithShards(2))
-	guarded := NewController(AlwaysPolicy(), WithShards(2))
+	base := NewController(AlwaysPolicy())
+	guarded := NewController(AlwaysPolicy())
 	g := NewGuard(guarded, WithNodeCheckpointBudget(1e-9, time.Hour), WithProbation(0, 0))
 	base.Recommend(0, at, 50)
 	guarded.Recommend(0, at, 50) // warm-up: creates the node's budget window
@@ -643,7 +643,7 @@ func TestGuardWiringPanics(t *testing.T) {
 // probation regression with no retained ancestor keeps serving and
 // audits the abort instead of panicking.
 func TestGuardRollbackWithoutLineageAudits(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithProbation(1<<20, 5))
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 	base := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
@@ -680,7 +680,7 @@ func (refusingDeploy) DeployPolicy(Policy) (Policy, error) {
 // model serving and audits the abort with the refusal, like a rollback
 // with no retained ancestor.
 func TestGuardRollbackDeployRefusedAudits(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithProbation(1<<20, 5))
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 	l.serving = refusingDeploy{ctl}
@@ -715,7 +715,7 @@ func TestGuardRollbackDeployRefusedAudits(t *testing.T) {
 // it even without WithGuard. The guard keeps its own audit log: without
 // WithGuard the learner neither shares it nor reports guard stats.
 func TestGuardChargedByTickWithoutWithGuard(t *testing.T) {
-	ctl := NewController(AlwaysPolicy(), WithShards(2))
+	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
 	l := NewOnlineLearner(ctl, WithDriftDetection(1e9, 128))
 	processAll(l, ceStream(1, [2]int{10, 1}))

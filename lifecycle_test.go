@@ -44,7 +44,7 @@ func driftingTelemetry(nodes, phase1, phase2 int) []Event {
 // fleet warrants mitigation. The shadow gate requires one realized UE,
 // so promotions are judged on outcome evidence, not mitigation spend.
 func newTestLearner() *OnlineLearner {
-	ctl := NewController(NeverPolicy(), WithShards(4))
+	ctl := NewController(NeverPolicy())
 	return NewOnlineLearner(ctl,
 		WithLearnerSeed(5),
 		WithCostSource(ConstantCost(100)),

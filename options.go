@@ -1,7 +1,6 @@
 package uerl
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/guard"
@@ -49,30 +48,6 @@ func WithMitigationCost(nodeMinutes float64) SystemOption {
 // WithRestartable selects whether mitigation establishes a restart point.
 func WithRestartable(restartable bool) SystemOption {
 	return func(c *Config) { c.Restartable = restartable }
-}
-
-// controllerConfig collects NewController options.
-type controllerConfig struct {
-	shards int
-}
-
-// ControllerOption configures NewController.
-type ControllerOption func(*controllerConfig)
-
-// maxShards bounds the shard count; beyond this, shard maps outnumber any
-// plausible core count without improving contention.
-const maxShards = 1024
-
-// WithShards sets the number of tracker shards (rounded up to a power of
-// two, capped at 1024). More shards means less lock contention between
-// nodes hashed together; the default scales with GOMAXPROCS.
-func WithShards(n int) ControllerOption {
-	return func(c *controllerConfig) { c.shards = n }
-}
-
-// defaultControllerConfig seeds the option struct.
-func defaultControllerConfig() controllerConfig {
-	return controllerConfig{shards: 2 * runtime.GOMAXPROCS(0)}
 }
 
 // learnerConfig collects NewOnlineLearner options.
@@ -335,19 +310,4 @@ func defaultGuardConfig() guardConfig {
 		probationDecisions:        256,
 		probationToleranceNH:      5,
 	}
-}
-
-// ceilPow2 rounds n up to the next power of two, clamped to [1, maxShards].
-func ceilPow2(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

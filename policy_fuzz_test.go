@@ -128,7 +128,7 @@ func FuzzRLDecision(f *testing.F) {
 			t.Fatal(err)
 		}
 		replay := &policies.RL{Policy: rl.NewSharedQPolicy(net)}
-		ctl := NewController(p, WithShards(2))
+		ctl := NewController(p)
 
 		var v features.Vector
 		for i := 0; i < features.PredictorDim && 8*(i+1) <= len(raw); i++ {

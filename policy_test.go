@@ -46,7 +46,7 @@ func TestTrainServeEvaluateAllKinds(t *testing.T) {
 		}
 
 		// Serve it: ingest a degradation storm and query.
-		ctl := NewController(p, WithShards(2))
+		ctl := NewController(p)
 		for _, ev := range degradingEvents(3, base, 30) {
 			ctl.ObserveEvent(ev)
 		}

@@ -29,7 +29,7 @@
 //	policy, _ := sys.TrainPolicy(uerl.PolicyRL)
 //	_ = uerl.SaveModelFile("model.json", policy)
 //
-//	ctl := uerl.NewController(policy, uerl.WithShards(8))
+//	ctl := uerl.NewController(policy)
 //	ctl.ObserveBatch(ctx, events)               // concurrent ingestion
 //	d := ctl.Recommend(node, now, potentialNH)  // side-effect-free query
 //	// d.Action, d.Score, d.QValues, d.Features, d.ModelVersion
