@@ -514,11 +514,13 @@ func BenchmarkControllerTick(b *testing.B) {
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	evs := benchEvents(4096, 256, base)
 	span := evs[len(evs)-1].Time.Sub(evs[0].Time) + time.Second
+	var d Decision
+	var norm [FeatureDim]float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := &evs[i&4095]
-		ctl.Tick(*e, float64(i&8191))
+		ctl.TickInto(&d, *e, float64(i&8191), &norm)
 		// Keep per-node timestamps advancing across laps of the stream.
 		e.Time = e.Time.Add(span)
 	}
@@ -652,7 +654,7 @@ func BenchmarkLearnerProcess(b *testing.B) {
 	}
 	ctl := NewController(p)
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour))
-	l := NewOnlineLearner(ctl, WithGuard(g), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)),
+	l := NewServingLearner(ctl, WithGuard(g), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)),
 		WithDriftDetection(math.MaxFloat64, 512), WithExperienceCapacity(2048))
 	evs := driftingTelemetry(64, 512, 512)
 	span := evs[len(evs)-1].Time.Sub(evs[0].Time) + 30*time.Second

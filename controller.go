@@ -221,15 +221,6 @@ func (sh *ctlShard) observe(e Event, cost float64, v *features.Vector) {
 	tr.Observe(errlog.Tick{Time: e.Time, Node: e.Node, Events: sh.evBuf[:]}, cost, v)
 }
 
-// Tick is TickInto returning the decision.
-//
-//uerl:hotpath
-func (c *Controller) Tick(e Event, potentialCostNodeHours float64) (d Decision) {
-	var norm [FeatureDim]float64
-	c.TickInto(&d, e, potentialCostNodeHours, &norm)
-	return d
-}
-
 // TickInto is one decision tick in one call, filling d: ObserveEvent(e),
 // then Recommend(e.Node, e.Time, potentialCostNodeHours), then the
 // attached guard's ObserveDecision of the answer — with the same results,
@@ -403,16 +394,6 @@ func (c *Controller) attachGuard(g *Guard) {
 	if !c.guard.CompareAndSwap(nil, g) {
 		panic("uerl: controller already has a guard attached")
 	}
-}
-
-// Features returns the node's raw Table 1 feature vector as it would be
-// reported at time at with the given potential UE cost — the same
-// side-effect-free read Recommend uses, exposed for observability. The
-// result is a value (comparable with ==) and the call does not allocate.
-func (c *Controller) Features(node int, at time.Time, potentialCostNodeHours float64) [FeatureDim]float64 {
-	var v features.Vector
-	c.peek(&v, node, at, potentialCostNodeHours)
-	return v
 }
 
 // Forget drops a node's accumulated state (e.g. after DIMM replacement).

@@ -66,8 +66,8 @@ func TestRecommendSideEffectFree(t *testing.T) {
 	}
 
 	at := base.Add(3 * time.Hour)
-	got := polled.Features(5, at, 42)
-	want := quiet.Features(5, at, 42)
+	got := polled.Recommend(5, at, 42).Features
+	want := quiet.Recommend(5, at, 42).Features
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("feature %d diverged after polling: got %v want %v\n got=%v\nwant=%v",
@@ -122,8 +122,8 @@ func TestObserveBatch(t *testing.T) {
 	}
 	at := base.Add(time.Hour)
 	for node := 0; node < 32; node++ {
-		got := batched.Features(node, at, 1)
-		want := single.Features(node, at, 1)
+		got := batched.Recommend(node, at, 1).Features
+		want := single.Recommend(node, at, 1).Features
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("node %d feature %d: batch %v vs single %v", node, i, got[i], want[i])
@@ -213,8 +213,8 @@ func TestControllerConcurrency(t *testing.T) {
 	}
 }
 
-// TestControllerReadsArePrefixConsistent polls one node's Features and
-// Recommend while another goroutine ingests the node's stream. Every read
+// TestControllerReadsArePrefixConsistent polls one node's Recommend,
+// features included, while another goroutine ingests the node's stream. Every read
 // must equal a twin controller's answer after some prefix of the stream,
 // and no read may map to an earlier prefix than the read before it: a
 // reader sees whole events, in order, never a torn or rolled-back state.
@@ -225,12 +225,10 @@ func TestControllerReadsArePrefixConsistent(t *testing.T) {
 	at := stream[len(stream)-1].Time.Add(time.Hour)
 	policy := testRLPolicy(t)
 
-	// feats[k] and decs[k] are the twin's answers after the first k events.
+	// decs[k] is the twin's answer after the first k events.
 	twin := NewController(policy)
-	feats := make([][FeatureDim]float64, len(stream)+1)
 	decs := make([]Decision, len(stream)+1)
 	for k := 0; ; k++ {
-		feats[k] = twin.Features(node, at, cost)
 		decs[k] = twin.Recommend(node, at, cost)
 		if k == len(stream) {
 			break
@@ -250,22 +248,18 @@ func TestControllerReadsArePrefixConsistent(t *testing.T) {
 	// prefix is the earliest prefix every read so far is consistent with;
 	// each read advances it to the first matching prefix at or after it.
 	prefix, reads := 0, 0
-	advance := func(what string, match func(k int) bool) {
-		reads++
-		for k := prefix; k < len(feats); k++ {
-			if match(k) {
-				prefix = k
-				return
-			}
-		}
-		t.Fatalf("%s read %d matches no prefix at or after %d", what, reads, prefix)
-	}
 	for finished := false; !finished; {
 		finished = done.Load()
-		f := ctl.Features(node, at, cost)
-		advance("Features", func(k int) bool { return f == feats[k] })
 		d := ctl.Recommend(node, at, cost)
-		advance("Recommend", func(k int) bool { return d == decs[k] })
+		reads++
+		k := prefix
+		for k < len(decs) && d != decs[k] {
+			k++
+		}
+		if k == len(decs) {
+			t.Fatalf("Recommend read %d matches no prefix at or after %d", reads, prefix)
+		}
+		prefix = k
 		runtime.Gosched()
 	}
 	if prefix != len(stream) {
@@ -288,7 +282,7 @@ func TestSwapPolicyPreservesTrackerState(t *testing.T) {
 	at := base.Add(2 * time.Hour)
 	var before [8][FeatureDim]float64
 	for node := range before {
-		before[node] = ctl.Features(node, at, 7)
+		before[node] = ctl.Recommend(node, at, 7).Features
 	}
 
 	old := ctl.SwapPolicy(NeverPolicy())
@@ -303,7 +297,7 @@ func TestSwapPolicyPreservesTrackerState(t *testing.T) {
 		t.Fatalf("swap dropped tracker state: %d nodes, want 8", n)
 	}
 	for node := range before {
-		after := ctl.Features(node, at, 7)
+		after := ctl.Recommend(node, at, 7).Features
 		if after != before[node] {
 			t.Fatalf("node %d features changed across swap:\n before=%v\n after=%v", node, before[node], after)
 		}
@@ -435,17 +429,19 @@ func TestServingPathZeroAlloc(t *testing.T) {
 
 	// The fused tick: ingest, decide and guard charge in one call.
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
+	var d Decision
+	var norm [FeatureDim]float64
 	for _, p := range served {
 		ctl.SwapPolicy(p)
 		allocs = testing.AllocsPerRun(200, func() {
 			at = at.Add(time.Second)
 			ev.Time = at
-			if d := ctl.Tick(ev, 4200); d.Node != 1 {
+			if ctl.TickInto(&d, ev, 4200, &norm); d.Node != 1 {
 				t.Fatal("wrong node")
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("Tick under %s allocates %v times per run, want 0", p.Kind(), allocs)
+			t.Fatalf("TickInto under %s allocates %v times per run, want 0", p.Kind(), allocs)
 		}
 	}
 	if g.Stats().SuppressedMitigations == 0 {
@@ -457,7 +453,7 @@ func TestServingPathZeroAlloc(t *testing.T) {
 	// bookkeeping allocate nothing.
 	lctl := NewController(testRLPolicy(t))
 	lg := NewGuard(lctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
-	l := NewOnlineLearner(lctl, WithGuard(lg), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)))
+	l := NewServingLearner(lctl, WithGuard(lg), WithLearnerSeed(1), WithCostSource(ConstantCost(4200)))
 	for node := 0; node < 4; node++ {
 		processAll(l, degradingEvents(node, base, 256))
 	}
@@ -499,7 +495,7 @@ func tickParityStream() []Event {
 	return evs
 }
 
-// TestControllerTickParity: Controller.Tick serves the same decisions —
+// TestControllerTickParity: Controller.TickInto serves the same decisions —
 // vetoes, features, scores and versions bit for bit — and charges the
 // guard exactly as ObserveEvent, Recommend and Guard.ObserveDecision do,
 // so the two controllers end with equal guard stats and audit trails.
@@ -517,12 +513,14 @@ func TestControllerTickParity(t *testing.T) {
 				continue
 			}
 			cost := float64(1 + (i*37)%500)
-			got := fused.Tick(e, cost)
+			var got Decision
+			var norm [FeatureDim]float64
+			fused.TickInto(&got, e, cost, &norm)
 			split.ObserveEvent(e)
 			want := split.Recommend(e.Node, e.Time, cost)
 			gs.ObserveDecision(want)
 			if got != want {
-				t.Fatalf("%s, event %d (%+v): Tick = %+v, three calls = %+v", p.Kind(), i, e, got, want)
+				t.Fatalf("%s, event %d (%+v): TickInto = %+v, three calls = %+v", p.Kind(), i, e, got, want)
 			}
 			kinds[e.Type]++
 			if got.Vetoed {
@@ -536,14 +534,14 @@ func TestControllerTickParity(t *testing.T) {
 			t.Fatal("the always-mitigate stream never vetoed")
 		}
 		if st, want := gf.Stats(), gs.Stats(); !reflect.DeepEqual(st, want) {
-			t.Fatalf("%s: guard stats after Tick %+v, after three calls %+v", p.Kind(), st, want)
+			t.Fatalf("%s: guard stats after TickInto %+v, after three calls %+v", p.Kind(), st, want)
 		}
 		if evs, want := gf.Events(), gs.Events(); !reflect.DeepEqual(evs, want) {
-			t.Fatalf("%s: audit trail after Tick %+v, after three calls %+v", p.Kind(), evs, want)
+			t.Fatalf("%s: audit trail after TickInto %+v, after three calls %+v", p.Kind(), evs, want)
 		}
 		end := stream[len(stream)-1].Time.Add(time.Minute)
 		for node := 0; node < 3; node++ {
-			if fused.Features(node, end, 1) != split.Features(node, end, 1) {
+			if fused.Recommend(node, end, 1).Features != split.Recommend(node, end, 1).Features {
 				t.Fatalf("%s: node %d ends in different feature state", p.Kind(), node)
 			}
 		}

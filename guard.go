@@ -163,7 +163,7 @@ type GuardStats struct {
 // moment it happens. A learner created with WithGuard adopts the guard's
 // audit log, so the learner's drift, retrain, verdict and rollout events
 // and the guard's budget events form one trail in the order they
-// happened. Construct with NewGuard, then pass to NewOnlineLearner via
+// happened. Construct with NewGuard, then pass to NewServingLearner via
 // WithGuard:
 //
 //	ctl := uerl.NewController(policy)
@@ -171,11 +171,11 @@ type GuardStats struct {
 //	    uerl.WithNodeCheckpointBudget(0.5, 24*time.Hour),
 //	    uerl.WithPromotionBudget(4),
 //	    uerl.WithApprovalHook(uerl.ApprovalCallback(time.Minute, pageOperator)))
-//	learner := uerl.NewOnlineLearner(ctl, uerl.WithGuard(g), ...)
+//	learner := uerl.NewServingLearner(ctl, uerl.WithGuard(g), ...)
 //
 // Without a learner, drive the guard from your own event loop: it vetoes
 // through Recommend automatically once attached, but budget accounting
-// needs the served stream — serve decisions through Controller.Tick, or
+// needs the served stream — serve decisions through Controller.TickInto, or
 // call ObserveDecision for every decision served through Recommend.
 //
 // Guard is safe for concurrent use. All times are telemetry time from
@@ -247,13 +247,13 @@ func (g *Guard) allowMitigation(node int, at time.Time) (bool, string) {
 // ObserveDecision accounts one served decision from the authoritative
 // event stream: served mitigations charge the budget windows and vetoed
 // decisions record the budget trip (once per limit crossing).
-// Controller.Tick calls it for every decision tick it serves, so an
+// Controller.TickInto calls it for every decision tick it serves, so an
 // OnlineLearner on the guarded controller charges it for every decision
 // it processes; standalone users call it themselves.
 func (g *Guard) ObserveDecision(d Decision) { g.observeDecision(&d) }
 
 // observeDecision is ObserveDecision on the caller's Decision, so
-// Controller.Tick charges the guard without copying it.
+// Controller.TickInto charges the guard without copying it.
 func (g *Guard) observeDecision(d *Decision) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -106,7 +106,7 @@ func newGuardedLearner(t testing.TB, gopts []GuardOption, extra ...LearnerOption
 		WithExperienceCapacity(4096),
 		withCandidateHook(regressiveCandidateHook(t)),
 	}
-	l := NewOnlineLearner(ctl, append(opts, extra...)...)
+	l := NewServingLearner(ctl, append(opts, extra...)...)
 	return l, g
 }
 
@@ -138,7 +138,7 @@ func TestGuardNodeBudgetVetoAndRecovery(t *testing.T) {
 		WithNodeCheckpointBudget(0.1, time.Hour),
 		WithProbation(0, 0),
 	)
-	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
+	l := NewServingLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
 	stream := ceStream(1, [2]int{10, 1})
 	processAll(l, stream)
@@ -189,7 +189,7 @@ func TestGuardNodeBudgetVetoAndRecovery(t *testing.T) {
 func TestGuardFleetBudgetVeto(t *testing.T) {
 	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithFleetMitigationBudget(2, time.Hour), WithProbation(0, 0))
-	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
+	l := NewServingLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
 	stream := ceStream(4, [2]int{8, 1})
 	processAll(l, stream)
@@ -214,9 +214,11 @@ func TestGuardBudgetAuditPinned(t *testing.T) {
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour),
 		WithFleetMitigationBudget(6, time.Hour), WithProbation(0, 0))
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	tick := func(node int, at time.Time) Decision {
-		return ctl.Tick(Event{Time: at, Node: node, DIMM: 0, Type: CorrectedError,
-			Count: 1, Rank: 0, Bank: 1, Row: 0, Col: 3}, 100)
+	tick := func(node int, at time.Time) (d Decision) {
+		var norm [FeatureDim]float64
+		ctl.TickInto(&d, Event{Time: at, Node: node, DIMM: 0, Type: CorrectedError,
+			Count: 1, Rank: 0, Bank: 1, Row: 0, Col: 3}, 100, &norm)
+		return d
 	}
 	// Node 0: three mitigations, then two node-budget vetoes.
 	for i := 0; i < 5; i++ {
@@ -613,7 +615,7 @@ func TestGuardWiringPanics(t *testing.T) {
 				t.Error("WithGuard with a foreign controller did not panic")
 			}
 		}()
-		NewOnlineLearner(ctl, WithGuard(g2))
+		NewServingLearner(ctl, WithGuard(g2))
 	}()
 
 	// The paper's two user parameters must agree between learner and
@@ -634,7 +636,7 @@ func TestGuardWiringPanics(t *testing.T) {
 					t.Errorf("WithGuard with a mismatched %s did not panic", tc.name)
 				}
 			}()
-			NewOnlineLearner(c, append(tc.lopts, WithGuard(g))...)
+			NewServingLearner(c, append(tc.lopts, WithGuard(g))...)
 		}()
 	}
 }
@@ -645,7 +647,7 @@ func TestGuardWiringPanics(t *testing.T) {
 func TestGuardRollbackWithoutLineageAudits(t *testing.T) {
 	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithProbation(1<<20, 5))
-	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
+	l := NewServingLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 	base := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
 
 	// Fake a promotion the learner saw, then hot-swap a policy with no
@@ -682,7 +684,7 @@ func (refusingDeploy) DeployPolicy(Policy) (Policy, error) {
 func TestGuardRollbackDeployRefusedAudits(t *testing.T) {
 	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithProbation(1<<20, 5))
-	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
+	l := NewServingLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 	l.serving = refusingDeploy{ctl}
 	base := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
 
@@ -711,13 +713,13 @@ func TestGuardRollbackDeployRefusedAudits(t *testing.T) {
 }
 
 // A guard attached to a controller charges every decision tick the
-// controller's fused Tick serves, so a learner on that controller charges
+// controller's fused TickInto serves, so a learner on that controller charges
 // it even without WithGuard. The guard keeps its own audit log: without
 // WithGuard the learner neither shares it nor reports guard stats.
 func TestGuardChargedByTickWithoutWithGuard(t *testing.T) {
 	ctl := NewController(AlwaysPolicy())
 	g := NewGuard(ctl, WithNodeCheckpointBudget(0.1, time.Hour), WithProbation(0, 0))
-	l := NewOnlineLearner(ctl, WithDriftDetection(1e9, 128))
+	l := NewServingLearner(ctl, WithDriftDetection(1e9, 128))
 	processAll(l, ceStream(1, [2]int{10, 1}))
 	st := g.Stats()
 	if st.SuppressedMitigations != 7 || st.BudgetTrips != 1 {

@@ -153,12 +153,6 @@ func GroupTicks(ticks []errlog.Tick) [][]errlog.Tick {
 	return out
 }
 
-// NumActions implements rl.Environment.
-func (e *MitigationEnv) NumActions() int { return NumActions }
-
-// StateLen implements rl.Environment.
-func (e *MitigationEnv) StateLen() int { return features.Dim }
-
 // Reset implements rl.Environment: it picks a random node and advances to
 // the first decision point.
 func (e *MitigationEnv) Reset() []float64 {
@@ -284,6 +278,3 @@ func (e *MitigationEnv) Step(action int) ([]float64, float64, bool) {
 }
 
 var _ rl.Environment = (*MitigationEnv)(nil)
-
-// EpisodeJobs exposes the sampler (used by evaluation replay and tools).
-func (e *MitigationEnv) Sampler() *jobs.Sampler { return e.sampler }

@@ -124,9 +124,6 @@ func (m *maskedEnv) Step(a int) ([]float64, float64, bool) {
 	return s, r, done
 }
 
-func (m *maskedEnv) NumActions() int { return m.inner.NumActions() }
-func (m *maskedEnv) StateLen() int   { return m.inner.StateLen() }
-
 // maskPolicy zeroes a feature before delegating, so evaluation matches the
 // masked training distribution.
 func maskPolicy(p rl.Policy, index int) rl.Policy {

@@ -59,7 +59,7 @@ func ScaleFor(p evalx.Preset) Scale {
 // mitigation costs), optimal thresholds, trained RL agents and
 // manufacturer partitions — are computed once per World and reused by the
 // whole figure suite and by the uerl.System built over it. Figure output
-// is byte-identical with the cache disabled (see DisableCache and the
+// is byte-identical with the cache disabled (a nil cache; see the
 // equivalence test in render_test.go).
 type World struct {
 	Scale Scale
@@ -98,13 +98,8 @@ func BuildWorld(s Scale) *World {
 	}
 }
 
-// Cache exposes the world's artifact cache (nil after DisableCache).
+// Cache exposes the world's artifact cache (nil when disabled).
 func (w *World) Cache() *evalx.Cache { return w.cache }
-
-// DisableCache turns artifact memoization off for this world: every
-// figure run recomputes its pipeline and models from scratch (the legacy
-// behaviour). Used by the cold-vs-cached equivalence tests.
-func (w *World) DisableCache() { w.cache = nil }
 
 // ResetCache drops every memoized artifact (including the per-partition
 // caches and partition logs), re-enabling memoization on fresh caches.

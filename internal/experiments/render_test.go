@@ -118,7 +118,7 @@ func TestCachedWorldMatchesColdWorld(t *testing.T) {
 	warmF3, warmT2 := render(warm)
 
 	cold := BuildWorld(smallScale)
-	cold.DisableCache()
+	cold.cache = nil
 	coldF3, coldT2 := render(cold)
 
 	if warmF3 != coldF3 {

@@ -727,30 +727,6 @@ func (c *Coordinator) recommend(node int, at time.Time, potentialCostNodeHours f
 	return d
 }
 
-// Features reads node's feature vector from its owner — the
-// observability twin of Recommend. ok=false when no live worker can
-// answer.
-func (c *Coordinator) Features(node int, at time.Time, potentialCostNodeHours float64) ([uerl.FeatureDim]float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	owner := -1
-	if ns, okN := c.nodes[node]; okN {
-		owner = ns.owner
-	} else {
-		owner = c.hrwOwner(node)
-	}
-	if owner < 0 || c.workers[owner].state == WorkerDown {
-		return [uerl.FeatureDim]float64{}, false
-	}
-	req := c.request(ReqFeatures)
-	req.Node, req.At, req.Cost = node, at, potentialCostNodeHours
-	resp, err := c.call(owner)
-	if err != nil {
-		return [uerl.FeatureDim]float64{}, false
-	}
-	return resp.Features, true
-}
-
 // Policy returns the committed fleet-wide policy.
 func (c *Coordinator) Policy() uerl.Policy {
 	c.mu.Lock()

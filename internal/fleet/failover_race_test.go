@@ -36,12 +36,12 @@ func TestFleetFailoverParity(t *testing.T) {
 	checkParity := func(t *testing.T, coord *Coordinator, when string) {
 		t.Helper()
 		for n := 0; n < nodes; n++ {
-			want := ref.Features(n, at, 100)
-			got, ok := coord.Features(n, at, 100)
-			if !ok {
+			want := ref.Recommend(n, at, 100).Features
+			d := coord.Recommend(n, at, 100)
+			if d.Degraded {
 				t.Fatalf("%s: node %d unanswerable", when, n)
 			}
-			if got != want {
+			if got := d.Features; got != want {
 				t.Fatalf("%s: node %d state diverged:\n got %v\nwant %v", when, n, got, want)
 			}
 		}

@@ -52,7 +52,7 @@ func learnerOptions(opts ...uerl.LearnerOption) []uerl.LearnerOption {
 // driftStream.
 func promotedRL(t *testing.T) uerl.Policy {
 	t.Helper()
-	l := uerl.NewOnlineLearner(uerl.NewController(uerl.NeverPolicy()), learnerOptions()...)
+	l := uerl.NewServingLearner(uerl.NewController(uerl.NeverPolicy()), learnerOptions()...)
 	for _, e := range driftStream(8, 600, 800) {
 		l.Process(e)
 	}

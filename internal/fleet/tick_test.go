@@ -316,7 +316,7 @@ func (s *scrubTransport) Call(w int, req *Request, resp *Response) error {
 		Incarnation: 1 << 40,
 	}
 	for i := range resp.Normalized {
-		resp.Normalized[i], resp.Features[i], resp.Decision.Features[i] = math.NaN(), -1, -1
+		resp.Normalized[i], resp.Decision.Features[i] = math.NaN(), -1
 	}
 	clean := Request{Kind: req.Kind}
 	switch req.Kind {
@@ -326,7 +326,7 @@ func (s *scrubTransport) Call(w int, req *Request, resp *Response) error {
 		clean.Node, clean.Events, clean.Forget = req.Node, req.Events, req.Forget
 	case ReqForget:
 		clean.Node = req.Node
-	case ReqRecommend, ReqFeatures:
+	case ReqRecommend:
 		clean.Node, clean.At, clean.Cost = req.Node, req.At, req.Cost
 	case ReqStage:
 		clean.Artifact = req.Artifact
@@ -342,9 +342,9 @@ func (s *scrubTransport) Call(w int, req *Request, resp *Response) error {
 
 // TestFleetReusedCallParity runs TestFleetTickParity's schedules through
 // two fleets, one over the plain in-process transport and one over
-// scrubTransport, with Features reads and deploys (one worker's stage
-// gate refusing the Never policy, so some deploys abort) mixed in, and
-// demands identical decisions, feature reads, deploy outcomes and Stats.
+// scrubTransport, with queries that ingest nothing and deploys (one
+// worker's stage gate refusing the Never policy, so some deploys abort)
+// mixed in, and demands identical decisions, deploy outcomes and Stats.
 func TestFleetReusedCallParity(t *testing.T) {
 	const (
 		schedules = 100
@@ -396,10 +396,9 @@ func TestFleetReusedCallParity(t *testing.T) {
 						rejected++
 					}
 				case r < 0.10:
-					fp, okPlain := plain.Features(e.Node, e.Time, cost)
-					fs, okScrub := scrub.Features(e.Node, e.Time, cost)
-					if fp != fs || okPlain != okScrub {
-						t.Fatalf("event %d: features %v %v, scrubbed %v %v", i, fp, okPlain, fs, okScrub)
+					want := plain.Recommend(e.Node, e.Time, cost)
+					if got := scrub.Recommend(e.Node, e.Time, cost); got != want {
+						t.Fatalf("event %d: query served\n%+v\nscrubbed\n%+v", i, want, got)
 					}
 				case r < 0.25:
 					plain.ObserveEvent(e)

@@ -27,9 +27,6 @@ const (
 	// ReqRecommend answers a mitigation query for Request.Node at
 	// Request.At with potential cost Request.Cost in Response.Decision.
 	ReqRecommend
-	// ReqFeatures reads Request.Node's raw feature vector into
-	// Response.Features.
-	ReqFeatures
 	// ReqStage validates Request.Artifact (a SaveModel document) and
 	// holds the decoded policy for a later ReqCommit, reporting its
 	// version in Response.Version. A validation failure is reported in
@@ -50,7 +47,7 @@ const (
 	// Request.Events (the node's unapplied journal suffix before the
 	// tick, oldest first, extending its existing state; empty in steady
 	// state), then serves Request.Event, the tick's own event, through
-	// its controller's fused Tick: it ingests the event, answers a
+	// its controller's fused TickInto: it ingests the event, answers a
 	// mitigation query for the event's node at the event's time with
 	// potential cost Request.Cost in Response.Decision (with Normalized
 	// and Normed), and feeds that decision to its guard. It is
@@ -100,7 +97,6 @@ type Response struct {
 	// (see uerl.Ticker).
 	Normalized  [uerl.FeatureDim]float64
 	Normed      bool
-	Features    [uerl.FeatureDim]float64
 	Stats       WorkerStats
 	Version     string
 	Err         string

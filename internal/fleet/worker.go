@@ -114,8 +114,6 @@ func (w *Worker) handle(req *Request, resp *Response) {
 		w.ctl.Forget(req.Node)
 	case ReqRecommend:
 		resp.Decision = w.ctl.Recommend(req.Node, req.At, req.Cost)
-	case ReqFeatures:
-		resp.Features = w.ctl.Features(req.Node, req.At, req.Cost)
 	case ReqStage:
 		p, err := uerl.LoadModel(bytes.NewReader(req.Artifact))
 		if err != nil {

@@ -50,9 +50,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 

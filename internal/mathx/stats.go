@@ -43,15 +43,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // ArgMax returns the index of the maximum element, breaking ties towards the
 // lowest index. It panics on an empty slice.
 func ArgMax(xs []float64) int {

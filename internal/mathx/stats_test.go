@@ -40,9 +40,6 @@ func TestMeanSum(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Sum([]float64{1.5, 2.5}); got != 4 {
-		t.Errorf("Sum = %v", got)
-	}
 }
 
 func TestArgMax(t *testing.T) {

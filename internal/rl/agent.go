@@ -14,10 +14,6 @@ import (
 type Environment interface {
 	Reset() []float64
 	Step(action int) (next []float64, reward float64, done bool)
-	// NumActions reports the size of the discrete action set.
-	NumActions() int
-	// StateLen reports the state vector dimension.
-	StateLen() int
 }
 
 // Policy maps a state to an action. Both the trained agent and the paper's

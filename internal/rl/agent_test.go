@@ -69,9 +69,6 @@ func (b *banditEnv) Step(action int) ([]float64, float64, bool) {
 	return []float64{b.x}, r, true
 }
 
-func (b *banditEnv) NumActions() int { return 2 }
-func (b *banditEnv) StateLen() int   { return 1 }
-
 func TestAgentLearnsContextualBandit(t *testing.T) {
 	env := &banditEnv{rng: mathx.NewRNG(1)}
 	cfg := AgentConfig{
@@ -125,9 +122,6 @@ func (c *chainEnv) Step(action int) ([]float64, float64, bool) {
 	}
 	return c.state(), 0, false
 }
-
-func (c *chainEnv) NumActions() int { return 2 }
-func (c *chainEnv) StateLen() int   { return 4 }
 
 func TestAgentLearnsChainMDP(t *testing.T) {
 	env := &chainEnv{}
@@ -283,6 +277,3 @@ func (e *rareEventEnv) Step(action int) ([]float64, float64, bool) {
 	}
 	return s, r, true
 }
-
-func (e *rareEventEnv) NumActions() int { return 2 }
-func (e *rareEventEnv) StateLen() int   { return 2 }

@@ -46,9 +46,6 @@ func (w *walkEnv) Step(action int) ([]float64, float64, bool) {
 	}
 }
 
-func (w *walkEnv) NumActions() int { return 2 }
-func (w *walkEnv) StateLen() int   { return 5 }
-
 // batchParityConfig builds a config that exercises dueling + double DQN +
 // PER.
 func batchParityConfig() AgentConfig {

@@ -125,7 +125,7 @@ func TestRowhammerScenarioRollsBackAlongLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Run(spec)
+	sum, err := runSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,15 @@ const (
 	goldenDir = "../../scenarios/golden"
 )
 
+// runSpec compiles spec and runs it, as cmd/uerlserve does.
+func runSpec(spec Spec) (Summary, error) {
+	c, err := Compile(spec)
+	if err != nil {
+		return Summary{}, err
+	}
+	return RunCompiled(c)
+}
+
 // namedSpecs loads every named scenario spec under scenarios/.
 func namedSpecs(t *testing.T) map[string]Spec {
 	t.Helper()
@@ -65,7 +74,7 @@ func TestScenarioGoldens(t *testing.T) {
 	for name, spec := range namedSpecs(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			sum, err := Run(spec)
+			sum, err := runSpec(spec)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -120,7 +129,7 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 
 	run := func() []byte {
-		sum, err := Run(spec)
+		sum, err := runSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

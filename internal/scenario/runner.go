@@ -138,21 +138,11 @@ type LifecycleSummary struct {
 	SwapChurn int `json:"swap_churn"`
 }
 
-// Run compiles and executes the scenario, driving the live stack over
-// the compiled stream and scoring survival. It returns an error if the
-// spec is invalid or the run breaches the graceful-degradation contract:
-// serving must never panic, and every vetoed decision must serve
-// ActionNone.
-func Run(spec Spec) (Summary, error) {
-	c, err := Compile(spec)
-	if err != nil {
-		return Summary{}, err
-	}
-	return RunCompiled(c)
-}
-
-// RunCompiled executes an already-compiled scenario, honouring the run
-// seams (Initial, Kernel, Probe) set on c.
+// RunCompiled executes a compiled scenario, driving the live stack over
+// the compiled stream and scoring survival, and honours the run seams
+// (Initial, Probe) set on c. It returns an error if the run breaches the
+// graceful-degradation contract: serving must never panic, and every
+// vetoed decision must serve ActionNone.
 func RunCompiled(c *Compiled) (sum Summary, err error) {
 	spec := c.Spec
 	initial := c.Initial

@@ -138,9 +138,6 @@ type OverlaySpec struct {
 	UEMult float64 `json:"ue_mult,omitempty"`
 }
 
-// zero reports whether the overlay changes nothing.
-func (o OverlaySpec) zero() bool { return o == OverlaySpec{} }
-
 // DriftPhase re-parameterizes the generator from AtDay on. Multipliers
 // and overrides are relative to the scenario's phase-0 configuration
 // (base + Telemetry overlay), so an aging curve lists increasing

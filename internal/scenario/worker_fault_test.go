@@ -61,7 +61,7 @@ func TestCompileWorkerFaultSchedule(t *testing.T) {
 // deliveries were absorbed, any degraded decision stayed conservative,
 // and the fleet ended settled (no orphans, every worker live).
 func TestScenarioFleetArc(t *testing.T) {
-	sum, err := Run(servingSpec())
+	sum, err := runSpec(servingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestScenarioFleetArc(t *testing.T) {
 func TestScenarioFleetDeterminism(t *testing.T) {
 	spec := servingSpec()
 	run := func() []byte {
-		sum, err := Run(spec)
+		sum, err := runSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,9 +88,6 @@ type Config struct {
 	OverTempFraction float64
 	// EscalationDays is how long before a signaled UE the CE rate ramps.
 	EscalationDays float64
-	// WarningWindowHours is the window before a signaled UE in which UE
-	// warnings appear.
-	WarningWindowHours float64
 
 	// BootIntervalDays is the mean interval between routine node boots.
 	BootIntervalDays float64
@@ -128,12 +125,11 @@ func Default() Config {
 		StormBoost:              8,
 		WarningsPerStormDay:     0.6,
 
-		SignaledUEs:        40,
-		SuddenUEs:          27,
-		UEBurstMean:        4,
-		OverTempFraction:   0.06,
-		EscalationDays:     3,
-		WarningWindowHours: 48,
+		SignaledUEs:      40,
+		SuddenUEs:        27,
+		UEBurstMean:      4,
+		OverTempFraction: 0.06,
+		EscalationDays:   3,
 
 		BootIntervalDays:         45,
 		FaultyNodeBootMultiplier: 3,

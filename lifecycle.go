@@ -169,7 +169,7 @@ type pendingStep struct {
 // lineage. Every drift, retrain and verdict is recorded in the audit log
 // (Events), which a learner created WithGuard shares with its guard.
 //
-//	learner := uerl.NewOnlineLearner(ctl, uerl.WithLearnerSeed(1))
+//	learner := uerl.NewServingLearner(ctl, uerl.WithLearnerSeed(1))
 //	for ev := range telemetry {
 //	    learner.Process(ev) // serve + learn
 //	}
@@ -235,20 +235,12 @@ type OnlineLearner struct {
 	probationPasses int
 }
 
-// NewOnlineLearner attaches a continual-learning lifecycle to ctl.
-func NewOnlineLearner(ctl *Controller, opts ...LearnerOption) *OnlineLearner {
-	if ctl == nil {
-		panic("uerl: NewOnlineLearner with nil controller")
-	}
-	return NewServingLearner(ctl, opts...)
-}
-
 // NewServingLearner attaches a continual-learning lifecycle to any
-// Serving implementation — a single-process *Controller (equivalent to
-// NewOnlineLearner) or a distributed fleet coordinator. WithGuard is only
-// meaningful for a *Controller serving layer (the guard wraps a concrete
-// controller); distributed layers carry their own per-worker guards and
-// route decision accounting themselves.
+// Serving implementation — a single-process *Controller or a distributed
+// fleet coordinator. WithGuard is only meaningful for a *Controller
+// serving layer (the guard wraps a concrete controller); distributed
+// layers carry their own per-worker guards and route decision accounting
+// themselves.
 func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 	if s == nil {
 		panic("uerl: NewServingLearner with nil serving layer")

@@ -45,7 +45,7 @@ func driftingTelemetry(nodes, phase1, phase2 int) []Event {
 // so promotions are judged on outcome evidence, not mitigation spend.
 func newTestLearner() *OnlineLearner {
 	ctl := NewController(NeverPolicy())
-	return NewOnlineLearner(ctl,
+	return NewServingLearner(ctl,
 		WithLearnerSeed(5),
 		WithCostSource(ConstantCost(100)),
 		WithDriftDetection(8, 128),
@@ -196,7 +196,7 @@ func TestLifecycleQuietStreamNoChurn(t *testing.T) {
 
 // countingServing is a Controller-backed serving layer and decision
 // accountant that counts the calls the learner makes into it. The
-// controller is a named field, not embedded, so its own fused Tick is not
+// controller is a named field, not embedded, so its own fused TickInto is not
 // promoted: the layer has no Ticker step of its own.
 type countingServing struct {
 	ctl                                  *Controller
@@ -225,7 +225,7 @@ func (s *tickingServing) TickInto(d *Decision, e Event, cost float64, norm *[Fea
 }
 
 // TestLearnerResolvesFusedTick checks the learner serves a decision tick
-// through a layer's fused Tick alone — no separate ingest, query or
+// through a layer's fused TickInto alone — no separate ingest, query or
 // accounting call, so the guard is charged once — and through the three
 // calls on a layer without one.
 func TestLearnerResolvesFusedTick(t *testing.T) {

@@ -23,20 +23,9 @@ func WithBudget(b Budget) SystemOption {
 // WithBudgetCI selects the seconds-scale CI budget.
 func WithBudgetCI() SystemOption { return WithBudget(BudgetCI) }
 
-// WithBudgetDefault selects the minutes-scale default budget.
-func WithBudgetDefault() SystemOption { return WithBudget(BudgetDefault) }
-
-// WithBudgetPaper selects the paper's full §4.1 protocol.
-func WithBudgetPaper() SystemOption { return WithBudget(BudgetPaper) }
-
 // WithScale multiplies the MareNostrum 3 population (1 = 3056 nodes).
 func WithScale(scale float64) SystemOption {
 	return func(c *Config) { c.Scale = scale }
-}
-
-// WithJobs sets the synthetic MN4 trace length.
-func WithJobs(n int) SystemOption {
-	return func(c *Config) { c.Jobs = n }
 }
 
 // WithMitigationCost sets the per-action mitigation cost in node-minutes
@@ -50,7 +39,7 @@ func WithRestartable(restartable bool) SystemOption {
 	return func(c *Config) { c.Restartable = restartable }
 }
 
-// learnerConfig collects NewOnlineLearner options.
+// learnerConfig collects NewServingLearner options.
 type learnerConfig struct {
 	seed                      int64
 	cost                      CostFunc
@@ -78,7 +67,7 @@ type learnerConfig struct {
 	ueObserver       func(node int, at time.Time, realizedNodeHours float64)
 }
 
-// LearnerOption configures NewOnlineLearner.
+// LearnerOption configures NewServingLearner.
 type LearnerOption func(*learnerConfig)
 
 // WithLearnerSeed seeds the continual trainer (weight init and replay
@@ -160,7 +149,7 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 // the learner), and adopts its audit log, so learner and guard record
 // into one trail. The guard must wrap the same
 // controller the learner serves and charge the same mitigation cost and
-// restartability (NewOnlineLearner panics otherwise). WithGuard is a
+// restartability (NewServingLearner panics otherwise). WithGuard is a
 // single-process option: under a distributed serving layer
 // (NewServingLearner over a fleet coordinator) guards attach per worker
 // and the coordinator routes decision accounting to them, so passing
@@ -286,7 +275,7 @@ func WithProbation(decisions int, toleranceNodeHours float64) GuardOption {
 // WithGuardMitigationCost sets the checkpoint cost per mitigation in
 // node-minutes (default 2) that budget accounting and probation scoring
 // charge. It must equal the learner's WithLearnerMitigationCost:
-// NewOnlineLearner panics on a mismatch under WithGuard.
+// NewServingLearner panics on a mismatch under WithGuard.
 func WithGuardMitigationCost(nodeMinutes float64) GuardOption {
 	return func(c *guardConfig) { c.mitigationCostNodeMinutes = nodeMinutes }
 }

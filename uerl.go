@@ -122,8 +122,6 @@ type Config struct {
 	// Scale multiplies the MareNostrum 3 population (1 = 3056 nodes,
 	// ~25k DIMMs). The Budget's default is used when 0.
 	Scale float64
-	// Jobs is the synthetic MN4 trace length (0 = Budget default).
-	Jobs int
 	// MitigationCostNodeMinutes is the per-action mitigation cost
 	// (default 2, the paper's main configuration).
 	MitigationCostNodeMinutes float64
@@ -158,7 +156,7 @@ type System struct {
 // NewSystem generates a synthetic world from functional options, applied
 // on top of the paper's configuration at BudgetCI:
 //
-//	uerl.NewSystem(uerl.WithSeed(1), uerl.WithBudgetPaper())
+//	uerl.NewSystem(uerl.WithSeed(1), uerl.WithBudget(uerl.BudgetPaper))
 func NewSystem(opts ...SystemOption) *System {
 	cfg := DefaultConfig(BudgetCI)
 	for _, opt := range opts {
@@ -168,9 +166,6 @@ func NewSystem(opts ...SystemOption) *System {
 	scale.Seed = cfg.Seed
 	if cfg.Scale > 0 {
 		scale.TelemetryScale = cfg.Scale
-	}
-	if cfg.Jobs > 0 {
-		scale.JobCount = cfg.Jobs
 	}
 	if cfg.MitigationCostNodeMinutes == 0 {
 		cfg.MitigationCostNodeMinutes = 2
@@ -210,7 +205,6 @@ type PolicyCost struct {
 // Report is the §5.1 cost–benefit comparison.
 type Report struct {
 	Costs []PolicyCost
-	cv    evalx.CVResult
 }
 
 // Find returns the row for the named policy.
@@ -233,7 +227,7 @@ func (r Report) Render(w io.Writer) {
 }
 
 func reportFrom(cv evalx.CVResult) Report {
-	rep := Report{cv: cv}
+	var rep Report
 	for _, t := range cv.Totals {
 		rep.Costs = append(rep.Costs, costOf(t))
 	}

@@ -28,17 +28,16 @@ func TestNewSystemOptions(t *testing.T) {
 	var got Config
 	NewSystem(
 		WithSeed(7),
-		WithBudgetPaper(),
+		WithBudget(BudgetPaper),
 		WithBudgetCI(), // later options win
 		WithScale(0.01),
-		WithJobs(11),
 		WithMitigationCost(5),
 		WithRestartable(false),
 		WithSeed(9),
 		func(c *Config) { got = *c },
 	)
 	want := DefaultConfig(BudgetCI)
-	want.Seed, want.Scale, want.Jobs = 9, 0.01, 11
+	want.Seed, want.Scale = 9, 0.01
 	want.MitigationCostNodeMinutes, want.Restartable = 5, false
 	if got != want {
 		t.Fatalf("options applied wrong: got %+v want %+v", got, want)
